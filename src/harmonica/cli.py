@@ -125,7 +125,7 @@ def cmd_export(args) -> int:
             raise SystemExit(f"harmonica: cannot load dictionary {args.dict}: {exc}")
     # Warm the registry/caches before exporting.
     hook_component(args.n, allow_large=args.allow_large, cache_dir=_cache_dir(args))
-    table = export_homology(args.n, dictionary)
+    table = export_homology(args.n, dictionary, allow_large=args.allow_large)
     if args.format == "json":
         _emit(json.dumps(table, indent=2, sort_keys=True) + "\n", args.out)
         return 0

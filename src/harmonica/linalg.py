@@ -1,28 +1,37 @@
 """Exact sparse linear algebra over the rationals.
 
-Matrices are stored as dicts mapping (row, col) to nonzero Fractions.  Row
-reduction runs a fraction-free (Bareiss-style) forward pass on integer-scaled
-rows followed by rational back-substitution, so intermediate entries stay
-bounded on dense-ish blocks.  Pivoting is deterministic: columns are consumed
-left to right and the pivot row is the candidate with the fewest stored
-nonzeros, ties broken by lowest row index.
+Matrices are stored as dicts mapping (row, col) to nonzero Fractions.  All
+elimination runs through one fraction-free engine, `RrefAccumulator`, in
+the spirit of Bareiss (1968): rows are dicts of Python ints, each divided by
+its content and with a positive entry at its pivot, and the rows are kept
+mutually reduced.  The stored rows are therefore the unique reduced row
+echelon form of the span, up to one positive integer scale per row.
 
-All values are immutable after construction and every operation is a pure
-function, so concurrent use on distinct inputs is safe.
+A vector is integerised once, over one common denominator, and reduced in a
+single pass.  Its pivot columns are known before the pass starts, because
+eliminating one pivot never creates an entry at another.  With D the lcm of
+the pivot entries met, the residual is D*vec - sum (vec[p]*D/row[p][p]) *
+row[p].  Fractions appear only at the edges: a returned residual, returned
+coefficients, and the RREF view (`row_vectors`, `to_matrix`), which is built
+on demand and cached until the next independent insert.
+
+Pivoting is deterministic: an independent vector pivots on the smallest
+column of its residual.  That column is the leading column of the new row,
+and back-reduction only adds later columns to earlier rows, so pivots stay
+leading.  `rref`, `kernel_basis` and `membership` are thin wrappers.
+
+A SparseMatrix is immutable after construction and every module-level
+function is pure, so concurrent use on distinct inputs is safe.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Optional
 
 
 Vec = dict  # column index -> nonzero Fraction
-
-
-def _clean(vec: dict) -> Vec:
-    return {j: Fraction(v) for j, v in vec.items() if v != 0}
 
 
 def vec_add_scaled(target: Vec, scale: Fraction, source: Vec) -> None:
@@ -98,6 +107,12 @@ class SparseMatrix:
         for (r, c), v in self.data.items():
             rows[r][c] = v
         return rows
+
+    def column_list(self) -> list:
+        cols = [dict() for _ in range(self.cols)]
+        for (r, c), v in self.data.items():
+            cols[c][r] = v
+        return cols
 
     def column(self, c: int) -> Vec:
         return {r: v for (r, j), v in self.data.items() if j == c}
@@ -178,20 +193,182 @@ class SparseMatrix:
         return f"SparseMatrix({self.rows}x{self.cols}, nnz={len(self.data)})"
 
 
-def _integerize(row: Vec) -> dict:
-    """Scale a rational row to coprime integers (sign preserved)."""
-    if not row:
-        return {}
-    den = 1
-    for v in row.values():
-        den = den * v.denominator // gcd(den, v.denominator)
-    ints = {j: int(v * den) for j, v in row.items()}
-    g = 0
-    for v in ints.values():
-        g = gcd(g, abs(v))
-    if g > 1:
-        ints = {j: v // g for j, v in ints.items()}
-    return ints
+def _scaled_ints(vec: Vec):
+    """(ints, den) with vec == ints / den; zero entries are dropped."""
+    den = lcm(*(v.denominator for v in vec.values()))
+    if den == 1:
+        return {j: v.numerator for j, v in vec.items() if v}, 1
+    return {j: v.numerator * (den // v.denominator) for j, v in vec.items() if v}, den
+
+
+def _times(vec: dict, k: int) -> dict:
+    return {j: x * k for j, x in vec.items()} if k != 1 else dict(vec)
+
+
+def _sub_multiple(target: dict, c: int, source: dict) -> None:
+    """In-place target -= c * source on int dicts, dropping zeros."""
+    get = target.get
+    for j, x in source.items():
+        w = get(j, 0) - c * x
+        if w:
+            target[j] = w
+        else:
+            del target[j]
+
+
+def _divide_content(vec: dict, expr: Optional[dict], sign: int) -> None:
+    """Divide vec (and expr, sharing the scale) by their content times sign."""
+    g = gcd(*vec.values(), *expr.values()) if expr is not None else gcd(*vec.values())
+    g *= sign
+    if g != 1:
+        for j in vec:
+            vec[j] //= g
+        if expr is not None:
+            for t in expr:
+                expr[t] //= g
+
+
+def _fractions(vec: dict, den: int) -> Vec:
+    return {j: Fraction(x, den) for j, x in vec.items()}
+
+
+class RrefAccumulator:
+    """Incrementally maintained reduced row echelon basis of a row space.
+
+    Each row, keyed by its pivot column, is a dict of ints with content 1
+    and a positive pivot entry, zero at every other pivot column.  Dividing
+    each row by its pivot entry gives the unique RREF of the span of the
+    inserted vectors.  With track=True every row also carries its
+    expression in the inserted vectors (by tag) as an int dict sharing the
+    row's scale: row == sum expr[t] * (vector inserted with tag t), so the
+    pivot entry is the expression's denominator.
+    """
+
+    def __init__(self, track: bool = False):
+        self.track = track
+        self._rows: dict = {}  # pivot col -> int row
+        self._exprs: dict = {}  # pivot col -> int combination of inserted tags
+        self._view: Optional[dict] = None  # pivot col -> Fraction RREF row
+
+    @property
+    def rank(self) -> int:
+        return len(self._rows)
+
+    def pivots(self) -> list:
+        return sorted(self._rows)
+
+    def _eliminate(self, vec: dict, expr: Optional[dict]):
+        """Reduce an int vector (and its expression) against the rows.
+
+        Returns (residual, expression, hit pivots, D) where residual ==
+        D*vec - sum over hit pivots p of (vec[p]*D/row_p[p]) * row_p, and
+        the expression undergoes the same operations.  vec and expr are
+        returned as they are when vec meets no pivot, else left unchanged.
+        """
+        rows = self._rows
+        hits = [j for j in vec if j in rows]
+        if not hits:
+            return vec, expr, hits, 1
+        scale = lcm(*(rows[p][p] for p in hits))
+        out = _times(vec, scale)
+        if expr is not None:
+            expr = _times(expr, scale)
+        for p in hits:
+            row = rows[p]
+            c = vec[p] * scale // row[p]
+            _sub_multiple(out, c, row)
+            if expr is not None:
+                _sub_multiple(expr, c, self._exprs[p])
+        return out, expr, hits, scale
+
+    def reduce(self, vec: Vec) -> Vec:
+        """Residual of vec modulo the current row space (vec not consumed)."""
+        ints, den = _scaled_ints(vec)
+        out, _, _, scale = self._eliminate(ints, None)
+        return _fractions(out, den * scale)
+
+    def reduce_with_coeffs(self, vec: Vec):
+        """Like reduce, also returning {pivot: coefficient} of the RREF rows used.
+
+        In reduced echelon form that coefficient is vec's entry at the pivot.
+        """
+        ints, den = _scaled_ints(vec)
+        out, _, hits, scale = self._eliminate(ints, None)
+        return _fractions(out, den * scale), {p: Fraction(ints[p], den) for p in hits}
+
+    def solve(self, vec: Vec) -> Optional[Vec]:
+        """{tag: c} with vec == sum c * (vector inserted with tag), or None.
+
+        None means vec is outside the span.  Needs track=True; vectors that
+        were dependent when inserted get no coefficient.
+        """
+        if not self.track:
+            raise ValueError("solve needs an accumulator built with track=True")
+        ints, den = _scaled_ints(vec)
+        out, expr, _, scale = self._eliminate(ints, {})
+        if out:
+            return None
+        return _fractions(expr, -den * scale)
+
+    def insert(self, vec: Vec, tag=None):
+        """Insert a vector; returns its pivot column or None if dependent."""
+        ints, den = _scaled_ints(vec)
+        expr = None
+        if self.track:
+            expr = {tag: den} if tag is not None else {}
+        out, expr, _, _ = self._eliminate(ints, expr)
+        if not out:
+            return None
+        piv = min(out)
+        _divide_content(out, expr, 1 if out[piv] > 0 else -1)
+        # Back-reduce the other rows against the new pivot.
+        lead = out[piv]
+        rows, exprs = self._rows, self._exprs
+        for p, row in rows.items():
+            e = row.get(piv)
+            if e is None:
+                continue
+            h = gcd(lead, e)
+            a, b = lead // h, e // h
+            new = _times(row, a)
+            _sub_multiple(new, b, out)
+            new_expr = None
+            if expr is not None:
+                new_expr = _times(exprs[p], a)
+                _sub_multiple(new_expr, b, expr)
+                exprs[p] = new_expr
+            _divide_content(new, new_expr, 1)
+            rows[p] = new
+        rows[piv] = out
+        if expr is not None:
+            exprs[piv] = expr
+        self._view = None
+        return piv
+
+    def contains(self, vec: Vec) -> bool:
+        return not self._eliminate(_scaled_ints(vec)[0], None)[0]
+
+    def _rref(self) -> dict:
+        if self._view is None:
+            self._view = {}
+            for p in sorted(self._rows):
+                row = self._rows[p]
+                self._view[p] = {j: Fraction(x, row[p]) for j, x in sorted(row.items())}
+        return self._view
+
+    def row_vectors(self) -> list:
+        """RREF rows (pivot coefficient 1), in pivot order."""
+        return [dict(row) for row in self._rref().values()]
+
+    def to_matrix(self, cols: int) -> SparseMatrix:
+        return SparseMatrix.from_rows(self._rref().values(), cols)
+
+
+def _row_space(m: SparseMatrix) -> RrefAccumulator:
+    acc = RrefAccumulator()
+    for row in m.row_list():
+        acc.insert(row)
+    return acc
 
 
 def rref(m: SparseMatrix):
@@ -200,62 +377,8 @@ def rref(m: SparseMatrix):
     Returns (reduced matrix, pivot column list, rank).  The output is the
     unique RREF of the row space; pivot columns are strictly increasing.
     """
-    # Fraction-free forward pass on integer-scaled rows.
-    work = [_integerize(r) for r in m.row_list()]
-    work = [r for r in work if r]
-    order = list(range(len(work)))  # indices into work, in elimination order
-    pivots = []
-    piv_rows = []  # positions in `order` of pivot rows, in pivot order
-    prev = 1
-    next_slot = 0
-    for col in range(m.cols):
-        cand = None
-        cand_key = None
-        for slot in range(next_slot, len(order)):
-            row = work[order[slot]]
-            if col in row:
-                key = (len(row), order[slot])
-                if cand is None or key < cand_key:
-                    cand, cand_key = slot, key
-        if cand is None:
-            continue
-        order[next_slot], order[cand] = order[cand], order[next_slot]
-        prow = work[order[next_slot]]
-        p = prow[col]
-        for slot in range(next_slot + 1, len(order)):
-            row = work[order[slot]]
-            f = row.pop(col, 0)
-            new = {}
-            for j, v in row.items():
-                w = p * v - f * prow.get(j, 0)
-                if w:
-                    new[j] = w // prev
-            for j, v in prow.items():
-                if j not in row and j != col:
-                    w = -f * v
-                    if w:
-                        new[j] = w // prev
-            work[order[slot]] = new
-        prev = p
-        pivots.append(col)
-        piv_rows.append(next_slot)
-        next_slot += 1
-
-    # Rational back-substitution to reach the reduced form.
-    reduced: list = []
-    for k in range(len(pivots) - 1, -1, -1):
-        row = {j: Fraction(v) for j, v in work[order[piv_rows[k]]].items()}
-        p = row[pivots[k]]
-        row = {j: v / p for j, v in row.items()}
-        for idx, later in enumerate(reduced):
-            c = row.pop(pivots[len(pivots) - 1 - idx], 0)
-            if c:
-                vec_add_scaled(row, -c, later)
-                row.pop(pivots[len(pivots) - 1 - idx], None)
-        reduced.append(row)
-    reduced.reverse()
-    out = SparseMatrix.from_rows(reduced, m.cols)
-    return out, pivots, len(pivots)
+    acc = _row_space(m)
+    return acc.to_matrix(m.cols), acc.pivots(), acc.rank
 
 
 def kernel_basis(m: SparseMatrix) -> list:
@@ -263,20 +386,25 @@ def kernel_basis(m: SparseMatrix) -> list:
 
     One vector per non-pivot column; m.mul_vec(v) == {} for each.
     """
-    red, pivots, rank = rref(m)
-    pivot_set = set(pivots)
-    rows = red.row_list()
-    basis = []
-    for j in range(m.cols):
-        if j in pivot_set:
-            continue
-        vec: Vec = {j: Fraction(1)}
-        for i, piv in enumerate(pivots):
-            c = rows[i].get(j)
-            if c:
-                vec[piv] = -c
-        basis.append(vec)
-    return basis
+    rows = _row_space(m)._rref()
+    free = {j: {j: Fraction(1)} for j in range(m.cols) if j not in rows}
+    for piv, row in rows.items():
+        for j, c in row.items():
+            if j != piv:
+                free[j][piv] = -c
+    return list(free.values())
+
+
+def span_solver(span: SparseMatrix) -> RrefAccumulator:
+    """Tracked accumulator of the columns of `span`, tagged by column index.
+
+    `span_solver(span).solve(v)` is `membership(v, span)`; build it once to
+    express many vectors in the same span.
+    """
+    acc = RrefAccumulator(track=True)
+    for j, col in enumerate(span.column_list()):
+        acc.insert(col, tag=j)
+    return acc
 
 
 def membership(v: Vec, span: SparseMatrix):
@@ -289,125 +417,4 @@ def membership(v: Vec, span: SparseMatrix):
     for i in v:
         if not 0 <= i < span.rows:
             raise ValueError(f"vector index {i} incompatible with {span.rows} rows")
-    acc = RrefAccumulator(track=True)
-    for j in range(span.cols):
-        acc.insert(span.column(j), tag=j)
-    residual, combo = acc.reduce_with_coeffs(dict(v))
-    if residual:
-        return None
-    coeffs: Vec = {}
-    for piv, c in combo.items():
-        vec_add_scaled(coeffs, c, acc.expr[piv])
-    return coeffs
-
-
-class RrefAccumulator:
-    """Incrementally maintained reduced row echelon basis of a row space.
-
-    Rows are kept mutually reduced with pivot coefficient 1, keyed by pivot
-    column, so the stored basis is at all times the unique RREF of the span
-    of the inserted vectors.  With track=True every stored row also carries
-    its expression as a combination of the inserted vectors (by tag).
-    """
-
-    def __init__(self, track: bool = False):
-        self.rows: dict = {}  # pivot col -> row vec (row[pivot] == 1)
-        self.track = track
-        self.expr: dict = {}  # pivot col -> combination of inserted tags
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-    def pivots(self) -> list:
-        return sorted(self.rows)
-
-    def reduce(self, vec: Vec) -> Vec:
-        """Residual of vec modulo the current row space (vec not consumed)."""
-        vec = dict(vec)
-        rows = self.rows
-        while True:
-            hit = None
-            for j in vec:
-                if j in rows:
-                    hit = j
-                    break
-            if hit is None:
-                return vec
-            c = vec.pop(hit)
-            vec_add_scaled(vec, -c, rows[hit])
-            vec.pop(hit, None)
-
-    def reduce_with_coeffs(self, vec: Vec):
-        """Like reduce, also returning {pivot: coefficient} used."""
-        vec = dict(vec)
-        combo: Vec = {}
-        rows = self.rows
-        while True:
-            hit = None
-            for j in vec:
-                if j in rows:
-                    hit = j
-                    break
-            if hit is None:
-                return vec, combo
-            c = vec.pop(hit)
-            combo[hit] = combo.get(hit, 0) + c
-            vec_add_scaled(vec, -c, rows[hit])
-            vec.pop(hit, None)
-
-    def insert(self, vec: Vec, tag=None):
-        """Insert a vector; returns its pivot column or None if dependent."""
-        vec = {j: Fraction(v) for j, v in vec.items() if v != 0}
-        combo: Vec = {}
-        rows = self.rows
-        while True:
-            hit = None
-            for j in vec:
-                if j in rows:
-                    hit = j
-                    break
-            if hit is None:
-                break
-            c = vec.pop(hit)
-            if self.track:
-                combo[hit] = combo.get(hit, 0) + c
-            vec_add_scaled(vec, -c, rows[hit])
-            vec.pop(hit, None)
-        if not vec:
-            return None
-        piv = min(vec)
-        p = vec.pop(piv)
-        row = {j: v / p for j, v in vec.items()}
-        row[piv] = Fraction(1)
-        if self.track:
-            # row = (inserted vector - sum combo[t] * row_t) / p
-            expr: Vec = {tag: Fraction(1)} if tag is not None else {}
-            for t, c in combo.items():
-                vec_add_scaled(expr, -c, self.expr[t])
-            self.expr[piv] = {j: v / p for j, v in expr.items()}
-        # Back-reduce existing rows against the new pivot.
-        for other_piv, other in self.rows.items():
-            c = other.pop(piv, 0)
-            if c:
-                vec_add_scaled(other, -c, row)
-                other.pop(piv, None)
-                if self.track:
-                    vec_add_scaled(self.expr[other_piv], -c, self.expr[piv])
-        self.rows[piv] = row
-        return piv
-
-    def contains(self, vec: Vec) -> bool:
-        return not self.reduce(vec)
-
-    def row_vectors(self) -> list:
-        """RREF rows (pivot coefficient reinstated), in pivot order."""
-        out = []
-        for piv in sorted(self.rows):
-            row = dict(self.rows[piv])
-            row[piv] = Fraction(1)
-            out.append(row)
-        return out
-
-    def to_matrix(self, cols: int) -> SparseMatrix:
-        return SparseMatrix.from_rows(self.row_vectors(), cols)
+    return span_solver(span).solve(v)

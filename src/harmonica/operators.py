@@ -376,7 +376,7 @@ def matrix_of(spec: OperatorSpec, space, deg) -> OperatorMatrix:
         basis = space.basis(deg)
         tbasis = space.basis(tdeg) if min(tdeg) >= 0 else []
         acc = space._acc(TriDegree(*tdeg)) if tbasis else None
-        pivot_pos = {piv: i for i, piv in enumerate(sorted(acc.rows))} if acc else {}
+        pivot_pos = {piv: i for i, piv in enumerate(acc.pivots())} if acc else {}
         data = {}
         for j, vec in enumerate(basis):
             poly = vec_to_poly(vec, space.n, deg)

@@ -32,7 +32,7 @@ from itertools import permutations
 from math import factorial
 from typing import Dict, List, Optional, Tuple
 
-from .linalg import RrefAccumulator, SparseMatrix, Vec, vec_add_scaled
+from .linalg import RrefAccumulator, SparseMatrix, Vec, kernel_basis, vec_add_scaled
 from .superpoly import (
     Monomial,
     Polynomial,
@@ -384,15 +384,9 @@ class _SingleFamily:
                     exps[i] = d
                     vec[index[tuple(exps)]] = Fraction(1)
                 acc.insert(vec)
-        pivset = set(acc.rows)
-        reps = [j for j in range(len(monos)) if j not in pivset]
-        nf = {}
-        rows = {}
-        for piv, row in acc.rows.items():
-            nf[piv] = {c: -v for c, v in row.items() if c != piv}
-            full = dict(row)
-            full[piv] = Fraction(1)
-            rows[piv] = full
+        rows = dict(zip(acc.pivots(), acc.row_vectors()))
+        reps = [j for j in range(len(monos)) if j not in rows]
+        nf = {piv: {c: -v for c, v in row.items() if c != piv} for piv, row in rows.items()}
         self.degrees[d] = _SingleDegree(monos, index, reps, nf, rows)
 
 
@@ -470,7 +464,7 @@ def _build_even_block(n: int, a: int, b: int) -> Block:
                 if acc.rank == full:
                     break
 
-    pivots = set(acc.rows)
+    pivots = set(acc.pivots())
     rep_pairs = [pair for pair in minicols if mini_index[pair] not in pivots]
     rep_cols = [ia * nb + ib for (ia, ib) in rep_pairs]
     col_of_pair = {mini_index[pair]: pair[0] * nb + pair[1] for pair in minicols}
@@ -616,20 +610,7 @@ def _single_harmonics(n: int, d: int) -> tuple:
                     row = block.setdefault(r, {})
                     row[j] = row.get(j, 0) + Fraction(coeff)
         rows.extend(block[r] for r in sorted(block))
-    acc = RrefAccumulator()
-    for row in rows:
-        acc.insert(row)
-    pivset = set(acc.rows)
-    basis: List[Vec] = []
-    for j in range(len(monos)):
-        if j in pivset:
-            continue
-        vec: Vec = {j: Fraction(1)}
-        for piv, row in acc.rows.items():
-            c = row.get(j)
-            if c:
-                vec[piv] = -c
-        basis.append(vec)
+    basis = kernel_basis(SparseMatrix.from_rows(rows, len(monos)))
     return tuple((tuple(sorted(v.items()))) for v in basis)
 
 
@@ -685,9 +666,7 @@ def _build_harmonic_piece(n: int, a: int, b: int) -> List[Vec]:
                         else:
                             row[j] = s
         matrix = SparseMatrix.from_rows([images[r] for r in sorted(images)], len(basis))
-        from .linalg import kernel_basis as _kb
-
-        combos = _kb(matrix)
+        combos = kernel_basis(matrix)
         new_basis: List[Vec] = []
         for combo in combos:
             vec: Vec = {}
@@ -765,7 +744,7 @@ def _sign_quotient_block(base: Block) -> Block:
         row = {pos: Fraction(1)}
         vec_add_scaled(row, Fraction(-1), altvec)
         acc.insert(row)
-    pivots = set(acc.rows)
+    pivots = set(acc.pivots())
     reps = [base.reps[pos] for pos in range(k) if pos not in pivots]
     rep_set = set(reps)
     nf: Dict[int, Vec] = {}
@@ -873,7 +852,7 @@ def _build_hook_block(n: int, dr_block: Block, da: int) -> Block:
             vec_add_scaled(row, Fraction(-1), altvec)
             acc.insert(row)
 
-    pivots = set(acc.rows)
+    pivots = set(acc.pivots())
     d_ab = dr_block.ambient_dim
 
     def full_col(si: int, xy_col: int) -> int:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .linalg import RrefAccumulator, SparseMatrix, Vec, membership, vec_add_scaled
+from .linalg import RrefAccumulator, SparseMatrix, Vec, span_solver, vec_add_scaled
 from .operators import OperatorMatrix, OperatorSpec, compose, matrix_of
 from .spaces import QuotientSpace, hook_component
 from .superpoly import Polynomial, TriDegree, vandermonde
@@ -47,9 +47,9 @@ def _slice_degree(da: int, total: int, w: int) -> Optional[TriDegree]:
 class SL2Model:
     """Cached sl2 data (strings, involution, lowering operator) for one n."""
 
-    def __init__(self, n: int, space: Optional[QuotientSpace] = None):
+    def __init__(self, n: int, space: Optional[QuotientSpace] = None, allow_large: bool = False):
         self.n = n
-        self.space = space if space is not None else hook_component(n)
+        self.space = space if space is not None else hook_component(n, allow_large=allow_large)
         self._f1 = OperatorSpec.F(n, 1)
         self._steps: Dict[TriDegree, OperatorMatrix] = {}
         self._strings: Optional[List[SL2String]] = None
@@ -205,11 +205,12 @@ class SL2Model:
         mirror = TriDegree(deg.dy, deg.dx, deg.da)
         basis_src, tags_src = self._string_basis(deg)
         basis_tgt, tags_tgt = self._string_basis(mirror)
-        tgt_col = {tag: c for c, tag in enumerate(tags_tgt)}
+        partners = dict(zip(tags_tgt, basis_tgt.column_list()))
+        solver = span_solver(basis_src)
         dim = self.space.dim(deg)
         data = {}
         for p in range(dim):
-            coeffs = membership({p: Fraction(1)}, basis_src)
+            coeffs = solver.solve({p: Fraction(1)})
             if coeffs is None:
                 raise LefschetzFailure(f"string vectors do not span block {deg}")
             out: Vec = {}
@@ -217,8 +218,7 @@ class SL2Model:
                 idx, s = tags_src[c]
                 st = self.strings()[idx]
                 coeff = self.phi_coefficient(st.j, s)
-                partner = basis_tgt.column(tgt_col[(idx, st.j - s)])
-                vec_add_scaled(out, z * coeff, partner)
+                vec_add_scaled(out, z * coeff, partners[(idx, st.j - s)])
             for r, v in out.items():
                 data[(r, p)] = v
         mat = SparseMatrix(self.space.dim(mirror), dim, data)
@@ -237,11 +237,12 @@ class SL2Model:
         tdim = self.space.dim(target) if min(target) >= 0 else 0
         if tdim:
             basis_tgt, tags_tgt = self._string_basis(target)
-            tgt_col = {tag: c for c, tag in enumerate(tags_tgt)}
+            partners = dict(zip(tags_tgt, basis_tgt.column_list()))
+        solver = span_solver(basis_src)
         dim = self.space.dim(deg)
         data = {}
         for p in range(dim):
-            coeffs = membership({p: Fraction(1)}, basis_src)
+            coeffs = solver.solve({p: Fraction(1)})
             if coeffs is None:
                 raise LefschetzFailure(f"string vectors do not span block {deg}")
             out: Vec = {}
@@ -251,8 +252,7 @@ class SL2Model:
                 if s == 0:
                     continue
                 coeff = Fraction(s * (st.j - s + 1))
-                partner = basis_tgt.column(tgt_col[(idx, s - 1)])
-                vec_add_scaled(out, z * coeff, partner)
+                vec_add_scaled(out, z * coeff, partners[(idx, s - 1)])
             for r, v in out.items():
                 data[(r, p)] = v
         mat = OperatorMatrix(deg, target, SparseMatrix(tdim, dim, data))
@@ -282,22 +282,22 @@ class SL2Model:
 _MODELS: Dict[int, SL2Model] = {}
 
 
-def model(n: int) -> SL2Model:
+def model(n: int, allow_large: bool = False) -> SL2Model:
     if n not in _MODELS:
-        _MODELS[n] = SL2Model(n)
+        _MODELS[n] = SL2Model(n, allow_large=allow_large)
     return _MODELS[n]
 
 
-def lefschetz_check(n: int):
-    return model(n).lefschetz_check()
+def lefschetz_check(n: int, allow_large: bool = False):
+    return model(n, allow_large).lefschetz_check()
 
 
-def weight_decomposition(n: int):
-    return model(n).weight_decomposition()
+def weight_decomposition(n: int, allow_large: bool = False):
+    return model(n, allow_large).weight_decomposition()
 
 
-def phi_matrix(n: int) -> Dict[TriDegree, SparseMatrix]:
-    m = model(n)
+def phi_matrix(n: int, allow_large: bool = False) -> Dict[TriDegree, SparseMatrix]:
+    m = model(n, allow_large)
     return {deg: m.phi_block(deg) for deg in sorted(m.space.blocks)}
 
 
@@ -315,7 +315,7 @@ class DualComparison(NamedTuple):
     mixed: Tuple[Tuple[int, TriDegree], ...]
 
 
-def e_operators(n: int):
+def e_operators(n: int, allow_large: bool = False):
     """Lowering-operator matrices and the conjugated duals of the family.
 
     Returns (e1, duals, comparison): e1 maps each piece via the string
@@ -326,7 +326,7 @@ def e_operators(n: int):
     """
     from .linalg import rref
 
-    m = model(n)
+    m = model(n, allow_large)
     e1 = {deg: m.e1_block(deg) for deg in sorted(m.space.blocks)}
     duals: Dict[int, Dict[TriDegree, OperatorMatrix]] = {}
     scalars: Dict[int, Dict[TriDegree, Optional[Fraction]]] = {}
@@ -381,7 +381,7 @@ class Certificate(NamedTuple):
         return "*".join(parts) if parts else "1"
 
 
-def cogeneration_search(n: int, f, deg=None) -> Certificate:
+def cogeneration_search(n: int, f, deg=None, allow_large: bool = False) -> Certificate:
     """Find a word in F_1..F_{n-1} and d_1..d_{n-1} carrying f onto the top
     antisymmetric class, with nonzero scalar.
 
@@ -391,7 +391,7 @@ def cogeneration_search(n: int, f, deg=None) -> Certificate:
     and their total weight, so the search space is finite and exhaustively
     enumerated; exhaustion without a hit raises CogenerationFailure.
     """
-    space = hook_component(n)
+    space = hook_component(n, allow_large=allow_large)
     if isinstance(f, Polynomial):
         fdeg = f.tridegree()
         if fdeg is None:
@@ -542,7 +542,9 @@ def fit_dictionary(points: List[Tuple[Tuple[int, int, int], Tuple[int, int, int]
     return fitted, residual
 
 
-def export_homology(n: int, dictionary: Optional[GradingDictionary] = None) -> dict:
+def export_homology(
+    n: int, dictionary: Optional[GradingDictionary] = None, allow_large: bool = False
+) -> dict:
     """The model as a table: generators with (Q, A, T) plus operator matrices.
 
     The dictionary must be integral and injective on the support.
@@ -551,7 +553,7 @@ def export_homology(n: int, dictionary: Optional[GradingDictionary] = None) -> d
 
     from .superpoly import render
 
-    space = hook_component(n)
+    space = hook_component(n, allow_large=allow_large)
     dictionary = dictionary or GradingDictionary.default_for(n)
     generators = []
     mapped: Dict[Tuple[int, int, int], TriDegree] = {}

@@ -267,7 +267,7 @@ def suite_cogeneration(n: int, allow_large=False) -> List[CheckResult]:
         for deg in sorted(hook.blocks):
             block = hook.blocks[deg]
             for pos in range(block.dim):
-                cert = cogeneration_search(n, {pos: Fraction(1)}, deg=deg)
+                cert = cogeneration_search(n, {pos: Fraction(1)}, deg=deg, allow_large=allow_large)
                 if cert.scalar == 0:
                     return f"zero scalar at {deg}"
         return None
@@ -322,10 +322,10 @@ def suite_hamiltonian(n: int, allow_large=False) -> List[CheckResult]:
 def suite_lefschetz(n: int, allow_large=False) -> List[CheckResult]:
     out: List[CheckResult] = []
     _check(out, "power pairing of opposite weights is bijective",
-           lambda: (lambda okw: None if okw[0] else f"slice {okw[1]}")(lefschetz_check(n)))
+           lambda: (lambda okw: None if okw[0] else f"slice {okw[1]}")(lefschetz_check(n, allow_large)))
 
     def strings_partition() -> Optional[str]:
-        wd = weight_decomposition(n)
+        wd = weight_decomposition(n, allow_large)
         hook = hook_component(n, allow_large=allow_large)
         total = sum(len(st.vectors) for sts in wd.values() for st in sts)
         if total != hook.total_dim():
@@ -338,7 +338,7 @@ def suite_lefschetz(n: int, allow_large=False) -> List[CheckResult]:
 
 def suite_phi(n: int, allow_large=False) -> List[CheckResult]:
     out: List[CheckResult] = []
-    m = model(n)
+    m = model(n, allow_large)
 
     def involution() -> Optional[str]:
         for deg in sorted(m.space.blocks):
@@ -389,7 +389,7 @@ def suite_phi(n: int, allow_large=False) -> List[CheckResult]:
 
     def dual_scalars() -> Optional[str]:
         try:
-            _, duals, comparison = e_operators(n)
+            _, duals, comparison = e_operators(n, allow_large)
         except LefschetzFailure as exc:
             return str(exc)
         for k, table in comparison.scalars.items():
@@ -398,7 +398,7 @@ def suite_phi(n: int, allow_large=False) -> List[CheckResult]:
                     return f"zero proportionality scalar for k={k} at {deg}"
         for (k, deg) in comparison.mixed:
             # Mixed pieces occur only where strings of different lengths meet.
-            strings = [st for st in model(n).strings()
+            strings = [st for st in m.strings()
                        if st.da == deg.da and st.total == deg.dx + deg.dy]
             if len({st.j for st in strings}) < 2:
                 return f"non-proportional piece {deg} (k={k}) is isotypically pure"
@@ -412,7 +412,7 @@ def suite_vanishing(n: int, allow_large=False) -> List[CheckResult]:
     out: List[CheckResult] = []
     hook = hook_component(n, allow_large=allow_large)
     dh = harmonics(n, allow_large=allow_large)
-    m = model(n)
+    m = model(n, allow_large)
     for k in range(1, n + 2):
         expect_zero = k >= n
         _check(out, f"F{k} {'=' if expect_zero else '!='} 0 on the hook model",

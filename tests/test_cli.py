@@ -2,6 +2,10 @@ import json
 import subprocess
 import sys
 
+import pytest
+
+from harmonica.cli import main
+
 BASE = [sys.executable, "-m", "harmonica.cli"]
 
 
@@ -148,3 +152,52 @@ class TestExport:
     def test_missing_dictionary_file(self):
         res = run("export", "--n", "2", "--dict", "/nonexistent/dict.json")
         assert res.returncode != 0
+
+
+class TestAllowLargeReachesEveryLayer:
+    """--allow-large must get past the n = 5 cap in every layer.
+
+    The n = 5 hook and harmonic spaces are seeded as empty spaces and every
+    block builder raises, so these tests start no n = 5 build: a path that
+    drops the flag raises ResourceCapExceeded before it reads the registry.
+    """
+
+    @pytest.fixture(autouse=True)
+    def empty_n5(self, monkeypatch):
+        from harmonica import operators, spaces, structure
+
+        monkeypatch.setitem(spaces._REGISTRY, ("hook", 5), spaces.QuotientSpace(5, "hook", {}))
+        monkeypatch.setitem(spaces._REGISTRY, ("dh", 5), spaces.GradedSubspace(5, "dh", {}))
+        monkeypatch.setattr(structure, "_MODELS", {})
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an n = 5 block build started")
+
+        for module, name in [(spaces, "_build_even_block"), (operators, "_build_even_block"),
+                             (spaces, "_build_hook_block"), (spaces, "_build_harmonic_piece")]:
+            monkeypatch.setattr(module, name, refuse)
+
+    def test_structure_functions_take_the_flag(self):
+        from harmonica import structure
+        from harmonica.spaces import ResourceCapExceeded
+
+        with pytest.raises(ResourceCapExceeded):
+            structure.model(5)
+        assert structure.model(5, allow_large=True).space.total_dim() == 0
+        assert structure.export_homology(5, allow_large=True)["generators"] == []
+        assert structure.lefschetz_check(5, allow_large=True) == (True, None)
+        with pytest.raises(ValueError, match="zero class"):
+            structure.cogeneration_search(5, {}, deg=(0, 0, 0), allow_large=True)
+
+    def test_export_n5(self, capsys):
+        assert main(["export", "--n", "5", "--allow-large"]) == 0
+        table = json.loads(capsys.readouterr().out)
+        assert table["n"] == 5 and table["generators"] == []
+
+    @pytest.mark.parametrize("suite", ["phi", "lefschetz", "cogeneration", "vanishing"])
+    def test_verify_n5_suites(self, suite, capsys):
+        rc = main(["verify", "--n", "5", "--suite", suite, "--allow-large"])
+        report = json.loads(capsys.readouterr().out)
+        assert rc in (0, 1)
+        witnesses = [c["witness"] or "" for c in report["checks"]]
+        assert not any("ResourceCapExceeded" in w for w in witnesses)

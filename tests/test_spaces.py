@@ -6,6 +6,7 @@ import pytest
 from harmonica.linalg import RrefAccumulator, rref
 from harmonica.spaces import (
     ResourceCapExceeded,
+    _build_even_block,
     ambient_basis,
     antisymmetric_ideal,
     coinvariants,
@@ -70,6 +71,12 @@ class TestCoinvariants:
     @pytest.mark.parametrize("n,total", [(2, 3), (3, 16), (4, 125)])
     def test_total_dimension(self, n, total):
         assert coinvariants(n).total_dim() == total
+
+    @pytest.mark.parametrize("a,b,dim", [(4, 2, 54), (3, 3, 58)])
+    def test_n5_block_dimension(self, a, b, dim):
+        # Parking functions of size 5 with (area, dinv) = (a, b); their
+        # generating function is Hilb(DR_5; q, t) (Haglund-Loehr 2005).
+        assert _build_even_block(5, a, b).dim == dim
 
     def test_cap_enforced(self):
         with pytest.raises(ResourceCapExceeded):
