@@ -3,8 +3,11 @@
 Each file carries a versioned header (format version, n, monomial order
 identifier) followed by the per-degree data in exact rational text encoding.
 Files are keyed by those parameters; anything stale or malformed is ignored,
-never migrated.  Writes go through a temporary file and an atomic rename, so
-readers never observe partial files (single-writer discipline).
+never migrated.  Loaded data is checked for the shape a build produces
+(see `_valid_block` and `load_subspace`), so a file that parses but holds
+inconsistent data is ignored as well and the space is rebuilt.  Writes go
+through a temporary file and an atomic rename, so readers never observe
+partial files (single-writer discipline).
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from pathlib import Path
 from typing import Optional
 
 from .spaces import Block, GradedSubspace, QuotientSpace
-from .superpoly import MONOMIAL_ORDER_ID, TriDegree
+from .superpoly import MONOMIAL_ORDER_ID, TriDegree, count_tridegree
 
 FORMAT_VERSION = 1
 
@@ -69,6 +72,17 @@ def _vec_in(items) -> dict:
     return {int(j): Fraction(s) for j, s in items}
 
 
+def _valid_block(block: Block) -> bool:
+    """Reps are nonempty, strictly increasing and, with the nf keys, exactly
+    the ambient columns; every nf vector lives on rep columns."""
+    reps = block.reps
+    if not reps or any(a >= b for a, b in zip(reps, reps[1:])):
+        return False
+    if sorted(reps + list(block.nf)) != list(range(block.ambient_dim)):
+        return False
+    return all(j in block._rep_pos for vec in block.nf.values() for j in vec)
+
+
 def save_quotient(cache_dir, space: QuotientSpace) -> Path:
     payload = _header(space.kind, space.n)
     payload["blocks"] = [
@@ -100,6 +114,8 @@ def load_quotient(cache_dir, kind: str, n: int) -> Optional[QuotientSpace]:
             deg = TriDegree(*rec["deg"])
             nf = {int(piv): _vec_in(vec) for piv, vec in rec["nf"]}
             block = Block(n, deg, [int(r) for r in rec["reps"]], nf)
+            if deg in blocks or len(nf) != len(rec["nf"]) or not _valid_block(block):
+                return None
             blocks[deg] = block
         return QuotientSpace(n, kind, blocks)
     except (KeyError, TypeError, ValueError):
@@ -131,7 +147,13 @@ def load_subspace(cache_dir, kind: str, n: int) -> Optional[GradedSubspace]:
         pieces = {}
         for rec in payload["pieces"]:
             deg = TriDegree(*rec["deg"])
-            pieces[deg] = [_vec_in(v) for v in rec["basis"]]
+            vecs = [_vec_in(v) for v in rec["basis"]]
+            # Each vector has a nonzero entry and only columns of its ambient basis.
+            dim = count_tridegree(n, deg)
+            ok = all(any(v.values()) and all(0 <= j < dim for j in v) for v in vecs)
+            if deg in pieces or not ok:
+                return None
+            pieces[deg] = vecs
         return GradedSubspace(n, kind, pieces)
     except (KeyError, TypeError, ValueError):
         return None

@@ -123,7 +123,7 @@ def cmd_export(args) -> int:
             dictionary = GradingDictionary.from_mapping(data)
         except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
             raise SystemExit(f"harmonica: cannot load dictionary {args.dict}: {exc}")
-    # Warm the registry/caches before exporting.
+    # Load or build the hook space through the cache; export_homology reads it from the workspace.
     hook_component(args.n, allow_large=args.allow_large, cache_dir=_cache_dir(args))
     table = export_homology(args.n, dictionary, allow_large=args.allow_large)
     if args.format == "json":
@@ -149,7 +149,9 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--n", type=int, required=True, help="number of variable pairs")
         p.add_argument("--cache-dir", default=None,
-                       help="on-disk cache directory (env HARMONICA_CACHE)")
+                       help="on-disk cache directory (env HARMONICA_CACHE); read and "
+                            "written by compute and export only, verify always builds "
+                            "in process")
         p.add_argument("--allow-large", action="store_true",
                        help="permit builds beyond the default size cap")
         p.add_argument("--jobs", type=int, default=1,

@@ -18,10 +18,9 @@ from typing import Dict, NamedTuple, Optional, Tuple
 
 from .linalg import SparseMatrix
 from .spaces import (
-    Block,
     GradedSubspace,
     QuotientSpace,
-    _build_even_block,
+    _even_block,
     poly_to_vec,
     vec_to_poly,
 )
@@ -160,15 +159,6 @@ def compose(outer: OperatorMatrix, inner: OperatorMatrix) -> OperatorMatrix:
 # ---------------------------------------------------------------------------
 
 _FIRST_ORDER_KINDS = {"F", "E", "ham", "d"}
-_even_block_cache: Dict[Tuple[int, int, int], Block] = {}
-
-
-def _even_block(n: int, a: int, b: int) -> Block:
-    key = (n, a, b)
-    if key not in _even_block_cache:
-        _even_block_cache[key] = _build_even_block(n, a, b)
-    return _even_block_cache[key]
-
 
 def _invariant_ideal_class_zero(n: int, p: Polynomial) -> Optional[Polynomial]:
     """None if every homogeneous part of p lies in the invariant ideal,
@@ -285,9 +275,6 @@ def _exhaustive_certificate(spec: OperatorSpec, space: QuotientSpace) -> Optiona
     return None
 
 
-_CERT_CACHE: Dict[tuple, Optional[str]] = {}
-
-
 def check_preserves(spec: OperatorSpec, space):
     """Certify that the operator preserves the relations (quotient input) or
     the subspace itself (graded-subspace input).
@@ -324,20 +311,13 @@ def check_preserves(spec: OperatorSpec, space):
 
 
 def _certified(spec: OperatorSpec, space: QuotientSpace):
-    key = (spec, space.kind, space.n)
-    if key not in _CERT_CACHE:
-        ok, witness = check_preserves(spec, space)
-        _CERT_CACHE[key] = None if ok else render(witness)
-        if not ok:
-            raise WellDefinednessError(
-                f"{spec.label()} does not preserve the relations of {space.kind} (n={space.n}); "
-                f"witness: {render(witness)}",
-                witness,
-            )
-    elif _CERT_CACHE[key] is not None:
+    """Raise WellDefinednessError unless the certificate, run once per space, passed."""
+    witness = space.memoised(("certificate", spec), lambda: check_preserves(spec, space)[1])
+    if witness is not None:
         raise WellDefinednessError(
             f"{spec.label()} does not preserve the relations of {space.kind} (n={space.n}); "
-            f"witness: {_CERT_CACHE[key]}"
+            f"witness: {render(witness)}",
+            witness,
         )
 
 
@@ -352,13 +332,19 @@ def matrix_of(spec: OperatorSpec, space, deg) -> OperatorMatrix:
     On quotients the relation subspace is always certified first; the matrix
     acts on representative classes.  On graded subspaces the image of each
     basis vector is resolved in the target basis (a failure to resolve means
-    the operator does not preserve the subspace and raises).
+    the operator does not preserve the subspace and raises).  Each matrix is
+    computed once per space; the returned matrix is shared, not copied.
     """
     deg = TriDegree(*deg)
+    if isinstance(space, QuotientSpace):
+        _certified(spec, space)
+    return space.memoised(("matrix", spec, deg), lambda: _matrix(spec, space, deg))
+
+
+def _matrix(spec: OperatorSpec, space, deg: TriDegree) -> OperatorMatrix:
     tdeg = spec.target_degree(deg)
     D = spec.diff_operator()
     if isinstance(space, QuotientSpace):
-        _certified(spec, space)
         sblock = space.block(deg)
         sdim = sblock.dim if sblock else 0
         tblock = space.block(tdeg) if min(tdeg) >= 0 else None
@@ -372,33 +358,31 @@ def matrix_of(spec: OperatorSpec, space, deg) -> OperatorMatrix:
                 for row, val in tblock.class_coords(image).items():
                     data[(row, pos)] = val
         return OperatorMatrix(deg, tdeg, SparseMatrix(tdim, sdim, data))
-    if isinstance(space, GradedSubspace):
-        basis = space.basis(deg)
-        tbasis = space.basis(tdeg) if min(tdeg) >= 0 else []
-        acc = space._acc(TriDegree(*tdeg)) if tbasis else None
-        pivot_pos = {piv: i for i, piv in enumerate(acc.pivots())} if acc else {}
-        data = {}
-        for j, vec in enumerate(basis):
-            poly = vec_to_poly(vec, space.n, deg)
-            image = apply_op(D, poly)
-            if image.is_zero():
-                continue
-            if acc is None:
-                raise WellDefinednessError(
-                    f"{spec.label()} maps {space.kind} piece {deg} outside the space",
-                    poly,
-                )
-            residual, combo = acc.reduce_with_coeffs(poly_to_vec(image, tdeg))
-            if residual:
-                raise WellDefinednessError(
-                    f"{spec.label()} image of a {space.kind} basis vector at {deg} "
-                    f"is not in the piece at {tdeg}",
-                    poly,
-                )
-            for piv, c in combo.items():
-                data[(pivot_pos[piv], j)] = c
-        return OperatorMatrix(deg, tdeg, SparseMatrix(len(tbasis), len(basis), data))
-    raise TypeError(f"unsupported space type {type(space)!r}")
+    basis = space.basis(deg)
+    tbasis = space.basis(tdeg) if min(tdeg) >= 0 else []
+    acc = space._acc(TriDegree(*tdeg)) if tbasis else None
+    pivot_pos = {piv: i for i, piv in enumerate(acc.pivots())} if acc else {}
+    data = {}
+    for j, vec in enumerate(basis):
+        poly = vec_to_poly(vec, space.n, deg)
+        image = apply_op(D, poly)
+        if image.is_zero():
+            continue
+        if acc is None:
+            raise WellDefinednessError(
+                f"{spec.label()} maps {space.kind} piece {deg} outside the space",
+                poly,
+            )
+        residual, combo = acc.reduce_with_coeffs(poly_to_vec(image, tdeg))
+        if residual:
+            raise WellDefinednessError(
+                f"{spec.label()} image of a {space.kind} basis vector at {deg} "
+                f"is not in the piece at {tdeg}",
+                poly,
+            )
+        for piv, c in combo.items():
+            data[(pivot_pos[piv], j)] = c
+    return OperatorMatrix(deg, tdeg, SparseMatrix(len(tbasis), len(basis), data))
 
 
 def operator_matrices(spec: OperatorSpec, space) -> Dict[TriDegree, OperatorMatrix]:

@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 from math import factorial
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .linalg import RrefAccumulator, SparseMatrix, Vec, kernel_basis, vec_add_scaled
 from .superpoly import (
@@ -56,7 +56,7 @@ class ResourceCapExceeded(Exception):
 def _check_cap(n: int, allow_large: bool):
     if n < 2:
         raise ValueError("spaces are defined for n >= 2")
-    if n >= 6:
+    if n > HARD_CAP:
         raise ResourceCapExceeded(f"n={n} is out of scope (hard limit n <= {HARD_CAP})")
     if n > DEFAULT_CAP and not allow_large:
         raise ResourceCapExceeded(
@@ -80,6 +80,14 @@ def poly_to_vec(p: Polynomial, deg: TriDegree) -> Vec:
             raise ValueError(f"monomial {m} is not homogeneous of degree {deg}")
         vec[j] = c
     return vec
+
+
+def _span(vecs) -> RrefAccumulator:
+    """An accumulator holding `vecs`, inserted in order."""
+    acc = RrefAccumulator()
+    for v in vecs:
+        acc.insert(v)
+    return acc
 
 
 def vec_to_poly(vec: Vec, n: int, deg: TriDegree) -> Polynomial:
@@ -222,10 +230,25 @@ class Block:
         return SparseMatrix.from_rows(rows, self.ambient_dim)
 
 
-class QuotientSpace:
+class _Memoised:
+    """One memo dict for what is derived from a space: sign component, echelon
+    accumulators, operator certificates and matrices, the hook's sl2 model."""
+
+    def __init__(self):
+        self._memo: Dict[tuple, object] = {}
+
+    def memoised(self, key: tuple, compute: Callable[[], object]):
+        """`compute()` run once per key; a call that raises stores nothing."""
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
+
+
+class QuotientSpace(_Memoised):
     """Per-tridegree quotient presentation of an ambient superalgebra slice."""
 
     def __init__(self, n: int, kind: str, blocks: Dict[TriDegree, Block]):
+        super().__init__()
         self.n = n
         self.kind = kind
         self.blocks = dict(blocks)
@@ -250,7 +273,7 @@ class QuotientSpace:
         return f"QuotientSpace({self.kind}, n={self.n}, dim={self.total_dim()})"
 
 
-class GradedSubspace:
+class GradedSubspace(_Memoised):
     """Per-tridegree canonical echelon bases of a subspace of the superalgebra.
 
     degree_cap, when set, records the top total (dx+dy) degree up to which
@@ -259,11 +282,11 @@ class GradedSubspace:
     """
 
     def __init__(self, n: int, kind: str, pieces: Dict[TriDegree, List[Vec]], degree_cap: Optional[int] = None):
+        super().__init__()
         self.n = n
         self.kind = kind
         self.pieces = {d: v for d, v in pieces.items() if v}
         self.degree_cap = degree_cap
-        self._accs: Dict[TriDegree, RrefAccumulator] = {}
 
     def basis(self, deg) -> List[Vec]:
         return self.pieces.get(TriDegree(*deg), [])
@@ -290,12 +313,7 @@ class GradedSubspace:
         return sorted(self.pieces)
 
     def _acc(self, deg: TriDegree) -> RrefAccumulator:
-        if deg not in self._accs:
-            acc = RrefAccumulator()
-            for v in self.pieces.get(deg, []):
-                acc.insert(v)
-            self._accs[deg] = acc
-        return self._accs[deg]
+        return self.memoised(("acc", deg), lambda: _span(self.pieces.get(deg, [])))
 
     def contains_vec(self, deg, vec: Vec) -> bool:
         return not self._acc(TriDegree(*deg)).reduce(vec)
@@ -390,9 +408,50 @@ class _SingleFamily:
         self.degrees[d] = _SingleDegree(monos, index, reps, nf, rows)
 
 
-@lru_cache(maxsize=None)
-def _family(n: int) -> _SingleFamily:
-    return _SingleFamily(n)
+# ---------------------------------------------------------------------------
+# Per-n workspace
+# ---------------------------------------------------------------------------
+
+
+class _Workspace:
+    """Everything this process has built for one n."""
+
+    def __init__(self, n: int):
+        self.spaces: Dict[str, object] = {}  # "drn", "dh", "hook": built or cache-loaded
+        self.family = _SingleFamily(n)
+        # Every coinvariant block built, zero-dimensional ones included: read
+        # by both `coinvariants` and the operator certificates.
+        self.even_blocks: Dict[Tuple[int, int], Block] = {}
+        self.single_harmonics: Dict[int, List[Vec]] = {}  # harmonic kernels by degree
+        self.tower = _IdealTower(n)  # extended upward on demand
+
+
+_WORKSPACES: Dict[int, _Workspace] = {}
+
+
+def _workspace(n: int) -> _Workspace:
+    if n not in _WORKSPACES:
+        _WORKSPACES[n] = _Workspace(n)
+    return _WORKSPACES[n]
+
+
+def _memoised_space(n: int, kind: str, allow_large: bool, cache_dir, build):
+    """The workspace's `kind` space: checks the cap, then serves it from the
+    workspace, else from the cache, else from `build()` (saving it)."""
+    _check_cap(n, allow_large)
+    spaces = _workspace(n).spaces
+    if kind not in spaces:
+        from . import cache
+
+        load, save = ((cache.load_subspace, cache.save_subspace) if kind == "dh"
+                      else (cache.load_quotient, cache.save_quotient))
+        space = load(cache_dir, kind, n) if cache_dir is not None else None
+        if space is None:
+            space = build()
+            if cache_dir is not None:
+                save(cache_dir, space)
+        spaces[kind] = space
+    return spaces[kind]
 
 
 def _mixed_generators(n: int):
@@ -411,7 +470,7 @@ def _mixed_generators(n: int):
 
 def _build_even_block(n: int, a: int, b: int) -> Block:
     """Quotient presentation of one bidegree piece of the coinvariant ring."""
-    fam = _family(n)
+    fam = _workspace(n).family
     A = fam.deg(a)
     B = fam.deg(b)
     nb = len(B.monos)
@@ -500,22 +559,32 @@ def _build_even_block(n: int, a: int, b: int) -> Block:
     return Block(n, deg, rep_cols, nf)
 
 
-def _scan_bidegrees(n: int, build, cap: Optional[int] = None):
-    """Drive `build(a, b) -> dim` over total degrees with self-certifying stop."""
-    cap = n * (n - 1) if cap is None else cap
+def _scan_bidegrees(n: int, build, dim=len) -> dict:
+    """Run `build(a, b)` over total degrees upward with self-certifying stop;
+    the pieces of nonzero `dim`, by degree."""
+    pieces = {}
     empty_streak = 0
-    for d in range(cap + 1):
+    for d in range(n * (n - 1) + 1):
         total = 0
         for a in range(d, -1, -1):
-            total += build(a, d - a)
+            piece = build(a, d - a)
+            if dim(piece):
+                pieces[TriDegree(a, d - a, 0)] = piece
+                total += dim(piece)
         if d == 0:
             continue
         empty_streak = empty_streak + 1 if total == 0 else 0
         if empty_streak >= 2:
             break
+    return pieces
 
 
-_REGISTRY: Dict[tuple, object] = {}
+def _even_block(n: int, a: int, b: int) -> Block:
+    """The coinvariant block of bidegree (a, b), built once per workspace."""
+    blocks = _workspace(n).even_blocks
+    if (a, b) not in blocks:
+        blocks[(a, b)] = _build_even_block(n, a, b)
+    return blocks[(a, b)]
 
 
 def coinvariants(n: int, allow_large: bool = False, cache_dir=None) -> QuotientSpace:
@@ -524,33 +593,12 @@ def coinvariants(n: int, allow_large: bool = False, cache_dir=None) -> QuotientS
     Total dimension is (n+1)^(n-1); the relation subspace per bidegree is
     spanned by products of polarized power sums with monomials.
     """
-    _check_cap(n, allow_large)
-    key = ("drn", n)
-    if key in _REGISTRY:
-        return _REGISTRY[key]
-    if cache_dir is not None:
-        from . import cache as _cache
 
-        cached = _cache.load_quotient(cache_dir, "drn", n)
-        if cached is not None:
-            _REGISTRY[key] = cached
-            return cached
-    blocks: Dict[TriDegree, Block] = {}
+    def build() -> QuotientSpace:
+        blocks = _scan_bidegrees(n, lambda a, b: _even_block(n, a, b), lambda blk: blk.dim)
+        return QuotientSpace(n, "drn", blocks)
 
-    def build(a: int, b: int) -> int:
-        blk = _build_even_block(n, a, b)
-        if blk.dim:
-            blocks[blk.deg] = blk
-        return blk.dim
-
-    _scan_bidegrees(n, build)
-    space = QuotientSpace(n, "drn", blocks)
-    _REGISTRY[key] = space
-    if cache_dir is not None:
-        from . import cache as _cache
-
-        _cache.save_quotient(cache_dir, space)
-    return space
+    return _memoised_space(n, "drn", allow_large, cache_dir, build)
 
 
 def invariant_ideal_piece(n: int, bidegree: Tuple[int, int]) -> SparseMatrix:
@@ -586,9 +634,11 @@ def invariant_ideal_piece(n: int, bidegree: Tuple[int, int]) -> SparseMatrix:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _single_harmonics(n: int, d: int) -> tuple:
+def _single_harmonics(n: int, d: int) -> List[Vec]:
     """Joint kernel of p_c(d/dz), c = 1..n, on degree-d monomials (one family)."""
+    kernels = _workspace(n).single_harmonics
+    if d in kernels:
+        return kernels[d]
     monos = list(compositions(d, n))
     index = {m: i for i, m in enumerate(monos)}
     rows: List[Vec] = []
@@ -611,17 +661,18 @@ def _single_harmonics(n: int, d: int) -> tuple:
                     row[j] = row.get(j, 0) + Fraction(coeff)
         rows.extend(block[r] for r in sorted(block))
     basis = kernel_basis(SparseMatrix.from_rows(rows, len(monos)))
-    return tuple((tuple(sorted(v.items()))) for v in basis)
+    kernels[d] = [dict(sorted(v.items())) for v in basis]
+    return kernels[d]
 
 
 def _build_harmonic_piece(n: int, a: int, b: int) -> List[Vec]:
     """Exact basis of the harmonic piece of one bidegree."""
-    fam = _family(n)
+    fam = _workspace(n).family
     A = fam.deg(a)
     B = fam.deg(b)
     nb = len(B.monos)
-    kx = [dict(v) for v in _single_harmonics(n, a)]
-    ky = [dict(v) for v in _single_harmonics(n, b)]
+    kx = _single_harmonics(n, a)
+    ky = _single_harmonics(n, b)
     basis: List[Vec] = []
     for vx in kx:
         for vy in ky:
@@ -674,10 +725,7 @@ def _build_harmonic_piece(n: int, a: int, b: int) -> List[Vec]:
                 vec_add_scaled(vec, cc, basis[j])
             new_basis.append(vec)
         basis = new_basis
-    acc = RrefAccumulator()
-    for v in basis:
-        acc.insert(v)
-    return acc.row_vectors()
+    return _span(basis).row_vectors()
 
 
 def harmonics(n: int, allow_large: bool = False, cache_dir=None) -> GradedSubspace:
@@ -687,33 +735,12 @@ def harmonics(n: int, allow_large: bool = False, cache_dir=None) -> GradedSubspa
     intersections only), so graded duality with the coinvariants is a real
     check downstream, not a construction artifact.
     """
-    _check_cap(n, allow_large)
-    key = ("dh", n)
-    if key in _REGISTRY:
-        return _REGISTRY[key]
-    if cache_dir is not None:
-        from . import cache as _cache
 
-        cached = _cache.load_subspace(cache_dir, "dh", n)
-        if cached is not None:
-            _REGISTRY[key] = cached
-            return cached
-    pieces: Dict[TriDegree, List[Vec]] = {}
+    def build() -> GradedSubspace:
+        pieces = _scan_bidegrees(n, lambda a, b: _build_harmonic_piece(n, a, b))
+        return GradedSubspace(n, "dh", pieces)
 
-    def build(a: int, b: int) -> int:
-        vecs = _build_harmonic_piece(n, a, b)
-        if vecs:
-            pieces[TriDegree(a, b, 0)] = vecs
-        return len(vecs)
-
-    _scan_bidegrees(n, build)
-    space = GradedSubspace(n, "dh", pieces)
-    _REGISTRY[key] = space
-    if cache_dir is not None:
-        from . import cache as _cache
-
-        _cache.save_subspace(cache_dir, space)
-    return space
+    return _memoised_space(n, "dh", allow_large, cache_dir, build)
 
 
 # ---------------------------------------------------------------------------
@@ -770,32 +797,26 @@ def sign_component(space):
     subspace (relations plus the image of 1 - alt); for a GradedSubspace it
     is the span of the sign projections of the basis vectors.
     """
-    key = (space.kind + "-sign", space.n)
-    memoizable = _REGISTRY.get((space.kind, space.n)) is space
-    if memoizable and key in _REGISTRY:
-        return _REGISTRY[key]
+    return space.memoised(("sign",), lambda: _build_sign_component(space))
+
+
+def _build_sign_component(space):
     if isinstance(space, QuotientSpace):
         blocks = {}
         for deg, base in space.blocks.items():
             blk = _sign_quotient_block(base)
             if blk.dim:
                 blocks[deg] = blk
-        out = QuotientSpace(space.n, space.kind + "-sign", blocks)
-    elif isinstance(space, GradedSubspace):
-        pieces: Dict[TriDegree, List[Vec]] = {}
-        for deg in space.support():
-            acc = RrefAccumulator()
-            for vec in space.basis(deg):
-                poly = vec_to_poly(vec, space.n, deg)
-                acc.insert(poly_to_vec(alt(poly), deg))
-            if acc.rank:
-                pieces[deg] = acc.row_vectors()
-        out = GradedSubspace(space.n, space.kind + "-sign", pieces)
-    else:
-        raise TypeError(f"unsupported space type {type(space)!r}")
-    if memoizable:
-        _REGISTRY[key] = out
-    return out
+        return QuotientSpace(space.n, space.kind + "-sign", blocks)
+    pieces: Dict[TriDegree, List[Vec]] = {}
+    for deg in space.support():
+        acc = RrefAccumulator()
+        for vec in space.basis(deg):
+            poly = vec_to_poly(vec, space.n, deg)
+            acc.insert(poly_to_vec(alt(poly), deg))
+        if acc.rank:
+            pieces[deg] = acc.row_vectors()
+    return GradedSubspace(space.n, space.kind + "-sign", pieces)
 
 
 def _build_hook_block(n: int, dr_block: Block, da: int) -> Block:
@@ -893,32 +914,19 @@ def hook_component(n: int, allow_large: bool = False, cache_dir=None) -> Quotien
     The odd degree is the third grading; the degree-zero odd slice coincides
     with the sign component of the coinvariant quotient.
     """
-    _check_cap(n, allow_large)
-    key = ("hook", n)
-    if key in _REGISTRY:
-        return _REGISTRY[key]
-    if cache_dir is not None:
-        from . import cache as _cache
 
-        cached = _cache.load_quotient(cache_dir, "hook", n)
-        if cached is not None:
-            _REGISTRY[key] = cached
-            return cached
-    dr = coinvariants(n, allow_large=allow_large, cache_dir=cache_dir)
-    blocks: Dict[TriDegree, Block] = {}
-    for deg in sorted(dr.blocks):
-        base = dr.blocks[deg]
-        for da in range(n):
-            blk = _build_hook_block(n, base, da)
-            if blk.dim:
-                blocks[blk.deg] = blk
-    space = QuotientSpace(n, "hook", blocks)
-    _REGISTRY[key] = space
-    if cache_dir is not None:
-        from . import cache as _cache
+    def build() -> QuotientSpace:
+        dr = coinvariants(n, allow_large=allow_large, cache_dir=cache_dir)
+        blocks: Dict[TriDegree, Block] = {}
+        for deg in sorted(dr.blocks):
+            base = dr.blocks[deg]
+            for da in range(n):
+                blk = _build_hook_block(n, base, da)
+                if blk.dim:
+                    blocks[blk.deg] = blk
+        return QuotientSpace(n, "hook", blocks)
 
-        _cache.save_quotient(cache_dir, space)
-    return space
+    return _memoised_space(n, "hook", allow_large, cache_dir, build)
 
 
 # ---------------------------------------------------------------------------
@@ -963,12 +971,11 @@ def _wedge_omega0_vec(n: int, deg: TriDegree, vec: Vec) -> Vec:
 class _IdealTower:
     """Degreewise echelon bases of the antisymmetric ideal and its multiples."""
 
-    def __init__(self, n: int, max_total: int):
+    def __init__(self, n: int):
         self.n = n
-        self.max_total = max_total
+        self.max_total = -1  # top total degree built so far
         self.J: Dict[TriDegree, RrefAccumulator] = {}
         self.mJ: Dict[TriDegree, RrefAccumulator] = {}
-        self._build()
 
     def _shift_candidates(self, deg: TriDegree) -> List[Vec]:
         n = self.n
@@ -1001,28 +1008,31 @@ class _IdealTower:
                     out.append(shifted)
         return out
 
-    def _build(self):
+    def degrees(self, max_total: int) -> List[TriDegree]:
+        """Built degrees of total degree <= max_total, in build order."""
+        return [d for d in self.J if d.dx + d.dy <= max_total]
+
+    def _build(self, max_total: int):
+        """Extend the tower from its top total degree up to max_total."""
         n = self.n
-        for total in range(self.max_total + 1):
+        for total in range(self.max_total + 1, max_total + 1):
             for dx in range(total, -1, -1):
                 dy = total - dx
                 for da in range(n + 1):
                     deg = TriDegree(dx, dy, da)
-                    accm = RrefAccumulator()
-                    for cand in self._shift_candidates(deg):
-                        accm.insert(cand)
-                    accj = RrefAccumulator()
-                    for row in accm.row_vectors():
-                        accj.insert(row)
-                    for seed in _alt_image_vectors(n, deg):
-                        accj.insert(seed)
+                    accm = _span(self._shift_candidates(deg))
                     self.mJ[deg] = accm
-                    self.J[deg] = accj
+                    self.J[deg] = _span(accm.row_vectors() + _alt_image_vectors(n, deg))
+            self.max_total = total
 
 
-@lru_cache(maxsize=None)
 def _ideal_tower(n: int, max_total: int) -> _IdealTower:
-    return _IdealTower(n, max_total)
+    """The workspace's tower, built at least up to total degree max_total;
+    callers read only its degrees(max_total)."""
+    tower = _workspace(n).tower
+    if max_total > tower.max_total:
+        tower._build(max_total)
+    return tower
 
 
 def default_ideal_degree_cap(n: int) -> int:
@@ -1048,11 +1058,12 @@ def antisymmetric_ideal(n: int, flavor: str, max_total: Optional[int] = None) ->
     pieces: Dict[TriDegree, List[Vec]] = {}
     if flavor in ("J", "mJ"):
         accs = tower.J if flavor == "J" else tower.mJ
-        for deg, acc in accs.items():
-            if acc.rank:
-                pieces[deg] = acc.row_vectors()
+        for deg in tower.degrees(max_total):
+            if accs[deg].rank:
+                pieces[deg] = accs[deg].row_vectors()
         return GradedSubspace(n, flavor, pieces, degree_cap=max_total)
-    for deg, accj in tower.J.items():
+    for deg in tower.degrees(max_total):
+        accj = tower.J[deg]
         if deg.da == 0:
             omega_rows: List[Vec] = []
         else:
@@ -1061,9 +1072,7 @@ def antisymmetric_ideal(n: int, flavor: str, max_total: Optional[int] = None) ->
             omega_rows = (
                 [_wedge_omega0_vec(n, lower, row) for row in src.row_vectors()] if src else []
             )
-        acc = RrefAccumulator()
-        for row in omega_rows:
-            acc.insert(row)
+        acc = _span(omega_rows)
         vecs: List[Vec] = []
         source = accj if flavor == "Jbar" else tower.mJ[deg]
         for row in source.row_vectors():
@@ -1072,10 +1081,7 @@ def antisymmetric_ideal(n: int, flavor: str, max_total: Optional[int] = None) ->
                 acc.insert(row)
                 vecs.append(residual)
         if vecs:
-            norm = RrefAccumulator()
-            for v in vecs:
-                norm.insert(v)
-            pieces[deg] = norm.row_vectors()
+            pieces[deg] = _span(vecs).row_vectors()
     return GradedSubspace(n, flavor, pieces, degree_cap=max_total)
 
 
@@ -1086,7 +1092,8 @@ def ideal_quotient_series(n: int, reduced: bool, max_total: Optional[int] = None
         max_total = default_ideal_degree_cap(n)
     tower = _ideal_tower(n, max_total)
     dims: Dict[TriDegree, int] = {}
-    for deg, accj in tower.J.items():
+    for deg in tower.degrees(max_total):
+        accj = tower.J[deg]
         if not reduced:
             if deg.da == 0:
                 d = accj.rank - tower.mJ[deg].rank
@@ -1114,16 +1121,6 @@ def hilbert(space) -> HilbertSeries:
 
 
 def clear_registry():
-    """Drop every in-process memo (used by timing and cache tests)."""
-    _REGISTRY.clear()
+    """Drop every in-process memo: all workspaces, and the `ambient_basis` cache."""
+    _WORKSPACES.clear()
     ambient_basis.cache_clear()
-    _family.cache_clear()
-    _single_harmonics.cache_clear()
-    _ideal_tower.cache_clear()
-    from . import operators as _ops
-
-    _ops._even_block_cache.clear()
-    _ops._CERT_CACHE.clear()
-    from . import structure as _st
-
-    _st._MODELS.clear()

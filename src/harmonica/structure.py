@@ -45,24 +45,17 @@ def _slice_degree(da: int, total: int, w: int) -> Optional[TriDegree]:
 
 
 class SL2Model:
-    """Cached sl2 data (strings, involution, lowering operator) for one n."""
+    """sl2 data (strings, involution, lowering operator), memoised on its hook space."""
 
-    def __init__(self, n: int, space: Optional[QuotientSpace] = None, allow_large: bool = False):
-        self.n = n
-        self.space = space if space is not None else hook_component(n, allow_large=allow_large)
-        self._f1 = OperatorSpec.F(n, 1)
-        self._steps: Dict[TriDegree, OperatorMatrix] = {}
-        self._strings: Optional[List[SL2String]] = None
-        self._phi: Optional[Dict[TriDegree, SparseMatrix]] = None
-        self._e1: Optional[Dict[TriDegree, OperatorMatrix]] = None
+    def __init__(self, space: QuotientSpace):
+        self.n = space.n
+        self.space = space
+        self._f1 = OperatorSpec.F(space.n, 1)
 
     # -- raising steps ------------------------------------------------------
 
     def step(self, deg: TriDegree) -> OperatorMatrix:
-        deg = TriDegree(*deg)
-        if deg not in self._steps:
-            self._steps[deg] = matrix_of(self._f1, self.space, deg)
-        return self._steps[deg]
+        return matrix_of(self._f1, self.space, deg)
 
     def power(self, deg: TriDegree, j: int) -> OperatorMatrix:
         """Matrix of the j-th power of the first operator from `deg`."""
@@ -103,8 +96,9 @@ class SL2Model:
     # -- strings ------------------------------------------------------------
 
     def strings(self) -> List[SL2String]:
-        if self._strings is not None:
-            return self._strings
+        return self.space.memoised(("strings",), self._strings)
+
+    def _strings(self) -> List[SL2String]:
         ok, witness = self.lefschetz_check()
         if not ok:
             raise LefschetzFailure(f"bijectivity fails on slice {witness}")
@@ -153,7 +147,6 @@ class SL2Model:
                 raise LefschetzFailure(
                     f"strings span {dim_total} of {expect} dimensions in slice {(da, total)}"
                 )
-        self._strings = out
         return out
 
     def weight_decomposition(self) -> Dict[Tuple[int, int], List[SL2String]]:
@@ -198,10 +191,9 @@ class SL2Model:
     def phi_block(self, deg) -> SparseMatrix:
         """Matrix of the involution from the piece at deg to its mirror."""
         deg = TriDegree(*deg)
-        if self._phi is None:
-            self._phi = {}
-        if deg in self._phi:
-            return self._phi[deg]
+        return self.space.memoised(("phi", deg), lambda: self._phi_block(deg))
+
+    def _phi_block(self, deg: TriDegree) -> SparseMatrix:
         mirror = TriDegree(deg.dy, deg.dx, deg.da)
         basis_src, tags_src = self._string_basis(deg)
         basis_tgt, tags_tgt = self._string_basis(mirror)
@@ -221,17 +213,14 @@ class SL2Model:
                 vec_add_scaled(out, z * coeff, partners[(idx, st.j - s)])
             for r, v in out.items():
                 data[(r, p)] = v
-        mat = SparseMatrix(self.space.dim(mirror), dim, data)
-        self._phi[deg] = mat
-        return mat
+        return SparseMatrix(self.space.dim(mirror), dim, data)
 
     def e1_block(self, deg) -> OperatorMatrix:
         """Matrix of the lowering operator on one piece (shift (-1, +1, 0))."""
         deg = TriDegree(*deg)
-        if self._e1 is None:
-            self._e1 = {}
-        if deg in self._e1:
-            return self._e1[deg]
+        return self.space.memoised(("e1", deg), lambda: self._e1_block(deg))
+
+    def _e1_block(self, deg: TriDegree) -> OperatorMatrix:
         target = TriDegree(deg.dx - 1, deg.dy + 1, deg.da)
         basis_src, tags_src = self._string_basis(deg)
         tdim = self.space.dim(target) if min(target) >= 0 else 0
@@ -255,9 +244,7 @@ class SL2Model:
                 vec_add_scaled(out, z * coeff, partners[(idx, s - 1)])
             for r, v in out.items():
                 data[(r, p)] = v
-        mat = OperatorMatrix(deg, target, SparseMatrix(tdim, dim, data))
-        self._e1[deg] = mat
-        return mat
+        return OperatorMatrix(deg, target, SparseMatrix(tdim, dim, data))
 
     def conjugated_family(self, k: int) -> Dict[TriDegree, OperatorMatrix]:
         """Matrices of (involution) (F_k) (involution) on every piece."""
@@ -279,13 +266,10 @@ class SL2Model:
         return out
 
 
-_MODELS: Dict[int, SL2Model] = {}
-
-
 def model(n: int, allow_large: bool = False) -> SL2Model:
-    if n not in _MODELS:
-        _MODELS[n] = SL2Model(n, allow_large=allow_large)
-    return _MODELS[n]
+    """The sl2 model of the hook space, built once per space."""
+    space = hook_component(n, allow_large=allow_large)
+    return space.memoised(("sl2",), lambda: SL2Model(space))
 
 
 def lefschetz_check(n: int, allow_large: bool = False):

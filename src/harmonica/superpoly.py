@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
-from math import factorial
+from math import comb, factorial
 from typing import Iterable, NamedTuple, Optional
 
 MONOMIAL_ORDER_ID = "oddlex-then-xylex-desc-v1"
@@ -598,6 +598,11 @@ def monomials_tridegree(n: int, deg: TriDegree) -> list:
     ]
     out.sort(key=Monomial.sort_key)
     return out
+
+
+def count_tridegree(n: int, deg: TriDegree) -> int:
+    """len(monomials_tridegree(n, deg)), without listing them."""
+    return comb(deg.dx + n - 1, n - 1) * comb(deg.dy + n - 1, n - 1) * comb(n, deg.da)
 
 
 def _render_monomial(m: Monomial) -> str:

@@ -1,0 +1,58 @@
+"""The names the benchmark harness reaches into must exist in `harmonica`.
+
+`perfbench/tracing.py` wraps functions by name and `perfbench/workloads.py`
+names the per-bidegree block function; a rename would otherwise zero a
+per-layer metric without failing anything.  Both files are imported here,
+not changed.
+"""
+
+import importlib
+import pkgutil
+import sys
+from pathlib import Path
+
+import pytest
+
+import harmonica
+from harmonica import spaces
+from harmonica.operators import OperatorSpec, matrix_of
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+tracing = importlib.import_module("tracing")
+workloads = importlib.import_module("workloads")
+
+
+def _resolve(modname: str, attr: str):
+    obj = importlib.import_module(f"harmonica.{modname}")
+    for part in attr.split("."):
+        obj = getattr(obj, part)
+    return obj
+
+
+@pytest.mark.parametrize("span,modname,attr", tracing.TARGETS,
+                         ids=[f"{m}.{a}" for _, m, a in tracing.TARGETS])
+def test_trace_target_resolves(span, modname, attr):
+    assert callable(_resolve(modname, attr))
+
+
+def test_block_entry_point_and_clear_registry_resolve():
+    assert callable(getattr(spaces, workloads.BLOCK_BUILDER))
+    assert callable(spaces.clear_registry)
+
+
+def test_traced_builds_reach_the_even_block_function():
+    for mod in pkgutil.iter_modules(harmonica.__path__):
+        importlib.import_module(f"harmonica.{mod.name}")
+    spaces.clear_registry()
+    rec = tracing.Recorder()
+    try:
+        with tracing.wrapped(rec) as missing:
+            hook = spaces.hook_component(3)
+            matrix_of(OperatorSpec.F(3, 1), hook, sorted(hook.blocks)[0])
+    finally:
+        spaces.clear_registry()
+    metrics = tracing.layer_metrics(rec)
+    assert missing == []
+    assert metrics["spaces.even_block.calls"] > 0
+    assert metrics["spaces.even_block.calls"] == metrics["spaces.even_block.distinct"]
+    assert metrics["operators.check_preserves.calls"] == 1

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from harmonica import cache
 from harmonica.spaces import (
     clear_registry,
@@ -75,3 +77,88 @@ class TestStaleness:
         cache.save_subspace(tmp_path, harmonics(2))
         leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
         assert leftovers == []
+
+
+def _nonempty_nf(block_rec):
+    """Index of an nf record whose normal form is a nonzero vector."""
+    return next(i for i, (_, vec) in enumerate(block_rec["nf"]) if vec)
+
+
+def _empty_reps(b):
+    b["nf"] = sorted(b["nf"] + [[r, []] for r in b["reps"]])
+    b["reps"] = []
+
+
+def _nf_on_pivot(b):
+    i = _nonempty_nf(b)
+    b["nf"][i][1][0][0] = b["nf"][i][0]
+
+
+# One corruption per rule of the quotient check, each on one block record.
+BLOCK_CORRUPTIONS = {
+    "reps unsorted": lambda b: b["reps"].reverse(),
+    "reps duplicated": lambda b: b["reps"].insert(0, b["reps"][0]),
+    "reps overlap the nf keys": lambda b: b["reps"].__setitem__(
+        slice(None), sorted(b["reps"] + [b["nf"][0][0]])),
+    "reps and nf keys miss a column": lambda b: b["nf"].pop(),
+    "nf key duplicated": lambda b: b["nf"].append(b["nf"][0]),
+    "no reps": _empty_reps,
+    "nf uses a non-rep column": _nf_on_pivot,
+}
+
+
+SPACE_FNS = {"drn": coinvariants, "hook": hook_component}
+
+
+class TestLoadChecks:
+    """A file that parses but holds inconsistent data is ignored and rebuilt."""
+
+    @staticmethod
+    def _saved(tmp_path, kind):
+        clear_registry()
+        built = SPACE_FNS[kind](3, cache_dir=tmp_path)
+        path = cache.cache_path(tmp_path, kind, 3)
+        return built, path, json.loads(path.read_text())
+
+    def _assert_rebuilt(self, tmp_path, kind, built):
+        clear_registry()
+        rebuilt = SPACE_FNS[kind](3, cache_dir=tmp_path)
+        assert rebuilt is not built and rebuilt.blocks.keys() == built.blocks.keys()
+        for deg, block in built.blocks.items():
+            assert rebuilt.blocks[deg].reps == block.reps
+            assert rebuilt.blocks[deg].nf == block.nf
+        assert cache.load_quotient(tmp_path, kind, 3) is not None  # saved again
+
+    @pytest.mark.parametrize("kind,rule", [("drn", rule) for rule in sorted(BLOCK_CORRUPTIONS)] + [
+        ("hook", rule) for rule in sorted(BLOCK_CORRUPTIONS) if rule != "reps unsorted"])
+    def test_inconsistent_block_is_rebuilt(self, tmp_path, kind, rule):
+        built, path, payload = self._saved(tmp_path, kind)
+        # The block with the most reps among those with a nonzero normal form.
+        rec = max((b for b in payload["blocks"] if any(v for _, v in b["nf"])),
+                  key=lambda b: len(b["reps"]))
+        BLOCK_CORRUPTIONS[rule](rec)
+        path.write_text(json.dumps(payload))
+        assert cache.load_quotient(tmp_path, kind, 3) is None
+        self._assert_rebuilt(tmp_path, kind, built)
+
+    def test_duplicated_degree_is_rebuilt(self, tmp_path):
+        built, path, payload = self._saved(tmp_path, "hook")
+        payload["blocks"].append(payload["blocks"][0])
+        path.write_text(json.dumps(payload))
+        assert cache.load_quotient(tmp_path, "hook", 3) is None
+        self._assert_rebuilt(tmp_path, "hook", built)
+
+    @pytest.mark.parametrize("vec", [[], [[0, "0"]], [[-1, "1"]], [[10 ** 6, "1"]]],
+                             ids=["empty", "zero", "negative column", "column past the basis"])
+    def test_bad_subspace_vector_is_rebuilt(self, tmp_path, vec):
+        clear_registry()
+        built = harmonics(3, cache_dir=tmp_path)
+        path = cache.cache_path(tmp_path, "dh", 3)
+        payload = json.loads(path.read_text())
+        payload["pieces"][-1]["basis"][0] = vec
+        path.write_text(json.dumps(payload))
+        assert cache.load_subspace(tmp_path, "dh", 3) is None
+        clear_registry()
+        rebuilt = harmonics(3, cache_dir=tmp_path)
+        assert rebuilt is not built and rebuilt.pieces == built.pieces
+        assert cache.load_subspace(tmp_path, "dh", 3) is not None

@@ -159,23 +159,23 @@ class TestAllowLargeReachesEveryLayer:
 
     The n = 5 hook and harmonic spaces are seeded as empty spaces and every
     block builder raises, so these tests start no n = 5 build: a path that
-    drops the flag raises ResourceCapExceeded before it reads the registry.
+    drops the flag raises ResourceCapExceeded before it reads the workspace.
     """
 
     @pytest.fixture(autouse=True)
     def empty_n5(self, monkeypatch):
-        from harmonica import operators, spaces, structure
+        from harmonica import spaces
 
-        monkeypatch.setitem(spaces._REGISTRY, ("hook", 5), spaces.QuotientSpace(5, "hook", {}))
-        monkeypatch.setitem(spaces._REGISTRY, ("dh", 5), spaces.GradedSubspace(5, "dh", {}))
-        monkeypatch.setattr(structure, "_MODELS", {})
+        workspace = spaces._Workspace(5)
+        workspace.spaces["hook"] = spaces.QuotientSpace(5, "hook", {})
+        workspace.spaces["dh"] = spaces.GradedSubspace(5, "dh", {})
+        monkeypatch.setitem(spaces._WORKSPACES, 5, workspace)
 
         def refuse(*args, **kwargs):
             raise AssertionError("an n = 5 block build started")
 
-        for module, name in [(spaces, "_build_even_block"), (operators, "_build_even_block"),
-                             (spaces, "_build_hook_block"), (spaces, "_build_harmonic_piece")]:
-            monkeypatch.setattr(module, name, refuse)
+        for name in ("_build_even_block", "_build_hook_block", "_build_harmonic_piece"):
+            monkeypatch.setattr(spaces, name, refuse)
 
     def test_structure_functions_take_the_flag(self):
         from harmonica import structure
@@ -188,6 +188,29 @@ class TestAllowLargeReachesEveryLayer:
         assert structure.lefschetz_check(5, allow_large=True) == (True, None)
         with pytest.raises(ValueError, match="zero class"):
             structure.cogeneration_search(5, {}, deg=(0, 0, 0), allow_large=True)
+
+    def test_cap_is_checked_before_the_workspace_is_read(self):
+        from harmonica import spaces, structure
+        from harmonica.spaces import ResourceCapExceeded
+
+        spaces._WORKSPACES[5].spaces["drn"] = spaces.QuotientSpace(5, "drn", {})
+        assert structure.model(5, allow_large=True).space.total_dim() == 0
+        assert spaces.coinvariants(5, allow_large=True).total_dim() == 0
+        entries = [
+            lambda: structure.model(5),
+            lambda: structure.lefschetz_check(5),
+            lambda: structure.weight_decomposition(5),
+            lambda: structure.phi_matrix(5),
+            lambda: structure.e_operators(5),
+            lambda: structure.export_homology(5),
+            lambda: structure.cogeneration_search(5, {0: 1}, deg=(0, 0, 0)),
+            lambda: spaces.hook_component(5),
+            lambda: spaces.harmonics(5),
+            lambda: spaces.coinvariants(5),
+        ]
+        for entry in entries:
+            with pytest.raises(ResourceCapExceeded):
+                entry()
 
     def test_export_n5(self, capsys):
         assert main(["export", "--n", "5", "--allow-large"]) == 0

@@ -11,6 +11,7 @@ from harmonica.superpoly import (
     act,
     alt,
     apply_op,
+    count_tridegree,
     monomials_bidegree,
     monomials_tridegree,
     op_E,
@@ -284,6 +285,12 @@ class TestEnumerationAndRendering:
             for ye in [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
         ]
         assert monos == rebuilt
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_tridegree_count_without_listing(self, n):
+        for deg in [TriDegree(dx, dy, da) for dx in range(4) for dy in range(4) for da in range(n + 1)]:
+            assert count_tridegree(n, deg) == len(monomials_tridegree(n, deg))
+        assert count_tridegree(n, TriDegree(-1, 2, 0)) == 0
 
     def test_rendering_signs_and_coefficients(self):
         p = P.x(2, 0).scale(Fraction(3, 2)) - P.y(2, 1) - P.one(2)
