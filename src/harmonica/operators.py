@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
 from typing import Dict, NamedTuple, Optional, Tuple
 
 from .linalg import SparseMatrix
@@ -29,7 +28,6 @@ from .superpoly import (
     Monomial,
     Polynomial,
     TriDegree,
-    act,
     apply_op,
     op_E,
     op_E_star,
@@ -40,6 +38,7 @@ from .superpoly import (
     op_hamiltonian,
     op_wedge_omega,
     render,
+    transpose_adjacent,
 )
 
 
@@ -172,34 +171,26 @@ def _invariant_ideal_class_zero(n: int, p: Polynomial) -> Optional[Polynomial]:
     return None
 
 
-def _permute_term(term, sigma):
+def _transpose_term(term, i: int):
+    """The term relabelled by s_i = (i i+1)."""
     coeff, mult, dx, dy, odd_ann = term
-    n = len(mult.xe)
-    xe = [0] * n
-    ye = [0] * n
-    dxp = [0] * n
-    dyp = [0] * n
-    for i in range(n):
-        xe[sigma[i]] = mult.xe[i]
-        ye[sigma[i]] = mult.ye[i]
-        dxp[sigma[i]] = dx[i]
-        dyp[sigma[i]] = dy[i]
-    odd = tuple(sorted(sigma[t] for t in mult.odd))
-    ann = tuple(sorted(sigma[t] for t in odd_ann))
-    # Canonical sign bookkeeping is unnecessary here: equivariance checks are
-    # restricted to terms with at most one odd factor in total.
-    return (coeff, Monomial(tuple(xe), tuple(ye), odd), tuple(dxp), tuple(dyp), ann)
+    mult, _ = transpose_adjacent(mult, i)
+    deriv, _ = transpose_adjacent(Monomial(dx, dy, odd_ann), i)
+    # Koszul signs are dropped: equivariance checks are restricted to terms
+    # with at most one odd factor in total.
+    return (coeff, mult, deriv.xe, deriv.ye, deriv.odd)
 
 
 def _is_equivariant(spec: OperatorSpec) -> bool:
-    """Syntactic check: the term list is stable under index relabeling."""
+    """Syntactic check: the term list is stable under index relabeling (by
+    the adjacent transpositions, which generate S_n)."""
     ops = spec.diff_operator().ops
     for term in ops:
         if len(term.mult.odd) + len(term.odd_ann) > 1:
             return False
-    base = sorted(_permute_term(t, tuple(range(spec.n))) for t in ops)
-    for sigma in permutations(range(spec.n)):
-        if sorted(_permute_term(t, sigma) for t in ops) != base:
+    base = sorted(ops)
+    for i in range(spec.n - 1):
+        if sorted(_transpose_term(t, i) for t in ops) != base:
             return False
     return True
 
@@ -226,11 +217,14 @@ def _structural_certificate(spec: OperatorSpec, space: QuotientSpace) -> Optiona
     if spec.kind == "wedge":
         # Multiplication operators preserve everything iff the multiplier is
         # S_n-invariant (it then commutes with the sign projector and keeps
-        # both the ideal part and the odd Euler relations).
+        # both the ideal part and the odd Euler relations); the adjacent
+        # transpositions generate S_n, so they are the ones checked.
         mult = apply_op(D, Polynomial.one(n))
-        for sigma in permutations(range(n)):
-            if act(sigma, mult) != mult:
-                return mult
+        for i in range(n - 1):
+            for m, c in mult.terms.items():
+                image, sign = transpose_adjacent(m, i)
+                if mult.terms.get(image) != sign * c:
+                    return mult
         return None
     if spec.kind not in _FIRST_ORDER_KINDS:
         raise NotImplementedError("no structural certificate for this operator kind")

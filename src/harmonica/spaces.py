@@ -11,7 +11,8 @@ coordinates:
   pure-x and pure-y generators give a tensor-product presentation), and only
   the genuinely mixed generators are reduced in the small product quotient;
 * the odd (hook) quotients reuse the even presentation per odd index set,
-  then add the wedge relations of th_1+..+th_n and the sign projector rows;
+  then add the wedge relations of th_1+..+th_n and the im(1 + s_i) rows,
+  which over Q span the kernel of the sign projector (s_i = (i i+1));
 * harmonic pieces start from the tensor product of single-family harmonic
   kernels and intersect with the kernels of the mixed derivative operators.
 
@@ -28,8 +29,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
-from math import factorial
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .linalg import RrefAccumulator, SparseMatrix, Vec, kernel_basis, vec_add_scaled
@@ -37,12 +36,10 @@ from .superpoly import (
     Monomial,
     Polynomial,
     TriDegree,
-    act,
-    alt,
     compositions,
     monomials_tridegree,
-    perm_sign,
     subsets_of_size,
+    transpose_adjacent,
 )
 
 DEFAULT_CAP = 4
@@ -748,54 +745,49 @@ def harmonics(n: int, allow_large: bool = False, cache_dir=None) -> GradedSubspa
 # ---------------------------------------------------------------------------
 
 
-def _alt_class_vec(block: Block, mono: Monomial) -> Vec:
-    """Class (over rep positions) of the sign-projection of a monomial."""
-    n = block.n
-    out: Vec = {}
-    for sigma in permutations(range(n)):
-        image = act(sigma, Polynomial.monomial(mono))
-        ((m, c),) = image.terms.items()
-        sgn = perm_sign(sigma)
-        vec = block.class_of_vec({block.index[m]: c})
-        vec_add_scaled(out, Fraction(sgn, factorial(n)), vec)
-    return {k: v for k, v in out.items() if v != 0}
+def _signed_orbit_sums(n: int, deg: TriDegree) -> List[Vec]:
+    """Per S_n-orbit of monomials of one degree with a nonzero sign projection,
+    {column: sign}: a member's projection is its sign times this over its size.
+
+    Orbits are walked through the adjacent transpositions s_i.  The projection
+    is anti-invariant, so s_i u = e v forces sign(v) = -e sign(u); conflicting
+    signs mean it is zero, exactly when two equal (x, y) columns both lack th
+    (two equal columns that both carry th also swap two odd factors).
+    """
+    monos, index = ambient_basis(n, deg)
+    seen = set()
+    out = []
+    for m in monos:
+        if m in seen:
+            continue
+        sign, alive, todo = {m: 1}, True, [m]
+        while todo:
+            u = todo.pop()
+            for i in range(n - 1):
+                v, e = transpose_adjacent(u, i)
+                if v not in sign:
+                    sign[v] = -e * sign[u]
+                    todo.append(v)
+                elif sign[v] != -e * sign[u]:
+                    alive = False
+        seen.update(sign)
+        if alive:
+            out.append({index[u]: Fraction(c) for u, c in sign.items()})
+    return out
 
 
 def _sign_quotient_block(base: Block) -> Block:
-    """Add the rows of (1 - alt) to a block's relation subspace."""
-    acc = RrefAccumulator()
-    k = base.dim
-    for pos in range(k):
-        mono = base.monomials[base.reps[pos]]
-        altvec = _alt_class_vec(base, mono)
-        row = {pos: Fraction(1)}
-        vec_add_scaled(row, Fraction(-1), altvec)
-        acc.insert(row)
-    pivots = set(acc.pivots())
-    reps = [base.reps[pos] for pos in range(k) if pos not in pivots]
-    rep_set = set(reps)
-    nf: Dict[int, Vec] = {}
-
-    def to_full(vec: Vec) -> Vec:
-        return {base.reps[pos]: v for pos, v in vec.items()}
-
-    for col in range(base.ambient_dim):
-        if col in rep_set:
-            continue
-        if col in base._rep_pos:
-            mini = {base._rep_pos[col]: Fraction(1)}
-        else:
-            mini = {base._rep_pos[j]: v for j, v in base.nf[col].items()}
-        nf[col] = to_full(acc.reduce(mini))
-    return Block(base.n, base.deg, reps, nf)
+    """Add the kernel of the sign projector to a block's relation subspace."""
+    return _sign_block(base, 0)
 
 
 def sign_component(space):
     """Sign-isotypic part: quotient presentation or alt-image subspace.
 
     For a QuotientSpace the result is the quotient by the enlarged relation
-    subspace (relations plus the image of 1 - alt); for a GradedSubspace it
-    is the span of the sign projections of the basis vectors.
+    subspace (relations plus the kernel of the sign projector, spanned by the
+    images of 1 + s_i); for a GradedSubspace it is the span of the sign
+    projections of the basis vectors, computed orbit by orbit.
     """
     return space.memoised(("sign",), lambda: _build_sign_component(space))
 
@@ -810,24 +802,42 @@ def _build_sign_component(space):
         return QuotientSpace(space.n, space.kind + "-sign", blocks)
     pieces: Dict[TriDegree, List[Vec]] = {}
     for deg in space.support():
+        orbits = _signed_orbit_sums(space.n, deg)
+        member = {j: (o, s) for o, orbit in enumerate(orbits) for j, s in orbit.items()}
         acc = RrefAccumulator()
         for vec in space.basis(deg):
-            poly = vec_to_poly(vec, space.n, deg)
-            acc.insert(poly_to_vec(alt(poly), deg))
+            weights: Dict[int, Fraction] = {}  # orbit -> coefficient of its signed sum
+            for j, c in vec.items():
+                if j in member:
+                    o, s = member[j]
+                    weights[o] = weights.get(o, 0) + s * c
+            image: Vec = {}
+            for o, w in weights.items():
+                if w:
+                    w /= len(orbits[o])
+                    image.update((j, w * s) for j, s in orbits[o].items())
+            acc.insert(image)
         if acc.rank:
             pieces[deg] = acc.row_vectors()
     return GradedSubspace(space.n, space.kind + "-sign", pieces)
 
 
 def _build_hook_block(n: int, dr_block: Block, da: int) -> Block:
-    """One tridegree piece of the hook component.
+    """One tridegree piece of the hook component."""
+    return _sign_block(dr_block, da)
 
-    Stages: coinvariant relations per odd index set, then wedge relations of
+
+def _sign_block(dr_block: Block, da: int) -> Block:
+    """The sign part of (odd degree da) tensor one quotient block.
+
+    Stages: the block's relations per odd index set, then wedge relations of
     th_1+..+th_n (on representative classes only; the rest already lies in
-    the ideal relations), then the sign projector rows.
+    the ideal relations), then the im(1 + s_i) rows, which span the kernel
+    of the sign projector.  The block is even unless da = 0.
     """
-    a, b, _ = dr_block.deg
-    deg = TriDegree(a, b, da)
+    n = dr_block.n
+    a, b, da0 = dr_block.deg
+    deg = TriDegree(a, b, da0 + da)
     thetasets = subsets_of_size(n, da)
     set_pos = {S: i for i, S in enumerate(thetasets)}
     k = dr_block.dim
@@ -849,29 +859,19 @@ def _build_hook_block(n: int, dr_block: Block, da: int) -> Block:
                     row[key] = row.get(key, 0) + Fraction(sign)
                 acc.insert({c: v for c, v in row.items() if v != 0})
 
-    # Sign projector rows on the surviving classes.
-    fact = factorial(n)
-    for si, S in enumerate(thetasets):
-        for pos in range(k):
-            mono = dr_block.monomials[dr_block.reps[pos]]
-            full_mono = Monomial(mono.xe, mono.ye, S)
-            altvec: Vec = {}
-            for sigma in permutations(range(n)):
-                image = act(sigma, Polynomial.monomial(full_mono))
-                ((m, c),) = image.terms.items()
-                even = Monomial(m.xe, m.ye, ())
-                vec = dr_block.class_of_vec({dr_block.index[even]: c})
-                spos = set_pos[m.odd]
-                for p2, v in vec.items():
-                    kk = mini_index[(spos, p2)]
-                    s = altvec.get(kk, 0) + Fraction(perm_sign(sigma), fact) * v
-                    if s == 0:
-                        altvec.pop(kk, None)
-                    else:
-                        altvec[kk] = s
-            row = {mini_index[(si, pos)]: Fraction(1)}
-            vec_add_scaled(row, Fraction(-1), altvec)
-            acc.insert(row)
+    # The im(1 + s_i) rows on the surviving classes.  The class of s_i on the
+    # even part is shared by every odd index set.
+    for pos in range(k):
+        mono = dr_block.monomials[dr_block.reps[pos]]
+        for i in range(n - 1):
+            image, sign = transpose_adjacent(mono, i)
+            cls = dr_block.class_of_vec({dr_block.index[image]: Fraction(sign)})
+            for si, S in enumerate(thetasets):
+                image, sign = transpose_adjacent(Monomial(mono.xe, mono.ye, S), i)
+                spos = set_pos[image.odd]
+                row = {mini_index[(spos, p2)]: sign * v for p2, v in cls.items()}
+                vec_add_scaled(row, Fraction(1), {mini_index[(si, pos)]: Fraction(1)})
+                acc.insert(row)
 
     pivots = set(acc.pivots())
     d_ab = dr_block.ambient_dim
@@ -891,6 +891,9 @@ def _build_hook_block(n: int, dr_block: Block, da: int) -> Block:
         for xy_col in range(d_ab):
             colf = full_col(si, xy_col)
             if colf in rep_set:
+                continue
+            if not rep_cols:  # zero-dimensional piece: everything reduces to 0
+                nf[colf] = {}
                 continue
             if xy_col in dr_block._rep_pos:
                 mini = {mini_index[(si, dr_block._rep_pos[xy_col])]: Fraction(1)}
@@ -934,16 +937,6 @@ def hook_component(n: int, allow_large: bool = False, cache_dir=None) -> Quotien
 # ---------------------------------------------------------------------------
 
 _IDEAL_FLAVORS = ("J", "mJ", "Jbar", "mJbar")
-
-
-def _alt_image_vectors(n: int, deg: TriDegree) -> List[Vec]:
-    monos, _ = ambient_basis(n, deg)
-    out = []
-    for m in monos:
-        p = alt(Polynomial.monomial(m))
-        if not p.is_zero():
-            out.append(poly_to_vec(p, deg))
-    return out
 
 
 def _wedge_omega0_vec(n: int, deg: TriDegree, vec: Vec) -> Vec:
@@ -1022,7 +1015,7 @@ class _IdealTower:
                     deg = TriDegree(dx, dy, da)
                     accm = _span(self._shift_candidates(deg))
                     self.mJ[deg] = accm
-                    self.J[deg] = _span(accm.row_vectors() + _alt_image_vectors(n, deg))
+                    self.J[deg] = _span(accm.row_vectors() + _signed_orbit_sums(n, deg))
             self.max_total = total
 
 

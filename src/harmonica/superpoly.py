@@ -244,6 +244,16 @@ def act(sigma, p: Polynomial) -> Polynomial:
     return Polynomial(n, terms)
 
 
+def transpose_adjacent(m: Monomial, i: int):
+    """s_i = (i i+1) on a monomial: (image, Koszul sign).  The sign is -1
+    exactly when both th_i and th_{i+1} occur."""
+    xe = m.xe[:i] + (m.xe[i + 1], m.xe[i]) + m.xe[i + 2:]
+    ye = m.ye[:i] + (m.ye[i + 1], m.ye[i]) + m.ye[i + 2:]
+    odd = tuple(sorted(i + 1 if t == i else i if t == i + 1 else t for t in m.odd))
+    sign = -1 if i in m.odd and i + 1 in m.odd else 1
+    return Monomial(xe, ye, odd), sign
+
+
 def alt(p: Polynomial) -> Polynomial:
     """Antisymmetrization (1/n!) sum sgn(s) s(p); an idempotent projector."""
     n = p.n

@@ -56,3 +56,24 @@ def test_traced_builds_reach_the_even_block_function():
     assert metrics["spaces.even_block.calls"] > 0
     assert metrics["spaces.even_block.calls"] == metrics["spaces.even_block.distinct"]
     assert metrics["operators.check_preserves.calls"] == 1
+
+
+def test_sign_builds_never_sum_over_the_group():
+    for mod in pkgutil.iter_modules(harmonica.__path__):
+        importlib.import_module(f"harmonica.{mod.name}")
+    spaces.clear_registry()
+    rec = tracing.Recorder()
+    try:
+        with tracing.wrapped(rec) as missing:
+            spaces.hook_component(3)
+            spaces.sign_component(spaces.coinvariants(3))
+            spaces.sign_component(spaces.harmonics(3))
+            spaces.antisymmetric_ideal(3, "J", max_total=3)
+    finally:
+        spaces.clear_registry()
+    metrics = tracing.layer_metrics(rec)
+    assert missing == []
+    assert metrics["spaces.hook_block.calls"] > 0
+    assert metrics["spaces.ideal_tower.calls"] > 0
+    assert metrics["superpoly.alt.calls"] == 0
+    assert metrics["superpoly.act.calls"] == 0

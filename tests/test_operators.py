@@ -5,6 +5,7 @@ import pytest
 from harmonica.operators import (
     OperatorSpec,
     WellDefinednessError,
+    _is_equivariant,
     bracket,
     check_preserves,
     commutes_with_differentials,
@@ -21,7 +22,14 @@ from harmonica.spaces import (
     hook_component,
     sign_component,
 )
-from harmonica.superpoly import TriDegree
+from harmonica.superpoly import (
+    DiffOperator,
+    Monomial,
+    OpTerm,
+    Polynomial,
+    TriDegree,
+    op_partial_x,
+)
 
 
 class TestMatrixOf:
@@ -79,6 +87,19 @@ class TestCheckPreserves:
         hook = hook_component(2)
         ok, witness = check_preserves(OperatorSpec.d(2, 0), hook)
         assert not ok and witness is not None
+
+    def test_relabeling_dependent_operator_is_not_equivariant(self, monkeypatch):
+        # d/dx3 at n = 3 is moved only by the last adjacent transposition.
+        monkeypatch.setattr(OperatorSpec, "diff_operator", lambda self: op_partial_x(3, 2))
+        assert not _is_equivariant(OperatorSpec.F(3, 1))
+
+    def test_non_invariant_wedge_multiplier_is_the_witness(self, monkeypatch):
+        # Wedge with x3*th3 alone; again only the last transposition moves it.
+        mult = Monomial((0, 0, 1), (0, 0, 0), (2,))
+        op = DiffOperator(3, [OpTerm(Fraction(1), mult, (0, 0, 0), (0, 0, 0), ())])
+        monkeypatch.setattr(OperatorSpec, "diff_operator", lambda self: op)
+        ok, witness = check_preserves(OperatorSpec.wedge(3, 1), hook_component(3))
+        assert not ok and witness == Polynomial.monomial(mult)
 
     def test_matrix_of_raises_on_ill_defined_operator(self):
         hook = hook_component(2)

@@ -7,9 +7,12 @@ from harmonica.linalg import RrefAccumulator, rref
 from harmonica.spaces import (
     ResourceCapExceeded,
     _build_even_block,
+    _signed_orbit_sums,
+    _span,
     ambient_basis,
     antisymmetric_ideal,
     coinvariants,
+    default_ideal_degree_cap,
     harmonics,
     hilbert,
     hook_component,
@@ -24,6 +27,7 @@ from harmonica.superpoly import (
     Polynomial,
     TriDegree,
     act,
+    alt,
     apply_op,
     op_power_sum_deriv,
     pairing,
@@ -215,6 +219,41 @@ class TestAntisymmetricIdeals:
         for deg in mJ.support():
             for vec in mJ.basis(deg):
                 assert J.contains_vec(deg, vec)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_orbit_seeds_span_the_sign_projections(self, n):
+        # Every tridegree the default tower builds: the signed orbit sums span
+        # what the sign projections of all monomials span, and each monomial's
+        # projection is its sign times its orbit's sum over the orbit size.
+        cap = default_ideal_degree_cap(n)
+        for total in range(cap + 1):
+            for dx in range(total + 1):
+                for da in range(n + 1):
+                    deg = TriDegree(dx, total - dx, da)
+                    monos, _ = ambient_basis(n, deg)
+                    projections = [alt(Polynomial.monomial(m)) for m in monos]
+                    seeds = _signed_orbit_sums(n, deg)
+                    expected = _span(poly_to_vec(p, deg) for p in projections)
+                    assert _span(seeds).row_vectors() == expected.row_vectors()
+                    for seed in seeds:
+                        orbit_sum = vec_to_poly(seed, n, deg).scale(Fraction(1, len(seed)))
+                        for j, sign in seed.items():
+                            assert projections[j] == orbit_sum.scale(sign)
+                    met = {j for seed in seeds for j in seed}
+                    assert all(projections[j].is_zero() for j in range(len(monos)) if j not in met)
+
+    @pytest.mark.parametrize("m,nonzero", [
+        (Monomial((0, 0), (0, 0), (0, 1)), True),  # th1 th2
+        (Monomial((1, 1), (0, 0), (0, 1)), True),  # x1 x2 th1 th2
+        (Monomial((1, 1, 0), (0, 0, 0), ()), False),  # x1 x2 at n = 3
+    ])
+    def test_repeated_columns_vanish_only_without_theta(self, m, nonzero):
+        # Two equal (x, y) columns kill the projection unless both carry th.
+        deg = m.tridegree()
+        _, index = ambient_basis(m.n, deg)
+        assert alt(Polynomial.monomial(m)).is_zero() != nonzero
+        seeds = [s for s in _signed_orbit_sums(m.n, deg) if index[m] in s]
+        assert len(seeds) == int(nonzero)
 
     def test_naive_span_agrees(self):
         # J piece = span of m1 * alt(m2) over all splittings of the bidegree.

@@ -24,6 +24,7 @@ from harmonica.superpoly import (
     pairing,
     render,
     sym,
+    transpose_adjacent,
     vandermonde,
 )
 
@@ -88,6 +89,15 @@ class TestAction:
             tau = rng.choice(perms)
             comp = tuple(sigma[tau[i]] for i in range(3))
             assert act(comp, p) == act(sigma, act(tau, p))
+
+    def test_adjacent_transposition_matches_act(self):
+        for n in (2, 3, 4):
+            for da in range(n + 1):
+                for m in monomials_tridegree(n, TriDegree(2, 1, da)):
+                    for i in range(n - 1):
+                        sigma = tuple(i + 1 if t == i else i if t == i + 1 else t for t in range(n))
+                        image, sign = transpose_adjacent(m, i)
+                        assert act(sigma, P.monomial(m)) == P.monomial(image, sign)
 
 
 class TestProjectors:
