@@ -15,6 +15,14 @@ row[p].  Fractions appear only at the edges: a returned residual, returned
 coefficients, and the RREF view (`row_vectors`, `to_matrix`), which is built
 on demand and cached until the next independent insert.
 
+Builders may hand in `int` dicts wherever a vector is expected: an `int`
+has denominator 1, so it is integerised for free.  `int_rows()` reads the
+stored rows themselves (pivot, int row with content 1 and a positive pivot
+entry), and `int_kernel()` gives the null space of the rows as int vectors,
+one per free column f: L*e_f - sum_p (row_p[f]*L/row_p[p]) * e_p with L
+the lcm of the pivot entries met.  Divided by L it is the RREF kernel
+vector; `kernel_basis` is that division.
+
 Pivoting is deterministic: an independent vector pivots on the smallest
 column of its residual.  That column is the leading column of the new row,
 and back-reduction only adds later columns to earlier rows, so pivots stay
@@ -345,15 +353,37 @@ class RrefAccumulator:
         self._view = None
         return piv
 
+    def int_rows(self) -> list:
+        """(pivot, int row) in pivot order: each row has content 1 and a
+        positive entry at its pivot; divided by that entry it is the RREF row."""
+        return [(p, dict(sorted(self._rows[p].items()))) for p in sorted(self._rows)]
+
+    def int_kernel(self, cols: int) -> dict:
+        """{free column f: int vector} spanning the right null space of the
+        rows over columns 0..cols-1; the vector of f is L at f and
+        -row_p[f]*L/row_p[p] at each pivot p whose row meets f, with L the
+        lcm of those pivot entries."""
+        rows = self._rows
+        meets = {f: [] for f in range(cols) if f not in rows}
+        for p in sorted(rows):
+            for j, x in rows[p].items():
+                if j != p:
+                    meets[j].append((p, x))
+        out = {}
+        for f, hits in meets.items():
+            scale = lcm(*(rows[p][p] for p, _ in hits))
+            vec = {f: scale}
+            for p, x in hits:
+                vec[p] = -x * (scale // rows[p][p])
+            out[f] = vec
+        return out
+
     def contains(self, vec: Vec) -> bool:
         return not self._eliminate(_scaled_ints(vec)[0], None)[0]
 
     def _rref(self) -> dict:
         if self._view is None:
-            self._view = {}
-            for p in sorted(self._rows):
-                row = self._rows[p]
-                self._view[p] = {j: Fraction(x, row[p]) for j, x in sorted(row.items())}
+            self._view = {p: _fractions(row, row[p]) for p, row in self.int_rows()}
         return self._view
 
     def row_vectors(self) -> list:
@@ -386,13 +416,8 @@ def kernel_basis(m: SparseMatrix) -> list:
 
     One vector per non-pivot column; m.mul_vec(v) == {} for each.
     """
-    rows = _row_space(m)._rref()
-    free = {j: {j: Fraction(1)} for j in range(m.cols) if j not in rows}
-    for piv, row in rows.items():
-        for j, c in row.items():
-            if j != piv:
-                free[j][piv] = -c
-    return list(free.values())
+    kernel = _row_space(m).int_kernel(m.cols)
+    return [_fractions(vec, vec[f]) for f, vec in kernel.items()]
 
 
 def span_solver(span: SparseMatrix) -> RrefAccumulator:

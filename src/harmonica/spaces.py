@@ -16,6 +16,11 @@ coordinates:
 * harmonic pieces start from the tensor product of single-family harmonic
   kernels and intersect with the kernels of the mixed derivative operators.
 
+In the single-family reductions, the coinvariant blocks and the harmonic
+pieces, rows reach the kernel as integers: normal forms, tensor products,
+candidate rows and kernel combinations are int dicts, and `Fraction`s
+appear only in what the accumulator hands back.
+
 The composite still yields the canonical reduced echelon form over the full
 monomial basis: every stage pivots on the leading surviving column, so the
 assembled rows are exactly the RREF rows of the total relation space.
@@ -29,9 +34,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .linalg import RrefAccumulator, SparseMatrix, Vec, kernel_basis, vec_add_scaled
+from .linalg import RrefAccumulator, SparseMatrix, Vec, vec_add_scaled
 from .superpoly import (
     Monomial,
     Polynomial,
@@ -343,8 +349,8 @@ class _SingleDegree:
         self.monos = monos  # exponent tuples, canonical (descending-lex) order
         self.index = index
         self.reps = reps  # non-pivot columns
-        self.nf = nf  # pivot column -> vec over rep columns
-        self.rows = rows  # pivot column -> RREF row (over all columns)
+        self.nf = nf  # pivot column -> (int vec over rep columns, den): vec/den
+        self.rows = rows  # pivot column -> int relation row, pivot entry den
 
 
 class _SingleFamily:
@@ -366,14 +372,15 @@ class _SingleFamily:
         self.ensure(d)
         return self.degrees[d]
 
-    def nf(self, exps: tuple) -> Vec:
-        """Normal form of a monomial, as vec over rep columns of its degree."""
+    def nf(self, exps: tuple):
+        """Normal form of a monomial as (int vec over the rep columns of its
+        degree, den): the normal form is vec/den."""
         d = sum(exps)
         sd = self.deg(d)
         j = sd.index[exps]
         if j in sd.nf:
             return sd.nf[j]
-        return {j: Fraction(1)}
+        return {j: 1}, 1
 
     def _build(self, d: int):
         monos = self._monos(d)
@@ -397,11 +404,12 @@ class _SingleFamily:
                 for i in range(self.n):
                     exps = [0] * self.n
                     exps[i] = d
-                    vec[index[tuple(exps)]] = Fraction(1)
+                    vec[index[tuple(exps)]] = 1
                 acc.insert(vec)
-        rows = dict(zip(acc.pivots(), acc.row_vectors()))
+        rows = dict(acc.int_rows())
         reps = [j for j in range(len(monos)) if j not in rows]
-        nf = {piv: {c: -v for c, v in row.items() if c != piv} for piv, row in rows.items()}
+        nf = {piv: ({c: -x for c, x in row.items() if c != piv}, row[piv])
+              for piv, row in rows.items()}
         self.degrees[d] = _SingleDegree(monos, index, reps, nf, rows)
 
 
@@ -419,7 +427,7 @@ class _Workspace:
         # Every coinvariant block built, zero-dimensional ones included: read
         # by both `coinvariants` and the operator certificates.
         self.even_blocks: Dict[Tuple[int, int], Block] = {}
-        self.single_harmonics: Dict[int, List[Vec]] = {}  # harmonic kernels by degree
+        self.single_harmonics: Dict[int, List[dict]] = {}  # int harmonic kernels by degree
         self.tower = _IdealTower(n)  # extended upward on demand
 
 
@@ -466,28 +474,42 @@ def _mixed_generators(n: int):
 
 
 def _build_even_block(n: int, a: int, b: int) -> Block:
-    """Quotient presentation of one bidegree piece of the coinvariant ring."""
+    """Quotient presentation of one bidegree piece of the coinvariant ring.
+
+    The rows are reduced in the small product quotient: its columns ("mini"
+    columns) are the pairs of single-family rep columns, pair (ia, ib) at
+    (position of ia) * len(B.reps) + (position of ib).  Every row is built
+    in ints from the single-family normal forms (vec, den), each product
+    scaled by lcm(den)/den; den is 1 in practice.
+    """
     fam = _workspace(n).family
     A = fam.deg(a)
     B = fam.deg(b)
     nb = len(B.monos)
-    minicols = [(ia, ib) for ia in A.reps for ib in B.reps]
-    mini_index = {pair: k for k, pair in enumerate(minicols)}
+    nrb = len(B.reps)
+    xpos = {ia: k * nrb for k, ia in enumerate(A.reps)}
+    ypos = {ib: k for k, ib in enumerate(B.reps)}
+    mini_cols = [ia * nb + ib for ia in A.reps for ib in B.reps]  # mini -> full column
     acc = RrefAccumulator()
 
-    def tensor_mini(xvec: Vec, yvec: Vec) -> Vec:
-        out: Vec = {}
-        for ia, ca in xvec.items():
-            for ib, cb in yvec.items():
-                k = mini_index[(ia, ib)]
-                s = out.get(k, 0) + ca * cb
-                if s == 0:
-                    out.pop(k, None)
-                else:
-                    out[k] = s
-        return out
+    def on_reps(exps: tuple, pos: dict):
+        vec, den = fam.nf(exps)
+        return {pos[j]: c for j, c in vec.items()}, den
 
-    full = len(minicols)
+    def add_tensor(out: dict, scale: int, xvec: dict, yvec: dict) -> None:
+        """out += scale * (xvec tensor yvec), dropping zeros."""
+        get = out.get
+        for ka, ca in xvec.items():
+            ca *= scale
+            for kb, cb in yvec.items():
+                k = ka + kb
+                s = get(k, 0) + ca * cb
+                if s:
+                    out[k] = s
+                else:
+                    del out[k]
+
+    full = len(mini_cols)
     for (c, d) in _mixed_generators(n):
         if acc.rank == full:
             break
@@ -500,59 +522,51 @@ def _build_even_block(n: int, a: int, b: int) -> Block:
             for i in range(n):
                 e = list(alpha)
                 e[i] += c
-                per_i.append(fam.nf(tuple(e)))
+                per_i.append(on_reps(tuple(e), xpos))
             xnfs.append(per_i)
         for beta in compositions(b - d, n):
             per_i = []
             for i in range(n):
                 e = list(beta)
                 e[i] += d
-                per_i.append(fam.nf(tuple(e)))
+                per_i.append(on_reps(tuple(e), ypos))
             ynfs.append(per_i)
         for xs in xnfs:
             if acc.rank == full:
                 break
             for ys in ynfs:
-                row: Vec = {}
-                for i in range(n):
-                    vec_add_scaled(row, Fraction(1), tensor_mini(xs[i], ys[i]))
+                dens = [xd * yd for (_, xd), (_, yd) in zip(xs, ys)]
+                top = lcm(*dens)
+                row: dict = {}
+                for (xvec, _), (yvec, _), den in zip(xs, ys, dens):
+                    add_tensor(row, top // den, xvec, yvec)
                 acc.insert(row)
                 if acc.rank == full:
                     break
 
     pivots = set(acc.pivots())
-    rep_pairs = [pair for pair in minicols if mini_index[pair] not in pivots]
-    rep_cols = [ia * nb + ib for (ia, ib) in rep_pairs]
-    col_of_pair = {mini_index[pair]: pair[0] * nb + pair[1] for pair in minicols}
-
-    def mini_to_full(vec: Vec) -> Vec:
-        return {col_of_pair[k]: v for k, v in vec.items()}
+    rep_cols = [col for k, col in enumerate(mini_cols) if k not in pivots]
 
     deg = TriDegree(a, b, 0)
     nf: Dict[int, Vec] = {}
     rep_set = set(rep_cols)
     trivial = not rep_cols  # zero-dimensional piece: everything reduces to 0
+    ynfs = [on_reps(beta, ypos) for beta in B.monos]
     for ia, alpha in enumerate(A.monos):
-        xvec = A.nf[ia] if ia in A.nf else {ia: Fraction(1)}
-        for ib, beta in enumerate(B.monos):
+        xvec, xd = on_reps(alpha, xpos)
+        for ib, (yvec, yd) in enumerate(ynfs):
             colf = ia * nb + ib
             if colf in rep_set:
                 continue
             if trivial:
                 nf[colf] = {}
                 continue
-            yvec = B.nf[ib] if ib in B.nf else {ib: Fraction(1)}
-            mini: Vec = {}
-            for ja, ca in xvec.items():
-                for jb, cb in yvec.items():
-                    k = mini_index[(ja, jb)]
-                    s = mini.get(k, 0) + ca * cb
-                    if s == 0:
-                        mini.pop(k, None)
-                    else:
-                        mini[k] = s
+            mini: dict = {}
+            add_tensor(mini, 1, xvec, yvec)
             reduced = acc.reduce(mini)
-            nf[colf] = mini_to_full(reduced)
+            if xd * yd != 1:
+                reduced = {k: v / (xd * yd) for k, v in reduced.items()}
+            nf[colf] = {mini_cols[k]: v for k, v in reduced.items()}
     return Block(n, deg, rep_cols, nf)
 
 
@@ -631,20 +645,20 @@ def invariant_ideal_piece(n: int, bidegree: Tuple[int, int]) -> SparseMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _single_harmonics(n: int, d: int) -> List[Vec]:
-    """Joint kernel of p_c(d/dz), c = 1..n, on degree-d monomials (one family)."""
+def _single_harmonics(n: int, d: int) -> List[dict]:
+    """Joint kernel of p_c(d/dz), c = 1..n, on degree-d monomials (one family),
+    as int vectors."""
     kernels = _workspace(n).single_harmonics
     if d in kernels:
         return kernels[d]
     monos = list(compositions(d, n))
-    index = {m: i for i, m in enumerate(monos)}
-    rows: List[Vec] = []
+    acc = RrefAccumulator()
     for c in range(1, n + 1):
         if d - c < 0:
             continue
         targets = {m: i for i, m in enumerate(compositions(d - c, n))}
         # One constraint row per target monomial.
-        block: Dict[int, Vec] = {}
+        block: Dict[int, dict] = {}
         for j, m in enumerate(monos):
             for i in range(n):
                 if m[i] >= c:
@@ -655,25 +669,30 @@ def _single_harmonics(n: int, d: int) -> List[Vec]:
                     e[i] -= c
                     r = targets[tuple(e)]
                     row = block.setdefault(r, {})
-                    row[j] = row.get(j, 0) + Fraction(coeff)
-        rows.extend(block[r] for r in sorted(block))
-    basis = kernel_basis(SparseMatrix.from_rows(rows, len(monos)))
-    kernels[d] = [dict(sorted(v.items())) for v in basis]
+                    row[j] = row.get(j, 0) + coeff
+        for r in sorted(block):
+            acc.insert(block[r])
+    kernels[d] = list(acc.int_kernel(len(monos)).values())
     return kernels[d]
 
 
 def _build_harmonic_piece(n: int, a: int, b: int) -> List[Vec]:
-    """Exact basis of the harmonic piece of one bidegree."""
+    """Exact basis of the harmonic piece of one bidegree.
+
+    The tensor basis and the derivative images are int vectors, and each
+    kernel step takes int vectors from the accumulator; their scale is
+    arbitrary, and the closing echelon form makes the basis canonical.
+    """
     fam = _workspace(n).family
     A = fam.deg(a)
     B = fam.deg(b)
     nb = len(B.monos)
     kx = _single_harmonics(n, a)
     ky = _single_harmonics(n, b)
-    basis: List[Vec] = []
+    basis: List[dict] = []
     for vx in kx:
         for vy in ky:
-            vec: Vec = {}
+            vec: dict = {}
             for ia, ca in vx.items():
                 for ib, cb in vy.items():
                     vec[ia * nb + ib] = ca * cb
@@ -689,8 +708,7 @@ def _build_harmonic_piece(n: int, a: int, b: int) -> List[Vec]:
         ta = list(compositions(a - c, n))
         ta_index = {m: i for i, m in enumerate(ta)}
         tb_index = {m: i for i, m in enumerate(tb)}
-        rows: List[Vec] = []
-        images: Dict[int, Vec] = {}
+        images: Dict[int, dict] = {}
         for j, v in enumerate(basis):
             for col, coeff in v.items():
                 alpha = amonos[col // nb]
@@ -713,14 +731,14 @@ def _build_harmonic_piece(n: int, a: int, b: int) -> List[Vec]:
                             row.pop(j, None)
                         else:
                             row[j] = s
-        matrix = SparseMatrix.from_rows([images[r] for r in sorted(images)], len(basis))
-        combos = kernel_basis(matrix)
-        new_basis: List[Vec] = []
+        combos = _span(images[r] for r in sorted(images)).int_kernel(len(basis)).values()
+        new_basis: List[dict] = []
         for combo in combos:
-            vec: Vec = {}
+            vec = {}
             for j, cc in combo.items():
-                vec_add_scaled(vec, cc, basis[j])
-            new_basis.append(vec)
+                for col, x in basis[j].items():
+                    vec[col] = vec.get(col, 0) + cc * x
+            new_basis.append({col: x for col, x in vec.items() if x})
         basis = new_basis
     return _span(basis).row_vectors()
 

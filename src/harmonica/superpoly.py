@@ -583,13 +583,7 @@ def compositions(total: int, parts: int):
 
 def monomials_bidegree(n: int, dx: int, dy: int) -> list:
     """Even monomials of the bidegree, in the canonical column order."""
-    out = [
-        Monomial(xe, ye, ())
-        for xe in compositions(dx, n)
-        for ye in compositions(dy, n)
-    ]
-    out.sort(key=Monomial.sort_key)
-    return out
+    return monomials_tridegree(n, TriDegree(dx, dy, 0))
 
 
 def subsets_of_size(n: int, k: int) -> list:
@@ -599,15 +593,17 @@ def subsets_of_size(n: int, k: int) -> list:
 
 
 def monomials_tridegree(n: int, deg: TriDegree) -> list:
-    """Monomials of a tridegree, in the canonical column order."""
-    out = [
+    """Monomials of a tridegree, in the canonical column order.
+
+    That order is `Monomial.sort_key`, and the enumeration already yields it:
+    odd sets ascending, then x and y compositions lex descending.
+    """
+    return [
         Monomial(xe, ye, odd)
         for odd in subsets_of_size(n, deg.da)
         for xe in compositions(deg.dx, n)
         for ye in compositions(deg.dy, n)
     ]
-    out.sort(key=Monomial.sort_key)
-    return out
 
 
 def count_tridegree(n: int, deg: TriDegree) -> int:

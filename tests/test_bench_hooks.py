@@ -77,3 +77,27 @@ def test_sign_builds_never_sum_over_the_group():
     assert metrics["spaces.ideal_tower.calls"] > 0
     assert metrics["superpoly.alt.calls"] == 0
     assert metrics["superpoly.act.calls"] == 0
+
+
+@pytest.mark.parametrize("build", ["_build_even_block", "_build_harmonic_piece"])
+def test_block_builds_hand_the_kernel_int_rows(monkeypatch, build):
+    # A Fraction row coming back would cost the time the int rows saved.
+    inserted = []
+    insert = spaces.RrefAccumulator.insert
+
+    def recording_insert(self, vec, tag=None):
+        inserted.append(vec)
+        return insert(self, vec, tag)
+
+    def no_fraction_adds(*args):
+        raise AssertionError("vec_add_scaled called during a block build")
+
+    spaces.clear_registry()
+    monkeypatch.setattr(spaces.RrefAccumulator, "insert", recording_insert)
+    monkeypatch.setattr(spaces, "vec_add_scaled", no_fraction_adds)
+    try:
+        getattr(spaces, build)(4, 3, 2)
+    finally:
+        spaces.clear_registry()
+    assert inserted
+    assert {type(v) for vec in inserted for v in vec.values()} == {int}

@@ -6,6 +6,7 @@ duplicate rows, both engines must agree on every result they report.
 """
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -109,3 +110,59 @@ def test_membership_agrees(mat, data):
     solver = new.span_solver(span)
     for p in range(rows):
         assert solver.solve({p: Fraction(1)}) == old.membership({p: Fraction(1)}, span)
+
+
+@st.composite
+def int_vectors(draw, cols):
+    """An int vector over `cols` columns, as the space builders hand in:
+    zero entries may be left in."""
+    picks = draw(st.dictionaries(st.integers(0, max(cols - 1, 0)), st.integers(-4, 4), max_size=cols))
+    return {j: v for j, v in picks.items() if j < cols}
+
+
+@st.composite
+def int_matrices(draw):
+    cols = draw(st.integers(0, MAX_COLS))
+    distinct = draw(st.lists(int_vectors(cols), min_size=1, max_size=5))
+    return draw(st.lists(st.sampled_from(distinct), max_size=8)), cols
+
+
+def as_fractions(vec):
+    return {j: Fraction(v) for j, v in vec.items()}
+
+
+@settings(max_examples=100, deadline=None)
+@given(int_matrices(), st.data())
+def test_int_rows_give_what_fraction_rows_give(mat, data):
+    rows, cols = mat
+    a, b = new.RrefAccumulator(), new.RrefAccumulator()
+    for row in rows:
+        assert a.insert(row) == b.insert(as_fractions(row))
+    assert a.row_vectors() == b.row_vectors()
+    for _ in range(3):
+        probe = data.draw(int_vectors(cols))
+        residual = a.reduce(probe)
+        assert residual == b.reduce(as_fractions(probe))
+        assert_fraction_vec(residual)
+    m = as_matrix(rows, cols)
+    assert new.kernel_basis(m) == new.kernel_basis(as_matrix(list(map(as_fractions, rows)), cols))
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices())
+def test_int_rows_and_int_kernel_are_the_rref_views_scaled(mat):
+    rows, cols = mat
+    acc = new.RrefAccumulator()
+    for row in rows:
+        acc.insert(row)
+    got = acc.int_rows()
+    assert [p for p, _ in got] == acc.pivots()
+    assert [{j: Fraction(x, r[p]) for j, x in r.items()} for p, r in got] == acc.row_vectors()
+    for p, r in got:
+        assert all(type(x) is int for x in r.values())
+        assert r[p] > 0 and gcd(*r.values()) == 1
+    kernel = acc.int_kernel(cols)
+    expected = new.kernel_basis(as_matrix(rows, cols))
+    assert [{j: Fraction(x, v[f]) for j, x in v.items()} for f, v in kernel.items()] == expected
+    for f, v in kernel.items():
+        assert all(type(x) is int for x in v.values()) and v[f] > 0

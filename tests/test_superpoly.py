@@ -296,6 +296,15 @@ class TestEnumerationAndRendering:
         ]
         assert monos == rebuilt
 
+    @pytest.mark.parametrize("n,top", [(2, 2), (3, 6), (4, 6)])
+    def test_tridegree_enumeration_is_already_in_sort_key_order(self, n, top):
+        # top is n(n-1), the coinvariants' highest total degree, for n = 2, 3.
+        for dx in range(top + 1):
+            for dy in range(top + 1 - dx):
+                for da in range(n + 1):
+                    monos = monomials_tridegree(n, TriDegree(dx, dy, da))
+                    assert monos == sorted(monos, key=Monomial.sort_key), (dx, dy, da)
+
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_tridegree_count_without_listing(self, n):
         for deg in [TriDegree(dx, dy, da) for dx in range(4) for dy in range(4) for da in range(n + 1)]:
