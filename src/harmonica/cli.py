@@ -108,7 +108,7 @@ def cmd_compute(args) -> int:
 def cmd_verify(args) -> int:
     if args.suite == "figure1" and args.n != 3:
         raise UsageError("the figure1 suite requires --n 3")
-    results = run_suite(args.n, args.suite, allow_large=args.allow_large)
+    results = run_suite(args.n, args.suite, allow_large=args.allow_large, cache_dir=_cache_dir(args))
     payload = report(args.n, args.suite, results, timings=args.timings)
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     _emit(text, args.out)
@@ -149,14 +149,11 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--n", type=int, required=True, help="number of variable pairs")
         p.add_argument("--cache-dir", default=None,
-                       help="on-disk cache directory (env HARMONICA_CACHE); read and "
-                            "written by compute and export only, verify always builds "
-                            "in process")
+                       help="on-disk cache directory (env HARMONICA_CACHE); compute, "
+                            "verify and export load the drn, dh and hook spaces from it "
+                            "and save the ones they build")
         p.add_argument("--allow-large", action="store_true",
                        help="permit builds beyond the default size cap")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="worker processes; per-degree work is independent "
-                            "(currently executed serially)")
         p.add_argument("--out", default=None, help="write output to a file instead of stdout")
 
     p_compute = sub.add_parser("compute", help="build a space and print its graded dimensions")
@@ -183,8 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.jobs < 1:
-        parser.error("--jobs must be at least 1")
     try:
         return args.fn(args)
     except UsageError as exc:

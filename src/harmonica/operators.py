@@ -79,10 +79,6 @@ class OperatorSpec:
         return cls("d", n, (N,))
 
     @classmethod
-    def d_star(cls, n, N):
-        return cls("dstar", n, (N,))
-
-    @classmethod
     def wedge(cls, n, N):
         return cls("wedge", n, (N,))
 

@@ -21,13 +21,22 @@ pieces, rows reach the kernel as integers: normal forms, tensor products,
 candidate rows and kernel combinations are int dicts, and `Fraction`s
 appear only in what the accumulator hands back.
 
+A coinvariant block's candidate rows are the mixed generators p_{c,d}
+times rep (x) rep monomials only (single-family reps of degrees a-c and
+b-d), since the image of the mixed ideal in the product quotient is a
+module over it.  They are all built first and then inserted sparsest
+first, by (nnz, leading column), stopping at full rank; the order leaves
+the RREF unchanged and keeps the fill-in of back-reduction small.
+
 The composite still yields the canonical reduced echelon form over the full
 monomial basis: every stage pivots on the leading surviving column, so the
 assembled rows are exactly the RREF rows of the total relation space.
 
-Total degrees are scanned upward and enumeration stops once two consecutive
-total degrees contribute nothing (hard cap dx+dy <= n(n-1)); completeness is
-certified downstream by the closed-form total dimensions.
+Total degrees are scanned upward and enumeration stops at the first total
+degree that contributes nothing (hard cap dx+dy <= n(n-1)): the quotient
+is generated in degree 1 and the harmonics are closed under derivatives,
+so nothing lies above an empty degree.  Completeness is certified
+downstream by the closed-form total dimensions.
 """
 
 from __future__ import annotations
@@ -196,9 +205,6 @@ class Block:
     def ambient_dim(self) -> int:
         return len(self.monomials)
 
-    def rep_monomials(self) -> List[Monomial]:
-        return [self.monomials[c] for c in self.reps]
-
     def normal_form(self, vec: Vec) -> Vec:
         """Reduce an ambient coordinate vector to representative columns."""
         out: Vec = {}
@@ -227,10 +233,6 @@ class Block:
             row = {c: -v for c, v in self.nf[piv].items()}
             row[piv] = Fraction(1)
             yield piv, row
-
-    def relation_matrix(self) -> SparseMatrix:
-        rows = [row for _, row in self.relation_rows()]
-        return SparseMatrix.from_rows(rows, self.ambient_dim)
 
 
 class _Memoised:
@@ -297,11 +299,6 @@ class GradedSubspace(_Memoised):
     def basis_polys(self, deg) -> List[Polynomial]:
         deg = TriDegree(*deg)
         return [vec_to_poly(v, self.n, deg) for v in self.basis(deg)]
-
-    def basis_matrix(self, deg) -> SparseMatrix:
-        deg = TriDegree(*deg)
-        monos, _ = ambient_basis(self.n, deg)
-        return SparseMatrix.from_columns(self.basis(deg), len(monos))
 
     def dim(self, deg) -> int:
         return len(self.basis(deg))
@@ -476,11 +473,16 @@ def _mixed_generators(n: int):
 def _build_even_block(n: int, a: int, b: int) -> Block:
     """Quotient presentation of one bidegree piece of the coinvariant ring.
 
-    The rows are reduced in the small product quotient: its columns ("mini"
-    columns) are the pairs of single-family rep columns, pair (ia, ib) at
-    (position of ia) * len(B.reps) + (position of ib).  Every row is built
-    in ints from the single-family normal forms (vec, den), each product
-    scaled by lcm(den)/den; den is 1 in practice.
+    The rows are reduced in the small product quotient R_x (x) R_y: its
+    columns ("mini" columns) are the pairs of single-family rep columns,
+    pair (ia, ib) at (position of ia) * len(B.reps) + (position of ib).
+    The image of the mixed ideal there is an R_x (x) R_y-module, so it is
+    spanned by p_{c,d} * x^alpha y^beta with x^alpha and y^beta single-family
+    reps of degrees a-c and b-d.  Every row is built in ints from the
+    single-family normal forms (vec, den), each product scaled by
+    lcm(den)/den; den is 1 in practice.  The candidate rows are inserted
+    sparsest first, by (nnz, leading column), until the rank is full: the
+    RREF does not depend on the order, but back-reduction fills in less.
     """
     fam = _workspace(n).family
     A = fam.deg(a)
@@ -509,40 +511,39 @@ def _build_even_block(n: int, a: int, b: int) -> Block:
                 else:
                     del out[k]
 
-    full = len(mini_cols)
+    def shifted_nfs(fd: int, k: int, pos: dict) -> list:
+        """Per degree-fd rep z^gamma, the normal forms of z_i^k z^gamma, i = 1..n."""
+        sd = fam.deg(fd)
+        out = []
+        for j in sd.reps:
+            per_i = []
+            for i in range(n):
+                e = list(sd.monos[j])
+                e[i] += k
+                per_i.append(on_reps(tuple(e), pos))
+            out.append(per_i)
+        return out
+
+    candidates = []
     for (c, d) in _mixed_generators(n):
-        if acc.rank == full:
-            break
         if a - c < 0 or b - d < 0:
             continue
-        xnfs = []
-        ynfs = []
-        for alpha in compositions(a - c, n):
-            per_i = []
-            for i in range(n):
-                e = list(alpha)
-                e[i] += c
-                per_i.append(on_reps(tuple(e), xpos))
-            xnfs.append(per_i)
-        for beta in compositions(b - d, n):
-            per_i = []
-            for i in range(n):
-                e = list(beta)
-                e[i] += d
-                per_i.append(on_reps(tuple(e), ypos))
-            ynfs.append(per_i)
-        for xs in xnfs:
-            if acc.rank == full:
-                break
+        ynfs = shifted_nfs(b - d, d, ypos)
+        for xs in shifted_nfs(a - c, c, xpos):
             for ys in ynfs:
                 dens = [xd * yd for (_, xd), (_, yd) in zip(xs, ys)]
                 top = lcm(*dens)
                 row: dict = {}
                 for (xvec, _), (yvec, _), den in zip(xs, ys, dens):
                     add_tensor(row, top // den, xvec, yvec)
-                acc.insert(row)
-                if acc.rank == full:
-                    break
+                if row:
+                    candidates.append(row)
+    candidates.sort(key=lambda row: (len(row), min(row)))
+    full = len(mini_cols)
+    for row in candidates:
+        if acc.rank == full:
+            break
+        acc.insert(row)
 
     pivots = set(acc.pivots())
     rep_cols = [col for k, col in enumerate(mini_cols) if k not in pivots]
@@ -571,10 +572,18 @@ def _build_even_block(n: int, a: int, b: int) -> Block:
 
 
 def _scan_bidegrees(n: int, build, dim=len) -> dict:
-    """Run `build(a, b)` over total degrees upward with self-certifying stop;
-    the pieces of nonzero `dim`, by degree."""
+    """Run `build(a, b)` over total degrees upward, stopping after the first
+    empty total degree; the pieces of nonzero `dim`, by degree.
+
+    One empty degree suffices for both gradings scanned here.  The
+    coinvariant quotient is generated in degree 1, so degree d+1 is spanned
+    by the products of the x_i, y_i with degree d and vanishes with it.  The
+    harmonics are closed under every partial derivative, and a nonzero
+    harmonic of degree d+1 has a nonzero first derivative, a harmonic of
+    degree d.  Degree 0 holds the constants, so the first empty degree is the
+    top degree plus one.
+    """
     pieces = {}
-    empty_streak = 0
     for d in range(n * (n - 1) + 1):
         total = 0
         for a in range(d, -1, -1):
@@ -582,10 +591,7 @@ def _scan_bidegrees(n: int, build, dim=len) -> dict:
             if dim(piece):
                 pieces[TriDegree(a, d - a, 0)] = piece
                 total += dim(piece)
-        if d == 0:
-            continue
-        empty_streak = empty_streak + 1 if total == 0 else 0
-        if empty_streak >= 2:
+        if not total:
             break
     return pieces
 

@@ -58,15 +58,17 @@ class SL2Model:
         return matrix_of(self._f1, self.space, deg)
 
     def power(self, deg: TriDegree, j: int) -> OperatorMatrix:
-        """Matrix of the j-th power of the first operator from `deg`."""
+        """Matrix of the j-th power of the first operator from `deg`: one step
+        after the (j-1)-th power, each power built once per space."""
         deg = TriDegree(*deg)
-        out = OperatorMatrix(
-            deg, deg, SparseMatrix(self.space.dim(deg), self.space.dim(deg),
-                                   {(i, i): Fraction(1) for i in range(self.space.dim(deg))})
-        )
-        for _ in range(j):
-            out = compose(self.step(out.target), out)
-        return out
+        return self.space.memoised(("power", deg, j), lambda: self._power(deg, j))
+
+    def _power(self, deg: TriDegree, j: int) -> OperatorMatrix:
+        if j == 0:
+            dim = self.space.dim(deg)
+            return OperatorMatrix(deg, deg, SparseMatrix(dim, dim, {(i, i): Fraction(1) for i in range(dim)}))
+        prev = self.power(deg, j - 1)
+        return compose(self.step(prev.target), prev)
 
     def slices(self) -> List[Tuple[int, int]]:
         out = sorted({(d.da, d.dx + d.dy) for d in self.space.blocks})

@@ -376,10 +376,6 @@ def _zero_exp(n: int) -> tuple:
     return (0,) * n
 
 
-def op_zero(n: int) -> DiffOperator:
-    return DiffOperator(n, [])
-
-
 def op_F(n: int, k: int) -> DiffOperator:
     """F_k = sum_i x_i^k d/dy_i; shifts tridegree by (+k, -1, 0)."""
     if k < 1:
@@ -499,11 +495,6 @@ def op_partial_x(n: int, i: int) -> DiffOperator:
 
 def op_partial_y(n: int, i: int) -> DiffOperator:
     return DiffOperator(n, [OpTerm(Fraction(1), unit_monomial(n), _zero_exp(n), _unit_exp(n, i), ())])
-
-
-def op_odd_ann(n: int, i: int) -> DiffOperator:
-    """The odd left derivation dual to th_i."""
-    return DiffOperator(n, [OpTerm(Fraction(1), unit_monomial(n), _zero_exp(n), _zero_exp(n), (i,))])
 
 
 def op_power_sum_deriv(n: int, a: int, b: int) -> DiffOperator:

@@ -140,11 +140,11 @@ def _q_factorial_coeffs(n: int) -> List[int]:
     return coeffs
 
 
-def suite_dims(n: int, allow_large=False) -> List[CheckResult]:
+def suite_dims(n: int, allow_large=False, cache_dir=None) -> List[CheckResult]:
     out: List[CheckResult] = []
-    dr = coinvariants(n, allow_large=allow_large)
+    dr = coinvariants(n, allow_large=allow_large, cache_dir=cache_dir)
     sgn = sign_component(dr)
-    hook = hook_component(n, allow_large=allow_large)
+    hook = hook_component(n, allow_large=allow_large, cache_dir=cache_dir)
     _check(out, f"dim DR_{n} = (n+1)^(n-1)", lambda: _eq("total", dr.total_dim(), (n + 1) ** (n - 1)))
     _check(out, f"dim DR_{n}^sgn = catalan", lambda: _eq("total", sgn.total_dim(), catalan_number(n)))
     _check(out, "x-axis slice is the graded permutation count",
@@ -168,10 +168,10 @@ def suite_dims(n: int, allow_large=False) -> List[CheckResult]:
     return out
 
 
-def suite_duality(n: int, allow_large=False) -> List[CheckResult]:
+def suite_duality(n: int, allow_large=False, cache_dir=None) -> List[CheckResult]:
     out: List[CheckResult] = []
-    dr = coinvariants(n, allow_large=allow_large)
-    dh = harmonics(n, allow_large=allow_large)
+    dr = coinvariants(n, allow_large=allow_large, cache_dir=cache_dir)
+    dh = harmonics(n, allow_large=allow_large, cache_dir=cache_dir)
     _check(out, "harmonics and coinvariants have identical series",
            lambda: _eq("series", dh.hilbert(), dr.hilbert()))
     dh_sgn = sign_component(dh)
@@ -219,9 +219,9 @@ def _operator_span(n: int, seeds: List[Polynomial], operators) -> Dict[TriDegree
     return spans
 
 
-def suite_operator_theorem(n: int, allow_large=False) -> List[CheckResult]:
+def suite_operator_theorem(n: int, allow_large=False, cache_dir=None) -> List[CheckResult]:
     out: List[CheckResult] = []
-    dh = harmonics(n, allow_large=allow_large)
+    dh = harmonics(n, allow_large=allow_large, cache_dir=cache_dir)
     delta = vandermonde("x", n)
     full_ops = [op_F_star(n, k) for k in range(1, n)] + [op_partial_x(n, i) for i in range(n)]
     sign_ops = [op_F_star(n, k) for k in range(1, n)]
@@ -252,16 +252,16 @@ def suite_operator_theorem(n: int, allow_large=False) -> List[CheckResult]:
             for name, ideal in (("J", J), ("mJ", mJ)):
                 _check(out, f"{spec.label()} preserves {name}",
                        lambda spec=spec, ideal=ideal: (lambda ok_w: None if ok_w[0] else f"witness {render(ok_w[1])}")(check_preserves(spec, ideal)))
-    dr = coinvariants(n, allow_large=allow_large)
+    dr = coinvariants(n, allow_large=allow_large, cache_dir=cache_dir)
     for k in range(1, n):
         _check(out, f"F{k} well defined on the coinvariant quotient",
                lambda k=k: (lambda ok_w: None if ok_w[0] else f"witness {render(ok_w[1])}")(check_preserves(OperatorSpec.F(n, k), dr)))
     return out
 
 
-def suite_cogeneration(n: int, allow_large=False) -> List[CheckResult]:
+def suite_cogeneration(n: int, allow_large=False, cache_dir=None) -> List[CheckResult]:
     out: List[CheckResult] = []
-    hook = hook_component(n, allow_large=allow_large)
+    hook = hook_component(n, allow_large=allow_large, cache_dir=cache_dir)
 
     def all_classes() -> Optional[str]:
         for deg in sorted(hook.blocks):
@@ -289,9 +289,9 @@ def suite_cogeneration(n: int, allow_large=False) -> List[CheckResult]:
     return out
 
 
-def suite_hamiltonian(n: int, allow_large=False) -> List[CheckResult]:
+def suite_hamiltonian(n: int, allow_large=False, cache_dir=None) -> List[CheckResult]:
     out: List[CheckResult] = []
-    hook = hook_component(n, allow_large=allow_large)
+    hook = hook_component(n, allow_large=allow_large, cache_dir=cache_dir)
     fields = [(a, b) for a in range(5) for b in range(5) if 2 <= a + b <= 4]
     for (a, b) in fields:
         for (a2, b2) in fields:
@@ -319,14 +319,15 @@ def suite_hamiltonian(n: int, allow_large=False) -> List[CheckResult]:
     return out
 
 
-def suite_lefschetz(n: int, allow_large=False) -> List[CheckResult]:
+def suite_lefschetz(n: int, allow_large=False, cache_dir=None) -> List[CheckResult]:
     out: List[CheckResult] = []
+    # The sl2 layer reads the hook space from the workspace, where this puts it.
+    hook = hook_component(n, allow_large=allow_large, cache_dir=cache_dir)
     _check(out, "power pairing of opposite weights is bijective",
            lambda: (lambda okw: None if okw[0] else f"slice {okw[1]}")(lefschetz_check(n, allow_large)))
 
     def strings_partition() -> Optional[str]:
         wd = weight_decomposition(n, allow_large)
-        hook = hook_component(n, allow_large=allow_large)
         total = sum(len(st.vectors) for sts in wd.values() for st in sts)
         if total != hook.total_dim():
             return f"strings cover {total} of {hook.total_dim()}"
@@ -336,8 +337,9 @@ def suite_lefschetz(n: int, allow_large=False) -> List[CheckResult]:
     return out
 
 
-def suite_phi(n: int, allow_large=False) -> List[CheckResult]:
+def suite_phi(n: int, allow_large=False, cache_dir=None) -> List[CheckResult]:
     out: List[CheckResult] = []
+    hook_component(n, allow_large=allow_large, cache_dir=cache_dir)  # model() reads it from the workspace
     m = model(n, allow_large)
 
     def involution() -> Optional[str]:
@@ -408,10 +410,10 @@ def suite_phi(n: int, allow_large=False) -> List[CheckResult]:
     return out
 
 
-def suite_vanishing(n: int, allow_large=False) -> List[CheckResult]:
+def suite_vanishing(n: int, allow_large=False, cache_dir=None) -> List[CheckResult]:
     out: List[CheckResult] = []
-    hook = hook_component(n, allow_large=allow_large)
-    dh = harmonics(n, allow_large=allow_large)
+    hook = hook_component(n, allow_large=allow_large, cache_dir=cache_dir)
+    dh = harmonics(n, allow_large=allow_large, cache_dir=cache_dir)
     m = model(n, allow_large)
     for k in range(1, n + 2):
         expect_zero = k >= n
@@ -440,9 +442,9 @@ def suite_vanishing(n: int, allow_large=False) -> List[CheckResult]:
     return out
 
 
-def suite_differentials(n: int, allow_large=False) -> List[CheckResult]:
+def suite_differentials(n: int, allow_large=False, cache_dir=None) -> List[CheckResult]:
     out: List[CheckResult] = []
-    hook = hook_component(n, allow_large=allow_large)
+    hook = hook_component(n, allow_large=allow_large, cache_dir=cache_dir)
     for k in range(1, n):
         for N in range(1, n):
             _check(out, f"[F{k}, d{N}] = 0",
@@ -474,7 +476,7 @@ def suite_differentials(n: int, allow_large=False) -> List[CheckResult]:
     return out
 
 
-def suite_oracle_catalan(n: int, allow_large=False) -> List[CheckResult]:
+def suite_oracle_catalan(n: int, allow_large=False, cache_dir=None) -> List[CheckResult]:
     out: List[CheckResult] = []
     _check(out, "path count matches the closed form",
            lambda: _eq("count", len(enumerate_paths(n)), catalan_number(n)))
@@ -483,16 +485,17 @@ def suite_oracle_catalan(n: int, allow_large=False) -> List[CheckResult]:
            lambda: _eq("series", {(b, a): v for (a, b), v in series.items()}, series))
     _check(out, "oracle specializes to the path count",
            lambda: _eq("total", sum(series.values()), catalan_number(n)))
-    sgn = sign_component(coinvariants(n, allow_large=allow_large))
+    sgn = sign_component(coinvariants(n, allow_large=allow_large, cache_dir=cache_dir))
     _check(out, "oracle equals the sign-component series",
            lambda: _eq("series", render_qt(series), sgn.hilbert().render()))
     return out
 
 
-def suite_figure1(n: int, allow_large=False) -> List[CheckResult]:
+def suite_figure1(n: int, allow_large=False, cache_dir=None) -> List[CheckResult]:
     if n != 3:
         raise ValueError("the figure1 suite is defined for n = 3")
     out: List[CheckResult] = []
+    hook_component(3, cache_dir=cache_dir)  # export_homology reads it from the workspace
     table = export_homology(3)
     points = sorted((g["Q"], g["A"], g["T"]) for g in table["generators"])
     _check(out, "the eleven generators carry the expected gradings",
@@ -544,17 +547,19 @@ _SUITE_FNS = {
 }
 
 
-def run_suite(n: int, suite: str, allow_large: bool = False) -> List[CheckResult]:
+def run_suite(n: int, suite: str, allow_large: bool = False, cache_dir=None) -> List[CheckResult]:
+    """Run one suite or "all"; the `drn`, `dh` and `hook` spaces the suites
+    use are loaded from and saved to `cache_dir` when it is given."""
     if suite == "all":
         out: List[CheckResult] = []
         for name in SUITES:
             if name == "figure1" and n != 3:
                 continue
-            out.extend(run_suite(n, name, allow_large=allow_large))
+            out.extend(run_suite(n, name, allow_large=allow_large, cache_dir=cache_dir))
         return out
     if suite not in _SUITE_FNS:
         raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)} or 'all'")
-    return _SUITE_FNS[suite](n, allow_large=allow_large)
+    return _SUITE_FNS[suite](n, allow_large=allow_large, cache_dir=cache_dir)
 
 
 def report(n: int, suite: str, results: List[CheckResult], timings: bool = False) -> dict:

@@ -40,6 +40,12 @@ def test_an_n5_block_matches_the_oracle():
     _assert_same_block(spaces._build_even_block(5, 4, 2), old._build_even_block(5, 4, 2))
 
 
+@pytest.mark.parametrize("a,b", [(5, 2), (3, 3)])
+def test_more_n5_blocks_match_the_oracle(a, b):
+    # With (4, 2) above, the three blocks of the `drn5-blocks` benchmark workload.
+    _assert_same_block(spaces._build_even_block(5, a, b), old._build_even_block(5, a, b))
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_harmonic_pieces_match_the_oracle(n):
     # Harmonics stop at total degree n(n-1)/2; one more degree checks the empty end.

@@ -107,6 +107,27 @@ class TestVerify:
         warm = run("verify", "--n", "2", "--suite", "dims", "--cache-dir", str(tmp_path), check=True)
         assert cold.stdout == warm.stdout
 
+    def test_warm_verify_reads_the_cache(self, tmp_path, monkeypatch, capsys):
+        from harmonica import spaces
+
+        argv = ["verify", "--n", "3", "--suite", "all", "--cache-dir", str(tmp_path)]
+        spaces.clear_registry()
+        try:
+            assert main(argv) == 0
+            cold = capsys.readouterr().out
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["dh-n3.json", "drn-n3.json", "hook-n3.json"]
+
+            def refuse(*args, **kwargs):
+                raise AssertionError("a harmonic piece was built")
+
+            spaces.clear_registry()
+            monkeypatch.setattr(spaces, "_build_harmonic_piece", refuse)
+            assert main(argv) == 0
+            warm = capsys.readouterr().out
+        finally:
+            spaces.clear_registry()
+        assert warm == cold
+
     def test_timings_flag_changes_bytes_only_in_wall_fields(self):
         plain = json.loads(run("verify", "--n", "2", "--suite", "dims", check=True).stdout)
         timed = json.loads(run("verify", "--n", "2", "--suite", "dims", "--timings", check=True).stdout)

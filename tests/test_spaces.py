@@ -3,6 +3,7 @@ from itertools import permutations
 
 import pytest
 
+from harmonica import spaces
 from harmonica.linalg import RrefAccumulator, rref
 from harmonica.spaces import (
     ResourceCapExceeded,
@@ -117,6 +118,56 @@ class TestCoinvariants:
                     acc.insert(block.class_of_vec(poly_to_vec(image, deg)))
                 expected = 1 if deg == (0, 0, 0) else 0
                 assert acc.rank == expected
+
+
+class TestBlockBuild:
+    """What the coinvariant and harmonic builds hand to the kernel, and where
+    their scans stop."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("name,build", [("_build_even_block", coinvariants),
+                                            ("_build_harmonic_piece", harmonics)])
+    def test_scan_stops_at_the_first_empty_degree(self, n, name, build, monkeypatch):
+        built = []
+        original = getattr(spaces, name)
+
+        def counted(n, a, b):
+            built.append(a + b)
+            return original(n, a, b)
+
+        spaces.clear_registry()
+        monkeypatch.setattr(spaces, name, counted)
+        try:
+            space = build(n)
+        finally:
+            spaces.clear_registry()
+        top = n * (n - 1) // 2
+        assert max(d.dx + d.dy for d in space.support()) == top
+        # Every bidegree up to the first empty total degree, top + 1, and none past it.
+        assert sorted(built) == [d for d in range(top + 2) for _ in range(d + 1)]
+
+    def test_block_rows_are_rep_products_inserted_sparsest_first(self, monkeypatch):
+        n, a, b = 5, 4, 3
+        spaces.clear_registry()
+        fam = spaces._workspace(n).family
+        fam.ensure(max(a, b))  # the single-family rows are not the block's
+        bound = sum(len(fam.deg(a - c).reps) * len(fam.deg(b - d).reps)
+                    for (c, d) in spaces._mixed_generators(n) if c <= a and d <= b)
+        inserted = []
+        insert = spaces.RrefAccumulator.insert
+
+        def recording_insert(self, vec, tag=None):
+            inserted.append(vec)
+            return insert(self, vec, tag)
+
+        monkeypatch.setattr(spaces.RrefAccumulator, "insert", recording_insert)
+        try:
+            assert spaces._build_even_block(n, a, b).dim == 34
+        finally:
+            spaces.clear_registry()
+        assert 0 < len(inserted) <= bound
+        keys = [(len(vec), min(vec)) for vec in inserted]
+        assert keys == sorted(keys)
 
 
 class TestHarmonics:

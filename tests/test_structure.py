@@ -44,6 +44,29 @@ class TestLefschetz:
         assert om.target == TriDegree(3, 0, 0)
         assert not om.is_zero()
 
+    def test_each_power_is_one_step_after_the_last(self, monkeypatch):
+        from harmonica import spaces, structure
+
+        spaces.clear_registry()
+        m = model(3)
+        src = TriDegree(0, 3, 0)
+        composed = []
+        compose = structure.compose
+
+        def counted(outer, inner):
+            composed.append(inner.target)
+            return compose(outer, inner)
+
+        monkeypatch.setattr(structure, "compose", counted)
+        third = m.power(src, 3)
+        assert composed == [src, TriDegree(1, 2, 0), TriDegree(2, 1, 0)]
+        assert m.power(src, 3) is third
+        m.power(src, 4)
+        assert len(composed) == 4
+        steps = [m.step(d).matrix for d in composed[:3]]
+        assert third.matrix == steps[2].matmul(steps[1]).matmul(steps[0])
+        spaces.clear_registry()
+
     def test_weight_zero_singlet_is_killed(self):
         m = model(2)
         om = m.step(TriDegree(0, 0, 1))
