@@ -123,9 +123,8 @@ def cmd_export(args) -> int:
             dictionary = GradingDictionary.from_mapping(data)
         except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
             raise SystemExit(f"harmonica: cannot load dictionary {args.dict}: {exc}")
-    # Load or build the hook space through the cache; export_homology reads it from the workspace.
-    hook_component(args.n, allow_large=args.allow_large, cache_dir=_cache_dir(args))
-    table = export_homology(args.n, dictionary, allow_large=args.allow_large)
+    hook = hook_component(args.n, allow_large=args.allow_large, cache_dir=_cache_dir(args))
+    table = export_homology(hook, dictionary)
     if args.format == "json":
         _emit(json.dumps(table, indent=2, sort_keys=True) + "\n", args.out)
         return 0

@@ -1025,6 +1025,15 @@ class _IdealTower:
                     out.append(shifted)
         return out
 
+    def omega_rows(self, deg: TriDegree) -> List[Vec]:
+        """(th_1 + .. + th_n) ^ J in degree deg: the wedge of each J row of
+        the odd degree below."""
+        if deg.da == 0:
+            return []
+        lower = TriDegree(deg.dx, deg.dy, deg.da - 1)
+        src = self.J.get(lower)
+        return [_wedge_omega0_vec(self.n, lower, row) for row in src.row_vectors()] if src else []
+
     def degrees(self, max_total: int) -> List[TriDegree]:
         """Built degrees of total degree <= max_total, in build order."""
         return [d for d in self.J if d.dx + d.dy <= max_total]
@@ -1080,18 +1089,9 @@ def antisymmetric_ideal(n: int, flavor: str, max_total: Optional[int] = None) ->
                 pieces[deg] = accs[deg].row_vectors()
         return GradedSubspace(n, flavor, pieces, degree_cap=max_total)
     for deg in tower.degrees(max_total):
-        accj = tower.J[deg]
-        if deg.da == 0:
-            omega_rows: List[Vec] = []
-        else:
-            lower = TriDegree(deg.dx, deg.dy, deg.da - 1)
-            src = tower.J.get(lower)
-            omega_rows = (
-                [_wedge_omega0_vec(n, lower, row) for row in src.row_vectors()] if src else []
-            )
-        acc = _span(omega_rows)
+        acc = _span(tower.omega_rows(deg))
         vecs: List[Vec] = []
-        source = accj if flavor == "Jbar" else tower.mJ[deg]
+        source = tower.J[deg] if flavor == "Jbar" else tower.mJ[deg]
         for row in source.row_vectors():
             residual = acc.reduce(row)
             if residual:
@@ -1117,15 +1117,7 @@ def ideal_quotient_series(n: int, reduced: bool, max_total: Optional[int] = None
                 if d:
                     dims[deg] = d
             continue
-        acc = RrefAccumulator()
-        if deg.da:
-            lower = TriDegree(deg.dx, deg.dy, deg.da - 1)
-            src = tower.J.get(lower)
-            if src:
-                for row in src.row_vectors():
-                    acc.insert(_wedge_omega0_vec(n, lower, row))
-        for row in tower.mJ[deg].row_vectors():
-            acc.insert(row)
+        acc = _span(tower.omega_rows(deg) + tower.mJ[deg].row_vectors())
         d = accj.rank - acc.rank
         if d:
             dims[deg] = d

@@ -8,6 +8,10 @@ involution and the lowering operator by explicit coefficients on string
 vectors, and produces conjugated duals of the whole family.  The export maps
 the internal (dx, dy, da) grading to (Q, A, T) coordinates through an affine
 dictionary fitted exactly to the target grading conventions.
+
+Every function here works on the hook space it is handed and builds no
+space itself: the size cap and the on-disk cache apply where that space is
+built, by `hook_component`.
 """
 
 from __future__ import annotations
@@ -17,10 +21,10 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .linalg import RrefAccumulator, SparseMatrix, Vec, span_solver, vec_add_scaled
-from .operators import OperatorMatrix, OperatorSpec, compose, matrix_of
-from .spaces import QuotientSpace, hook_component
-from .superpoly import Polynomial, TriDegree, vandermonde
+from .linalg import RrefAccumulator, SparseMatrix, Vec, kernel_basis, rref, span_solver, vec_add_scaled
+from .operators import OperatorMatrix, OperatorSpec, compose, matrix_json, matrix_of
+from .spaces import QuotientSpace
+from .superpoly import Polynomial, TriDegree, render, vandermonde
 
 
 class CogenerationFailure(Exception):
@@ -88,8 +92,6 @@ class SL2Model:
                 if sdim == 0 and tdim == 0:
                     continue
                 mat = self.power(src, j)
-                from .linalg import rref
-
                 _, _, rank = rref(mat.matrix)
                 if not (sdim == tdim and rank == sdim):
                     return False, (da, total, j)
@@ -104,8 +106,6 @@ class SL2Model:
         ok, witness = self.lefschetz_check()
         if not ok:
             raise LefschetzFailure(f"bijectivity fails on slice {witness}")
-        from .linalg import kernel_basis
-
         out: List[SL2String] = []
         coverage: Dict[TriDegree, RrefAccumulator] = {}
         for (da, total) in self.slices():
@@ -193,42 +193,25 @@ class SL2Model:
     def phi_block(self, deg) -> SparseMatrix:
         """Matrix of the involution from the piece at deg to its mirror."""
         deg = TriDegree(*deg)
-        return self.space.memoised(("phi", deg), lambda: self._phi_block(deg))
-
-    def _phi_block(self, deg: TriDegree) -> SparseMatrix:
         mirror = TriDegree(deg.dy, deg.dx, deg.da)
-        basis_src, tags_src = self._string_basis(deg)
-        basis_tgt, tags_tgt = self._string_basis(mirror)
-        partners = dict(zip(tags_tgt, basis_tgt.column_list()))
-        solver = span_solver(basis_src)
-        dim = self.space.dim(deg)
-        data = {}
-        for p in range(dim):
-            coeffs = solver.solve({p: Fraction(1)})
-            if coeffs is None:
-                raise LefschetzFailure(f"string vectors do not span block {deg}")
-            out: Vec = {}
-            for c, z in coeffs.items():
-                idx, s = tags_src[c]
-                st = self.strings()[idx]
-                coeff = self.phi_coefficient(st.j, s)
-                vec_add_scaled(out, z * coeff, partners[(idx, st.j - s)])
-            for r, v in out.items():
-                data[(r, p)] = v
-        return SparseMatrix(self.space.dim(mirror), dim, data)
+        return self.space.memoised(("phi", deg), lambda: self._string_map(
+            deg, mirror, lambda j, s: (j - s, self.phi_coefficient(j, s))))
 
     def e1_block(self, deg) -> OperatorMatrix:
         """Matrix of the lowering operator on one piece (shift (-1, +1, 0))."""
         deg = TriDegree(*deg)
-        return self.space.memoised(("e1", deg), lambda: self._e1_block(deg))
-
-    def _e1_block(self, deg: TriDegree) -> OperatorMatrix:
         target = TriDegree(deg.dx - 1, deg.dy + 1, deg.da)
+        return self.space.memoised(("e1", deg), lambda: OperatorMatrix(deg, target, self._string_map(
+            deg, target, lambda j, s: (s - 1, Fraction(s * (j - s + 1))))))
+
+    def _string_map(self, deg: TriDegree, target: TriDegree, partner) -> SparseMatrix:
+        """Matrix from the piece at deg to the piece at target sending the
+        string vector (string, s) of a length-j string to coeff times its
+        vector s', where partner(j, s) = (s', coeff); coeff 0 sends it to 0."""
         basis_src, tags_src = self._string_basis(deg)
-        tdim = self.space.dim(target) if min(target) >= 0 else 0
-        if tdim:
-            basis_tgt, tags_tgt = self._string_basis(target)
-            partners = dict(zip(tags_tgt, basis_tgt.column_list()))
+        basis_tgt, tags_tgt = self._string_basis(target)
+        partners = dict(zip(tags_tgt, basis_tgt.column_list()))
+        strings = self.strings()
         solver = span_solver(basis_src)
         dim = self.space.dim(deg)
         data = {}
@@ -239,14 +222,12 @@ class SL2Model:
             out: Vec = {}
             for c, z in coeffs.items():
                 idx, s = tags_src[c]
-                st = self.strings()[idx]
-                if s == 0:
-                    continue
-                coeff = Fraction(s * (st.j - s + 1))
-                vec_add_scaled(out, z * coeff, partners[(idx, s - 1)])
+                s2, coeff = partner(strings[idx].j, s)
+                if coeff:
+                    vec_add_scaled(out, z * coeff, partners[(idx, s2)])
             for r, v in out.items():
                 data[(r, p)] = v
-        return OperatorMatrix(deg, target, SparseMatrix(tdim, dim, data))
+        return SparseMatrix(self.space.dim(target), dim, data)
 
     def conjugated_family(self, k: int) -> Dict[TriDegree, OperatorMatrix]:
         """Matrices of (involution) (F_k) (involution) on every piece."""
@@ -268,23 +249,9 @@ class SL2Model:
         return out
 
 
-def model(n: int, allow_large: bool = False) -> SL2Model:
-    """The sl2 model of the hook space, built once per space."""
-    space = hook_component(n, allow_large=allow_large)
+def model(space: QuotientSpace) -> SL2Model:
+    """The sl2 model of a hook space, built once per space."""
     return space.memoised(("sl2",), lambda: SL2Model(space))
-
-
-def lefschetz_check(n: int, allow_large: bool = False):
-    return model(n, allow_large).lefschetz_check()
-
-
-def weight_decomposition(n: int, allow_large: bool = False):
-    return model(n, allow_large).weight_decomposition()
-
-
-def phi_matrix(n: int, allow_large: bool = False) -> Dict[TriDegree, SparseMatrix]:
-    m = model(n, allow_large)
-    return {deg: m.phi_block(deg) for deg in sorted(m.space.blocks)}
 
 
 class DualComparison(NamedTuple):
@@ -301,7 +268,7 @@ class DualComparison(NamedTuple):
     mixed: Tuple[Tuple[int, TriDegree], ...]
 
 
-def e_operators(n: int, allow_large: bool = False):
+def e_operators(space: QuotientSpace):
     """Lowering-operator matrices and the conjugated duals of the family.
 
     Returns (e1, duals, comparison): e1 maps each piece via the string
@@ -310,9 +277,8 @@ def e_operators(n: int, allow_large: bool = False):
     operators and flags mixed pieces.  Rank or vanishing disagreement
     falsifies the model and raises.
     """
-    from .linalg import rref
-
-    m = model(n, allow_large)
+    n = space.n
+    m = model(space)
     e1 = {deg: m.e1_block(deg) for deg in sorted(m.space.blocks)}
     duals: Dict[int, Dict[TriDegree, OperatorMatrix]] = {}
     scalars: Dict[int, Dict[TriDegree, Optional[Fraction]]] = {}
@@ -367,7 +333,7 @@ class Certificate(NamedTuple):
         return "*".join(parts) if parts else "1"
 
 
-def cogeneration_search(n: int, f, deg=None, allow_large: bool = False) -> Certificate:
+def cogeneration_search(space: QuotientSpace, f, deg=None) -> Certificate:
     """Find a word in F_1..F_{n-1} and d_1..d_{n-1} carrying f onto the top
     antisymmetric class, with nonzero scalar.
 
@@ -377,7 +343,7 @@ def cogeneration_search(n: int, f, deg=None, allow_large: bool = False) -> Certi
     and their total weight, so the search space is finite and exhaustively
     enumerated; exhaustion without a hit raises CogenerationFailure.
     """
-    space = hook_component(n, allow_large=allow_large)
+    n = space.n
     if isinstance(f, Polynomial):
         fdeg = f.tridegree()
         if fdeg is None:
@@ -494,8 +460,6 @@ def fit_dictionary(points: List[Tuple[Tuple[int, int, int], Tuple[int, int, int]
             ],
             cols + 1,
         )
-        from .linalg import rref
-
         red, pivots, rank = rref(mat)
         if cols in pivots:
             raise ValueError("inconsistent grading data: no exact affine fit")
@@ -528,18 +492,12 @@ def fit_dictionary(points: List[Tuple[Tuple[int, int, int], Tuple[int, int, int]
     return fitted, residual
 
 
-def export_homology(
-    n: int, dictionary: Optional[GradingDictionary] = None, allow_large: bool = False
-) -> dict:
-    """The model as a table: generators with (Q, A, T) plus operator matrices.
+def export_homology(space: QuotientSpace, dictionary: Optional[GradingDictionary] = None) -> dict:
+    """The hook space as a table: generators with (Q, A, T) plus operator matrices.
 
     The dictionary must be integral and injective on the support.
     """
-    from .operators import matrix_json
-
-    from .superpoly import render
-
-    space = hook_component(n, allow_large=allow_large)
+    n = space.n
     dictionary = dictionary or GradingDictionary.default_for(n)
     generators = []
     mapped: Dict[Tuple[int, int, int], TriDegree] = {}

@@ -16,7 +16,7 @@ from typing import Callable, Dict, List, Optional
 
 from . import __version__
 from .dyck import catalan_number, catalan_qt, enumerate_paths, render_qt
-from .linalg import RrefAccumulator
+from .linalg import RrefAccumulator, SparseMatrix
 from .operators import (
     OperatorSpec,
     WellDefinednessError,
@@ -46,9 +46,7 @@ from .structure import (
     e_operators,
     export_homology,
     fit_dictionary,
-    lefschetz_check,
     model,
-    weight_decomposition,
 )
 from .superpoly import (
     Polynomial,
@@ -267,7 +265,7 @@ def suite_cogeneration(n: int, allow_large=False, cache_dir=None) -> List[CheckR
         for deg in sorted(hook.blocks):
             block = hook.blocks[deg]
             for pos in range(block.dim):
-                cert = cogeneration_search(n, {pos: Fraction(1)}, deg=deg, allow_large=allow_large)
+                cert = cogeneration_search(hook, {pos: Fraction(1)}, deg=deg)
                 if cert.scalar == 0:
                     return f"zero scalar at {deg}"
         return None
@@ -321,13 +319,13 @@ def suite_hamiltonian(n: int, allow_large=False, cache_dir=None) -> List[CheckRe
 
 def suite_lefschetz(n: int, allow_large=False, cache_dir=None) -> List[CheckResult]:
     out: List[CheckResult] = []
-    # The sl2 layer reads the hook space from the workspace, where this puts it.
     hook = hook_component(n, allow_large=allow_large, cache_dir=cache_dir)
+    m = model(hook)
     _check(out, "power pairing of opposite weights is bijective",
-           lambda: (lambda okw: None if okw[0] else f"slice {okw[1]}")(lefschetz_check(n, allow_large)))
+           lambda: (lambda okw: None if okw[0] else f"slice {okw[1]}")(m.lefschetz_check()))
 
     def strings_partition() -> Optional[str]:
-        wd = weight_decomposition(n, allow_large)
+        wd = m.weight_decomposition()
         total = sum(len(st.vectors) for sts in wd.values() for st in sts)
         if total != hook.total_dim():
             return f"strings cover {total} of {hook.total_dim()}"
@@ -339,8 +337,7 @@ def suite_lefschetz(n: int, allow_large=False, cache_dir=None) -> List[CheckResu
 
 def suite_phi(n: int, allow_large=False, cache_dir=None) -> List[CheckResult]:
     out: List[CheckResult] = []
-    hook_component(n, allow_large=allow_large, cache_dir=cache_dir)  # model() reads it from the workspace
-    m = model(n, allow_large)
+    m = model(hook_component(n, allow_large=allow_large, cache_dir=cache_dir))
 
     def involution() -> Optional[str]:
         for deg in sorted(m.space.blocks):
@@ -371,8 +368,6 @@ def suite_phi(n: int, allow_large=False, cache_dir=None) -> List[CheckResult]:
     _check(out, "involution swaps the two antisymmetric generators", delta_swap)
 
     def sl2_relations() -> Optional[str]:
-        from .linalg import SparseMatrix
-
         f1 = OperatorSpec.F(n, 1)
         for deg in sorted(m.space.blocks):
             w = deg.dx - deg.dy
@@ -391,7 +386,7 @@ def suite_phi(n: int, allow_large=False, cache_dir=None) -> List[CheckResult]:
 
     def dual_scalars() -> Optional[str]:
         try:
-            _, duals, comparison = e_operators(n, allow_large)
+            _, duals, comparison = e_operators(m.space)
         except LefschetzFailure as exc:
             return str(exc)
         for k, table in comparison.scalars.items():
@@ -414,7 +409,7 @@ def suite_vanishing(n: int, allow_large=False, cache_dir=None) -> List[CheckResu
     out: List[CheckResult] = []
     hook = hook_component(n, allow_large=allow_large, cache_dir=cache_dir)
     dh = harmonics(n, allow_large=allow_large, cache_dir=cache_dir)
-    m = model(n, allow_large)
+    m = model(hook)
     for k in range(1, n + 2):
         expect_zero = k >= n
         _check(out, f"F{k} {'=' if expect_zero else '!='} 0 on the hook model",
@@ -495,8 +490,7 @@ def suite_figure1(n: int, allow_large=False, cache_dir=None) -> List[CheckResult
     if n != 3:
         raise ValueError("the figure1 suite is defined for n = 3")
     out: List[CheckResult] = []
-    hook_component(3, cache_dir=cache_dir)  # export_homology reads it from the workspace
-    table = export_homology(3)
+    table = export_homology(hook_component(3, cache_dir=cache_dir))
     points = sorted((g["Q"], g["A"], g["T"]) for g in table["generators"])
     _check(out, "the eleven generators carry the expected gradings",
            lambda: _eq("points", points, FIGURE1_POINTS))

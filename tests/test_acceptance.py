@@ -104,7 +104,7 @@ def test_criterion_08_cogeneration_certificates():
             hook = hook_component(n)
             for deg in sorted(hook.blocks):
                 for pos in range(hook.blocks[deg].dim):
-                    cert = cogeneration_search(n, {pos: Fraction(1)}, deg=deg)
+                    cert = cogeneration_search(hook, {pos: Fraction(1)}, deg=deg)
                     assert cert.scalar != 0
         suite_all_pass(verify.suite_cogeneration(2))
         suite_all_pass(verify.suite_cogeneration(3))

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import harmonica
-from harmonica import spaces
+from harmonica import spaces, verify
 from harmonica.operators import OperatorSpec, matrix_of
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -56,6 +56,24 @@ def test_traced_builds_reach_the_even_block_function():
     assert metrics["spaces.even_block.calls"] > 0
     assert metrics["spaces.even_block.calls"] == metrics["spaces.even_block.distinct"]
     assert metrics["operators.check_preserves.calls"] == 1
+
+
+def test_traced_suites_reach_the_sl2_layer():
+    # The sl2 functions take the hook space; a suite that stopped calling
+    # them through the wrapped names would zero the `structure.*.s` metrics.
+    for mod in pkgutil.iter_modules(harmonica.__path__):
+        importlib.import_module(f"harmonica.{mod.name}")
+    spaces.clear_registry()
+    rec = tracing.Recorder()
+    try:
+        with tracing.wrapped(rec) as missing:
+            for suite in ("cogeneration", "phi", "figure1"):
+                verify.run_suite(3, suite)
+    finally:
+        spaces.clear_registry()
+    assert missing == []
+    sl2 = {"structure.model", "structure.cogeneration_search", "structure.export_homology"}
+    assert sl2.isdisjoint(tracing.uncalled(rec))
 
 
 def test_sign_builds_never_sum_over_the_group():

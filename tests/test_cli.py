@@ -198,33 +198,28 @@ class TestAllowLargeReachesEveryLayer:
         for name in ("_build_even_block", "_build_hook_block", "_build_harmonic_piece"):
             monkeypatch.setattr(spaces, name, refuse)
 
-    def test_structure_functions_take_the_flag(self):
+    def test_sl2_layer_runs_on_the_seeded_space(self):
         from harmonica import structure
-        from harmonica.spaces import ResourceCapExceeded
+        from harmonica.spaces import ResourceCapExceeded, hook_component
 
         with pytest.raises(ResourceCapExceeded):
-            structure.model(5)
-        assert structure.model(5, allow_large=True).space.total_dim() == 0
-        assert structure.export_homology(5, allow_large=True)["generators"] == []
-        assert structure.lefschetz_check(5, allow_large=True) == (True, None)
+            hook_component(5)
+        hook = hook_component(5, allow_large=True)
+        assert hook.total_dim() == 0
+        assert structure.model(hook).space is hook
+        assert structure.export_homology(hook)["generators"] == []
+        assert structure.model(hook).lefschetz_check() == (True, None)
         with pytest.raises(ValueError, match="zero class"):
-            structure.cogeneration_search(5, {}, deg=(0, 0, 0), allow_large=True)
+            structure.cogeneration_search(hook, {}, deg=(0, 0, 0))
 
     def test_cap_is_checked_before_the_workspace_is_read(self):
-        from harmonica import spaces, structure
+        from harmonica import spaces
         from harmonica.spaces import ResourceCapExceeded
 
         spaces._WORKSPACES[5].spaces["drn"] = spaces.QuotientSpace(5, "drn", {})
-        assert structure.model(5, allow_large=True).space.total_dim() == 0
+        assert spaces.hook_component(5, allow_large=True).total_dim() == 0
         assert spaces.coinvariants(5, allow_large=True).total_dim() == 0
         entries = [
-            lambda: structure.model(5),
-            lambda: structure.lefschetz_check(5),
-            lambda: structure.weight_decomposition(5),
-            lambda: structure.phi_matrix(5),
-            lambda: structure.e_operators(5),
-            lambda: structure.export_homology(5),
-            lambda: structure.cogeneration_search(5, {0: 1}, deg=(0, 0, 0)),
             lambda: spaces.hook_component(5),
             lambda: spaces.harmonics(5),
             lambda: spaces.coinvariants(5),

@@ -2,18 +2,17 @@ from fractions import Fraction
 
 import pytest
 
+from harmonica import cache, spaces
 from harmonica.linalg import SparseMatrix, rref
 from harmonica.operators import OperatorSpec, matrix_of
-from harmonica.spaces import hook_component
+from harmonica.spaces import clear_registry, hook_component
 from harmonica.structure import (
     GradingDictionary,
     cogeneration_search,
     e_operators,
     export_homology,
     fit_dictionary,
-    lefschetz_check,
     model,
-    weight_decomposition,
 )
 from harmonica.superpoly import TriDegree, vandermonde
 
@@ -29,17 +28,17 @@ FIGURE_POINTS = sorted(
 class TestLefschetz:
     @pytest.mark.parametrize("n", [2, 3])
     def test_bijective_pairing(self, n):
-        ok, witness = lefschetz_check(n)
+        ok, witness = model(hook_component(n)).lefschetz_check()
         assert ok and witness is None
 
     def test_single_step_on_the_middle_blocks(self):
-        m = model(3)
+        m = model(hook_component(3))
         om = m.step(TriDegree(1, 2, 0))
         _, _, rank = rref(om.matrix)
         assert rank == 1 == m.space.dim((1, 2, 0)) == m.space.dim((2, 1, 0))
 
     def test_triple_step_spans_the_extremes(self):
-        m = model(3)
+        m = model(hook_component(3))
         om = m.power(TriDegree(0, 3, 0), 3)
         assert om.target == TriDegree(3, 0, 0)
         assert not om.is_zero()
@@ -48,7 +47,7 @@ class TestLefschetz:
         from harmonica import spaces, structure
 
         spaces.clear_registry()
-        m = model(3)
+        m = model(hook_component(3))
         src = TriDegree(0, 3, 0)
         composed = []
         compose = structure.compose
@@ -68,33 +67,33 @@ class TestLefschetz:
         spaces.clear_registry()
 
     def test_weight_zero_singlet_is_killed(self):
-        m = model(2)
+        m = model(hook_component(2))
         om = m.step(TriDegree(0, 0, 1))
         assert om.matrix.rows == 0  # no (1, -1, 1) piece
 
 
 class TestWeightDecomposition:
     def test_n3_even_slices(self):
-        wd = weight_decomposition(3)
+        wd = model(hook_component(3)).weight_decomposition()
         assert sorted(st.j for st in wd[(0, 3)]) == [3]
         assert sorted(st.j for st in wd[(0, 2)]) == [0]
 
     def test_n2_strings(self):
-        wd = weight_decomposition(2)
+        wd = model(hook_component(2)).weight_decomposition()
         assert sorted(st.j for st in wd[(0, 1)]) == [1]
         assert sorted(st.j for st in wd[(1, 0)]) == [0]
 
     def test_strings_partition_dimensions(self):
         for n in (2, 3):
-            wd = weight_decomposition(n)
             hook = hook_component(n)
+            wd = model(hook).weight_decomposition()
             assert sum(len(st.vectors) for sts in wd.values() for st in sts) == hook.total_dim()
 
 
 class TestInvolution:
     @pytest.mark.parametrize("n", [2, 3])
     def test_squares_to_identity(self, n):
-        m = model(n)
+        m = model(hook_component(n))
         for deg in sorted(m.space.blocks):
             p1 = m.phi_block(deg)
             mirror = TriDegree(deg.dy, deg.dx, deg.da)
@@ -103,7 +102,7 @@ class TestInvolution:
             assert prod == SparseMatrix(dim, dim, {(i, i): Fraction(1) for i in range(dim)})
 
     def test_swaps_the_antisymmetric_generators(self):
-        m = model(3)
+        m = model(hook_component(3))
         src = TriDegree(0, 3, 0)
         coords = m.space.block(src).class_coords(vandermonde("y", 3))
         image = m.phi_block(src).mul_vec(coords)
@@ -113,19 +112,19 @@ class TestInvolution:
         assert p1 == p2 and v1 / v2 != 0
 
     def test_fixes_singlets(self):
-        m = model(3)
+        m = model(hook_component(3))
         deg = TriDegree(1, 1, 0)
         assert m.phi_block(deg) == SparseMatrix(1, 1, {(0, 0): Fraction(1)})
 
 
 class TestLoweringOperator:
     def test_kills_the_bottom_class(self):
-        m = model(3)
+        m = model(hook_component(3))
         deg = TriDegree(0, 3, 0)
         assert m.e1_block(deg).matrix.is_zero()
 
     def test_sl2_commutation(self):
-        m = model(3)
+        m = model(hook_component(3))
         F1 = OperatorSpec.F(3, 1)
         for deg in sorted(m.space.blocks):
             w = deg.dx - deg.dy
@@ -138,7 +137,7 @@ class TestLoweringOperator:
             assert h == SparseMatrix(dim, dim, {(i, i): Fraction(w) for i in range(dim)} if w else {})
 
     def test_conjugated_top_operator_vanishes(self):
-        _, duals, comparison = e_operators(3)
+        _, duals, comparison = e_operators(hook_component(3))
         assert all(om.matrix.is_zero() for om in duals[3].values())
         for k in (1, 2):
             assert any(not om.matrix.is_zero() for om in duals[k].values())
@@ -147,25 +146,25 @@ class TestLoweringOperator:
                 assert lam is None or lam != 0
 
     def test_n3_has_no_mixed_pieces(self):
-        _, _, comparison = e_operators(3)
+        _, _, comparison = e_operators(hook_component(3))
         assert comparison.mixed == ()
 
 
 class TestCogeneration:
     def test_identity_certificate_for_the_top_class(self):
-        cert = cogeneration_search(3, vandermonde("x", 3))
+        cert = cogeneration_search(hook_component(3), vandermonde("x", 3))
         assert cert.f_word == () and cert.d_word == () and cert.scalar == 1
         assert cert.render() == "1"
 
     def test_f2_reaches_from_the_middle_singlet(self):
         hook = hook_component(3)
         deg = TriDegree(1, 1, 0)
-        cert = cogeneration_search(3, {0: Fraction(1)}, deg=deg)
+        cert = cogeneration_search(hook, {0: Fraction(1)}, deg=deg)
         assert cert.f_word == (2,) and cert.d_word == () and cert.scalar != 0
 
     def test_top_odd_class_uses_two_contractions(self):
         deg = TriDegree(0, 0, 2)
-        cert = cogeneration_search(3, {0: Fraction(1)}, deg=deg)
+        cert = cogeneration_search(hook_component(3), {0: Fraction(1)}, deg=deg)
         assert sorted(cert.d_word) == [1, 2] and cert.f_word == ()
         assert cert.scalar != 0
 
@@ -174,17 +173,17 @@ class TestCogeneration:
             hook = hook_component(n)
             for deg in sorted(hook.blocks):
                 for pos in range(hook.blocks[deg].dim):
-                    cert = cogeneration_search(n, {pos: Fraction(1)}, deg=deg)
+                    cert = cogeneration_search(hook, {pos: Fraction(1)}, deg=deg)
                     assert cert.scalar != 0
 
     def test_zero_class_rejected(self):
         with pytest.raises(ValueError):
-            cogeneration_search(3, {}, deg=(1, 1, 0))
+            cogeneration_search(hook_component(3), {}, deg=(1, 1, 0))
 
 
 class TestExport:
     def test_n3_generator_table(self):
-        table = export_homology(3)
+        table = export_homology(hook_component(3))
         points = sorted((g["Q"], g["A"], g["T"]) for g in table["generators"])
         assert points == FIGURE_POINTS
         bottom = [g for g in table["generators"] if g["A"] == 0]
@@ -193,7 +192,7 @@ class TestExport:
         ]
 
     def test_n2_generator_table(self):
-        table = export_homology(2)
+        table = export_homology(hook_component(2))
         points = sorted((g["Q"], g["A"], g["T"]) for g in table["generators"])
         assert points == [(-2, 0, 0), (0, 2, 3), (2, 0, 2)]
 
@@ -203,8 +202,8 @@ class TestExport:
             t1=Fraction(-1), t2=Fraction(2), t0=Fraction(0),
             a1=Fraction(1), a0=Fraction(7),
         )
-        base = export_homology(2)
-        remapped = export_homology(2, custom)
+        base = export_homology(hook_component(2))
+        remapped = export_homology(hook_component(2), custom)
         assert len(base["generators"]) == len(remapped["generators"])
         degs = sorted(tuple(g["degree"]) for g in base["generators"])
         assert degs == sorted(tuple(g["degree"]) for g in remapped["generators"])
@@ -216,10 +215,10 @@ class TestExport:
             a1=Fraction(2), a0=Fraction(0),
         )
         with pytest.raises(ValueError):
-            export_homology(3, halves)
+            export_homology(hook_component(3), halves)
 
     def test_fit_has_zero_residual_and_matches_default(self):
-        table = export_homology(3)
+        table = export_homology(hook_component(3))
         by_point = {(g["Q"], g["A"], g["T"]): tuple(g["degree"]) for g in table["generators"]}
         pts = [(by_point[p], p) for p in FIGURE_POINTS]
         fitted, residual = fit_dictionary(pts)
@@ -231,3 +230,23 @@ class TestExport:
                ((0, 1, 0), (-2, 0, 0)), ((2, 0, 0), (5, 0, 0))]
         with pytest.raises(ValueError):
             fit_dictionary(pts)
+
+
+def test_sl2_layer_reads_only_the_space_it_is_given(tmp_path, monkeypatch):
+    clear_registry()
+    table = export_homology(hook_component(3, cache_dir=tmp_path))
+    clear_registry()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a hook block build started")
+
+    monkeypatch.setattr(spaces, "_build_hook_block", refuse)
+    try:
+        space = cache.load_quotient(tmp_path, "hook", 3)
+        assert export_homology(space) == table
+        assert model(space).lefschetz_check() == (True, None)
+        cert = cogeneration_search(space, vandermonde("x", 3))
+        assert cert.f_word == () and cert.d_word == () and cert.scalar == 1
+        assert "hook" not in spaces._workspace(3).spaces
+    finally:
+        clear_registry()

@@ -95,7 +95,7 @@ def test_lower_cap_is_served_from_the_built_tower(fresh, monkeypatch):
 def test_clear_registry_leaves_nothing_behind(fresh):
     hook = hook_component(2)
     dr = coinvariants(2)
-    sl2 = structure.model(2)
+    sl2 = structure.model(hook)
     antisymmetric_ideal(2, "J")
     matrix_of(OperatorSpec.F(2, 1), hook, (0, 1, 0))
     clear_registry()
@@ -103,4 +103,4 @@ def test_clear_registry_leaves_nothing_behind(fresh):
     assert spaces.ambient_basis.cache_info().currsize == 0
     assert hook_component(2) is not hook
     assert coinvariants(2) is not dr
-    assert structure.model(2) is not sl2
+    assert structure.model(hook_component(2)) is not sl2
