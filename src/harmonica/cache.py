@@ -38,16 +38,6 @@ def _header(kind: str, n: int) -> dict:
     }
 
 
-def _header_matches(payload: dict, kind: str, n: int) -> bool:
-    return (
-        isinstance(payload, dict)
-        and payload.get("format") == FORMAT_VERSION
-        and payload.get("order") == MONOMIAL_ORDER_ID
-        and payload.get("kind") == kind
-        and payload.get("n") == n
-    )
-
-
 def _atomic_write(path: Path, payload: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -98,7 +88,9 @@ def save_quotient(cache_dir, space: QuotientSpace) -> Path:
     return path
 
 
-def load_quotient(cache_dir, kind: str, n: int) -> Optional[QuotientSpace]:
+def _read(cache_dir, kind: str, n: int) -> Optional[dict]:
+    """The parsed file of (kind, n), or None when it is missing, unreadable
+    or its header differs from `_header(kind, n)`."""
     path = cache_path(cache_dir, kind, n)
     if not path.is_file():
         return None
@@ -106,7 +98,14 @@ def load_quotient(cache_dir, kind: str, n: int) -> Optional[QuotientSpace]:
         payload = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError):
         return None
-    if not _header_matches(payload, kind, n):
+    if isinstance(payload, dict) and all(payload.get(k) == v for k, v in _header(kind, n).items()):
+        return payload
+    return None
+
+
+def load_quotient(cache_dir, kind: str, n: int) -> Optional[QuotientSpace]:
+    payload = _read(cache_dir, kind, n)
+    if payload is None:
         return None
     try:
         blocks = {}
@@ -134,14 +133,8 @@ def save_subspace(cache_dir, space: GradedSubspace) -> Path:
 
 
 def load_subspace(cache_dir, kind: str, n: int) -> Optional[GradedSubspace]:
-    path = cache_path(cache_dir, kind, n)
-    if not path.is_file():
-        return None
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError):
-        return None
-    if not _header_matches(payload, kind, n):
+    payload = _read(cache_dir, kind, n)
+    if payload is None:
         return None
     try:
         pieces = {}

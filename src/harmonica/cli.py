@@ -16,6 +16,7 @@ from pathlib import Path
 from . import __version__
 from .spaces import (
     ResourceCapExceeded,
+    _check_cap,
     antisymmetric_ideal,
     coinvariants,
     harmonics,
@@ -86,6 +87,7 @@ def _build_space(args):
 
 
 def cmd_compute(args) -> int:
+    _check_cap(args.n, args.allow_large)  # every kind, before anything is built
     if args.space in ("j-quotient", "jbar-quotient"):
         series = ideal_quotient_series(args.n, reduced=args.space == "jbar-quotient")
         lines = [f"space: {args.space} (n={args.n})",

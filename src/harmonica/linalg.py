@@ -107,9 +107,6 @@ class SparseMatrix:
     def entry(self, r: int, c: int) -> Fraction:
         return self.data.get((r, c), Fraction(0))
 
-    def row(self, r: int) -> Vec:
-        return {c: v for (i, c), v in self.data.items() if i == r}
-
     def row_list(self) -> list:
         rows = [dict() for _ in range(self.rows)]
         for (r, c), v in self.data.items():

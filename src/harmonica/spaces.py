@@ -16,6 +16,15 @@ coordinates:
 * harmonic pieces start from the tensor product of single-family harmonic
   kernels and intersect with the kernels of the mixed derivative operators.
 
+Every quotient block is assembled by one mini-quotient lift
+(`_lifted_block`): a stage row-reduces its relations in the coordinates of a
+small "mini" quotient, whose non-pivot columns become the block's
+representatives, and every other ambient column is lifted into mini
+coordinates, reduced there and mapped back.  The coinvariant block lifts by
+the tensor product of its single-family normal forms; the sign and hook
+blocks lift by the coinvariant block's normal form placed at the column's
+odd index set.
+
 In the single-family reductions, the coinvariant blocks and the harmonic
 pieces, rows reach the kernel as integers: normal forms, tensor products,
 candidate rows and kernel combinations are int dicts, and `Fraction`s
@@ -52,6 +61,7 @@ from .superpoly import (
     Polynomial,
     TriDegree,
     compositions,
+    count_tridegree,
     monomials_tridegree,
     subsets_of_size,
     transpose_adjacent,
@@ -545,30 +555,39 @@ def _build_even_block(n: int, a: int, b: int) -> Block:
             break
         acc.insert(row)
 
-    pivots = set(acc.pivots())
-    rep_cols = [col for k, col in enumerate(mini_cols) if k not in pivots]
-
-    deg = TriDegree(a, b, 0)
-    nf: Dict[int, Vec] = {}
-    rep_set = set(rep_cols)
-    trivial = not rep_cols  # zero-dimensional piece: everything reduces to 0
+    xnfs = [on_reps(alpha, xpos) for alpha in A.monos]
     ynfs = [on_reps(beta, ypos) for beta in B.monos]
-    for ia, alpha in enumerate(A.monos):
-        xvec, xd = on_reps(alpha, xpos)
-        for ib, (yvec, yd) in enumerate(ynfs):
-            colf = ia * nb + ib
-            if colf in rep_set:
-                continue
-            if trivial:
-                nf[colf] = {}
-                continue
-            mini: dict = {}
-            add_tensor(mini, 1, xvec, yvec)
-            reduced = acc.reduce(mini)
-            if xd * yd != 1:
-                reduced = {k: v / (xd * yd) for k, v in reduced.items()}
-            nf[colf] = {mini_cols[k]: v for k, v in reduced.items()}
-    return Block(n, deg, rep_cols, nf)
+
+    def lift(col: int) -> Vec:
+        (xvec, xd), (yvec, yd) = xnfs[col // nb], ynfs[col % nb]
+        mini: dict = {}
+        add_tensor(mini, 1, xvec, yvec)
+        return mini if xd * yd == 1 else {k: Fraction(v, xd * yd) for k, v in mini.items()}
+
+    return _lifted_block(n, TriDegree(a, b, 0), acc, mini_cols, lift)
+
+
+def _lifted_block(n: int, deg: TriDegree, acc: RrefAccumulator, mini_cols: List[int],
+                  lift: Callable[[int], Vec]) -> Block:
+    """The quotient block whose relations, written in the coordinates of a
+    small ("mini") quotient, span `acc`.
+
+    Mini column k stands for ambient column mini_cols[k] (increasing); the
+    non-pivot ones are the representatives.  Every other ambient column is
+    lifted into mini coordinates by `lift`, reduced, and mapped back.
+    """
+    pivots = set(acc.pivots())
+    reps = [col for k, col in enumerate(mini_cols) if k not in pivots]
+    rep_set = set(reps)
+    nf: Dict[int, Vec] = {}
+    for col in range(count_tridegree(n, deg)):
+        if col in rep_set:
+            continue
+        if not reps:  # zero-dimensional piece: everything reduces to 0
+            nf[col] = {}
+            continue
+        nf[col] = {mini_cols[k]: v for k, v in acc.reduce(lift(col)).items()}
+    return Block(n, deg, reps, nf)
 
 
 def _scan_bidegrees(n: int, build, dim=len) -> dict:
@@ -861,12 +880,10 @@ def _sign_block(dr_block: Block, da: int) -> Block:
     """
     n = dr_block.n
     a, b, da0 = dr_block.deg
-    deg = TriDegree(a, b, da0 + da)
     thetasets = subsets_of_size(n, da)
     set_pos = {S: i for i, S in enumerate(thetasets)}
+    # Mini column si * k + pos: the rep of position pos at odd set si.
     k = dr_block.dim
-    minicols = [(si, pos) for si in range(len(thetasets)) for pos in range(k)]
-    mini_index = {pair: i for i, pair in enumerate(minicols)}
     acc = RrefAccumulator()
     # Wedge relations: omega_0 ^ (rep * theta_set) for each smaller set.
     if da >= 1:
@@ -878,8 +895,7 @@ def _sign_block(dr_block: Block, da: int) -> Block:
                     if i in spset:
                         continue
                     sign = (-1) ** sum(1 for s in Sp if s < i)
-                    S = tuple(sorted(Sp + (i,)))
-                    key = mini_index[(set_pos[S], pos)]
+                    key = set_pos[tuple(sorted(Sp + (i,)))] * k + pos
                     row[key] = row.get(key, 0) + Fraction(sign)
                 acc.insert({c: v for c, v in row.items() if v != 0})
 
@@ -893,46 +909,26 @@ def _sign_block(dr_block: Block, da: int) -> Block:
             for si, S in enumerate(thetasets):
                 image, sign = transpose_adjacent(Monomial(mono.xe, mono.ye, S), i)
                 spos = set_pos[image.odd]
-                row = {mini_index[(spos, p2)]: sign * v for p2, v in cls.items()}
-                vec_add_scaled(row, Fraction(1), {mini_index[(si, pos)]: Fraction(1)})
+                row = {spos * k + p2: sign * v for p2, v in cls.items()}
+                vec_add_scaled(row, Fraction(1), {si * k + pos: Fraction(1)})
                 acc.insert(row)
 
-    pivots = set(acc.pivots())
+    # The class of each column of the block over rep positions, read off
+    # `nf` once per block (not through `class_of_vec`, which multiplies out
+    # every entry) and placed at every odd set.
     d_ab = dr_block.ambient_dim
-
-    def full_col(si: int, xy_col: int) -> int:
-        return si * d_ab + xy_col
-
-    rep_cols = [
-        full_col(si, dr_block.reps[pos])
-        for (si, pos) in minicols
-        if mini_index[(si, pos)] not in pivots
+    classes = [
+        {dr_block._rep_pos[col]: Fraction(1)} if col in dr_block._rep_pos
+        else {dr_block._rep_pos[j]: v for j, v in dr_block.nf[col].items()}
+        for col in range(d_ab)
     ]
-    rep_cols.sort()
-    rep_set = set(rep_cols)
-    nf: Dict[int, Vec] = {}
-    for si in range(len(thetasets)):
-        for xy_col in range(d_ab):
-            colf = full_col(si, xy_col)
-            if colf in rep_set:
-                continue
-            if not rep_cols:  # zero-dimensional piece: everything reduces to 0
-                nf[colf] = {}
-                continue
-            if xy_col in dr_block._rep_pos:
-                mini = {mini_index[(si, dr_block._rep_pos[xy_col])]: Fraction(1)}
-            else:
-                mini = {
-                    mini_index[(si, dr_block._rep_pos[j])]: v
-                    for j, v in dr_block.nf[xy_col].items()
-                }
-            reduced = acc.reduce(mini)
-            out: Vec = {}
-            for kk, v in reduced.items():
-                si2, pos2 = minicols[kk]
-                out[full_col(si2, dr_block.reps[pos2])] = v
-            nf[colf] = out
-    return Block(n, deg, rep_cols, nf)
+
+    def lift(col: int) -> Vec:
+        si, base_col = divmod(col, d_ab)
+        return {si * k + p: v for p, v in classes[base_col].items()}
+
+    mini_cols = [si * d_ab + col for si in range(len(thetasets)) for col in dr_block.reps]
+    return _lifted_block(n, TriDegree(a, b, da0 + da), acc, mini_cols, lift)
 
 
 def hook_component(n: int, allow_large: bool = False, cache_dir=None) -> QuotientSpace:

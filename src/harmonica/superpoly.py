@@ -5,7 +5,11 @@ Monomials carry two exponent vectors and a strictly increasing tuple of odd
 product picks up the usual Koszul sign.  S_n acts by permuting the x, y and
 odd variables simultaneously.  First-order super differential operators are
 kept as formal sums of (coefficient, multiplication word, derivation word)
-terms with derivations to the right of multiplications.
+terms with derivations to the right of multiplications.  Every operator
+family (F_k, E_k and their adjoints, d_N, d_N^*, the wedge with omega_N, the
+Hamiltonian vector fields and the power-sum derivatives) is a sum over i of
+one diagonal term c x_i^a y_i^b th_i^e (d/dx_i)^p (d/dy_i)^q (d/dth_i)^f,
+two for the vector fields, and is built by `_diagonal_sum`.
 
 The fixed monomial order is: odd index tuples compared lexicographically,
 then exponent vectors (x_1,..,x_n,y_1,..,y_n) compared lexicographically
@@ -372,99 +376,72 @@ def _unit_exp(n: int, i: int, k: int = 1) -> tuple:
     return tuple(k if j == i else 0 for j in range(n))
 
 
-def _zero_exp(n: int) -> tuple:
-    return (0,) * n
+def _diagonal(c=1, x=0, y=0, th=0, dx=0, dy=0, dth=0) -> tuple:
+    """The term c x_i^x y_i^y th_i^th (d/dx_i)^dx (d/dy_i)^dy (d/dth_i)^dth,
+    i left open, as `_diagonal_sum` takes it."""
+    return (c, x, y, th, dx, dy, dth)
+
+
+def _diagonal_sum(n: int, *terms: tuple) -> DiffOperator:
+    """sum_i of the given `_diagonal` terms at index i; per i, in the order given."""
+    return DiffOperator(
+        n,
+        [
+            OpTerm(Fraction(c), Monomial(_unit_exp(n, i, x), _unit_exp(n, i, y), (i,) * th),
+                   _unit_exp(n, i, dx), _unit_exp(n, i, dy), (i,) * dth)
+            for i in range(n)
+            for (c, x, y, th, dx, dy, dth) in terms
+        ],
+    )
 
 
 def op_F(n: int, k: int) -> DiffOperator:
     """F_k = sum_i x_i^k d/dy_i; shifts tridegree by (+k, -1, 0)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    return DiffOperator(
-        n,
-        [
-            OpTerm(Fraction(1), Monomial(_unit_exp(n, i, k), _zero_exp(n), ()), _zero_exp(n), _unit_exp(n, i), ())
-            for i in range(n)
-        ],
-    )
+    return _diagonal_sum(n, _diagonal(x=k, dy=1))
 
 
 def op_E(n: int, k: int) -> DiffOperator:
     """E_k = sum_i y_i^k d/dx_i; shifts tridegree by (-1, +k, 0)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    return DiffOperator(
-        n,
-        [
-            OpTerm(Fraction(1), Monomial(_zero_exp(n), _unit_exp(n, i, k), ()), _unit_exp(n, i), _zero_exp(n), ())
-            for i in range(n)
-        ],
-    )
+    return _diagonal_sum(n, _diagonal(y=k, dx=1))
 
 
 def op_F_star(n: int, k: int) -> DiffOperator:
     """F_k^* = sum_i y_i (d/dx_i)^k; shifts tridegree by (-k, +1, 0)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    return DiffOperator(
-        n,
-        [
-            OpTerm(Fraction(1), Monomial(_zero_exp(n), _unit_exp(n, i), ()), _unit_exp(n, i, k), _zero_exp(n), ())
-            for i in range(n)
-        ],
-    )
+    return _diagonal_sum(n, _diagonal(y=1, dx=k))
 
 
 def op_E_star(n: int, k: int) -> DiffOperator:
     """E_k^* = sum_i x_i (d/dy_i)^k; shifts tridegree by (+1, -k, 0)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    return DiffOperator(
-        n,
-        [
-            OpTerm(Fraction(1), Monomial(_unit_exp(n, i), _zero_exp(n), ()), _zero_exp(n), _unit_exp(n, i, k), ())
-            for i in range(n)
-        ],
-    )
+    return _diagonal_sum(n, _diagonal(x=1, dy=k))
 
 
 def op_d(n: int, N: int) -> DiffOperator:
     """d_N = sum_i th_i^* x_i^N; odd, shifts tridegree by (+N, 0, -1)."""
     if N < 0:
         raise ValueError("N must be >= 0")
-    return DiffOperator(
-        n,
-        [
-            OpTerm(Fraction(1), Monomial(_unit_exp(n, i, N), _zero_exp(n), ()), _zero_exp(n), _zero_exp(n), (i,))
-            for i in range(n)
-        ],
-    )
+    return _diagonal_sum(n, _diagonal(x=N, dth=1))
 
 
 def op_d_star(n: int, N: int) -> DiffOperator:
     """d_N^* = sum_i th_i (d/dx_i)^N; odd, shifts tridegree by (-N, 0, +1)."""
     if N < 0:
         raise ValueError("N must be >= 0")
-    return DiffOperator(
-        n,
-        [
-            OpTerm(Fraction(1), Monomial(_zero_exp(n), _zero_exp(n), (i,)), _unit_exp(n, i, N), _zero_exp(n), ())
-            for i in range(n)
-        ],
-    )
+    return _diagonal_sum(n, _diagonal(th=1, dx=N))
 
 
 def op_wedge_omega(n: int, N: int) -> DiffOperator:
     """Left wedge with sum_i x_i^N th_i; shifts tridegree by (+N, 0, +1)."""
     if N < 0:
         raise ValueError("N must be >= 0")
-    return DiffOperator(
-        n,
-        [
-            OpTerm(Fraction(1), Monomial(_unit_exp(n, i, N), _zero_exp(n), (i,)), _zero_exp(n), _zero_exp(n), ())
-            for i in range(n)
-        ],
-    )
+    return _diagonal_sum(n, _diagonal(x=N, th=1))
 
 
 def op_hamiltonian(n: int, a: int, b: int) -> DiffOperator:
@@ -474,40 +451,27 @@ def op_hamiltonian(n: int, a: int, b: int) -> DiffOperator:
     """
     if a < 0 or b < 0 or a + b < 1:
         raise ValueError("need a, b >= 0 with a + b >= 1")
-    ops = []
-    for i in range(n):
-        if a:
-            xe = _unit_exp(n, i, a - 1) if a > 1 else _zero_exp(n)
-            ops.append(
-                OpTerm(Fraction(a), Monomial(xe, _unit_exp(n, i, b), ()), _zero_exp(n), _unit_exp(n, i), ())
-            )
-        if b:
-            ye = _unit_exp(n, i, b - 1) if b > 1 else _zero_exp(n)
-            ops.append(
-                OpTerm(Fraction(-b), Monomial(_unit_exp(n, i, a), ye, ()), _unit_exp(n, i), _zero_exp(n), ())
-            )
-    return DiffOperator(n, ops)
+    terms = []
+    if a:
+        terms.append(_diagonal(c=a, x=a - 1, y=b, dy=1))
+    if b:
+        terms.append(_diagonal(c=-b, x=a, y=b - 1, dx=1))
+    return _diagonal_sum(n, *terms)
 
 
 def op_partial_x(n: int, i: int) -> DiffOperator:
-    return DiffOperator(n, [OpTerm(Fraction(1), unit_monomial(n), _unit_exp(n, i), _zero_exp(n), ())])
+    return DiffOperator(n, [OpTerm(Fraction(1), unit_monomial(n), _unit_exp(n, i), (0,) * n, ())])
 
 
 def op_partial_y(n: int, i: int) -> DiffOperator:
-    return DiffOperator(n, [OpTerm(Fraction(1), unit_monomial(n), _zero_exp(n), _unit_exp(n, i), ())])
+    return DiffOperator(n, [OpTerm(Fraction(1), unit_monomial(n), (0,) * n, _unit_exp(n, i), ())])
 
 
 def op_power_sum_deriv(n: int, a: int, b: int) -> DiffOperator:
     """p_{a,b} with every variable replaced by its derivative."""
     if a + b < 1:
         raise ValueError("need a + b >= 1")
-    return DiffOperator(
-        n,
-        [
-            OpTerm(Fraction(1), unit_monomial(n), _unit_exp(n, i, a), _unit_exp(n, i, b), ())
-            for i in range(n)
-        ],
-    )
+    return _diagonal_sum(n, _diagonal(dx=a, dy=b))
 
 
 # -- pairing ----------------------------------------------------------------

@@ -1,0 +1,156 @@
+"""The operator constructors as they were before `_diagonal_sum`, kept only
+as a test oracle.
+
+Each family was written out as its own list of `OpTerm`s, one per variable
+index (two for the Hamiltonian vector fields).  The bodies are unchanged;
+`test_superpoly.py` holds the constructors built through `_diagonal_sum` to
+the same term tuples, in the same order.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from harmonica.superpoly import DiffOperator, Monomial, OpTerm, unit_monomial
+
+
+def _unit_exp(n: int, i: int, k: int = 1) -> tuple:
+    return tuple(k if j == i else 0 for j in range(n))
+
+
+def _zero_exp(n: int) -> tuple:
+    return (0,) * n
+
+
+def op_F(n: int, k: int) -> DiffOperator:
+    """F_k = sum_i x_i^k d/dy_i; shifts tridegree by (+k, -1, 0)."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    return DiffOperator(
+        n,
+        [
+            OpTerm(Fraction(1), Monomial(_unit_exp(n, i, k), _zero_exp(n), ()), _zero_exp(n), _unit_exp(n, i), ())
+            for i in range(n)
+        ],
+    )
+
+
+def op_E(n: int, k: int) -> DiffOperator:
+    """E_k = sum_i y_i^k d/dx_i; shifts tridegree by (-1, +k, 0)."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    return DiffOperator(
+        n,
+        [
+            OpTerm(Fraction(1), Monomial(_zero_exp(n), _unit_exp(n, i, k), ()), _unit_exp(n, i), _zero_exp(n), ())
+            for i in range(n)
+        ],
+    )
+
+
+def op_F_star(n: int, k: int) -> DiffOperator:
+    """F_k^* = sum_i y_i (d/dx_i)^k; shifts tridegree by (-k, +1, 0)."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    return DiffOperator(
+        n,
+        [
+            OpTerm(Fraction(1), Monomial(_zero_exp(n), _unit_exp(n, i), ()), _unit_exp(n, i, k), _zero_exp(n), ())
+            for i in range(n)
+        ],
+    )
+
+
+def op_E_star(n: int, k: int) -> DiffOperator:
+    """E_k^* = sum_i x_i (d/dy_i)^k; shifts tridegree by (+1, -k, 0)."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    return DiffOperator(
+        n,
+        [
+            OpTerm(Fraction(1), Monomial(_unit_exp(n, i), _zero_exp(n), ()), _zero_exp(n), _unit_exp(n, i, k), ())
+            for i in range(n)
+        ],
+    )
+
+
+def op_d(n: int, N: int) -> DiffOperator:
+    """d_N = sum_i th_i^* x_i^N; odd, shifts tridegree by (+N, 0, -1)."""
+    if N < 0:
+        raise ValueError("N must be >= 0")
+    return DiffOperator(
+        n,
+        [
+            OpTerm(Fraction(1), Monomial(_unit_exp(n, i, N), _zero_exp(n), ()), _zero_exp(n), _zero_exp(n), (i,))
+            for i in range(n)
+        ],
+    )
+
+
+def op_d_star(n: int, N: int) -> DiffOperator:
+    """d_N^* = sum_i th_i (d/dx_i)^N; odd, shifts tridegree by (-N, 0, +1)."""
+    if N < 0:
+        raise ValueError("N must be >= 0")
+    return DiffOperator(
+        n,
+        [
+            OpTerm(Fraction(1), Monomial(_zero_exp(n), _zero_exp(n), (i,)), _unit_exp(n, i, N), _zero_exp(n), ())
+            for i in range(n)
+        ],
+    )
+
+
+def op_wedge_omega(n: int, N: int) -> DiffOperator:
+    """Left wedge with sum_i x_i^N th_i; shifts tridegree by (+N, 0, +1)."""
+    if N < 0:
+        raise ValueError("N must be >= 0")
+    return DiffOperator(
+        n,
+        [
+            OpTerm(Fraction(1), Monomial(_unit_exp(n, i, N), _zero_exp(n), (i,)), _zero_exp(n), _zero_exp(n), ())
+            for i in range(n)
+        ],
+    )
+
+
+def op_hamiltonian(n: int, a: int, b: int) -> DiffOperator:
+    """Vector field of x^a y^b: sum_i (a x^(a-1) y^b d/dy - b x^a y^(b-1) d/dx).
+
+    Shifts tridegree by (a-1, b-1, 0); requires a + b >= 1.
+    """
+    if a < 0 or b < 0 or a + b < 1:
+        raise ValueError("need a, b >= 0 with a + b >= 1")
+    ops = []
+    for i in range(n):
+        if a:
+            xe = _unit_exp(n, i, a - 1) if a > 1 else _zero_exp(n)
+            ops.append(
+                OpTerm(Fraction(a), Monomial(xe, _unit_exp(n, i, b), ()), _zero_exp(n), _unit_exp(n, i), ())
+            )
+        if b:
+            ye = _unit_exp(n, i, b - 1) if b > 1 else _zero_exp(n)
+            ops.append(
+                OpTerm(Fraction(-b), Monomial(_unit_exp(n, i, a), ye, ()), _unit_exp(n, i), _zero_exp(n), ())
+            )
+    return DiffOperator(n, ops)
+
+
+def op_partial_x(n: int, i: int) -> DiffOperator:
+    return DiffOperator(n, [OpTerm(Fraction(1), unit_monomial(n), _unit_exp(n, i), _zero_exp(n), ())])
+
+
+def op_partial_y(n: int, i: int) -> DiffOperator:
+    return DiffOperator(n, [OpTerm(Fraction(1), unit_monomial(n), _zero_exp(n), _unit_exp(n, i), ())])
+
+
+def op_power_sum_deriv(n: int, a: int, b: int) -> DiffOperator:
+    """p_{a,b} with every variable replaced by its derivative."""
+    if a + b < 1:
+        raise ValueError("need a + b >= 1")
+    return DiffOperator(
+        n,
+        [
+            OpTerm(Fraction(1), unit_monomial(n), _unit_exp(n, i, a), _unit_exp(n, i, b), ())
+            for i in range(n)
+        ],
+    )

@@ -65,6 +65,17 @@ class TestExitCodes:
         res = run("compute", "--n", "6", "--space", "drn", "--allow-large")
         assert res.returncode == 3
 
+    @pytest.mark.parametrize("n,space", [(6, "j"), (6, "j-quotient"), (5, "jbar-quotient")])
+    def test_ideal_spaces_respect_the_cap(self, n, space, monkeypatch, capsys):
+        from harmonica import spaces
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an ideal tower build started")
+
+        monkeypatch.setattr(spaces._IdealTower, "_build", refuse)
+        assert main(["compute", "--n", str(n), "--space", space]) == 3
+        assert "resource refusal" in capsys.readouterr().err
+
     def test_unknown_suite_is_usage_error(self):
         res = run("verify", "--n", "3", "--suite", "nonsense")
         assert res.returncode == 2

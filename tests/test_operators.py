@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from harmonica import operators
 from harmonica.operators import (
     OperatorSpec,
     WellDefinednessError,
@@ -17,9 +18,12 @@ from harmonica.operators import (
     operator_matrices,
 )
 from harmonica.spaces import (
+    GradedSubspace,
+    QuotientSpace,
     antisymmetric_ideal,
     coinvariants,
     hook_component,
+    poly_to_vec,
     sign_component,
 )
 from harmonica.superpoly import (
@@ -55,6 +59,20 @@ class TestMatrixOf:
         assert not is_zero_on(OperatorSpec.F(3, 2), hook)
         assert is_zero_on(OperatorSpec.F(3, 4), hook)
 
+    def test_is_zero_on_stops_at_the_first_nonzero_piece(self, monkeypatch):
+        computed = []
+        real = operators._matrix
+
+        def counting(spec, space, deg):
+            computed.append(deg)
+            return real(spec, space, deg)
+
+        monkeypatch.setattr(operators, "_matrix", counting)
+        hook = hook_component(3)
+        fresh = QuotientSpace(3, "hook", hook.blocks)  # no matrices memoised yet
+        assert not is_zero_on(OperatorSpec.F(3, 1), fresh)
+        assert 0 < len(computed) < len(fresh.support())
+
     def test_wedge_operator_acts_on_hook(self):
         hook = hook_component(2)
         om = matrix_of(OperatorSpec.wedge(2, 1), hook, (0, 1, 0))
@@ -87,6 +105,18 @@ class TestCheckPreserves:
         hook = hook_component(2)
         ok, witness = check_preserves(OperatorSpec.d(2, 0), hook)
         assert not ok and witness is not None
+
+    @pytest.mark.parametrize("members", [
+        [Polynomial.x(2, 0)],  # E1 x1 = y1 lands where W has no piece
+        [Polynomial.x(2, 0), Polynomial.y(2, 1)],  # ... and outside span{y2}
+    ])
+    def test_subspace_witness_is_the_escaping_basis_vector(self, members):
+        pieces = {}
+        for p in members:
+            deg = p.tridegree()
+            pieces.setdefault(deg, []).append(poly_to_vec(p, deg))
+        W = GradedSubspace(2, "w", pieces)
+        assert check_preserves(OperatorSpec.E(2, 1), W) == (False, Polynomial.x(2, 0))
 
     def test_relabeling_dependent_operator_is_not_equivariant(self, monkeypatch):
         # d/dx3 at n = 3 is moved only by the last adjacent transposition.

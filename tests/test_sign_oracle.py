@@ -11,6 +11,7 @@ import pytest
 import sign_oracle as old
 from harmonica.spaces import (
     GradedSubspace,
+    _build_hook_block,
     _span,
     coinvariants,
     harmonics,
@@ -43,7 +44,17 @@ def test_sign_of_the_hook_quotient_matches_the_oracle(n):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_hook_matches_the_oracle(n):
-    _assert_same_blocks(hook_component(n).blocks, old.hook_blocks(n, coinvariants(n)))
+    dr = coinvariants(n)
+    _assert_same_blocks(hook_component(n).blocks, old.hook_blocks(n, dr))
+    # Every block `_build_hook_block` returns, with the zero-dimensional ones that
+    # `hook_component` drops.
+    zero = 0
+    for deg, base in dr.blocks.items():
+        for da in range(n):
+            blk, ref = _build_hook_block(n, base, da), old._build_hook_block(n, base, da)
+            assert (blk.deg, blk.reps, blk.nf) == (ref.deg, ref.reps, ref.nf), (deg, da)
+            zero += not blk.dim
+    assert zero
 
 
 def test_low_hook_blocks_match_the_oracle_at_n4():

@@ -1,9 +1,12 @@
 import random
+import re
 from fractions import Fraction
 from itertools import permutations
 
 import pytest
 
+import operator_oracle as old
+from harmonica import superpoly
 from harmonica.superpoly import (
     Monomial,
     Polynomial,
@@ -183,6 +186,38 @@ class TestApply:
             assert apply_op(op_F(n, k), p) == vF
             vE = apply_op(op_hamiltonian(n, 0, k + 1), p).scale(Fraction(-1, k + 1))
             assert apply_op(op_E(n, k), p) == vE
+
+
+_CONSTRUCTORS = ("op_F", "op_E", "op_F_star", "op_E_star", "op_d", "op_d_star",
+                 "op_wedge_omega", "op_hamiltonian", "op_power_sum_deriv",
+                 "op_partial_x", "op_partial_y")
+
+
+def _constructor_args(name, n):
+    if name in ("op_hamiltonian", "op_power_sum_deriv"):
+        return [(a, b) for a in range(4) for b in range(4)]
+    if name in ("op_partial_x", "op_partial_y"):
+        return [(i,) for i in range(n)]
+    return [(k,) for k in range(4)]
+
+
+class TestConstructors:
+    @pytest.mark.parametrize("name", _CONSTRUCTORS)
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_same_terms_in_the_same_order_as_the_oracle(self, name, n):
+        new, ref = getattr(superpoly, name), getattr(old, name)
+        for args in _constructor_args(name, n):
+            try:
+                expected = ref(n, *args).ops
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                    new(n, *args)
+                continue
+            assert new(n, *args).ops == expected, args
+
+    def test_every_public_constructor_is_compared(self):
+        public = {name for name in vars(superpoly) if name.startswith("op_")}
+        assert public == set(_CONSTRUCTORS)
 
 
 class TestPairing:
