@@ -15,6 +15,7 @@ from pathlib import Path
 
 from . import __version__
 from .spaces import (
+    HilbertSeries,
     ResourceCapExceeded,
     _check_cap,
     antisymmetric_ideal,
@@ -26,25 +27,6 @@ from .spaces import (
 )
 from .structure import GradingDictionary, export_homology
 from .verify import SUITES, report, run_suite
-
-SPACE_KINDS = (
-    "drn",
-    "drn-sign",
-    "hook",
-    "dh",
-    "dh-sign",
-    "j",
-    "mj",
-    "jbar",
-    "mjbar",
-    "j-quotient",
-    "jbar-quotient",
-)
-
-
-class UsageError(Exception):
-    """Command-level usage problem mapped to exit code 2."""
-
 
 def _cache_dir(args) -> str | None:
     if args.cache_dir:
@@ -66,50 +48,44 @@ def _emit(text: str, out_path: str | None) -> None:
             sys.stdout.write("\n")
 
 
-def _build_space(args):
-    n = args.n
-    kind = args.space
-    cache = _cache_dir(args)
-    if kind == "drn":
-        return coinvariants(n, allow_large=args.allow_large, cache_dir=cache)
-    if kind == "drn-sign":
-        return sign_component(coinvariants(n, allow_large=args.allow_large, cache_dir=cache))
-    if kind == "hook":
-        return hook_component(n, allow_large=args.allow_large, cache_dir=cache)
-    if kind == "dh":
-        return harmonics(n, allow_large=args.allow_large, cache_dir=cache)
-    if kind == "dh-sign":
-        return sign_component(harmonics(n, allow_large=args.allow_large, cache_dir=cache))
-    if kind in ("j", "mj", "jbar", "mjbar"):
-        flavor = {"j": "J", "mj": "mJ", "jbar": "Jbar", "mjbar": "mJbar"}[kind]
-        return antisymmetric_ideal(n, flavor)
-    return None  # quotient series kinds handled in cmd_compute
+def _cached(build, args):
+    return build(args.n, allow_large=args.allow_large, cache_dir=_cache_dir(args))
+
+
+# compute kind -> what it builds: a space, or for the two ideal quotients
+# only a series, which is reported without a per-a line.
+_COMPUTE = {
+    "drn": lambda args: _cached(coinvariants, args),
+    "drn-sign": lambda args: sign_component(_cached(coinvariants, args)),
+    "hook": lambda args: _cached(hook_component, args),
+    "dh": lambda args: _cached(harmonics, args),
+    "dh-sign": lambda args: sign_component(_cached(harmonics, args)),
+    "j": lambda args: antisymmetric_ideal(args.n, "J"),
+    "mj": lambda args: antisymmetric_ideal(args.n, "mJ"),
+    "jbar": lambda args: antisymmetric_ideal(args.n, "Jbar"),
+    "mjbar": lambda args: antisymmetric_ideal(args.n, "mJbar"),
+    "j-quotient": lambda args: ideal_quotient_series(args.n, reduced=False),
+    "jbar-quotient": lambda args: ideal_quotient_series(args.n, reduced=True),
+}
+SPACE_KINDS = tuple(_COMPUTE)
 
 
 def cmd_compute(args) -> int:
     _check_cap(args.n, args.allow_large)  # every kind, before anything is built
-    if args.space in ("j-quotient", "jbar-quotient"):
-        series = ideal_quotient_series(args.n, reduced=args.space == "jbar-quotient")
-        lines = [f"space: {args.space} (n={args.n})",
-                 f"hilbert: {series.render()}",
-                 f"total: {series.total()}"]
-        _emit("\n".join(lines) + "\n", args.out)
-        return 0
-    space = _build_space(args)
-    series = space.hilbert()
+    built = _COMPUTE[args.space](args)
+    is_space = not isinstance(built, HilbertSeries)
+    series = built.hilbert() if is_space else built
     lines = [f"space: {args.space} (n={args.n})",
              f"hilbert: {series.render()}",
              f"total: {series.total()}"]
     per_a = series.per_a()
-    if len(per_a) > 1 or (per_a and 0 not in per_a):
+    if is_space and (len(per_a) > 1 or (per_a and 0 not in per_a)):
         lines.append("per-a: " + ",".join(str(per_a.get(a, 0)) for a in range(max(per_a) + 1)))
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
 def cmd_verify(args) -> int:
-    if args.suite == "figure1" and args.n != 3:
-        raise UsageError("the figure1 suite requires --n 3")
     results = run_suite(args.n, args.suite, allow_large=args.allow_large, cache_dir=_cache_dir(args))
     payload = report(args.n, args.suite, results, timings=args.timings)
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -183,8 +159,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except UsageError as exc:
-        parser.error(str(exc))
     except ResourceCapExceeded as exc:
         print(f"harmonica: resource refusal: {exc}", file=sys.stderr)
         return 3

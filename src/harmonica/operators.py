@@ -7,11 +7,18 @@ built-in first-order equivariant families the certificate is structural
 power sums, and for odd operators the invariant odd Euler element); for
 anything else the full relation row basis is checked vector by vector.  A
 failed certificate surfaces the offending element as a witness.
+
+An `OperatorSpec` kind is declared once, in `_KINDS`, with its label prefix
+and its `superpoly` constructor; a spec's tridegree shift is read off its
+operator, which is built once per spec.  Matrices read classes and
+coordinates only through the space (`basis_polys`, `coords`), so one loop
+serves quotients and graded subspaces alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from typing import Dict, NamedTuple, Optional, Tuple
 
@@ -20,7 +27,7 @@ from .spaces import (
     GradedSubspace,
     QuotientSpace,
     _even_block,
-    poly_to_vec,
+    _power_sum_generators,
     vec_to_poly,
 )
 from .superpoly import (
@@ -54,7 +61,7 @@ class WellDefinednessError(Exception):
 class OperatorSpec:
     """Which operator: family kind plus its parameter(s) and variable count."""
 
-    kind: str  # F, E, Fstar, Estar, d, dstar, wedge, ham
+    kind: str  # a key of _KINDS
     n: int
     params: Tuple[int, ...]
 
@@ -87,51 +94,46 @@ class OperatorSpec:
         return cls("ham", n, (a, b))
 
     def label(self) -> str:
-        if self.kind == "ham":
-            return f"v({self.params[0]},{self.params[1]})"
-        names = {"F": "F", "E": "E", "Fstar": "F*", "Estar": "E*", "d": "d", "dstar": "d*", "wedge": "w"}
-        return f"{names[self.kind]}{self.params[0]}"
+        prefix = _KINDS[self.kind][0]
+        if len(self.params) == 1:
+            return f"{prefix}{self.params[0]}"
+        return f"{prefix}({','.join(map(str, self.params))})"
 
     def shift(self) -> Tuple[int, int, int]:
-        k = self.params[0]
-        if self.kind == "F":
-            return (k, -1, 0)
-        if self.kind == "E":
-            return (-1, k, 0)
-        if self.kind == "Fstar":
-            return (-k, 1, 0)
-        if self.kind == "Estar":
-            return (1, -k, 0)
-        if self.kind == "d":
-            return (k, 0, -1)
-        if self.kind == "dstar":
-            return (-k, 0, 1)
-        if self.kind == "wedge":
-            return (k, 0, 1)
-        a, b = self.params
-        return (a - 1, b - 1, 0)
+        return _operator(self)[1]
 
     def target_degree(self, deg: TriDegree) -> TriDegree:
         s = self.shift()
         return TriDegree(deg.dx + s[0], deg.dy + s[1], deg.da + s[2])
 
     def diff_operator(self) -> DiffOperator:
-        n = self.n
-        if self.kind == "F":
-            return op_F(n, self.params[0])
-        if self.kind == "E":
-            return op_E(n, self.params[0])
-        if self.kind == "Fstar":
-            return op_F_star(n, self.params[0])
-        if self.kind == "Estar":
-            return op_E_star(n, self.params[0])
-        if self.kind == "d":
-            return op_d(n, self.params[0])
-        if self.kind == "dstar":
-            return op_d_star(n, self.params[0])
-        if self.kind == "wedge":
-            return op_wedge_omega(n, self.params[0])
-        return op_hamiltonian(n, *self.params)
+        return _operator(self)[0]
+
+
+# kind -> (label prefix, constructor taking (n, *params))
+_KINDS = {
+    "F": ("F", op_F),
+    "E": ("E", op_E),
+    "Fstar": ("F*", op_F_star),
+    "Estar": ("E*", op_E_star),
+    "d": ("d", op_d),
+    "dstar": ("d*", op_d_star),
+    "wedge": ("w", op_wedge_omega),
+    "ham": ("v", op_hamiltonian),
+}
+
+
+@lru_cache(maxsize=None)
+def _operator(spec: OperatorSpec) -> Tuple[DiffOperator, Tuple[int, int, int]]:
+    """The spec's operator, built once per spec, and its tridegree shift.
+
+    The shift is read off the first term, as the multiplier's tridegree
+    minus the derivative orders; every term of a family has the same shift.
+    """
+    op = _KINDS[spec.kind][1](spec.n, *spec.params)
+    term = op.ops[0]
+    mult = term.mult.tridegree()
+    return op, (mult.dx - sum(term.dx), mult.dy - sum(term.dy), mult.da - len(term.odd_ann))
 
 
 class OperatorMatrix(NamedTuple):
@@ -227,14 +229,10 @@ def _structural_certificate(spec: OperatorSpec, space: QuotientSpace) -> Optiona
     if not _is_equivariant(spec):
         raise NotImplementedError("operator is not syntactically equivariant")
     # Leibniz: preservation of the invariant ideal reduces to the generators.
-    for a in range(n + 1):
-        for b in range(n + 1):
-            if not (1 <= a + b <= n):
-                continue
-            image = apply_op(D, _power_sum(n, a, b))
-            bad = _invariant_ideal_class_zero(n, image)
-            if bad is not None:
-                return bad
+    for (a, b) in _power_sum_generators(n):
+        bad = _invariant_ideal_class_zero(n, apply_op(D, _power_sum(n, a, b)))
+        if bad is not None:
+            return bad
     # Odd operators must respect the wedge relations of the odd Euler element.
     if "hook" in kind_parts and spec.kind == "d":
         g = apply_op(D, _omega0(n))
@@ -249,18 +247,10 @@ def _exhaustive_certificate(spec: OperatorSpec, space: QuotientSpace) -> Optiona
     """Row-by-row check of the relation subspace; None on success."""
     D = spec.diff_operator()
     for deg in sorted(space.blocks):
-        block = space.blocks[deg]
         tdeg = spec.target_degree(deg)
-        tblock = space.block(tdeg) if min(tdeg) >= 0 else None
-        for _, row in block.relation_rows():
+        for _, row in space.blocks[deg].relation_rows():
             poly = vec_to_poly(row, spec.n, deg)
-            image = apply_op(D, poly)
-            if image.is_zero():
-                continue
-            if tblock is None:
-                # Zero-dimensional target piece: everything is a relation.
-                continue
-            if tblock.class_coords(image):
+            if space.coords(tdeg, apply_op(D, poly)):
                 return poly
     return None
 
@@ -325,45 +315,19 @@ def matrix_of(spec: OperatorSpec, space, deg) -> OperatorMatrix:
 def _matrix(spec: OperatorSpec, space, deg: TriDegree) -> OperatorMatrix:
     tdeg = spec.target_degree(deg)
     D = spec.diff_operator()
-    if isinstance(space, QuotientSpace):
-        sblock = space.block(deg)
-        sdim = sblock.dim if sblock else 0
-        tblock = space.block(tdeg) if min(tdeg) >= 0 else None
-        tdim = tblock.dim if tblock else 0
-        data = {}
-        if sblock and tblock:
-            for pos in range(sdim):
-                image = apply_op(D, sblock.rep_poly(pos))
-                if image.is_zero():
-                    continue
-                for row, val in tblock.class_coords(image).items():
-                    data[(row, pos)] = val
-        return OperatorMatrix(deg, tdeg, SparseMatrix(tdim, sdim, data))
-    basis = space.basis(deg)
-    tbasis = space.basis(tdeg) if min(tdeg) >= 0 else []
-    acc = space._acc(TriDegree(*tdeg)) if tbasis else None
-    pivot_pos = {piv: i for i, piv in enumerate(acc.pivots())} if acc else {}
+    basis = space.basis_polys(deg)
     data = {}
-    for j, vec in enumerate(basis):
-        poly = vec_to_poly(vec, space.n, deg)
-        image = apply_op(D, poly)
-        if image.is_zero():
-            continue
-        if acc is None:
-            raise WellDefinednessError(
-                f"{spec.label()} maps {space.kind} piece {deg} outside the space",
-                poly,
-            )
-        residual, combo = acc.reduce_with_coeffs(poly_to_vec(image, tdeg))
-        if residual:
+    for j, poly in enumerate(basis):
+        coords = space.coords(tdeg, apply_op(D, poly))
+        if coords is None:
             raise WellDefinednessError(
                 f"{spec.label()} image of a {space.kind} basis vector at {deg} "
                 f"is not in the piece at {tdeg}",
                 poly,
             )
-        for piv, c in combo.items():
-            data[(pivot_pos[piv], j)] = c
-    return OperatorMatrix(deg, tdeg, SparseMatrix(len(tbasis), len(basis), data))
+        for row, val in coords.items():
+            data[(row, j)] = val
+    return OperatorMatrix(deg, tdeg, SparseMatrix(space.dim(tdeg), len(basis), data))
 
 
 def operator_matrices(spec: OperatorSpec, space) -> Dict[TriDegree, OperatorMatrix]:

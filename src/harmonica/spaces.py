@@ -278,6 +278,16 @@ class QuotientSpace(_Memoised):
     def support(self) -> List[TriDegree]:
         return sorted(d for d, b in self.blocks.items() if b.dim)
 
+    def basis_polys(self, deg) -> List[Polynomial]:
+        """The representative monomials of the piece at deg."""
+        block = self.block(deg)
+        return [block.rep_poly(pos) for pos in range(block.dim)] if block else []
+
+    def coords(self, deg, p: Polynomial) -> Vec:
+        """Class of p over the rep positions of the piece at deg; {} off the support."""
+        block = self.block(deg)
+        return block.class_coords(p) if block else {}
+
     def hilbert(self) -> HilbertSeries:
         return HilbertSeries({d: b.dim for d, b in self.blocks.items()})
 
@@ -322,11 +332,29 @@ class GradedSubspace(_Memoised):
     def support(self) -> List[TriDegree]:
         return sorted(self.pieces)
 
-    def _acc(self, deg: TriDegree) -> RrefAccumulator:
-        return self.memoised(("acc", deg), lambda: _span(self.pieces.get(deg, [])))
+    def _echelon(self, deg: TriDegree) -> Tuple[RrefAccumulator, Dict[int, int]]:
+        """The piece's accumulator, and the basis position of each pivot."""
+
+        def build():
+            acc = _span(self.pieces.get(deg, []))
+            return acc, {piv: i for i, piv in enumerate(acc.pivots())}
+
+        return self.memoised(("echelon", deg), build)
+
+    def coords(self, deg, p: Polynomial) -> Optional[Vec]:
+        """Coordinates of p over the echelon basis of the piece at deg, or
+        None when p lies outside the piece."""
+        if p.is_zero():
+            return {}
+        deg = TriDegree(*deg)
+        acc, position = self._echelon(deg)
+        residual, combo = acc.reduce_with_coeffs(poly_to_vec(p, deg))
+        if residual:
+            return None
+        return {position[piv]: c for piv, c in combo.items()}
 
     def contains_vec(self, deg, vec: Vec) -> bool:
-        return not self._acc(TriDegree(*deg)).reduce(vec)
+        return not self._echelon(TriDegree(*deg))[0].reduce(vec)
 
     def contains(self, p: Polynomial) -> bool:
         if p.is_zero():
@@ -466,13 +494,15 @@ def _memoised_space(n: int, kind: str, allow_large: bool, cache_dir, build):
     return spaces[kind]
 
 
-def _mixed_generators(n: int):
-    return [
-        (c, d)
-        for c in range(1, n)
-        for d in range(1, n)
-        if 2 <= c + d <= n
-    ]
+def _power_sum_generators(n: int) -> List[Tuple[int, int]]:
+    """(c, d) of the polarized power sums p_{c,d} generating the invariant
+    ideal, 1 <= c+d <= n; c outer, d inner."""
+    return [(c, d) for c in range(n + 1) for d in range(n + 1 - c) if c + d]
+
+
+def _mixed_generators(n: int) -> List[Tuple[int, int]]:
+    """The generators involving both variable families: c, d >= 1."""
+    return [(c, d) for (c, d) in _power_sum_generators(n) if c and d]
 
 
 # ---------------------------------------------------------------------------
@@ -647,8 +677,7 @@ def invariant_ideal_piece(n: int, bidegree: Tuple[int, int]) -> SparseMatrix:
     deg = TriDegree(a, b, 0)
     monos, index = ambient_basis(n, deg)
     cols: List[Vec] = []
-    gens = [(c, d) for c in range(n + 1) for d in range(n + 1) if 1 <= c + d <= n]
-    for (c, d) in gens:
+    for (c, d) in _power_sum_generators(n):
         if a - c < 0 or b - d < 0:
             continue
         for alpha in compositions(a - c, n):
@@ -819,6 +848,13 @@ def _signed_orbit_sums(n: int, deg: TriDegree) -> List[Vec]:
     return out
 
 
+def _wedge_omega0(n: int, S: tuple) -> List[Tuple[int, tuple]]:
+    """(th_1 + .. + th_n) ^ th_S as (sign, odd index set) pairs: the sum over
+    i not in S of (-1)^#{s in S : s < i} th_{S u i}, i increasing."""
+    return [((-1) ** sum(1 for s in S if s < i), tuple(sorted(S + (i,))))
+            for i in range(n) if i not in S]
+
+
 def _sign_quotient_block(base: Block) -> Block:
     """Add the kernel of the sign projector to a block's relation subspace."""
     return _sign_block(base, 0)
@@ -888,16 +924,9 @@ def _sign_block(dr_block: Block, da: int) -> Block:
     # Wedge relations: omega_0 ^ (rep * theta_set) for each smaller set.
     if da >= 1:
         for Sp in subsets_of_size(n, da - 1):
-            spset = set(Sp)
+            wedge = _wedge_omega0(n, Sp)
             for pos in range(k):
-                row: Vec = {}
-                for i in range(n):
-                    if i in spset:
-                        continue
-                    sign = (-1) ** sum(1 for s in Sp if s < i)
-                    key = set_pos[tuple(sorted(Sp + (i,)))] * k + pos
-                    row[key] = row.get(key, 0) + Fraction(sign)
-                acc.insert({c: v for c, v in row.items() if v != 0})
+                acc.insert({set_pos[S] * k + pos: Fraction(sign) for sign, S in wedge})
 
     # The im(1 + s_i) rows on the surviving classes.  The class of s_i on the
     # even part is shared by every odd index set.
@@ -966,13 +995,8 @@ def _wedge_omega0_vec(n: int, deg: TriDegree, vec: Vec) -> Vec:
     out: Vec = {}
     for j, c in vec.items():
         m = monos[j]
-        inset = set(m.odd)
-        for i in range(n):
-            if i in inset:
-                continue
-            sign = (-1) ** sum(1 for s in m.odd if s < i)
-            target = Monomial(m.xe, m.ye, tuple(sorted(m.odd + (i,))))
-            kk = tindex[target]
+        for sign, S in _wedge_omega0(n, m.odd):
+            kk = tindex[Monomial(m.xe, m.ye, S)]
             s = out.get(kk, 0) + sign * c
             if s == 0:
                 out.pop(kk, None)

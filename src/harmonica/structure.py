@@ -16,7 +16,7 @@ built, by `hook_component`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from typing import Dict, List, NamedTuple, Optional, Tuple
@@ -348,9 +348,7 @@ def cogeneration_search(space: QuotientSpace, f, deg=None) -> Certificate:
         fdeg = f.tridegree()
         if fdeg is None:
             raise ValueError("class representative must be homogeneous")
-        block = space.block(fdeg)
-        coords = block.class_coords(f) if block else {}
-        vec = dict(coords)
+        vec = space.coords(fdeg, f)
     else:
         if deg is None:
             raise ValueError("pass deg together with a coordinate vector")
@@ -360,7 +358,7 @@ def cogeneration_search(space: QuotientSpace, f, deg=None) -> Certificate:
         raise ValueError("zero class has no cogeneration certificate")
 
     top = TriDegree(n * (n - 1) // 2, 0, 0)
-    delta_class = space.block(top).class_coords(vandermonde("x", n))
+    delta_class = space.coords(top, vandermonde("x", n))
     ((target_pos, target_val),) = delta_class.items()
 
     need_dx = top.dx - fdeg.dx
@@ -373,25 +371,16 @@ def cogeneration_search(space: QuotientSpace, f, deg=None) -> Certificate:
         for f_word in combinations_with_replacement(range(1, n), f_count):
             if sum(f_word) != rest:
                 continue
-            cur = dict(vec)
-            cdeg = fdeg
-            dead = False
-            for k in f_word:
-                om = matrix_of(OperatorSpec.F(n, k), space, cdeg)
+            word = [OperatorSpec.F(n, k) for k in f_word]
+            word += [OperatorSpec.d(n, N) for N in sorted(d_word, reverse=True)]
+            cur, cdeg = vec, fdeg
+            for spec in word:
+                om = matrix_of(spec, space, cdeg)
                 cur = om.matrix.mul_vec(cur)
                 cdeg = om.target
                 if not cur:
-                    dead = True
                     break
-            if not dead:
-                for N in sorted(d_word, reverse=True):
-                    om = matrix_of(OperatorSpec.d(n, N), space, cdeg)
-                    cur = om.matrix.mul_vec(cur)
-                    cdeg = om.target
-                    if not cur:
-                        dead = True
-                        break
-            if dead or cdeg != top:
+            if not cur or cdeg != top:
                 continue
             c = cur.get(target_pos, Fraction(0)) / target_val
             if c:
@@ -429,10 +418,10 @@ class GradingDictionary:
 
     @classmethod
     def from_mapping(cls, data: dict) -> "GradingDictionary":
-        return cls(**{k: Fraction(data[k]) for k in ("q1", "q2", "q0", "t1", "t2", "t0", "a1", "a0")})
+        return cls(**{f.name: Fraction(data[f.name]) for f in fields(cls)})
 
     def to_mapping(self) -> dict:
-        return {k: str(getattr(self, k)) for k in ("q1", "q2", "q0", "t1", "t2", "t0", "a1", "a0")}
+        return {f.name: str(getattr(self, f.name)) for f in fields(self)}
 
     def map(self, deg) -> Tuple[int, int, int]:
         deg = TriDegree(*deg)
@@ -502,20 +491,19 @@ def export_homology(space: QuotientSpace, dictionary: Optional[GradingDictionary
     generators = []
     mapped: Dict[Tuple[int, int, int], TriDegree] = {}
     for deg in sorted(space.blocks):
-        block = space.blocks[deg]
         qat = dictionary.map(deg)
         if qat in mapped:
             raise ValueError(f"dictionary is not injective on the support at {qat}")
         mapped[qat] = deg
         Q, A, T = qat
-        for pos in range(block.dim):
+        for p in space.basis_polys(deg):
             generators.append(
                 {
                     "Q": Q,
                     "A": A,
                     "T": T,
                     "degree": list(deg),
-                    "basis": render(block.rep_poly(pos)),
+                    "basis": render(p),
                 }
             )
     generators.sort(key=lambda g: (g["A"], g["Q"], g["T"], g["degree"], g["basis"]))

@@ -68,20 +68,6 @@ class CheckResult:
     wall_ms: Optional[float] = None
 
 
-SUITES = (
-    "dims",
-    "duality",
-    "operator-theorem",
-    "cogeneration",
-    "hamiltonian",
-    "lefschetz",
-    "phi",
-    "vanishing",
-    "differentials",
-    "oracle-catalan",
-    "figure1",
-)
-
 # Expected (Q, A, T) points and arrow patterns of the n=3 model table.
 FIGURE1_POINTS = sorted(
     [
@@ -277,9 +263,7 @@ def suite_cogeneration(n: int, allow_large=False, cache_dir=None) -> List[CheckR
         deg = TriDegree(0, n * (n - 1) // 2, 0)
         for k in range(1, n + 1):
             om = matrix_of(OperatorSpec.E(n, k), hook, deg)
-            block = hook.block(deg)
-            coords = block.class_coords(dy)
-            if om.matrix.mul_vec(coords):
+            if om.matrix.mul_vec(hook.coords(deg, dy)):
                 return f"E{k} does not kill the lowest-weight class"
         return None
 
@@ -354,9 +338,8 @@ def suite_phi(n: int, allow_large=False, cache_dir=None) -> List[CheckResult]:
     def delta_swap() -> Optional[str]:
         src = TriDegree(0, n * (n - 1) // 2, 0)
         tgt = TriDegree(n * (n - 1) // 2, 0, 0)
-        coords = m.space.block(src).class_coords(vandermonde("y", n))
-        image = m.phi_block(src).mul_vec(coords)
-        target = m.space.block(tgt).class_coords(vandermonde("x", n))
+        image = m.phi_block(src).mul_vec(m.space.coords(src, vandermonde("y", n)))
+        target = m.space.coords(tgt, vandermonde("x", n))
         if not image:
             return "image vanishes"
         ((p1, v1),) = image.items()
@@ -539,6 +522,7 @@ _SUITE_FNS = {
     "oracle-catalan": suite_oracle_catalan,
     "figure1": suite_figure1,
 }
+SUITES = tuple(_SUITE_FNS)
 
 
 def run_suite(n: int, suite: str, allow_large: bool = False, cache_dir=None) -> List[CheckResult]:

@@ -1,10 +1,12 @@
-"""The operator constructors as they were before `_diagonal_sum`, kept only
-as a test oracle.
+"""The operator constructors as they were before `_diagonal_sum`, and the
+`OperatorSpec` shift table and label names as they were before both were
+read off one table of kinds, kept only as a test oracle.
 
 Each family was written out as its own list of `OpTerm`s, one per variable
 index (two for the Hamiltonian vector fields).  The bodies are unchanged;
 `test_superpoly.py` holds the constructors built through `_diagonal_sum` to
-the same term tuples, in the same order.
+the same term tuples, in the same order, and `test_operators.py` holds
+`OperatorSpec.shift` and `OperatorSpec.label` to `shift` and `label` below.
 """
 
 from __future__ import annotations
@@ -154,3 +156,32 @@ def op_power_sum_deriv(n: int, a: int, b: int) -> DiffOperator:
             for i in range(n)
         ],
     )
+
+
+def label(spec) -> str:
+    """`OperatorSpec.label`, with its own table of names."""
+    if spec.kind == "ham":
+        return f"v({spec.params[0]},{spec.params[1]})"
+    names = {"F": "F", "E": "E", "Fstar": "F*", "Estar": "E*", "d": "d", "dstar": "d*", "wedge": "w"}
+    return f"{names[spec.kind]}{spec.params[0]}"
+
+
+def shift(spec):
+    """`OperatorSpec.shift`, as a table over the kinds."""
+    k = spec.params[0]
+    if spec.kind == "F":
+        return (k, -1, 0)
+    if spec.kind == "E":
+        return (-1, k, 0)
+    if spec.kind == "Fstar":
+        return (-k, 1, 0)
+    if spec.kind == "Estar":
+        return (1, -k, 0)
+    if spec.kind == "d":
+        return (k, 0, -1)
+    if spec.kind == "dstar":
+        return (-k, 0, 1)
+    if spec.kind == "wedge":
+        return (k, 0, 1)
+    a, b = spec.params
+    return (a - 1, b - 1, 0)

@@ -51,6 +51,51 @@ class TestCompute:
         assert (tmp_path / "dh-n2.json").is_file()
 
 
+# `compute --n 2` stdout for every kind, recorded before the kinds became one
+# table; the two ideal-quotient kinds print no per-a line.
+COMPUTE_N2 = {
+    "drn": "hilbert: q + t + 1\ntotal: 3\n",
+    "drn-sign": "hilbert: q + t\ntotal: 2\n",
+    "hook": "hilbert: q + t + a\ntotal: 3\nper-a: 2,1\n",
+    "dh": "hilbert: q + t + 1\ntotal: 3\n",
+    "dh-sign": "hilbert: q + t\ntotal: 2\n",
+    "j": "hilbert: 3*q^3 + 5*q^2*t + 2*q^2 + 5*q*t^2 + 3*q*t + q + 3*t^3 + 2*t^2 + t"
+         " + 7*a*q^3 + 11*a*q^2*t + 5*a*q^2 + 11*a*q*t^2 + 7*a*q*t + 3*a*q + 7*a*t^3"
+         " + 5*a*t^2 + 3*a*t + a + 4*a^2*q^3 + 6*a^2*q^2*t + 3*a^2*q^2 + 6*a^2*q*t^2"
+         " + 4*a^2*q*t + 2*a^2*q + 4*a^2*t^3 + 3*a^2*t^2 + 2*a^2*t + a^2\n"
+         "total: 120\nper-a: 25,60,35\n",
+    "mj": "hilbert: 3*q^3 + 5*q^2*t + 2*q^2 + 5*q*t^2 + 3*q*t + 3*t^3 + 2*t^2"
+          " + 7*a*q^3 + 11*a*q^2*t + 5*a*q^2 + 11*a*q*t^2 + 7*a*q*t + 2*a*q + 7*a*t^3"
+          " + 5*a*t^2 + 2*a*t + 4*a^2*q^3 + 6*a^2*q^2*t + 3*a^2*q^2 + 6*a^2*q*t^2"
+          " + 4*a^2*q*t + 2*a^2*q + 4*a^2*t^3 + 3*a^2*t^2 + 2*a^2*t\n"
+          "total: 114\nper-a: 23,57,34\n",
+    "jbar": "hilbert: 3*q^3 + 5*q^2*t + 2*q^2 + 5*q*t^2 + 3*q*t + q + 3*t^3 + 2*t^2 + t"
+            " + 4*a*q^3 + 6*a*q^2*t + 3*a*q^2 + 6*a*q*t^2 + 4*a*q*t + 2*a*q + 4*a*t^3"
+            " + 3*a*t^2 + 2*a*t + a\n"
+            "total: 60\nper-a: 25,35\n",
+    "mjbar": "hilbert: 3*q^3 + 5*q^2*t + 2*q^2 + 5*q*t^2 + 3*q*t + 3*t^3 + 2*t^2"
+             " + 4*a*q^3 + 6*a*q^2*t + 3*a*q^2 + 6*a*q*t^2 + 4*a*q*t + 2*a*q + 4*a*t^3"
+             " + 3*a*t^2 + 2*a*t\n"
+             "total: 57\nper-a: 23,34\n",
+    "j-quotient": "hilbert: q + t\ntotal: 2\n",
+    "jbar-quotient": "hilbert: q + t + a\ntotal: 3\n",
+}
+
+
+@pytest.mark.parametrize("kind", COMPUTE_N2)
+def test_compute_n2_stdout(kind, capsys):
+    from harmonica.cli import SPACE_KINDS
+    from harmonica.spaces import clear_registry
+
+    assert tuple(COMPUTE_N2) == SPACE_KINDS
+    clear_registry()
+    try:
+        assert main(["compute", "--n", "2", "--space", kind]) == 0
+    finally:
+        clear_registry()
+    assert capsys.readouterr().out == f"space: {kind} (n=2)\n" + COMPUTE_N2[kind]
+
+
 class TestExitCodes:
     def test_cap_refusal_is_exit_3(self):
         res = run("compute", "--n", "5", "--space", "drn")
@@ -87,6 +132,7 @@ class TestExitCodes:
     def test_figure1_requires_n3(self):
         res = run("verify", "--n", "2", "--suite", "figure1")
         assert res.returncode == 2
+        assert "the figure1 suite is defined for n = 3" in res.stderr
 
     def test_bad_jobs_value(self):
         res = run("compute", "--n", "2", "--space", "drn", "--jobs", "0")

@@ -1,7 +1,9 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+import operator_oracle
 from harmonica import operators
 from harmonica.operators import (
     OperatorSpec,
@@ -214,6 +216,26 @@ class TestPlumbing:
         assert payload["source"] == [2, 1, 0] and payload["target"] == [3, 0, 0]
         for (r, c, s) in payload["entries"]:
             Fraction(s)  # parses exactly
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_shift_and_label_match_the_oracle(self, n):
+        """Every kind, parameters 0..3 where its constructor accepts them."""
+        kinds = {"F": 1, "E": 1, "Fstar": 1, "Estar": 1, "d": 1, "dstar": 1, "wedge": 1, "ham": 2}
+        assert set(kinds) == set(operators._KINDS)
+        checked = refused = 0
+        for kind, arity in kinds.items():
+            for params in product(range(4), repeat=arity):
+                spec = OperatorSpec(kind, n, params)
+                try:
+                    op = spec.diff_operator()
+                except ValueError:
+                    refused += 1
+                    continue
+                assert spec.diff_operator() is op
+                assert spec.shift() == operator_oracle.shift(spec), spec
+                assert spec.label() == operator_oracle.label(spec), spec
+                checked += 1
+        assert (checked, refused) == (39, 5)  # refused: k = 0 for F, E, F*, E*; v(0,0)
 
     def test_labels(self):
         assert OperatorSpec.F(3, 1).label() == "F1"

@@ -6,6 +6,7 @@ import pytest
 from harmonica import spaces
 from harmonica.linalg import RrefAccumulator, rref
 from harmonica.spaces import (
+    GradedSubspace,
     ResourceCapExceeded,
     _build_even_block,
     _signed_orbit_sums,
@@ -30,6 +31,7 @@ from harmonica.superpoly import (
     act,
     alt,
     apply_op,
+    op_E,
     op_power_sum_deriv,
     pairing,
     render,
@@ -483,3 +485,21 @@ class TestHilbertSeries:
             dr = coinvariants(n)
             got = [dr.dim((d, 0, 0)) for d in range(len(coeffs))]
             assert got == coeffs
+
+
+class TestCoords:
+    def test_subspace_coords_are_none_outside_the_piece(self):
+        x1, y2 = Polynomial.x(2, 0), Polynomial.y(2, 1)
+        W = GradedSubspace(2, "w", {p.tridegree(): [poly_to_vec(p, p.tridegree())] for p in (x1, y2)})
+        image = apply_op(op_E(2, 1), x1)  # y1
+        assert W.coords((0, 1, 0), image) is None
+        assert W.coords((0, 1, 0), y2.scale(3)) == {0: Fraction(3)}
+        assert W.coords((0, 1, 0), Polynomial.zero(2)) == {}
+
+    def test_quotient_coords_are_empty_off_the_support(self):
+        dr = coinvariants(2)
+        assert dr.block((2, 0, 0)) is None and dr.basis_polys((2, 0, 0)) == []
+        assert dr.coords((2, 0, 0), Polynomial.x(2, 0, 2)) == {}
+        x1 = Polynomial.x(2, 0)
+        assert dr.coords((1, 0, 0), x1) == dr.block((1, 0, 0)).class_coords(x1) != {}
+        assert dr.basis_polys((1, 0, 0)) == [dr.block((1, 0, 0)).rep_poly(0)]
