@@ -5,7 +5,13 @@ The first operator of the commuting family acts on every (odd degree, total
 degree) slice of the hook component; its powers pair opposite weight spaces
 bijectively.  That decomposes each slice into strings, defines the
 involution and the lowering operator by explicit coefficients on string
-vectors, and produces conjugated duals of the whole family.  The export maps
+vectors, and produces conjugated duals of the whole family.  Each piece has
+one string frame: the string vectors lying in it, in which any vector of
+the piece is written.  `dual_scalars` compares the conjugated F_k with the
+explicit E_k in those frames, cut into blocks by (source string length j,
+target string length j'): on every block where either is nonzero, the
+conjugated F_k is one nonzero scalar times E_k, the same scalar on every
+piece and odd degree for each (k, j, j').  The export maps
 the internal (dx, dy, da) grading to (Q, A, T) coordinates through an affine
 dictionary fitted exactly to the target grading conventions.
 
@@ -159,22 +165,10 @@ class SL2Model:
 
     # -- involution and lowering operator -----------------------------------
 
-    def _string_basis(self, deg: TriDegree) -> Tuple[SparseMatrix, List[Tuple[int, int]]]:
-        """Columns: string vectors lying in this block, tagged (string index, s)."""
+    def frame(self, deg) -> "StringFrame":
+        """The string frame of the piece at deg, built once per space."""
         deg = TriDegree(*deg)
-        cols: List[Vec] = []
-        tags: List[Tuple[int, int]] = []
-        for idx, st in enumerate(self.strings()):
-            if st.da != deg.da or st.total != deg.dx + deg.dy:
-                continue
-            w = deg.dx - deg.dy
-            s2 = w + st.j
-            if s2 % 2 or not (0 <= s2 // 2 <= st.j):
-                continue
-            s = s2 // 2
-            cols.append(st.vectors[s])
-            tags.append((idx, s))
-        return SparseMatrix.from_columns(cols, self.space.dim(deg)), tags
+        return self.space.memoised(("frame", deg), lambda: StringFrame(deg, self.strings(), self.space.dim(deg)))
 
     @staticmethod
     def phi_coefficient(j: int, s: int) -> Fraction:
@@ -208,20 +202,15 @@ class SL2Model:
         """Matrix from the piece at deg to the piece at target sending the
         string vector (string, s) of a length-j string to coeff times its
         vector s', where partner(j, s) = (s', coeff); coeff 0 sends it to 0."""
-        basis_src, tags_src = self._string_basis(deg)
-        basis_tgt, tags_tgt = self._string_basis(target)
-        partners = dict(zip(tags_tgt, basis_tgt.column_list()))
+        src, tgt = self.frame(deg), self.frame(target)
+        partners = dict(zip(tgt.tags, tgt.vectors))
         strings = self.strings()
-        solver = span_solver(basis_src)
         dim = self.space.dim(deg)
         data = {}
         for p in range(dim):
-            coeffs = solver.solve({p: Fraction(1)})
-            if coeffs is None:
-                raise LefschetzFailure(f"string vectors do not span block {deg}")
             out: Vec = {}
-            for c, z in coeffs.items():
-                idx, s = tags_src[c]
+            for c, z in src.coords({p: Fraction(1)}).items():
+                idx, s = src.tags[c]
                 s2, coeff = partner(strings[idx].j, s)
                 if coeff:
                     vec_add_scaled(out, z * coeff, partners[(idx, s2)])
@@ -229,24 +218,57 @@ class SL2Model:
                 data[(r, p)] = v
         return SparseMatrix(self.space.dim(target), dim, data)
 
+    def string_blocks(self, om: OperatorMatrix) -> Dict[Tuple[int, int], Dict[Tuple[int, int], Fraction]]:
+        """The matrix of om from the string frame of its source to that of its
+        target, cut into blocks by (source string length j, target string
+        length j'): {(j, j'): {(target column, source column): entry}}, the
+        nonzero blocks only."""
+        strings = self.strings()
+        src, tgt = self.frame(om.source), self.frame(om.target)
+        blocks: Dict[Tuple[int, int], Dict[Tuple[int, int], Fraction]] = {}
+        for c, v in enumerate(src.vectors):
+            j = strings[src.tags[c][0]].j
+            for r, z in tgt.coords(om.matrix.mul_vec(v)).items():
+                blocks.setdefault((j, strings[tgt.tags[r][0]].j), {})[(r, c)] = z
+        return blocks
+
     def conjugated_family(self, k: int) -> Dict[TriDegree, OperatorMatrix]:
-        """Matrices of (involution) (F_k) (involution) on every piece."""
+        """Matrices of (involution) (F_k) (involution) on every piece, each
+        from (dx, dy, da) to (dx - 1, dy + k, da)."""
         fk = OperatorSpec.F(self.n, k)
         out: Dict[TriDegree, OperatorMatrix] = {}
         for deg in sorted(self.space.blocks):
-            mirror = TriDegree(deg.dy, deg.dx, deg.da)
-            first = self.phi_block(deg)
-            middle = matrix_of(fk, self.space, mirror)
-            last_src = middle.target
-            if min(last_src) >= 0 and self.space.dim(last_src):
-                last = self.phi_block(last_src)
-                mat = last.matmul(middle.matrix).matmul(first)
-                target = TriDegree(last_src.dy, last_src.dx, last_src.da)
+            target = TriDegree(deg.dx - 1, deg.dy + k, deg.da)
+            middle = matrix_of(fk, self.space, TriDegree(deg.dy, deg.dx, deg.da))
+            if self.space.dim(target):
+                mat = self.phi_block(middle.target).matmul(middle.matrix).matmul(self.phi_block(deg))
             else:
-                target = TriDegree(deg.dx - 1, deg.dy + k, deg.da)
                 mat = SparseMatrix(0, self.space.dim(deg), {})
             out[deg] = OperatorMatrix(deg, target, mat)
         return out
+
+
+class StringFrame:
+    """The string vectors lying in one piece, tagged (string index, s), and
+    the coordinates of any vector of the piece in them."""
+
+    def __init__(self, deg: TriDegree, strings: List[SL2String], dim: int):
+        self.deg = deg
+        self.vectors: List[Vec] = []
+        self.tags: List[Tuple[int, int]] = []
+        for idx, st in enumerate(strings):
+            s2 = deg.dx - deg.dy + st.j
+            if (st.da, st.total) == (deg.da, deg.dx + deg.dy) and s2 % 2 == 0 and 0 <= s2 // 2 <= st.j:
+                self.vectors.append(st.vectors[s2 // 2])
+                self.tags.append((idx, s2 // 2))
+        self._solver = span_solver(SparseMatrix.from_columns(self.vectors, dim))
+
+    def coords(self, vec: Vec) -> Vec:
+        """{column: c} with vec == sum c * (string vector of that column)."""
+        coeffs = self._solver.solve(vec)
+        if coeffs is None:
+            raise LefschetzFailure(f"string vectors do not span block {self.deg}")
+        return coeffs
 
 
 def model(space: QuotientSpace) -> SL2Model:
@@ -254,64 +276,38 @@ def model(space: QuotientSpace) -> SL2Model:
     return space.memoised(("sl2",), lambda: SL2Model(space))
 
 
-class DualComparison(NamedTuple):
-    """Per-piece comparison of the conjugated family against the explicit duals.
+def dual_scalars(space: QuotientSpace) -> Dict[Tuple[int, int, int], Fraction]:
+    """{(k, j, j'): lambda} with conjugated F_k == lambda E_k on every block.
 
-    The conjugation intertwiner is only sl2-equivariant, so on pieces met by
-    strings of different lengths the two operators need not be proportional;
-    there they must still agree in rank and in vanishing.  scalars[k][deg] is
-    the proportionality factor where it exists, None where both sides vanish;
-    mixed lists the non-proportional pieces.
+    For k = 1..n and every piece, both matrices are written in the string
+    frames of their source and target pieces (`SL2Model.string_blocks`) and
+    cut by (source string length j, target string length j').  On every
+    block where either side is nonzero the conjugated F_k must be one
+    nonzero scalar times E_k, and that scalar may depend only on (k, j, j').
+    A block or a piece that breaks this falsifies the model and raises.
     """
-
-    scalars: Dict[int, Dict[TriDegree, Optional[Fraction]]]
-    mixed: Tuple[Tuple[int, TriDegree], ...]
-
-
-def e_operators(space: QuotientSpace):
-    """Lowering-operator matrices and the conjugated duals of the family.
-
-    Returns (e1, duals, comparison): e1 maps each piece via the string
-    formula; duals[k] are the conjugated matrices of F_k; the comparison
-    records proportionality scalars against the explicit polynomial-model
-    operators and flags mixed pieces.  Rank or vanishing disagreement
-    falsifies the model and raises.
-    """
-    n = space.n
     m = model(space)
-    e1 = {deg: m.e1_block(deg) for deg in sorted(m.space.blocks)}
-    duals: Dict[int, Dict[TriDegree, OperatorMatrix]] = {}
-    scalars: Dict[int, Dict[TriDegree, Optional[Fraction]]] = {}
-    mixed: List[Tuple[int, TriDegree]] = []
-    for k in range(1, n + 1):
-        duals[k] = m.conjugated_family(k)
-        ek = OperatorSpec.E(n, k)
-        per_deg: Dict[TriDegree, Optional[Fraction]] = {}
-        for deg, om in duals[k].items():
-            expected = matrix_of(ek, m.space, deg)
-            if expected.matrix.is_zero() and om.matrix.is_zero():
-                per_deg[deg] = None
-                continue
-            if expected.matrix.is_zero() or om.matrix.is_zero():
-                raise LefschetzFailure(
-                    f"conjugated F{k} and the explicit dual differ in vanishing at {deg}"
-                )
-            (rc, vv) = next(iter(sorted(om.matrix.data.items())))
-            lam = vv / expected.matrix.entry(*rc) if expected.matrix.entry(*rc) else None
-            if lam is not None and expected.matrix.scaled(lam) == om.matrix:
-                per_deg[deg] = lam
-                continue
-            # Not proportional: admissible only when the piece mixes string
-            # lengths; rank must still agree.
-            _, _, rank_got = rref(om.matrix)
-            _, _, rank_exp = rref(expected.matrix)
-            if rank_got != rank_exp:
-                raise LefschetzFailure(
-                    f"conjugated F{k} has rank {rank_got} != {rank_exp} at {deg}"
-                )
-            mixed.append((k, deg))
-        scalars[k] = per_deg
-    return e1, duals, DualComparison(scalars, tuple(mixed))
+    scalars: Dict[Tuple[int, int, int], Fraction] = {}
+    for k in range(1, space.n + 1):
+        ek = OperatorSpec.E(space.n, k)
+        for deg, om in m.conjugated_family(k).items():
+            got = m.string_blocks(om)
+            want = m.string_blocks(matrix_of(ek, space, deg))
+            for jj in sorted(set(got) | set(want)):
+                a, b = got.get(jj, {}), want.get(jj, {})
+                first = min(a, default=None)
+                lam = a[first] / b[first] if first in b else None
+                if lam is None or a != {pos: lam * v for pos, v in b.items()}:
+                    raise LefschetzFailure(
+                        f"conjugated F{k} is no nonzero multiple of E{k} on the "
+                        f"string-length block (j, j') = {jj} of piece {deg}"
+                    )
+                if scalars.setdefault((k, *jj), lam) != lam:
+                    raise LefschetzFailure(
+                        f"conjugated F{k} is {lam} times E{k} on the string-length block "
+                        f"(j, j') = {jj} of piece {deg}, {scalars[(k, *jj)]} times on an earlier piece"
+                    )
+    return scalars
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +350,9 @@ def cogeneration_search(space: QuotientSpace, f, deg=None) -> Certificate:
             raise ValueError("pass deg together with a coordinate vector")
         fdeg = TriDegree(*deg)
         vec = {i: Fraction(v) for i, v in dict(f).items() if v}
+        outside = sorted(i for i in vec if not 0 <= i < space.dim(fdeg))
+        if outside:
+            raise ValueError(f"positions {outside} lie outside the piece at {fdeg} of dimension {space.dim(fdeg)}")
     if not vec:
         raise ValueError("zero class has no cogeneration certificate")
 
@@ -442,23 +441,13 @@ def fit_dictionary(points: List[Tuple[Tuple[int, int, int], Tuple[int, int, int]
     """
 
     def solve(rows: List[Tuple[Fraction, ...]], rhs: List[Fraction], cols: int) -> List[Fraction]:
-        mat = SparseMatrix.from_rows(
-            [
-                {**{j: Fraction(r[j]) for j in range(cols) if r[j]}, cols: Fraction(v)}
-                for r, v in zip(rows, rhs)
-            ],
-            cols + 1,
-        )
-        red, pivots, rank = rref(mat)
-        if cols in pivots:
+        solver = span_solver(SparseMatrix.from_rows([dict(enumerate(r)) for r in rows], cols))
+        sol = solver.solve({i: Fraction(v) for i, v in enumerate(rhs)})
+        if sol is None:
             raise ValueError("inconsistent grading data: no exact affine fit")
-        if rank < cols:
+        if solver.rank < cols:
             raise ValueError("underdetermined grading data")
-        sol = [Fraction(0)] * cols
-        rrows = red.row_list()
-        for i, piv in enumerate(pivots):
-            sol[piv] = rrows[i].get(cols, Fraction(0))
-        return sol
+        return [sol.get(j, Fraction(0)) for j in range(cols)]
 
     qrows, qrhs, trows, trhs, arows, arhs = [], [], [], [], [], []
     for (dx, dy, da), (Q, A, T) in points:

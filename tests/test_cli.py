@@ -132,7 +132,18 @@ class TestExitCodes:
     def test_figure1_requires_n3(self):
         res = run("verify", "--n", "2", "--suite", "figure1")
         assert res.returncode == 2
-        assert "the figure1 suite is defined for n = 3" in res.stderr
+        assert res.stderr.splitlines()[-1] == "harmonica: error: the figure1 suite is defined for n = 3"
+
+    def test_suite_domains_are_one_table(self, monkeypatch):
+        from harmonica import verify
+
+        names = {r.name for r in verify.run_suite(2, "all")}
+        assert "F1 arrows match" not in names
+        assert "F1 arrows match" in {r.name for r in verify.run_suite(3, "figure1")}
+        monkeypatch.setattr(verify, "_SUITE_DOMAINS", {"oracle-catalan": (3, 4)})
+        with pytest.raises(ValueError, match="the oracle-catalan suite is defined for n = 3, 4"):
+            verify.run_suite(2, "oracle-catalan")
+        assert "path count matches the closed form" not in {r.name for r in verify.run_suite(2, "all")}
 
     def test_bad_jobs_value(self):
         res = run("compute", "--n", "2", "--space", "drn", "--jobs", "0")

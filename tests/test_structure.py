@@ -3,13 +3,14 @@ from fractions import Fraction
 import pytest
 
 from harmonica import cache, spaces
-from harmonica.linalg import SparseMatrix, rref
-from harmonica.operators import OperatorSpec, matrix_of
+from harmonica.linalg import SparseMatrix, rref, vec_add_scaled
+from harmonica.operators import OperatorMatrix, OperatorSpec, matrix_of
 from harmonica.spaces import clear_registry, hook_component
 from harmonica.structure import (
     GradingDictionary,
+    LefschetzFailure,
     cogeneration_search,
-    e_operators,
+    dual_scalars,
     export_homology,
     fit_dictionary,
     model,
@@ -137,17 +138,111 @@ class TestLoweringOperator:
             assert h == SparseMatrix(dim, dim, {(i, i): Fraction(w) for i in range(dim)} if w else {})
 
     def test_conjugated_top_operator_vanishes(self):
-        _, duals, comparison = e_operators(hook_component(3))
-        assert all(om.matrix.is_zero() for om in duals[3].values())
+        m = model(hook_component(3))
+        assert all(om.matrix.is_zero() for om in m.conjugated_family(3).values())
         for k in (1, 2):
-            assert any(not om.matrix.is_zero() for om in duals[k].values())
-        for k, table in comparison.scalars.items():
-            for lam in table.values():
-                assert lam is None or lam != 0
+            assert any(not om.matrix.is_zero() for om in m.conjugated_family(k).values())
+        scalars = dual_scalars(m.space)
+        assert {k for (k, _, _) in scalars} == {1, 2}
+        assert all(lam != 0 for lam in scalars.values())
 
-    def test_n3_has_no_mixed_pieces(self):
-        _, _, comparison = e_operators(hook_component(3))
-        assert comparison.mixed == ()
+
+def _scaled_block(m, om, j, jt, factor):
+    """om with its (j, j') block in string coordinates multiplied by factor."""
+    strings = m.strings()
+    src, tgt = m.frame(om.source), m.frame(om.target)
+    data = dict(om.matrix.data)
+    for p in range(om.matrix.cols):
+        part = {}
+        for c, x in src.coords({p: Fraction(1)}).items():
+            if strings[src.tags[c][0]].j == j:
+                vec_add_scaled(part, x, src.vectors[c])
+        for r, z in tgt.coords(om.matrix.mul_vec(part)).items():
+            if strings[tgt.tags[r][0]].j == jt:
+                for row, y in tgt.vectors[r].items():
+                    data[(row, p)] = data.get((row, p), 0) + (factor - 1) * z * y
+    return OperatorMatrix(om.source, om.target, SparseMatrix(om.matrix.rows, om.matrix.cols, data))
+
+
+class TestDualScalars:
+    def test_one_string_frame_per_piece(self, monkeypatch):
+        from harmonica import structure
+
+        built = []
+        init = structure.StringFrame.__init__
+
+        def counted(self, deg, strings, dim):
+            built.append(deg)
+            init(self, deg, strings, dim)
+
+        monkeypatch.setattr(structure.StringFrame, "__init__", counted)
+        spaces.clear_registry()
+        try:
+            m = model(hook_component(3))
+            for deg in m.space.support():
+                m.phi_block(deg)
+                m.e1_block(deg)
+            dual_scalars(m.space)
+        finally:
+            spaces.clear_registry()
+        assert len(built) == len(set(built))
+        assert set(m.space.support()) <= set(built)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_one_nonzero_scalar_per_block(self, n):
+        m = model(hook_component(n))
+        scalars = dual_scalars(m.space)
+        assert all(lam != 0 for lam in scalars.values())
+        compared = 0
+        for k in range(1, n + 1):
+            for deg, om in m.conjugated_family(k).items():
+                want = m.string_blocks(matrix_of(OperatorSpec.E(n, k), m.space, deg))
+                got = m.string_blocks(om)
+                assert set(got) == set(want)
+                for (j, jt), block in got.items():
+                    lam = scalars[(k, j, jt)]
+                    assert block == {pos: lam * v for pos, v in want[(j, jt)].items()}
+                    compared += 1
+        assert compared >= len(scalars) > 0
+
+    def test_n4_compares_pieces_with_several_blocks(self):
+        # Where the string frames cut a piece's matrix into two or more
+        # nonzero blocks, one scalar per block asks more than one per piece.
+        m = model(hook_component(4))
+        several = [(k, deg) for k in range(1, 5) for deg, om in m.conjugated_family(k).items()
+                   if len(m.string_blocks(om)) >= 2]
+        assert len(several) >= 2
+        assert dual_scalars(m.space)
+
+    def test_a_scaled_block_of_one_piece_is_named(self, monkeypatch):
+        from harmonica import structure
+
+        m = model(hook_component(4))
+        # The first piece of k = 2 with several blocks, one of them met on
+        # an earlier piece, so the scaled block disagrees at this piece.
+        seen = set()
+        for deg, om in m.conjugated_family(2).items():
+            blocks = m.string_blocks(om)
+            if len(blocks) >= 2 and seen & set(blocks):
+                jj = min(seen & set(blocks))
+                break
+            seen |= set(blocks)
+        else:
+            raise AssertionError("no piece of k = 2 repeats a block of an earlier piece")
+        e2 = OperatorSpec.E(4, 2)
+        original = matrix_of(e2, m.space, deg)
+        scaled = _scaled_block(m, original, *jj, 2)
+        before, after = m.string_blocks(original), m.string_blocks(scaled)
+        assert after == {b: {pos: (2 if b == jj else 1) * v for pos, v in block.items()}
+                         for b, block in before.items()}
+
+        def patched(spec, space, d):
+            return scaled if (spec, TriDegree(*d)) == (e2, deg) else matrix_of(spec, space, d)
+
+        monkeypatch.setattr(structure, "matrix_of", patched)
+        with pytest.raises(LefschetzFailure) as failure:
+            dual_scalars(m.space)
+        assert "F2" in str(failure.value) and f"(j, j') = {jj} of piece {deg}" in str(failure.value)
 
 
 class TestCogeneration:
@@ -179,6 +274,12 @@ class TestCogeneration:
     def test_zero_class_rejected(self):
         with pytest.raises(ValueError):
             cogeneration_search(hook_component(3), {}, deg=(1, 1, 0))
+
+    @pytest.mark.parametrize("vec, deg", [({7: 1}, (1, 1, 0)), ({0: 1}, (9, 9, 0))])
+    def test_positions_outside_the_piece_rejected(self, vec, deg):
+        # (1, 1, 0) is one-dimensional; (9, 9, 0) lies off the support.
+        with pytest.raises(ValueError, match="outside the piece"):
+            cogeneration_search(hook_component(3), vec, deg=deg)
 
 
 class TestExport:
@@ -228,7 +329,18 @@ class TestExport:
     def test_fit_rejects_inconsistent_data(self):
         pts = [((0, 0, 0), (0, 0, 0)), ((1, 0, 0), (2, 0, 0)),
                ((0, 1, 0), (-2, 0, 0)), ((2, 0, 0), (5, 0, 0))]
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="inconsistent grading data"):
+            fit_dictionary(pts)
+
+    def test_fit_rejects_underdetermined_data(self):
+        # Every point has da = 0, so the A and the da-coefficients are free.
+        pts = [((0, 0, 0), (0, 0, 0)), ((1, 0, 0), (2, 0, 0)), ((0, 1, 0), (-2, 0, 1))]
+        with pytest.raises(ValueError, match="underdetermined grading data"):
+            fit_dictionary(pts)
+
+    def test_fit_reports_inconsistency_before_underdetermination(self):
+        pts = [((0, 0, 0), (0, 0, 0)), ((0, 0, 0), (1, 0, 0))]
+        with pytest.raises(ValueError, match="inconsistent grading data"):
             fit_dictionary(pts)
 
 

@@ -5,6 +5,8 @@ unchanged, as `tests/test_bench_hooks.py` imports the harness files.
 """
 
 import importlib
+import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -29,3 +31,15 @@ def test_n5_coinvariants_match_the_parking_series():
     assert dr.total_dim() == 1296
     series = {(d.dx, d.dy): v for d, v in dr.hilbert().dims.items()}
     assert series == oracle.parking_series(5)
+
+
+def test_n5_phi_suite_passes():
+    # Every check of the phi suite at n = 5, the dual scalars one included,
+    # in a fresh process as a user runs it (about 100 s, 1.7 GB peak RSS).
+    res = subprocess.run(
+        [sys.executable, "-m", "harmonica.cli", "verify", "--n", "5", "--suite", "phi", "--allow-large"],
+        capture_output=True, text=True,
+    )
+    checks = json.loads(res.stdout)["checks"]
+    assert [c["witness"] for c in checks if c["status"] != "pass"] == []
+    assert len(checks) == 4 and res.returncode == 0
