@@ -13,8 +13,8 @@ coordinates:
 * the odd (hook) quotients reuse the even presentation per odd index set,
   then add the wedge relations of th_1+..+th_n and the im(1 + s_i) rows,
   which over Q span the kernel of the sign projector (s_i = (i i+1));
-* harmonic pieces start from the tensor product of single-family harmonic
-  kernels and intersect with the kernels of the mixed derivative operators.
+* each harmonic piece is the orthogonal complement of its coinvariant
+  block's relations under the differentiation pairing.
 
 Every quotient block is assembled by one mini-quotient lift
 (`_lifted_block`): a stage row-reduces its relations in the coordinates of a
@@ -27,7 +27,7 @@ odd index set.
 
 In the single-family reductions, the coinvariant blocks and the harmonic
 pieces, rows reach the kernel as integers: normal forms, tensor products,
-candidate rows and kernel combinations are int dicts, and `Fraction`s
+candidate rows and the scaled harmonic rows are int dicts, and `Fraction`s
 appear only in what the accumulator hands back.
 
 A coinvariant block's candidate rows are the mixed generators p_{c,d}
@@ -43,9 +43,8 @@ assembled rows are exactly the RREF rows of the total relation space.
 
 Total degrees are scanned upward and enumeration stops at the first total
 degree that contributes nothing (hard cap dx+dy <= n(n-1)): the quotient
-is generated in degree 1 and the harmonics are closed under derivatives,
-so nothing lies above an empty degree.  Completeness is certified
-downstream by the closed-form total dimensions.
+is generated in degree 1, so nothing lies above an empty degree.
+Completeness is certified downstream by the closed-form total dimensions.
 """
 
 from __future__ import annotations
@@ -55,13 +54,14 @@ from functools import lru_cache
 from math import lcm
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .linalg import RrefAccumulator, SparseMatrix, Vec, vec_add_scaled
+from .linalg import RrefAccumulator, SparseMatrix, Vec, _scaled_ints, vec_add_scaled
 from .superpoly import (
     Monomial,
     Polynomial,
     TriDegree,
     compositions,
     count_tridegree,
+    monomial_pair_weight,
     monomials_tridegree,
     subsets_of_size,
     transpose_adjacent,
@@ -357,16 +357,14 @@ class GradedSubspace(_Memoised):
         return not self._echelon(TriDegree(*deg))[0].reduce(vec)
 
     def contains(self, p: Polynomial) -> bool:
-        if p.is_zero():
-            return True
-        ok = True
         for deg, comp in p.homogeneous_components().items():
             try:
                 vec = poly_to_vec(comp, deg)
             except ValueError:
                 return False
-            ok = ok and self.contains_vec(deg, vec)
-        return ok
+            if not self.contains_vec(deg, vec):
+                return False
+        return True
 
     def __repr__(self):
         return f"GradedSubspace({self.kind}, n={self.n}, dim={self.total_dim()})"
@@ -462,7 +460,6 @@ class _Workspace:
         # Every coinvariant block built, zero-dimensional ones included: read
         # by both `coinvariants` and the operator certificates.
         self.even_blocks: Dict[Tuple[int, int], Block] = {}
-        self.single_harmonics: Dict[int, List[dict]] = {}  # int harmonic kernels by degree
         self.tower = _IdealTower(n)  # extended upward on demand
 
 
@@ -624,12 +621,11 @@ def _scan_bidegrees(n: int, build, dim=len) -> dict:
     """Run `build(a, b)` over total degrees upward, stopping after the first
     empty total degree; the pieces of nonzero `dim`, by degree.
 
-    One empty degree suffices for both gradings scanned here.  The
-    coinvariant quotient is generated in degree 1, so degree d+1 is spanned
-    by the products of the x_i, y_i with degree d and vanishes with it.  The
-    harmonics are closed under every partial derivative, and a nonzero
-    harmonic of degree d+1 has a nonzero first derivative, a harmonic of
-    degree d.  Degree 0 holds the constants, so the first empty degree is the
+    One empty degree suffices: the coinvariant quotient is generated in
+    degree 1, so degree d+1 is spanned by the products of the x_i, y_i with
+    degree d and vanishes with it.  A harmonic piece has the dimension of
+    the coinvariant block it is read from, so its scan stops at the same
+    degree.  Degree 0 holds the constants, so the first empty degree is the
     top degree plus one.
     """
     pieces = {}
@@ -699,110 +695,29 @@ def invariant_ideal_piece(n: int, bidegree: Tuple[int, int]) -> SparseMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _single_harmonics(n: int, d: int) -> List[dict]:
-    """Joint kernel of p_c(d/dz), c = 1..n, on degree-d monomials (one family),
-    as int vectors."""
-    kernels = _workspace(n).single_harmonics
-    if d in kernels:
-        return kernels[d]
-    monos = list(compositions(d, n))
-    acc = RrefAccumulator()
-    for c in range(1, n + 1):
-        if d - c < 0:
-            continue
-        targets = {m: i for i, m in enumerate(compositions(d - c, n))}
-        # One constraint row per target monomial.
-        block: Dict[int, dict] = {}
-        for j, m in enumerate(monos):
-            for i in range(n):
-                if m[i] >= c:
-                    coeff = 1
-                    for t in range(c):
-                        coeff *= m[i] - t
-                    e = list(m)
-                    e[i] -= c
-                    r = targets[tuple(e)]
-                    row = block.setdefault(r, {})
-                    row[j] = row.get(j, 0) + coeff
-        for r in sorted(block):
-            acc.insert(block[r])
-    kernels[d] = list(acc.int_kernel(len(monos)).values())
-    return kernels[d]
-
-
 def _build_harmonic_piece(n: int, a: int, b: int) -> List[Vec]:
-    """Exact basis of the harmonic piece of one bidegree.
-
-    The tensor basis and the derivative images are int vectors, and each
-    kernel step takes int vectors from the accumulator; their scale is
-    arbitrary, and the closing echelon form makes the basis canonical.
+    """Exact basis of the harmonic piece of one bidegree: the orthogonal
+    complement of the coinvariant block's relations under <m, m> = w_m, the
+    `monomial_pair_weight` (Macaulay's inverse systems).  Rep r gives h_r:
+    1 at r, 0 at the other reps, nf(c)[r] * w_r / w_c at each pivot column c,
+    so h_r pairs to zero with each relation e_c - nf(c).  The h_r go to the
+    kernel as int rows; the closing echelon form makes the basis canonical.
     """
-    fam = _workspace(n).family
-    A = fam.deg(a)
-    B = fam.deg(b)
-    nb = len(B.monos)
-    kx = _single_harmonics(n, a)
-    ky = _single_harmonics(n, b)
-    basis: List[dict] = []
-    for vx in kx:
-        for vy in ky:
-            vec: dict = {}
-            for ia, ca in vx.items():
-                for ib, cb in vy.items():
-                    vec[ia * nb + ib] = ca * cb
-            basis.append(vec)
-    if not basis:
-        return []
-    amonos = A.monos
-    bmonos = B.monos
-    for (c, d) in _mixed_generators(n):
-        if a - c < 0 or b - d < 0 or not basis:
-            continue
-        tb = list(compositions(b - d, n))
-        ta = list(compositions(a - c, n))
-        ta_index = {m: i for i, m in enumerate(ta)}
-        tb_index = {m: i for i, m in enumerate(tb)}
-        images: Dict[int, dict] = {}
-        for j, v in enumerate(basis):
-            for col, coeff in v.items():
-                alpha = amonos[col // nb]
-                beta = bmonos[col % nb]
-                for i in range(n):
-                    if alpha[i] >= c and beta[i] >= d:
-                        w = 1
-                        for t in range(c):
-                            w *= alpha[i] - t
-                        for t in range(d):
-                            w *= beta[i] - t
-                        ea = list(alpha)
-                        ea[i] -= c
-                        eb = list(beta)
-                        eb[i] -= d
-                        r = ta_index[tuple(ea)] * len(tb) + tb_index[tuple(eb)]
-                        row = images.setdefault(r, {})
-                        s = row.get(j, 0) + coeff * w
-                        if s == 0:
-                            row.pop(j, None)
-                        else:
-                            row[j] = s
-        combos = _span(images[r] for r in sorted(images)).int_kernel(len(basis)).values()
-        new_basis: List[dict] = []
-        for combo in combos:
-            vec = {}
-            for j, cc in combo.items():
-                for col, x in basis[j].items():
-                    vec[col] = vec.get(col, 0) + cc * x
-            new_basis.append({col: x for col, x in vec.items() if x})
-        basis = new_basis
-    return _span(basis).row_vectors()
+    block = _even_block(n, a, b)
+    weights = [monomial_pair_weight(m) for m in block.monomials]
+    duals = {r: {r: Fraction(1)} for r in block.reps}
+    for c, nf in block.nf.items():
+        for r, v in nf.items():
+            duals[r][c] = v * weights[r] / weights[c]
+    return _span(_scaled_ints(h)[0] for h in duals.values()).row_vectors()
 
 
 def harmonics(n: int, allow_large: bool = False, cache_dir=None) -> GradedSubspace:
-    """Joint kernel of all positive-degree invariant derivative operators.
+    """Joint kernel of all positive-degree invariant derivative operators,
+    read off the workspace-built coinvariant blocks, never cache-loaded ones.
 
-    Computed independently of the quotient presentation (kernel
-    intersections only), so graded duality with the coinvariants is a real
-    check downstream, not a construction artifact.
+    `verify.suite_duality` checks that it is that kernel, and at n <= 4
+    `tests/test_build_oracle.py` compares it with a derivative-kernel build.
     """
 
     def build() -> GradedSubspace:

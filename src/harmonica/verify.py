@@ -12,11 +12,12 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from math import perm
 from typing import Callable, Dict, List, Optional
 
 from . import __version__
 from .dyck import catalan_number, catalan_qt, enumerate_paths, render_qt
-from .linalg import RrefAccumulator, SparseMatrix
+from .linalg import RrefAccumulator, SparseMatrix, _scaled_ints
 from .operators import (
     OperatorSpec,
     WellDefinednessError,
@@ -30,6 +31,8 @@ from .operators import (
 )
 from .spaces import (
     GradedSubspace,
+    _power_sum_generators,
+    ambient_basis,
     antisymmetric_ideal,
     coinvariants,
     harmonics,
@@ -184,6 +187,30 @@ def suite_duality(n: int, allow_large=False, cache_dir=None) -> List[CheckResult
         return None
 
     _check(out, "relations pair to zero against harmonics", orthogonality)
+
+    def killed_by_power_sums() -> Optional[str]:
+        for deg in dh.support():
+            monos, _ = ambient_basis(n, deg)
+            vecs = [_scaled_ints(vec)[0] for vec in dh.basis(deg)]
+            for (c, d) in _power_sum_generators(n):
+                if c > deg.dx or d > deg.dy:
+                    continue
+                _, target = ambient_basis(n, TriDegree(deg.dx - c, deg.dy - d, 0))
+                # Per column, (target column, falling-factorial weight) of each term of p_{c,d}(d/dx, d/dy).
+                images = [[(target[m._replace(xe=m.xe[:i] + (m.xe[i] - c,) + m.xe[i + 1:],
+                                              ye=m.ye[:i] + (m.ye[i] - d,) + m.ye[i + 1:])],
+                            perm(m.xe[i], c) * perm(m.ye[i], d))
+                           for i in range(n) if m.xe[i] >= c and m.ye[i] >= d] for m in monos]
+                for vec in vecs:
+                    image: Dict[int, int] = {}
+                    for j, v in vec.items():
+                        for t, w in images[j]:
+                            image[t] = image.get(t, 0) + w * v
+                    if any(image.values()):
+                        return f"p_{{{c},{d}}}(d/dx, d/dy) is nonzero on a harmonic at {deg}"
+        return None
+
+    _check(out, "every harmonic is killed by every p_{c,d}(d/dx, d/dy), 1 <= c+d <= n", killed_by_power_sums)
     return out
 
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from harmonica import cache
+from harmonica import cache, spaces
 from harmonica.spaces import (
     clear_registry,
     coinvariants,
@@ -44,6 +44,18 @@ class TestRoundTrip:
         assert second.hilbert() == first.hilbert()
         for deg in first.blocks:
             assert second.blocks[deg].nf == first.blocks[deg].nf
+
+    def test_harmonics_build_their_blocks_past_a_cached_drn(self, tmp_path):
+        # A cache-loaded drn is never read by `harmonics`: it builds the
+        # coinvariant blocks it reads in the workspace.
+        clear_registry()
+        built = harmonics(3)
+        coinvariants(3, cache_dir=tmp_path)
+        clear_registry()
+        coinvariants(3, cache_dir=tmp_path)
+        assert spaces._workspace(3).even_blocks == {}
+        assert harmonics(3, cache_dir=tmp_path).pieces == built.pieces
+        assert spaces._workspace(3).even_blocks
 
 
 class TestStaleness:

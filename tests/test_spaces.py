@@ -3,7 +3,7 @@ from itertools import permutations
 
 import pytest
 
-from harmonica import spaces
+from harmonica import spaces, verify
 from harmonica.linalg import RrefAccumulator, rref
 from harmonica.spaces import (
     GradedSubspace,
@@ -198,6 +198,50 @@ class TestHarmonics:
         deg = TriDegree(3, 0, 0)
         assert dh3.dim(deg) == 1
         assert dh3.contains(vandermonde("x", 3))
+
+    def test_contains_stops_at_the_first_component_outside(self, monkeypatch):
+        dh = harmonics(3)
+        x1, x2, delta = Polynomial.x(3, 0), Polynomial.x(3, 1), vandermonde("x", 3)
+        assert dh.contains((x1 - x2) + delta)
+        # x1^3 is not harmonic: p_{1,0}(d) sends it to 3 x1^2.
+        assert not dh.contains((x1 - x2) + Polynomial.x(3, 0, 3))
+        converted = []
+
+        def counted(p, deg):
+            converted.append(deg)
+            return poly_to_vec(p, deg)
+
+        monkeypatch.setattr(spaces, "poly_to_vec", counted)
+        assert not dh.contains(x1 + delta)  # x1 is not harmonic; delta is
+        assert converted == [TriDegree(1, 0, 0)]
+
+    @pytest.mark.parametrize("fault", ["added monomial", "dropped relation"])
+    def test_duality_names_a_piece_a_power_sum_does_not_kill(self, fault, monkeypatch):
+        n, deg = 4, TriDegree(1, 3, 0)
+        name = "every harmonic is killed by every p_{c,d}(d/dx, d/dy), 1 <= c+d <= n"
+        spaces.clear_registry()
+        try:
+            assert all(r.passed for r in verify.suite_duality(n))
+            dh = harmonics(n)
+            pieces = dict(dh.pieces)
+            if fault == "added monomial":
+                vec = dict(pieces[deg][0])
+                vec[min(j for j in range(len(ambient_basis(n, deg)[0])) if j not in vec)] = Fraction(1)
+                pieces[deg] = [vec] + pieces[deg][1:]
+            else:
+                block = spaces._even_block(n, deg.dx, deg.dy)
+                dropped = min(block.nf)
+                nf = {c: v for c, v in block.nf.items() if c != dropped}
+                faulty = spaces.Block(n, deg, sorted(block.reps + [dropped]), nf)
+                monkeypatch.setattr(spaces, "_even_block", lambda n, a, b: faulty)
+                pieces[deg] = spaces._build_harmonic_piece(n, deg.dx, deg.dy)
+                assert len(pieces[deg]) == block.dim + 1
+            spaces._workspace(n).spaces["dh"] = GradedSubspace(n, "dh", pieces)
+            results = {r.name: r for r in verify.suite_duality(n)}
+        finally:
+            spaces.clear_registry()
+        assert not results[name].passed
+        assert results[name].witness.endswith(f"at {deg}")
 
     def test_orthogonal_to_relations(self):
         n = 3

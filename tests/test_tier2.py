@@ -43,3 +43,15 @@ def test_n5_phi_suite_passes():
     checks = json.loads(res.stdout)["checks"]
     assert [c["witness"] for c in checks if c["status"] != "pass"] == []
     assert len(checks) == 4 and res.returncode == 0
+
+
+def test_n5_duality_suite_passes():
+    # The duality suite at n = 5, the power-sum kernel check included, in a
+    # fresh process as a user runs it (about 70 s, 0.3 GB peak RSS).
+    res = subprocess.run(
+        [sys.executable, "-m", "harmonica.cli", "verify", "--n", "5", "--suite", "duality", "--allow-large"],
+        capture_output=True, text=True,
+    )
+    checks = json.loads(res.stdout)["checks"]
+    assert [c["witness"] for c in checks if c["status"] != "pass"] == []
+    assert len(checks) == 4 and res.returncode == 0
