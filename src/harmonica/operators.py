@@ -341,45 +341,27 @@ def is_zero_on(spec: OperatorSpec, space) -> bool:
 
 
 def bracket(u: OperatorSpec, v: OperatorSpec, space) -> Dict[TriDegree, OperatorMatrix]:
-    """Matrices of the commutator u v - v u on each stored piece."""
+    """Matrices of the graded commutator u v - (-1)^(|u||v|) v u on each
+    stored piece, where |u| is the parity of u's odd-degree shift."""
+    sign = 1 if u.shift()[2] % 2 and v.shift()[2] % 2 else -1
     out: Dict[TriDegree, OperatorMatrix] = {}
     for deg in space.support():
         uv = compose(matrix_of(u, space, v.target_degree(deg)), matrix_of(v, space, deg))
         vu = compose(matrix_of(v, space, u.target_degree(deg)), matrix_of(u, space, deg))
         if uv.target != vu.target:
             raise ValueError("bracket of operators with different total shifts")
-        out[deg] = OperatorMatrix(deg, uv.target, uv.matrix.add(vu.matrix.scaled(-1)))
+        out[deg] = OperatorMatrix(deg, uv.target, uv.matrix.add(vu.matrix.scaled(sign)))
     return out
 
 
-def commutes_with_differentials(spec_F: OperatorSpec, spec_d: OperatorSpec, space):
-    """(True, None) if [spec_F, spec_d] = 0 on every piece, else witness."""
-    for deg, om in bracket(spec_F, spec_d, space).items():
-        if not om.is_zero():
-            return False, (deg, om)
-    return True, None
-
-
-def hamiltonian_bracket_matches(n: int, ab: Tuple[int, int], ab2: Tuple[int, int], space):
-    """Check [v_ab, v_a'b'] = (ab' - a'b) v_(a+a'-1, b+b'-1) as matrices.
-
-    Returns (True, None) or (False, witness degree).
-    """
-    a, b = ab
-    a2, b2 = ab2
-    coeff = a * b2 - a2 * b
-    lhs = bracket(OperatorSpec.hamiltonian(n, a, b), OperatorSpec.hamiltonian(n, a2, b2), space)
-    ta, tb = a + a2 - 1, b + b2 - 1
-    for deg, om in lhs.items():
-        if coeff == 0 or ta + tb < 1:
-            expected = SparseMatrix(om.matrix.rows, om.matrix.cols, {})
-        else:
-            expected = matrix_of(
-                OperatorSpec.hamiltonian(n, ta, tb), space, deg
-            ).matrix.scaled(coeff)
-        if om.matrix != expected:
-            return False, deg
-    return True, None
+def bracket_mismatch(u: OperatorSpec, v: OperatorSpec, space, coeff=0,
+                     w: Optional[OperatorSpec] = None) -> Optional[TriDegree]:
+    """The first stored piece where [u, v] != coeff w, or None; with coeff 0
+    the identity asked is [u, v] = 0 and w is not read."""
+    for deg, om in bracket(u, v, space).items():
+        if (om.matrix != matrix_of(w, space, deg).matrix.scaled(coeff)) if coeff else not om.is_zero():
+            return deg
+    return None
 
 
 def matrix_json(om: OperatorMatrix) -> dict:

@@ -1065,6 +1065,8 @@ def hilbert(space) -> HilbertSeries:
 
 
 def clear_registry():
-    """Drop every in-process memo: all workspaces, and the `ambient_basis` cache."""
+    """Drop all workspaces, with every memo kept on their spaces, and the
+    `ambient_basis` cache.  The operator built per `OperatorSpec` in
+    `operators` is kept: it depends on the spec alone."""
     _WORKSPACES.clear()
     ambient_basis.cache_clear()

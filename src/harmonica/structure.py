@@ -1,19 +1,22 @@
 """sl2 structure of the hook model: strings, the weight involution, dual
 operators, cogeneration certificates, and the graded export table.
 
-The first operator of the commuting family acts on every (odd degree, total
-degree) slice of the hook component; its powers pair opposite weight spaces
-bijectively.  That decomposes each slice into strings, defines the
-involution and the lowering operator by explicit coefficients on string
-vectors, and produces conjugated duals of the whole family.  Each piece has
-one string frame: the string vectors lying in it, in which any vector of
-the piece is written.  `dual_scalars` compares the conjugated F_k with the
-explicit E_k in those frames, cut into blocks by (source string length j,
-target string length j'): on every block where either is nonzero, the
-conjugated F_k is one nonzero scalar times E_k, the same scalar on every
-piece and odd degree for each (k, j, j').  The export maps
-the internal (dx, dy, da) grading to (Q, A, T) coordinates through an affine
-dictionary fitted exactly to the target grading conventions.
+The first operator F_1 of the commuting family acts on every (odd degree,
+total degree) slice of the hook component.  Each slice is cut into strings:
+one per kernel vector of F_1^(j+1) at weight -j, walked up by F_1.  Each
+piece has one string frame: the string vectors lying in it, in which any
+vector of the piece is written.  Hard Lefschetz is decided there and only
+there: the frames are built with the strings, and each must be a basis of
+its piece, which holds exactly when every power F_1^j pairs the weights -j
+and j bijectively.  The strings define the involution and the lowering
+operator by explicit coefficients on string vectors, and produce
+conjugated duals of the whole family.  `dual_scalars` compares the
+conjugated F_k with the explicit E_k in the string frames, cut into blocks
+by (source string length j, target string length j'): on every block where
+either is nonzero, the conjugated F_k is one nonzero scalar times E_k, the
+same scalar on every piece and odd degree for each (k, j, j').  The export
+maps the internal (dx, dy, da) grading to (Q, A, T) coordinates through an
+affine dictionary fitted exactly to the target grading conventions.
 
 Every function here works on the hook space it is handed and builds no
 space itself: the size cap and the on-disk cache apply where that space is
@@ -27,7 +30,7 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .linalg import RrefAccumulator, SparseMatrix, Vec, kernel_basis, rref, span_solver, vec_add_scaled
+from .linalg import SparseMatrix, Vec, kernel_basis, span_solver, vec_add_scaled
 from .operators import OperatorMatrix, OperatorSpec, compose, matrix_json, matrix_of
 from .spaces import QuotientSpace
 from .superpoly import Polynomial, TriDegree, render, vandermonde
@@ -38,7 +41,8 @@ class CogenerationFailure(Exception):
 
 
 class LefschetzFailure(Exception):
-    """A power of the first operator fails to pair opposite weights bijectively."""
+    """The string vectors fail to form a basis of a piece, so a power of the
+    first operator fails to pair opposite weights bijectively."""
 
 
 class SL2String(NamedTuple):
@@ -81,80 +85,51 @@ class SL2Model:
         return compose(self.step(prev.target), prev)
 
     def slices(self) -> List[Tuple[int, int]]:
-        out = sorted({(d.da, d.dx + d.dy) for d in self.space.blocks})
-        return out
+        return sorted({(d.da, d.dx + d.dy) for d in self.space.blocks})
 
-    # -- hard Lefschetz -----------------------------------------------------
+    # -- hard Lefschetz and strings ----------------------------------------
 
     def lefschetz_check(self):
-        """(True, None) or (False, witness (da, total, j))."""
-        for (da, total) in self.slices():
-            for j in range(1, total + 1):
-                src = _slice_degree(da, total, -j)
-                if src is None:
-                    continue
-                sdim = self.space.dim(src)
-                tdim = self.space.dim(_slice_degree(da, total, j))
-                if sdim == 0 and tdim == 0:
-                    continue
-                mat = self.power(src, j)
-                _, _, rank = rref(mat.matrix)
-                if not (sdim == tdim and rank == sdim):
-                    return False, (da, total, j)
-        return True, None
+        """(True, None), or (False, witness) naming the piece where it fails.
 
-    # -- strings ------------------------------------------------------------
+        The strings are the orbits under F_1 of the kernel vectors of
+        F_1^(j+1) at weight -j, and `strings()` raises unless their vectors
+        form a basis of every piece.  That decides whether the power pairing
+        of opposite weights is bijective: F_1^j maps the string vectors of
+        V_{-j} one-to-one onto those of V_j, so they form bases of both
+        exactly when each F_1^j: V_{-j} -> V_j is bijective.
+        """
+        try:
+            self.strings()
+        except LefschetzFailure as exc:
+            return False, str(exc)
+        return True, None
 
     def strings(self) -> List[SL2String]:
         return self.space.memoised(("strings",), self._strings)
 
     def _strings(self) -> List[SL2String]:
-        ok, witness = self.lefschetz_check()
-        if not ok:
-            raise LefschetzFailure(f"bijectivity fails on slice {witness}")
+        """One string per kernel vector of F_1^(j+1) at weight -j, walked up by
+        F_1; the frame of every piece of every slice is built and validated
+        before the strings are returned.  A piece counts even where it has no
+        classes: a string vector landing there is zero, so dependent."""
         out: List[SL2String] = []
-        coverage: Dict[TriDegree, RrefAccumulator] = {}
+        pieces: List[TriDegree] = []
         for (da, total) in self.slices():
+            pieces += [_slice_degree(da, total, w) for w in range(-total, total + 1, 2)]
             for j in range(total, -1, -1):
                 src = _slice_degree(da, total, -j)
                 if src is None or self.space.dim(src) == 0:
                     continue
-                killer = self.power(src, j + 1)
-                for hw in kernel_basis(killer.matrix):
-                    vecs = [hw]
-                    deg = src
-                    v = hw
-                    for s in range(j):
+                for hw in kernel_basis(self.power(src, j + 1).matrix):
+                    vecs, deg = [hw], src
+                    for _ in range(j):
                         step = self.step(deg)
-                        v = step.matrix.mul_vec(v)
+                        vecs.append(step.matrix.mul_vec(vecs[-1]))
                         deg = step.target
-                        vecs.append(v)
-                    if not vecs[-1] and j > 0:
-                        raise LefschetzFailure(
-                            f"string from {src} dies before reaching weight {j}"
-                        )
                     out.append(SL2String(da, total, j, tuple(vecs)))
-            # Independence and completeness of the string basis per slice.
-            dim_total = 0
-            for st in out:
-                if (st.da, st.total) != (da, total):
-                    continue
-                deg = _slice_degree(da, total, -st.j)
-                for s, v in enumerate(st.vectors):
-                    d = _slice_degree(da, total, -st.j + 2 * s)
-                    acc = coverage.setdefault(d, RrefAccumulator())
-                    if acc.insert(v) is None:
-                        raise LefschetzFailure(f"dependent string vector in block {d}")
-                    dim_total += 1
-            expect = sum(
-                self.space.dim(_slice_degree(da, total, w))
-                for w in range(-total, total + 1, 2)
-                if _slice_degree(da, total, w) is not None
-            )
-            if dim_total != expect:
-                raise LefschetzFailure(
-                    f"strings span {dim_total} of {expect} dimensions in slice {(da, total)}"
-                )
+        for deg in sorted(pieces):
+            self.space.memoised(("frame", deg), lambda: StringFrame(deg, out, self.space.dim(deg)))
         return out
 
     def weight_decomposition(self) -> Dict[Tuple[int, int], List[SL2String]]:
@@ -168,7 +143,8 @@ class SL2Model:
     def frame(self, deg) -> "StringFrame":
         """The string frame of the piece at deg, built once per space."""
         deg = TriDegree(*deg)
-        return self.space.memoised(("frame", deg), lambda: StringFrame(deg, self.strings(), self.space.dim(deg)))
+        strings = self.strings()  # builds the frame of every piece of every slice
+        return self.space.memoised(("frame", deg), lambda: StringFrame(deg, strings, self.space.dim(deg)))
 
     @staticmethod
     def phi_coefficient(j: int, s: int) -> Fraction:
@@ -250,7 +226,8 @@ class SL2Model:
 
 class StringFrame:
     """The string vectors lying in one piece, tagged (string index, s), and
-    the coordinates of any vector of the piece in them."""
+    the coordinates of any vector of the piece in them.  Raises
+    LefschetzFailure unless those vectors form a basis of the piece."""
 
     def __init__(self, deg: TriDegree, strings: List[SL2String], dim: int):
         self.deg = deg
@@ -262,13 +239,14 @@ class StringFrame:
                 self.vectors.append(st.vectors[s2 // 2])
                 self.tags.append((idx, s2 // 2))
         self._solver = span_solver(SparseMatrix.from_columns(self.vectors, dim))
+        if self._solver.rank < len(self.vectors):
+            raise LefschetzFailure(f"dependent string vectors in block {deg}")
+        if self._solver.rank < dim:
+            raise LefschetzFailure(f"string vectors do not span block {deg}")
 
     def coords(self, vec: Vec) -> Vec:
         """{column: c} with vec == sum c * (string vector of that column)."""
-        coeffs = self._solver.solve(vec)
-        if coeffs is None:
-            raise LefschetzFailure(f"string vectors do not span block {self.deg}")
-        return coeffs
+        return self._solver.solve(vec)
 
 
 def model(space: QuotientSpace) -> SL2Model:

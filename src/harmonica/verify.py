@@ -12,6 +12,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import perm
 from typing import Callable, Dict, List, Optional
 
@@ -21,11 +22,9 @@ from .linalg import RrefAccumulator, SparseMatrix, _scaled_ints
 from .operators import (
     OperatorSpec,
     WellDefinednessError,
-    bracket,
+    bracket_mismatch,
     check_preserves,
-    commutes_with_differentials,
     compose,
-    hamiltonian_bracket_matches,
     is_zero_on,
     matrix_of,
 )
@@ -298,33 +297,30 @@ def suite_cogeneration(n: int, allow_large=False, cache_dir=None) -> List[CheckR
     return out
 
 
+def _bracket_check(label: str, u: OperatorSpec, v: OperatorSpec, space, coeff=0, w=None) -> Optional[str]:
+    """None if [u, v] = coeff w on every piece, else the label and the first piece where not."""
+    deg = bracket_mismatch(u, v, space, coeff, w)
+    return None if deg is None else f"{label} at {deg}"
+
+
 def suite_hamiltonian(n: int, allow_large=False, cache_dir=None) -> List[CheckResult]:
     out: List[CheckResult] = []
     hook = hook_component(n, allow_large=allow_large, cache_dir=cache_dir)
+    F, E, v = partial(OperatorSpec.F, n), partial(OperatorSpec.E, n), partial(OperatorSpec.hamiltonian, n)
     fields = [(a, b) for a in range(5) for b in range(5) if 2 <= a + b <= 4]
     for (a, b) in fields:
         for (a2, b2) in fields:
             _check(out, f"[v({a},{b}), v({a2},{b2})] matches the structure constant",
-                   lambda a=a, b=b, a2=a2, b2=b2: (lambda okw: None if okw[0] else f"mismatch at {okw[1]}")(
-                       hamiltonian_bracket_matches(n, (a, b), (a2, b2), hook)))
+                   lambda a=a, b=b, a2=a2, b2=b2: _bracket_check(
+                       "mismatch", v(a, b), v(a2, b2), hook, a * b2 - a2 * b, v(a + a2 - 1, b + b2 - 1)))
     for k in range(1, n):
         for m in range(k, n):
             _check(out, f"[F{k}, F{m}] = 0",
-                   lambda k=k, m=m: (lambda br: None if all(om.is_zero() for om in br.values()) else "nonzero")(
-                       bracket(OperatorSpec.F(n, k), OperatorSpec.F(n, m), hook)))
-
-    def fe_bracket(k: int, m: int) -> Optional[str]:
-        br = bracket(OperatorSpec.F(n, k), OperatorSpec.E(n, m), hook)
-        for deg, om in br.items():
-            expected = matrix_of(OperatorSpec.hamiltonian(n, k, m), hook, deg).matrix.scaled(-1)
-            if om.matrix != expected:
-                return f"[F{k}, E{m}] != -v({k},{m}) at {deg}"
-        return None
-
+                   lambda k=k, m=m: _bracket_check(f"[F{k}, F{m}] != 0", F(k), F(m), hook))
     for k in range(1, n):
         for m in range(1, n):
             _check(out, f"[F{k}, E{m}] agrees with the vector-field bracket",
-                   lambda k=k, m=m: fe_bracket(k, m))
+                   lambda k=k, m=m: _bracket_check(f"[F{k}, E{m}] != -v({k},{m})", F(k), E(m), hook, -1, v(k, m)))
     return out
 
 
@@ -332,8 +328,7 @@ def suite_lefschetz(n: int, allow_large=False, cache_dir=None) -> List[CheckResu
     out: List[CheckResult] = []
     hook = hook_component(n, allow_large=allow_large, cache_dir=cache_dir)
     m = model(hook)
-    _check(out, "power pairing of opposite weights is bijective",
-           lambda: (lambda okw: None if okw[0] else f"slice {okw[1]}")(m.lefschetz_check()))
+    _check(out, "power pairing of opposite weights is bijective", lambda: m.lefschetz_check()[1])
 
     def strings_partition() -> Optional[str]:
         wd = m.weight_decomposition()
@@ -440,24 +435,15 @@ def suite_vanishing(n: int, allow_large=False, cache_dir=None) -> List[CheckResu
 def suite_differentials(n: int, allow_large=False, cache_dir=None) -> List[CheckResult]:
     out: List[CheckResult] = []
     hook = hook_component(n, allow_large=allow_large, cache_dir=cache_dir)
+    F, d = partial(OperatorSpec.F, n), partial(OperatorSpec.d, n)
     for k in range(1, n):
         for N in range(1, n):
             _check(out, f"[F{k}, d{N}] = 0",
-                   lambda k=k, N=N: (lambda okw: None if okw[0] else f"witness at {okw[1][0]}")(
-                       commutes_with_differentials(OperatorSpec.F(n, k), OperatorSpec.d(n, N), hook)))
-
-    def anticommute(N: int, M: int) -> Optional[str]:
-        dN, dM = OperatorSpec.d(n, N), OperatorSpec.d(n, M)
-        for deg in sorted(hook.blocks):
-            lhs = compose(matrix_of(dN, hook, dM.target_degree(deg)), matrix_of(dM, hook, deg)).matrix
-            rhs = compose(matrix_of(dM, hook, dN.target_degree(deg)), matrix_of(dN, hook, deg)).matrix
-            if not lhs.add(rhs).is_zero():
-                return f"d{N} d{M} + d{M} d{N} != 0 at {deg}"
-        return None
-
+                   lambda k=k, N=N: _bracket_check(f"[F{k}, d{N}] != 0", F(k), d(N), hook))
     for N in range(1, n):
         for M in range(N, n):
-            _check(out, f"d{N} and d{M} anticommute", lambda N=N, M=M: anticommute(N, M))
+            _check(out, f"d{N} and d{M} anticommute",
+                   lambda N=N, M=M: _bracket_check(f"d{N} d{M} + d{M} d{N} != 0", d(N), d(M), hook))
 
     def d0_rejected() -> Optional[str]:
         try:

@@ -10,10 +10,9 @@ from harmonica.operators import (
     WellDefinednessError,
     _is_equivariant,
     bracket,
+    bracket_mismatch,
     check_preserves,
-    commutes_with_differentials,
     compose,
-    hamiltonian_bracket_matches,
     is_zero_on,
     matrix_json,
     matrix_of,
@@ -34,7 +33,9 @@ from harmonica.superpoly import (
     OpTerm,
     Polynomial,
     TriDegree,
+    apply_op,
     op_partial_x,
+    render,
 )
 
 
@@ -133,6 +134,25 @@ class TestCheckPreserves:
         ok, witness = check_preserves(OperatorSpec.wedge(3, 1), hook_component(3))
         assert not ok and witness == Polynomial.monomial(mult)
 
+    @pytest.mark.parametrize("build, witness_f2", [
+        (coinvariants, "x1^2 - x2*x3"),
+        (hook_component, "x2^2*th1 - x2*x3*th3"),
+    ])
+    def test_exhaustive_certificate_on_quotients(self, build, witness_f2):
+        # F*, E* have no structural certificate: the relation rows are checked one by one.
+        space = build(3)
+        for spec in (OperatorSpec.F_star(3, 1), OperatorSpec.E_star(3, 1), OperatorSpec.F_star(3, 2)):
+            with pytest.raises(NotImplementedError):
+                operators._structural_certificate(spec, space)
+        assert check_preserves(OperatorSpec.F_star(3, 1), space) == (True, None)
+        assert check_preserves(OperatorSpec.E_star(3, 1), space) == (True, None)
+        f2 = OperatorSpec.F_star(3, 2)
+        ok, witness = check_preserves(f2, space)
+        assert not ok and render(witness) == witness_f2
+        deg = witness.tridegree()
+        assert space.coords(deg, witness) == {}
+        assert space.coords(f2.target_degree(deg), apply_op(f2.diff_operator(), witness))
+
     def test_matrix_of_raises_on_ill_defined_operator(self):
         hook = hook_component(2)
         with pytest.raises(WellDefinednessError):
@@ -141,8 +161,8 @@ class TestCheckPreserves:
 
 class TestBrackets:
     def test_v20_v02_is_4_v11(self):
-        ok, _ = hamiltonian_bracket_matches(3, (2, 0), (0, 2), hook_component(3))
-        assert ok
+        v = OperatorSpec.hamiltonian
+        assert bracket_mismatch(v(3, 2, 0), v(3, 0, 2), hook_component(3), 4, v(3, 1, 1)) is None
 
     def test_v10_v01_commute_on_free_pieces(self):
         # on the free superalgebra the two divergence fields commute
@@ -181,11 +201,27 @@ class TestBrackets:
         assert all(om.is_zero() for om in br.values())
 
 
+class TestGradedBracket:
+    def test_odd_pair_is_the_anticommutator_and_even_odd_the_commutator(self):
+        hook = hook_component(3)
+        d1, d2, f1 = OperatorSpec.d(3, 1), OperatorSpec.d(3, 2), OperatorSpec.F(3, 1)
+
+        def product(u, v, deg):
+            return compose(matrix_of(u, hook, v.target_degree(deg)), matrix_of(v, hook, deg)).matrix
+
+        for (u, v, sign) in ((d1, d2, 1), (f1, d1, -1)):
+            br = bracket(u, v, hook)
+            assert set(br) == set(hook.support())
+            assert any(not product(u, v, deg).is_zero() for deg in br)  # so the sign matters
+            for deg, om in br.items():
+                assert om.matrix == product(u, v, deg).add(product(v, u, deg).scaled(sign))
+
+
 class TestDifferentials:
     def test_commutation_with_f(self):
         hook = hook_component(3)
-        assert commutes_with_differentials(OperatorSpec.F(3, 1), OperatorSpec.d(3, 1), hook)[0]
-        assert commutes_with_differentials(OperatorSpec.F(3, 2), OperatorSpec.d(3, 2), hook)[0]
+        assert bracket_mismatch(OperatorSpec.F(3, 1), OperatorSpec.d(3, 1), hook) is None
+        assert bracket_mismatch(OperatorSpec.F(3, 2), OperatorSpec.d(3, 2), hook) is None
 
     def test_anticommutation(self):
         hook = hook_component(3)

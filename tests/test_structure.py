@@ -2,10 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from harmonica import cache, spaces
+from harmonica import cache, spaces, structure, verify
 from harmonica.linalg import SparseMatrix, rref, vec_add_scaled
 from harmonica.operators import OperatorMatrix, OperatorSpec, matrix_of
-from harmonica.spaces import clear_registry, hook_component
+from harmonica.spaces import QuotientSpace, clear_registry, hook_component
 from harmonica.structure import (
     GradingDictionary,
     LefschetzFailure,
@@ -71,6 +71,57 @@ class TestLefschetz:
         m = model(hook_component(2))
         om = m.step(TriDegree(0, 0, 1))
         assert om.matrix.rows == 0  # no (1, -1, 1) piece
+
+    @staticmethod
+    def _lefschetz_and_phi_witnesses(n):
+        """Witness of every lefschetz and phi check; None where a check passes."""
+        return {r.name: r.witness for suite in ("lefschetz", "phi") for r in verify.run_suite(n, suite)}
+
+    @pytest.mark.parametrize("n, piece", [(3, (1, 2, 0)), (4, (2, 3, 0)), (4, (1, 2, 1))])
+    def test_a_zero_step_makes_dependent_strings(self, n, piece, monkeypatch):
+        # With F1 zero on one piece, the string through it dies there and
+        # the kernel of the next power adds a second vector to that piece.
+        step = structure.SL2Model.step
+
+        def zeroed(self, deg):
+            om = step(self, deg)
+            if deg != piece:
+                return om
+            return OperatorMatrix(om.source, om.target, SparseMatrix(om.matrix.rows, om.matrix.cols, {}))
+
+        monkeypatch.setattr(structure.SL2Model, "step", zeroed)
+        clear_registry()
+        try:
+            witnesses = self._lefschetz_and_phi_witnesses(n)
+        finally:
+            clear_registry()
+        assert len(witnesses) == 6
+        for name, witness in witnesses.items():
+            assert witness is not None and f"dependent string vectors in block {TriDegree(*piece)}" in witness, name
+
+    @pytest.mark.parametrize("n, piece", [(3, (1, 1, 0)), (4, (0, 0, 3))])
+    def test_a_dropped_kernel_vector_leaves_a_piece_unspanned(self, n, piece, monkeypatch):
+        # Both pieces have weight 0, where the kernel of F1 itself starts the strings.
+        clear_registry()
+        try:
+            power = model(hook_component(n)).power(TriDegree(*piece), 1).matrix
+            kernel_basis = structure.kernel_basis
+            monkeypatch.setattr(structure, "kernel_basis",
+                                lambda mat: kernel_basis(mat)[:-1] if mat is power else kernel_basis(mat))
+            ok, witness = model(hook_component(n)).lefschetz_check()
+            witnesses = self._lefschetz_and_phi_witnesses(n)
+        finally:
+            clear_registry()
+        assert not ok and witness == f"string vectors do not span block {TriDegree(*piece)}"
+        assert all(w is not None and witness in w for w in witnesses.values())
+
+    def test_a_string_reaching_an_empty_piece_is_caught_there(self):
+        # Without the piece (1,0,0) the string from (0,1,0) ends in a zero
+        # vector, and every piece with classes still has a basis of strings.
+        hook = hook_component(2)
+        blocks = {d: b for d, b in hook.blocks.items() if d != (1, 0, 0)}
+        ok, witness = model(QuotientSpace(2, "hook", blocks)).lefschetz_check()
+        assert not ok and witness == "dependent string vectors in block (1,0,0)"
 
 
 class TestWeightDecomposition:

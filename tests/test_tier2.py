@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from harmonica import spaces
+from harmonica import spaces, verify
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 oracle = importlib.import_module("oracle")
@@ -55,3 +55,17 @@ def test_n5_duality_suite_passes():
     checks = json.loads(res.stdout)["checks"]
     assert [c["witness"] for c in checks if c["status"] != "pass"] == []
     assert len(checks) == 4 and res.returncode == 0
+
+
+def test_n5_hook_satisfies_lefschetz_and_the_bracket_identities():
+    # One in-process hook build (about 105 s, 1.7 GB peak RSS) serves all
+    # three suites, which then take a few seconds together.
+    spaces.clear_registry()
+    try:
+        spaces.hook_component(5, allow_large=True)
+        results = [r for suite in ("lefschetz", "hamiltonian", "differentials")
+                   for r in verify.run_suite(5, suite, allow_large=True)]
+    finally:
+        spaces.clear_registry()
+    assert [(r.name, r.witness) for r in results if not r.passed] == []
+    assert len(results) == 2 + 170 + 27
