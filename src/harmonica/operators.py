@@ -11,13 +11,13 @@ failed certificate surfaces the offending element as a witness.
 An `OperatorSpec` kind is declared once, in `_KINDS`, with its label prefix
 and its `superpoly` constructor; a spec's tridegree shift is read off its
 operator, which is built once per spec.  Matrices read classes and
-coordinates only through the space (`basis_polys`, `coords`), so one loop
-serves quotients and graded subspaces alike.
+coordinates only through the space (`basis_polys`, `coords`, `is_zero_at`),
+so one loop serves quotients and graded subspaces alike; no image is
+computed where the space knows every class is zero.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
 from typing import Dict, NamedTuple, Optional, Tuple
@@ -57,9 +57,11 @@ class WellDefinednessError(Exception):
         self.witness = witness
 
 
-@dataclass(frozen=True)
-class OperatorSpec:
-    """Which operator: family kind plus its parameter(s) and variable count."""
+class OperatorSpec(NamedTuple):
+    """Which operator: family kind plus its parameter(s) and variable count.
+
+    A NamedTuple, so the memo keys holding it hash and compare at C speed.
+    """
 
     kind: str  # a key of _KINDS
     n: int
@@ -317,7 +319,7 @@ def _matrix(spec: OperatorSpec, space, deg: TriDegree) -> OperatorMatrix:
     D = spec.diff_operator()
     basis = space.basis_polys(deg)
     data = {}
-    for j, poly in enumerate(basis):
+    for j, poly in enumerate(() if space.is_zero_at(tdeg) else basis):
         coords = space.coords(tdeg, apply_op(D, poly))
         if coords is None:
             raise WellDefinednessError(

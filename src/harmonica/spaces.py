@@ -288,6 +288,10 @@ class QuotientSpace(_Memoised):
         block = self.block(deg)
         return block.class_coords(p) if block else {}
 
+    def is_zero_at(self, deg) -> bool:
+        """Whether every class at deg is zero: no block, or an empty one."""
+        return not self.dim(deg)
+
     def hilbert(self) -> HilbertSeries:
         return HilbertSeries({d: b.dim for d, b in self.blocks.items()})
 
@@ -352,6 +356,11 @@ class GradedSubspace(_Memoised):
         if residual:
             return None
         return {position[piv]: c for piv, c in combo.items()}
+
+    def is_zero_at(self, deg) -> bool:
+        """Never: an image outside the subspace is nonzero there, and it is the
+        witness that the operator does not preserve the subspace."""
+        return False
 
     def contains_vec(self, deg, vec: Vec) -> bool:
         return not self._echelon(TriDegree(*deg))[0].reduce(vec)

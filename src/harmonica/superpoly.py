@@ -11,6 +11,13 @@ Hamiltonian vector fields and the power-sum derivatives) is a sum over i of
 one diagonal term c x_i^a y_i^b th_i^e (d/dx_i)^p (d/dy_i)^q (d/dth_i)^f,
 two for the vector fields, and is built by `_diagonal_sum`.
 
+An operator compiles its terms once, when it is built: each coefficient
+becomes an integer over the lcm of the term denominators, and only the
+nonzero derivative orders and multiplier exponents are kept.  `apply_op`
+writes its input over one common denominator, sums the images in Python
+ints and builds one `Fraction` per term of the result; the result equals,
+term for term and in insertion order, the one-`Fraction`-at-a-time sum.
+
 The fixed monomial order is: odd index tuples compared lexicographically,
 then exponent vectors (x_1,..,x_n,y_1,..,y_n) compared lexicographically
 with larger exponents first.  Every deterministic choice downstream (basis
@@ -21,7 +28,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
-from math import comb, factorial
+from math import comb, factorial, lcm, perm
 from typing import Iterable, NamedTuple, Optional
 
 MONOMIAL_ORDER_ID = "oddlex-then-xylex-desc-v1"
@@ -109,6 +116,14 @@ class Polynomial:
         self.terms = clean
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def _from_clean(cls, n: int, terms: dict) -> "Polynomial":
+        """A polynomial owning `terms`, already nonzero `Fraction`s, as they are."""
+        p = object.__new__(cls)
+        p.n = n
+        p.terms = terms
+        return p
 
     @classmethod
     def zero(cls, n: int) -> "Polynomial":
@@ -287,18 +302,43 @@ class OpTerm(NamedTuple):
     odd_ann: tuple  # odd annihilators, increasing; the last one acts first
 
 
+class _CompiledTerm(NamedTuple):
+    """An `OpTerm` as `apply_op` reads it: sparse, with an integer coefficient.
+
+    Even exponents are indexed as in xe + ye: x_i at i, y_i at n + i."""
+
+    coeff: int  # the term's coefficient times its operator's `den`
+    deriv: tuple  # (i, k) for each nonzero derivative order k, d/dx then d/dy
+    odd_ann: tuple  # odd annihilators in the order they act
+    mult_even: tuple  # (i, e) for each nonzero even exponent of the multiplier
+    mult_odd: tuple  # the multiplier's odd indices
+
+
+def _nonzero(exps: tuple) -> tuple:
+    return tuple((i, e) for i, e in enumerate(exps) if e)
+
+
 class DiffOperator:
     """Formal sum of first-order-style super differential operator terms.
 
     Each term is canonical with all derivations to the right of the
     multiplication word, i.e. a term acts as f -> coeff * mult * (deriv f).
+    The terms are compiled once, here, into `compiled`: every coefficient
+    becomes an integer over `den`, the lcm of the term denominators.
     """
 
-    __slots__ = ("n", "ops")
+    __slots__ = ("n", "ops", "den", "compiled")
 
     def __init__(self, n: int, ops: Iterable[OpTerm]):
         self.n = n
         self.ops = tuple(op for op in ops if op.coeff != 0)
+        coeffs = [Fraction(t.coeff) for t in self.ops]
+        self.den = lcm(*(c.denominator for c in coeffs))
+        self.compiled = tuple(
+            _CompiledTerm(c.numerator * (self.den // c.denominator), _nonzero(t.dx + t.dy),
+                          t.odd_ann[::-1], _nonzero(t.mult.xe + t.mult.ye), t.mult.odd)
+            for c, t in zip(coeffs, self.ops)
+        )
 
     def __add__(self, other: "DiffOperator") -> "DiffOperator":
         if self.n != other.n:
@@ -315,61 +355,68 @@ class DiffOperator:
         return f"DiffOperator(n={self.n}, {len(self.ops)} terms)"
 
 
-def _falling(e: int, k: int) -> int:
-    out = 1
-    for j in range(k):
-        out *= e - j
-    return out
-
-
-def _apply_term(term: OpTerm, m: Monomial, c: Fraction, acc: dict) -> None:
-    coeff = term.coeff * c
-    # Even derivatives.
-    xe = list(m.xe)
-    ye = list(m.ye)
-    for i, k in enumerate(term.dx):
-        if k:
-            if xe[i] < k:
-                return
-            coeff *= _falling(xe[i], k)
-            xe[i] -= k
-    for i, k in enumerate(term.dy):
-        if k:
-            if ye[i] < k:
-                return
-            coeff *= _falling(ye[i], k)
-            ye[i] -= k
-    # Odd annihilators; the last listed acts first.
-    odd = list(m.odd)
-    sign = 1
-    for t in reversed(term.odd_ann):
-        if t not in odd:
-            return
-        pos = odd.index(t)
-        if pos % 2:
-            sign = -sign
-        odd.pop(pos)
-    derived = Monomial(tuple(xe), tuple(ye), tuple(odd))
-    out, msign = monomial_mul(term.mult, derived)
-    if out is None:
-        return
-    total = coeff * sign * msign
-    s = acc.get(out, 0) + total
-    if s == 0:
-        acc.pop(out, None)
-    else:
-        acc[out] = s
-
-
 def apply_op(op: DiffOperator, p: Polynomial) -> Polynomial:
-    """Apply a differential operator; Q-linear in p."""
-    if op.n != p.n:
+    """Apply a differential operator; Q-linear in p.
+
+    p is written once over the lcm of its denominators, and the images are
+    summed in ints, term by term of the operator and monomial by monomial
+    of p, a monomial whose sum cancels being dropped.  One `Fraction` is
+    built per surviving monomial.
+    """
+    n = p.n
+    if op.n != n:
         raise ValueError("mixed variable counts")
+    den = lcm(*(c.denominator for c in p.terms.values()))
+    ints = [(m.xe + m.ye, m.odd, c.numerator * (den // c.denominator)) for m, c in p.terms.items()]
     acc: dict = {}
-    for term in op.ops:
-        for m, c in p.terms.items():
-            _apply_term(term, m, c, acc)
-    return Polynomial(p.n, acc)
+    get = acc.get
+    for coeff, deriv, odd_ann, mult_even, mult_odd in op.compiled:
+        for even, odd, u in ints:
+            # c stays nonzero unless the term kills the monomial: 0 marks a dead image.
+            c = coeff * u
+            if deriv or mult_even:
+                even = list(even)
+                for i, k in deriv:
+                    e = even[i]
+                    if e < k:
+                        c = 0
+                        break
+                    c *= perm(e, k)
+                    even[i] = e - k
+                for i, e in mult_even:
+                    even[i] += e
+                even = tuple(even)
+            if c and odd_ann:
+                odd = list(odd)
+                for t in odd_ann:
+                    if t not in odd:
+                        c = 0
+                        break
+                    pos = odd.index(t)
+                    if pos & 1:
+                        c = -c
+                    del odd[pos]
+                odd = tuple(odd)
+            if c and mult_odd:
+                # Koszul sign of the multiplier's odd factors moved into place.
+                for s in mult_odd:
+                    if s in odd:
+                        c = 0
+                        break
+                    for t in odd:
+                        if s > t:
+                            c = -c
+                odd = tuple(sorted(mult_odd + odd))
+            if not c:
+                continue
+            out = Monomial(even[:n], even[n:], odd)
+            total = get(out, 0) + c
+            if total:
+                acc[out] = total
+            else:
+                del acc[out]
+    den *= op.den
+    return Polynomial._from_clean(n, {m: Fraction(v, den) for m, v in acc.items()})
 
 
 def _unit_exp(n: int, i: int, k: int = 1) -> tuple:

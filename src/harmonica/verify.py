@@ -39,7 +39,6 @@ from .spaces import (
     ideal_quotient_series,
     poly_to_vec,
     sign_component,
-    vec_to_poly,
 )
 from .structure import (
     GradingDictionary,
@@ -54,9 +53,9 @@ from .superpoly import (
     Polynomial,
     TriDegree,
     apply_op,
+    monomial_pair_weight,
     op_F_star,
     op_partial_x,
-    pairing,
     render,
     vandermonde,
 )
@@ -169,14 +168,18 @@ def suite_duality(n: int, allow_large=False, cache_dir=None) -> List[CheckResult
         budget = 400  # pairings per degree; exhaustive for small n
         for deg in sorted(dr.blocks):
             block = dr.blocks[deg]
-            hbasis = dh.basis_polys(deg)
-            if not hbasis:
+            if not dh.basis(deg):
                 continue
+            # `pairing` on column vectors scaled to ints (a positive scale keeps
+            # zero zero), each harmonic carrying the pair weight of its columns.
+            weight = [monomial_pair_weight(m) for m in ambient_basis(n, deg)[0]]
+            weighted = [{j: v * weight[j] for j, v in _scaled_ints(vec)[0].items()}
+                        for vec in dh.basis(deg)]
             count = 0
             for _, row in block.relation_rows():
-                rel = vec_to_poly(row, n, deg)
-                for hp in hbasis:
-                    if pairing(rel, hp) != 0:
+                rel = _scaled_ints(row)[0]
+                for h in weighted:
+                    if sum(v * h[j] for j, v in rel.items() if j in h):
                         return f"relation not orthogonal to a harmonic at {deg}"
                     count += 1
                     if count >= budget:

@@ -1,19 +1,32 @@
-"""The operator constructors as they were before `_diagonal_sum`, and the
+"""The operator constructors as they were before `_diagonal_sum`, the
 `OperatorSpec` shift table and label names as they were before both were
-read off one table of kinds, kept only as a test oracle.
+read off one table of kinds, and operator application as it was before it
+ran in integers, kept only as a test oracle.
 
 Each family was written out as its own list of `OpTerm`s, one per variable
 index (two for the Hamiltonian vector fields).  The bodies are unchanged;
 `test_superpoly.py` holds the constructors built through `_diagonal_sum` to
 the same term tuples, in the same order, and `test_operators.py` holds
 `OperatorSpec.shift` and `OperatorSpec.label` to `shift` and `label` below.
+
+`apply_op` below does about five `Fraction` operations per (term, monomial)
+pair; `test_superpoly.py` holds `superpoly.apply_op`, which works in ints
+over the operator's compiled terms, to the same terms, the same values and
+the same insertion order.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from harmonica.superpoly import DiffOperator, Monomial, OpTerm, unit_monomial
+from harmonica.superpoly import (
+    DiffOperator,
+    Monomial,
+    OpTerm,
+    Polynomial,
+    monomial_mul,
+    unit_monomial,
+)
 
 
 def _unit_exp(n: int, i: int, k: int = 1) -> tuple:
@@ -156,6 +169,63 @@ def op_power_sum_deriv(n: int, a: int, b: int) -> DiffOperator:
             for i in range(n)
         ],
     )
+
+
+def _falling(e: int, k: int) -> int:
+    out = 1
+    for j in range(k):
+        out *= e - j
+    return out
+
+
+def _apply_term(term: OpTerm, m: Monomial, c: Fraction, acc: dict) -> None:
+    coeff = term.coeff * c
+    # Even derivatives.
+    xe = list(m.xe)
+    ye = list(m.ye)
+    for i, k in enumerate(term.dx):
+        if k:
+            if xe[i] < k:
+                return
+            coeff *= _falling(xe[i], k)
+            xe[i] -= k
+    for i, k in enumerate(term.dy):
+        if k:
+            if ye[i] < k:
+                return
+            coeff *= _falling(ye[i], k)
+            ye[i] -= k
+    # Odd annihilators; the last listed acts first.
+    odd = list(m.odd)
+    sign = 1
+    for t in reversed(term.odd_ann):
+        if t not in odd:
+            return
+        pos = odd.index(t)
+        if pos % 2:
+            sign = -sign
+        odd.pop(pos)
+    derived = Monomial(tuple(xe), tuple(ye), tuple(odd))
+    out, msign = monomial_mul(term.mult, derived)
+    if out is None:
+        return
+    total = coeff * sign * msign
+    s = acc.get(out, 0) + total
+    if s == 0:
+        acc.pop(out, None)
+    else:
+        acc[out] = s
+
+
+def apply_op(op: DiffOperator, p: Polynomial) -> Polynomial:
+    """Apply a differential operator; Q-linear in p."""
+    if op.n != p.n:
+        raise ValueError("mixed variable counts")
+    acc: dict = {}
+    for term in op.ops:
+        for m, c in p.terms.items():
+            _apply_term(term, m, c, acc)
+    return Polynomial(p.n, acc)
 
 
 def label(spec) -> str:

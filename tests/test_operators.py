@@ -5,7 +5,9 @@ import pytest
 
 import operator_oracle
 from harmonica import operators
+from harmonica.linalg import SparseMatrix
 from harmonica.operators import (
+    OperatorMatrix,
     OperatorSpec,
     WellDefinednessError,
     _is_equivariant,
@@ -83,6 +85,32 @@ class TestMatrixOf:
         # reported, not asserted: the commutator with F1 may be nonzero
         br = bracket(OperatorSpec.F(2, 1), OperatorSpec.wedge(2, 1), hook)
         assert isinstance(br, dict)
+
+    def test_target_without_classes_applies_nothing(self, monkeypatch):
+        spec = OperatorSpec.F(3, 1)
+        hook = hook_component(3)
+        fresh = QuotientSpace(3, "hook", hook.blocks)  # no matrices memoised yet
+        operators._certified(spec, fresh)  # the certificate applies the operator; the matrix must not
+        deg = next(d for d in fresh.support() if spec.target_degree(d) not in fresh.blocks)
+        tdeg, D = spec.target_degree(deg), spec.diff_operator()
+        applied = []
+        real = operators.apply_op
+        monkeypatch.setattr(operators, "apply_op", lambda op, p: applied.append(p) or real(op, p))
+        om = matrix_of(spec, fresh, deg)
+        assert applied == []
+        # The matrix of the loop without the skip: every image has the empty class.
+        assert all(fresh.coords(tdeg, operator_oracle.apply_op(D, p)) == {} for p in fresh.basis_polys(deg))
+        assert om == OperatorMatrix(deg, tdeg, SparseMatrix(0, fresh.dim(deg), {}))
+        assert fresh.dim(deg) > 0
+
+    def test_subspace_target_off_its_support_still_yields_the_witness(self):
+        # E1 x1 = y1 lands where W has no piece; W answers that it is not zero there.
+        deg = TriDegree(1, 0, 0)
+        W = GradedSubspace(2, "w", {deg: [poly_to_vec(Polynomial.x(2, 0), deg)]})
+        assert not W.is_zero_at(OperatorSpec.E(2, 1).target_degree(deg))
+        with pytest.raises(WellDefinednessError) as info:
+            matrix_of(OperatorSpec.E(2, 1), W, deg)
+        assert info.value.witness == Polynomial.x(2, 0)
 
     def test_missing_source_piece_gives_empty_matrix(self):
         s2 = sign_component(coinvariants(2))

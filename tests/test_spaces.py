@@ -31,6 +31,7 @@ from harmonica.superpoly import (
     act,
     alt,
     apply_op,
+    monomial_pair_weight,
     op_E,
     op_power_sum_deriv,
     pairing,
@@ -242,6 +243,29 @@ class TestHarmonics:
             spaces.clear_registry()
         assert not results[name].passed
         assert results[name].witness.endswith(f"at {deg}")
+
+    @pytest.mark.parametrize("fault", ["ambient monomial", "weights divided out"])
+    def test_duality_names_a_piece_the_relations_do_not_pair_to_zero(self, fault):
+        n, deg = 3, TriDegree(2, 0, 0)
+        name = "relations pair to zero against harmonics"
+        monos, _ = ambient_basis(n, deg)
+        spaces.clear_registry()
+        try:
+            assert all(r.passed for r in verify.suite_duality(n))
+            dh = harmonics(n)
+            pieces = dict(dh.pieces)
+            if fault == "ambient monomial":
+                pieces[deg] = [{0: Fraction(2, 3)}]
+            else:
+                # Orthogonal to the relations without the pair weights.
+                pieces[deg] = [{j: v / monomial_pair_weight(monos[j]) for j, v in vec.items()}
+                               for vec in pieces[deg]]
+            spaces._workspace(n).spaces["dh"] = GradedSubspace(n, "dh", pieces)
+            results = {r.name: r for r in verify.suite_duality(n)}
+        finally:
+            spaces.clear_registry()
+        assert not results[name].passed
+        assert results[name].witness == f"relation not orthogonal to a harmonic at {deg}"
 
     def test_orthogonal_to_relations(self):
         n = 3

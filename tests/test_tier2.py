@@ -57,6 +57,19 @@ def test_n5_duality_suite_passes():
     assert len(checks) == 4 and res.returncode == 0
 
 
+def test_n5_operator_theorem_suite_passes():
+    # The operator-theorem suite at n = 5, in a fresh process as a user runs
+    # it (about 75 s, 0.3 GB peak RSS; its slowest check, the operator span
+    # of the top antisymmetric element, takes about 25 s of it).
+    res = subprocess.run(
+        [sys.executable, "-m", "harmonica.cli", "verify", "--n", "5", "--suite", "operator-theorem", "--allow-large"],
+        capture_output=True, text=True,
+    )
+    checks = json.loads(res.stdout)["checks"]
+    assert [c["witness"] for c in checks if c["status"] != "pass"] == []
+    assert len(checks) == 14 and res.returncode == 0
+
+
 def test_n5_hook_satisfies_lefschetz_and_the_bracket_identities():
     # One in-process hook build (about 105 s, 1.7 GB peak RSS) serves all
     # three suites, which then take a few seconds together.
