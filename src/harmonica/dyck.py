@@ -81,6 +81,19 @@ def catalan_number(n: int) -> int:
     return comb(2 * n, n) // (n + 1)
 
 
+def hook_per_a(n: int) -> Dict[int, int]:
+    """{d: H_d}, the total dimension of each odd degree d of the hook model.
+
+    S_d = C(2n-d, d) Cat(n-d) counts the Schroder paths of size n with d
+    diagonal steps, which give <nabla e_n, e_(n-d) h_d> (Haglund 2004); by
+    Pieri, H_d = S_d - H_(d-1), so H_d = sum_(k<=d) (-1)^(d-k) S_k.
+    """
+    out: Dict[int, int] = {}
+    for d in range(n):
+        out[d] = comb(2 * n - d, d) * catalan_number(n - d) - out.get(d - 1, 0)
+    return out
+
+
 def enumerate_paths(n: int) -> List[DyckPath]:
     """All paths for the given size, in lexicographic step order."""
     if n < 0:

@@ -247,6 +247,9 @@ class RrefAccumulator:
     expression in the inserted vectors (by tag) as an int dict sharing the
     row's scale: row == sum expr[t] * (vector inserted with tag t), so the
     pivot entry is the expression's denominator.
+
+    A stored row, expression or view is replaced when it changes, never
+    mutated in place, so `copy` shares them.
     """
 
     def __init__(self, track: bool = False):
@@ -254,6 +257,14 @@ class RrefAccumulator:
         self._rows: dict = {}  # pivot col -> int row
         self._exprs: dict = {}  # pivot col -> int combination of inserted tags
         self._view: Optional[dict] = None  # pivot col -> Fraction RREF row
+
+    def copy(self) -> "RrefAccumulator":
+        """An accumulator of the same span that inserts independently of this one."""
+        out = RrefAccumulator(self.track)
+        out._rows = dict(self._rows)
+        out._exprs = dict(self._exprs)
+        out._view = self._view
+        return out
 
     @property
     def rank(self) -> int:

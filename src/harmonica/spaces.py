@@ -12,7 +12,8 @@ coordinates:
   the genuinely mixed generators are reduced in the small product quotient;
 * the odd (hook) quotients reuse the even presentation per odd index set,
   then add the wedge relations of th_1+..+th_n and the im(1 + s_i) rows,
-  which over Q span the kernel of the sign projector (s_i = (i i+1));
+  which over Q span the kernel of the sign projector (s_i = (i i+1)); they
+  are built only where their S_n characters give a nonzero dimension;
 * each harmonic piece is the orthogonal complement of its coinvariant
   block's relations under the differentiation pairing.
 
@@ -49,9 +50,10 @@ Completeness is certified downstream by the closed-form total dimensions.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import factorial, lcm, prod
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .linalg import RrefAccumulator, SparseMatrix, Vec, _scaled_ints, vec_add_scaled
@@ -779,6 +781,74 @@ def _wedge_omega0(n: int, S: tuple) -> List[Tuple[int, tuple]]:
             for i in range(n) if i not in S]
 
 
+def _partitions(n: int, largest: int) -> List[Tuple[int, ...]]:
+    """Partitions of n into parts of at most `largest`, parts decreasing."""
+    if n == 0:
+        return [()]
+    return [(k,) + rest for k in range(min(n, largest), 0, -1) for rest in _partitions(n - k, k)]
+
+
+@lru_cache(maxsize=None)
+def _conjugacy_classes(n: int) -> List[Tuple[Tuple[int, ...], int, List[int]]]:
+    """Per cycle type mu of S_n: (word, sgn(mu)*|C_mu|, [e_d(mu) for d < n]).
+
+    The s_i of the word, applied in order, give one permutation of type mu,
+    its cycles running over consecutive indices.  e_d is the character of
+    Lambda^d V on the reflection representation V, read off
+    sum_d e_d t^d = det(1 + t sigma)/(1 + t).
+    """
+    out = []
+    for mu in _partitions(n, n):
+        word, start = [], 0
+        det = [1]  # coefficients of det(1 + t sigma) = prod over cycles of (1 - (-t)^k)
+        for k in mu:
+            word += range(start, start + k - 1)
+            start += k
+            det = [c + (det[j - k] * (-1) ** (k + 1) if j >= k else 0)
+                   for j, c in enumerate(det + [0] * k)]
+        ext = []
+        for c in det[:n]:  # divide by 1 + t
+            ext.append(c - (ext[-1] if ext else 0))
+        z = prod(k ** m * factorial(m) for k, m in Counter(mu).items())
+        out.append((tuple(word), (-1) ** (n - len(mu)) * factorial(n) // z, ext))
+    return out
+
+
+def _hook_multiplicities(block: Block) -> List[int]:
+    """dim of the sign part of block (x) Lambda^da V, for da = 0..n-1.
+
+    That is (1/n!) sum over cycle types mu of sgn(mu) |C_mu| chi(mu) e_da(mu),
+    with chi the trace of sigma on the block: the sum over reps of the
+    coefficient at the rep of the class of sigma * rep.  sigma is applied as
+    its word in the s_i through `transpose_adjacent`, Koszul signs included.
+    """
+    n = block.n
+    per_da = [0] * n
+    for word, weight, ext in _conjugacy_classes(n):
+        chi = 0
+        for r in block.reps:
+            mono, sign = block.monomials[r], 1
+            for i in word:
+                mono, e = transpose_adjacent(mono, i)
+                sign *= e
+            col = block.index[mono]
+            chi += sign * (1 if col == r else block.nf.get(col, {}).get(r, 0))
+        for da in range(n):
+            per_da[da] += weight * chi * ext[da]
+    dims = [Fraction(x, factorial(n)) for x in per_da]
+    if any(d.denominator != 1 for d in dims):
+        raise ArithmeticError(f"block at tridegree {tuple(block.deg)}: characters give {dims}")
+    return [int(d) for d in dims]
+
+
+def _checked(blk: Block, multiplicity: int) -> Block:
+    """blk, unless its dimension differs from what its S_n character predicts."""
+    if blk.dim != multiplicity:
+        raise ArithmeticError(f"block at tridegree {tuple(blk.deg)} has dimension {blk.dim}, "
+                              f"its S_n character gives {multiplicity}")
+    return blk
+
+
 def _sign_quotient_block(base: Block) -> Block:
     """Add the kernel of the sign projector to a block's relation subspace."""
     return _sign_block(base, 0)
@@ -789,8 +859,12 @@ def sign_component(space):
 
     For a QuotientSpace the result is the quotient by the enlarged relation
     subspace (relations plus the kernel of the sign projector, spanned by the
-    images of 1 + s_i); for a GradedSubspace it is the span of the sign
-    projections of the basis vectors, computed orbit by orbit.
+    images of 1 + s_i).  Each block's sign multiplicity is computed first
+    from its S_n character (`_hook_multiplicities` at da = 0); only blocks
+    where it is nonzero are built, and a built dimension that differs from
+    it raises ArithmeticError naming the tridegree and both numbers.  For a
+    GradedSubspace it is the span of the sign projections of the basis
+    vectors, computed orbit by orbit.
     """
     return space.memoised(("sign",), lambda: _build_sign_component(space))
 
@@ -799,9 +873,9 @@ def _build_sign_component(space):
     if isinstance(space, QuotientSpace):
         blocks = {}
         for deg, base in space.blocks.items():
-            blk = _sign_quotient_block(base)
-            if blk.dim:
-                blocks[deg] = blk
+            dim = _hook_multiplicities(base)[0]
+            if dim:
+                blocks[deg] = _checked(_sign_quotient_block(base), dim)
         return QuotientSpace(space.n, space.kind + "-sign", blocks)
     pieces: Dict[TriDegree, List[Vec]] = {}
     for deg in space.support():
@@ -888,7 +962,13 @@ def hook_component(n: int, allow_large: bool = False, cache_dir=None) -> Quotien
     """Sign part of (reduced odd exterior algebra) tensor the coinvariants.
 
     The odd degree is the third grading; the degree-zero odd slice coincides
-    with the sign component of the coinvariant quotient.
+    with the sign component of the coinvariant quotient.  The block at
+    (a, b, da) is the sign part of drn_(a,b) (x) Lambda^da V, V the
+    reflection representation, so its dimension is known before it is
+    built: (1/n!) sum_mu sgn(mu) |C_mu| chi_(a,b)(mu) e_da(mu)
+    (`_hook_multiplicities`).  Only blocks where it is nonzero are built,
+    and a built dimension that differs from it raises ArithmeticError
+    naming the tridegree and both numbers.
     """
 
     def build() -> QuotientSpace:
@@ -896,9 +976,9 @@ def hook_component(n: int, allow_large: bool = False, cache_dir=None) -> Quotien
         blocks: Dict[TriDegree, Block] = {}
         for deg in sorted(dr.blocks):
             base = dr.blocks[deg]
-            for da in range(n):
-                blk = _build_hook_block(n, base, da)
-                if blk.dim:
+            for da, dim in enumerate(_hook_multiplicities(base)):
+                if dim:
+                    blk = _checked(_build_hook_block(n, base, da), dim)
                     blocks[blk.deg] = blk
         return QuotientSpace(n, "hook", blocks)
 
@@ -930,7 +1010,15 @@ def _wedge_omega0_vec(n: int, deg: TriDegree, vec: Vec) -> Vec:
 
 
 class _IdealTower:
-    """Degreewise echelon bases of the antisymmetric ideal and its multiples."""
+    """Degreewise echelon bases of the antisymmetric ideal and its multiples.
+
+    Copy, then extend: mJ at a degree is the span of the x_i- and y_i-shifts
+    of the J rows one degree down, and J there is a copy of mJ extended by
+    the signed orbit sums, so no row already in echelon form is inserted
+    again.  The reduced series extends a copy of mJ by the omega_0 rows in
+    the same way.  Shifts and omega_0 rows are built from `int_rows()`: a
+    row's scale does not change the span.
+    """
 
     def __init__(self, n: int):
         self.n = n
@@ -952,7 +1040,7 @@ class _IdealTower:
             if not acc or not acc.rank:
                 continue
             smonos, _ = ambient_basis(n, src)
-            for row in acc.row_vectors():
+            for _, row in acc.int_rows():
                 for i in range(n):
                     shifted: Vec = {}
                     for c, v in row.items():
@@ -976,7 +1064,7 @@ class _IdealTower:
             return []
         lower = TriDegree(deg.dx, deg.dy, deg.da - 1)
         src = self.J.get(lower)
-        return [_wedge_omega0_vec(self.n, lower, row) for row in src.row_vectors()] if src else []
+        return [_wedge_omega0_vec(self.n, lower, row) for _, row in src.int_rows()] if src else []
 
     def degrees(self, max_total: int) -> List[TriDegree]:
         """Built degrees of total degree <= max_total, in build order."""
@@ -990,9 +1078,10 @@ class _IdealTower:
                 dy = total - dx
                 for da in range(n + 1):
                     deg = TriDegree(dx, dy, da)
-                    accm = _span(self._shift_candidates(deg))
-                    self.mJ[deg] = accm
-                    self.J[deg] = _span(accm.row_vectors() + _signed_orbit_sums(n, deg))
+                    self.mJ[deg] = _span(self._shift_candidates(deg))
+                    self.J[deg] = self.mJ[deg].copy()
+                    for vec in _signed_orbit_sums(n, deg):
+                        self.J[deg].insert(vec)
             self.max_total = total
 
 
@@ -1061,7 +1150,9 @@ def ideal_quotient_series(n: int, reduced: bool, max_total: Optional[int] = None
                 if d:
                     dims[deg] = d
             continue
-        acc = _span(tower.omega_rows(deg) + tower.mJ[deg].row_vectors())
+        acc = tower.mJ[deg].copy()
+        for row in tower.omega_rows(deg):
+            acc.insert(row)
         d = accj.rank - acc.rank
         if d:
             dims[deg] = d

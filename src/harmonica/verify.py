@@ -17,7 +17,7 @@ from math import perm
 from typing import Callable, Dict, List, Optional
 
 from . import __version__
-from .dyck import catalan_number, catalan_qt, enumerate_paths, render_qt
+from .dyck import catalan_number, catalan_qt, enumerate_paths, hook_per_a, render_qt
 from .linalg import RrefAccumulator, SparseMatrix, _scaled_ints
 from .operators import (
     OperatorSpec,
@@ -88,8 +88,6 @@ FIGURE1_D1_ARROWS = sorted(
 )
 FIGURE1_D2_ARROWS = sorted([((0, 4), (4, 2)), ((2, 2), (6, 0)), ((-2, 2), (2, 0))])
 
-HOOK_PER_A = {2: {0: 2, 1: 1}, 3: {0: 5, 1: 5, 2: 1}}
-
 
 def _check(results: List[CheckResult], name: str, fn: Callable[[], Optional[str]]):
     """Run one check; fn returns None on pass or a witness string on failure."""
@@ -137,8 +135,7 @@ def suite_dims(n: int, allow_large=False, cache_dir=None) -> List[CheckResult]:
     _check(out, "series is symmetric in q and t", lambda: None if dr.hilbert().is_qt_symmetric() else "asymmetric")
     _check(out, "hook series is symmetric in q and t",
            lambda: None if hook.hilbert().is_qt_symmetric() else "asymmetric")
-    if n in HOOK_PER_A:
-        _check(out, "hook per-a dimensions", lambda: _eq("per-a", hook.hilbert().per_a(), HOOK_PER_A[n]))
+    _check(out, "hook per-a dimensions", lambda: _eq("per-a", hook.hilbert().per_a(), hook_per_a(n)))
     _check(out, "hook a=0 slice equals the sign component",
            lambda: _eq("series", hook.hilbert().slice_a(0), sgn.hilbert()))
     _check(out, "hook top odd slice is one-dimensional",

@@ -1,5 +1,5 @@
 """The Fraction-row builds of the coinvariant blocks and harmonic pieces,
-kept only as a test oracle.
+and the all-blocks hook and sign loops, kept only as test oracles.
 
 This is the code `harmonica.spaces` used to build the single-family
 reductions, the even (coinvariant) blocks and the harmonic pieces before
@@ -9,6 +9,10 @@ are unchanged; each builder reads its family and harmonic kernels from an
 oracle workspace of its own, so nothing is shared with the builds under
 test.  `test_build_oracle.py` holds the integer-row builds to the same
 presentations.
+
+`hook_blocks` builds every hook block of the coinvariant quotient and
+keeps the nonzero ones, as `harmonica.spaces` did before the S_n characters
+decided which blocks to build; its odd degree 0 blocks are the sign blocks.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from fractions import Fraction
 from typing import Dict, List
 
 from harmonica.linalg import RrefAccumulator, SparseMatrix, Vec, kernel_basis, vec_add_scaled
-from harmonica.spaces import Block, _mixed_generators, _span
+from harmonica.spaces import Block, _mixed_generators, _sign_block, _span, coinvariants
 from harmonica.superpoly import TriDegree, compositions
 
 
@@ -291,3 +295,14 @@ def _build_harmonic_piece(n: int, a: int, b: int) -> List[Vec]:
         basis = new_basis
     return _span(basis).row_vectors()
 
+
+
+def hook_blocks(n: int) -> Dict[TriDegree, Block]:
+    """Every nonzero hook block, found by building all of them."""
+    blocks: Dict[TriDegree, Block] = {}
+    for base in coinvariants(n).blocks.values():
+        for da in range(n):
+            blk = _sign_block(base, da)
+            if blk.dim:
+                blocks[blk.deg] = blk
+    return blocks

@@ -54,3 +54,44 @@ def test_harmonic_pieces_match_the_oracle(n):
             got = spaces._build_harmonic_piece(n, a, d - a)
             assert got == old._build_harmonic_piece(n, a, d - a), (a, d - a)
             _assert_fractions(got)
+
+
+@pytest.fixture
+def fresh_registry():
+    spaces.clear_registry()
+    yield
+    spaces.clear_registry()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_the_characters_skip_no_hook_or_sign_block(n, fresh_registry):
+    # The hook and sign builds skip the blocks their S_n characters call zero;
+    # building every block must find no other nonzero one.
+    ref = old.hook_blocks(n)
+    hook = spaces.hook_component(n)
+    sign = spaces.sign_component(spaces.coinvariants(n))
+    assert sorted(hook.blocks) == sorted(ref)
+    assert sorted(sign.blocks) == sorted(d for d in ref if d.da == 0)
+    for blk in list(hook.blocks.values()) + list(sign.blocks.values()):
+        _assert_same_block(blk, ref[blk.deg])
+
+
+@pytest.mark.parametrize("ab,da,built,predicted", [((1, 1), 1, 1, 2), ((0, 0), 0, 0, 1)])
+def test_a_wrong_multiplicity_raises_naming_its_tridegree(ab, da, built, predicted, fresh_registry, monkeypatch):
+    # Negative control: one multiplicity off by one at n = 3.  A nonzero block
+    # is built and found too small; a zero block is built and found empty.
+    true = spaces._hook_multiplicities
+
+    def off_by_one(block):
+        dims = true(block)
+        if tuple(block.deg) == (*ab, 0):
+            dims[da] += 1
+        return dims
+
+    monkeypatch.setattr(spaces, "_hook_multiplicities", off_by_one)
+    message = rf"tridegree \({ab[0]}, {ab[1]}, {da}\) has dimension {built}, its S_n character gives {predicted}"
+    with pytest.raises(ArithmeticError, match=message):
+        spaces.hook_component(3)
+    if da == 0:
+        with pytest.raises(ArithmeticError, match=message):
+            spaces.sign_component(spaces.coinvariants(3))

@@ -194,3 +194,39 @@ def test_matmul_and_transpose():
     b = dense([[1, 0], [3, 1]])
     assert a.matmul(b).to_dense() == [[Fraction(7), Fraction(2)], [Fraction(3), Fraction(1)]]
     assert a.transpose().to_dense() == [[Fraction(1), Fraction(0)], [Fraction(2), Fraction(1)]]
+
+
+def _state(acc):
+    return acc.rank, acc.pivots(), acc.int_rows(), acc.row_vectors(), {p: dict(e) for p, e in acc._exprs.items()}
+
+
+@pytest.mark.parametrize("track", [False, True])
+def test_copy_inserts_independently_of_its_original(track):
+    rng = random.Random(7)
+    vecs = [{j: Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for j in rng.sample(range(8), 3)}
+            for _ in range(6)]
+    orig = RrefAccumulator(track=track)
+    for t, v in enumerate(vecs[:3]):
+        orig.insert(v, tag=t)
+    orig.row_vectors()  # the cached view is shared by the copy
+    before = _state(orig)
+    copy = orig.copy()
+    assert _state(copy) == before
+    for t, v in enumerate(vecs[3:], start=3):
+        copy.insert(v, tag=t)
+    assert _state(orig) == before
+    assert copy.rank > orig.rank
+    # The copy holds what one accumulator fed every vector holds.
+    whole = RrefAccumulator(track=track)
+    for t, v in enumerate(vecs):
+        whole.insert(v, tag=t)
+    assert copy.int_rows() == whole.int_rows()
+    if track:
+        for v in vecs:
+            assert copy.solve(v) == whole.solve(v)
+    # And the reverse: inserting into the original leaves the copy alone.
+    after = _state(copy)
+    for v in vecs[3:]:
+        orig.insert({j: -x for j, x in v.items()})
+    orig.insert({8: Fraction(1)})
+    assert _state(copy) == after

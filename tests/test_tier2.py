@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from harmonica import spaces, verify
+from harmonica.dyck import hook_per_a
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 oracle = importlib.import_module("oracle")
@@ -70,9 +71,24 @@ def test_n5_operator_theorem_suite_passes():
     assert len(checks) == 14 and res.returncode == 0
 
 
+def test_n5_hook_blocks_match_the_schroder_counts():
+    # The character-first build keeps the 122 nonzero blocks of the 330
+    # (about 33 s and 0.5 GB peak RSS after coinvariants(5), which takes
+    # about 40 s; building every block took 70 s and 1.66 GB).  The odd
+    # degrees total the Schroder-path counts H_d, 197 in all.
+    spaces.clear_registry()
+    try:
+        hook = spaces.hook_component(5, allow_large=True)
+    finally:
+        spaces.clear_registry()
+    assert len(hook.blocks) == 122 and hook.total_dim() == 197
+    assert hook.hilbert().per_a() == hook_per_a(5)
+
+
 def test_n5_hook_satisfies_lefschetz_and_the_bracket_identities():
-    # One in-process hook build (about 105 s, 1.7 GB peak RSS) serves all
-    # three suites, which then take a few seconds together.
+    # One in-process hook build (about 75 s, 0.5 GB peak RSS, the
+    # coinvariants included) serves all three suites, which then take a few
+    # seconds together.
     spaces.clear_registry()
     try:
         spaces.hook_component(5, allow_large=True)
