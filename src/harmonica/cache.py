@@ -4,7 +4,7 @@ Each file carries a versioned header (format version, n, monomial order
 identifier) followed by the per-degree data in exact rational text encoding.
 Files are keyed by those parameters; anything stale or malformed is ignored,
 never migrated.  Loaded data is checked for the shape a build produces
-(see `_valid_block` and `load_subspace`), so a file that parses but holds
+(see `_valid_block` and `_valid_basis`), so a file that parses but holds
 inconsistent data is ignored as well and the space is rebuilt.  Writes go
 through a temporary file and an atomic rename, so readers never observe
 partial files (single-writer discipline).
@@ -59,7 +59,10 @@ def _vec_out(vec: dict) -> list:
 
 
 def _vec_in(items) -> dict:
-    return {int(j): Fraction(s) for j, s in items}
+    vec = {int(j): Fraction(s) for j, s in items}
+    if len(vec) != len(items):
+        raise ValueError("a column is listed twice")
+    return vec
 
 
 def _valid_block(block: Block) -> bool:
@@ -71,6 +74,18 @@ def _valid_block(block: Block) -> bool:
     if sorted(reps + list(block.nf)) != list(range(block.ambient_dim)):
         return False
     return all(j in block._rep_pos for vec in block.nf.values() for j in vec)
+
+
+def _valid_basis(vecs: list, dim: int) -> bool:
+    """The vectors are the reduced row-echelon basis every build saves, as
+    `GradedSubspace.coords` needs: nonzero entries on ambient columns only,
+    leading columns strictly increasing, each leading entry 1 and every other
+    vector zero at that column."""
+    leads = [min(v, default=-1) for v in vecs]
+    return (all(lead >= 0 and v[lead] == 1 and max(v) < dim and 0 not in v.values()
+                for lead, v in zip(leads, vecs))
+            and all(a < b for a, b in zip(leads, leads[1:]))
+            and all(j == lead or j not in v for j in leads for lead, v in zip(leads, vecs)))
 
 
 def save_quotient(cache_dir, space: QuotientSpace) -> Path:
@@ -141,10 +156,7 @@ def load_subspace(cache_dir, kind: str, n: int) -> Optional[GradedSubspace]:
         for rec in payload["pieces"]:
             deg = TriDegree(*rec["deg"])
             vecs = [_vec_in(v) for v in rec["basis"]]
-            # Each vector has a nonzero entry and only columns of its ambient basis.
-            dim = count_tridegree(n, deg)
-            ok = all(any(v.values()) and all(0 <= j < dim for j in v) for v in vecs)
-            if deg in pieces or not ok:
+            if deg in pieces or not _valid_basis(vecs, count_tridegree(n, deg)):
                 return None
             pieces[deg] = vecs
         return GradedSubspace(n, kind, pieces)

@@ -2,11 +2,14 @@
 
 Every matrix on a quotient is certified before it is returned: the operator
 must carry the relation subspace into the relation subspace.  For the
-built-in first-order equivariant families the certificate is structural
-(Leibniz reduces preservation to the finitely many generators: the polarized
-power sums, and for odd operators the invariant odd Euler element); for
-anything else the full relation row basis is checked vector by vector.  A
-failed certificate surfaces the offending element as a witness.
+built-in first-order equivariant families the certificate is structural:
+by Leibniz, each generator's image (the polarized power sums p_{c,d}, and
+for odd operators on the hook the odd Euler element) must lie in the
+invariant ideal.  The p_{c,d} generate the diagonal invariants (Weyl), so
+that is read off the image alone, with no quotient block: each homogeneous
+component must be even, of positive degree and fixed by every s_i.  For
+anything else the relation rows are checked one by one.  A failed
+certificate surfaces the offending element as a witness.
 
 An `OperatorSpec` kind is declared once, in `_KINDS`, with its label prefix
 and its `superpoly` constructor; a spec's tridegree shift is read off its
@@ -19,14 +22,12 @@ computed where the space knows every class is zero.
 from __future__ import annotations
 
 from functools import lru_cache
-from fractions import Fraction
 from typing import Dict, NamedTuple, Optional, Tuple
 
 from .linalg import SparseMatrix
 from .spaces import (
     GradedSubspace,
     QuotientSpace,
-    _even_block,
     _power_sum_generators,
     vec_to_poly,
 )
@@ -35,6 +36,8 @@ from .superpoly import (
     Monomial,
     Polynomial,
     TriDegree,
+    _diagonal,
+    _diagonal_sum,
     apply_op,
     op_E,
     op_E_star,
@@ -159,14 +162,24 @@ def compose(outer: OperatorMatrix, inner: OperatorMatrix) -> OperatorMatrix:
 
 _FIRST_ORDER_KINDS = {"F", "E", "ham", "d"}
 
-def _invariant_ideal_class_zero(n: int, p: Polynomial) -> Optional[Polynomial]:
-    """None if every homogeneous part of p lies in the invariant ideal,
-    otherwise the first offending component."""
+
+def _is_invariant(p: Polynomial) -> bool:
+    """Whether every adjacent transposition s_i fixes p; they generate S_n."""
+    for i in range(p.n - 1):
+        for m, c in p.terms.items():
+            image, sign = transpose_adjacent(m, i)
+            if p.terms.get(image) != sign * c:
+                return False
+    return True
+
+
+def _outside_invariant_ideal(p: Polynomial) -> Optional[Polynomial]:
+    """The first homogeneous component of p that is odd, constant or not
+    S_n-invariant, or None, and then p lies in the invariant ideal.  For an
+    invariant p, as a generator's image under an equivariant operator is, a
+    component is returned exactly when it lies outside."""
     for deg, comp in p.homogeneous_components().items():
-        if deg.da:
-            return comp
-        block = _even_block(n, deg.dx, deg.dy)
-        if block.class_coords(comp):
+        if deg.da or not (deg.dx or deg.dy) or not _is_invariant(comp):
             return comp
     return None
 
@@ -195,53 +208,33 @@ def _is_equivariant(spec: OperatorSpec) -> bool:
     return True
 
 
-def _power_sum(n: int, a: int, b: int) -> Polynomial:
-    terms = {}
-    for i in range(n):
-        xe = tuple(a if j == i else 0 for j in range(n))
-        ye = tuple(b if j == i else 0 for j in range(n))
-        terms[Monomial(xe, ye, ())] = Fraction(1)
-    return Polynomial(n, terms)
-
-
-def _omega0(n: int) -> Polynomial:
-    terms = {Monomial((0,) * n, (0,) * n, (i,)): Fraction(1) for i in range(n)}
-    return Polynomial(n, terms)
+def _diagonal_poly(n: int, **exps) -> Polynomial:
+    """sum_i x_i^x y_i^y th_i^th: p_{x,y}, or the odd Euler element for th=1."""
+    return apply_op(_diagonal_sum(n, _diagonal(**exps)), Polynomial.one(n))
 
 
 def _structural_certificate(spec: OperatorSpec, space: QuotientSpace) -> Optional[Polynomial]:
     """None on success, witness polynomial on failure, raises on inapplicable."""
     n = spec.n
-    kind_parts = space.kind
     D = spec.diff_operator()
     if spec.kind == "wedge":
-        # Multiplication operators preserve everything iff the multiplier is
-        # S_n-invariant (it then commutes with the sign projector and keeps
-        # both the ideal part and the odd Euler relations); the adjacent
-        # transpositions generate S_n, so they are the ones checked.
+        # A multiplier fixed by S_n commutes with the sign projector and
+        # keeps the ideal part and the odd Euler relations.
         mult = apply_op(D, Polynomial.one(n))
-        for i in range(n - 1):
-            for m, c in mult.terms.items():
-                image, sign = transpose_adjacent(m, i)
-                if mult.terms.get(image) != sign * c:
-                    return mult
-        return None
+        return None if _is_invariant(mult) else mult
     if spec.kind not in _FIRST_ORDER_KINDS:
         raise NotImplementedError("no structural certificate for this operator kind")
     if not _is_equivariant(spec):
         raise NotImplementedError("operator is not syntactically equivariant")
     # Leibniz: preservation of the invariant ideal reduces to the generators.
-    for (a, b) in _power_sum_generators(n):
-        bad = _invariant_ideal_class_zero(n, apply_op(D, _power_sum(n, a, b)))
+    generators = [_diagonal_poly(n, x=a, y=b) for (a, b) in _power_sum_generators(n)]
+    # Odd operators must respect the wedge relations of the odd Euler element.
+    if "hook" in space.kind and spec.kind == "d":
+        generators.append(_diagonal_poly(n, th=1))
+    for g in generators:
+        bad = _outside_invariant_ideal(apply_op(D, g))
         if bad is not None:
             return bad
-    # Odd operators must respect the wedge relations of the odd Euler element.
-    if "hook" in kind_parts and spec.kind == "d":
-        g = apply_op(D, _omega0(n))
-        if not g.is_zero():
-            bad = _invariant_ideal_class_zero(n, g)
-            if bad is not None:
-                return bad
     return None
 
 

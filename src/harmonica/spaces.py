@@ -229,8 +229,7 @@ class Block:
 
     def class_coords(self, p: Polynomial) -> Vec:
         """Class of a polynomial, as {rep position: coefficient}."""
-        reduced = self.normal_form(poly_to_vec(p, self.deg))
-        return {self._rep_pos[j]: v for j, v in reduced.items()}
+        return self.class_of_vec(poly_to_vec(p, self.deg))
 
     def class_of_vec(self, vec: Vec) -> Vec:
         reduced = self.normal_form(vec)
@@ -469,7 +468,7 @@ class _Workspace:
         self.spaces: Dict[str, object] = {}  # "drn", "dh", "hook": built or cache-loaded
         self.family = _SingleFamily(n)
         # Every coinvariant block built, zero-dimensional ones included: read
-        # by both `coinvariants` and the operator certificates.
+        # by `coinvariants` and `harmonics`.
         self.even_blocks: Dict[Tuple[int, int], Block] = {}
         self.tower = _IdealTower(n)  # extended upward on demand
 
@@ -968,17 +967,20 @@ def hook_component(n: int, allow_large: bool = False, cache_dir=None) -> Quotien
     built: (1/n!) sum_mu sgn(mu) |C_mu| chi_(a,b)(mu) e_da(mu)
     (`_hook_multiplicities`).  Only blocks where it is nonzero are built,
     and a built dimension that differs from it raises ArithmeticError
-    naming the tridegree and both numbers.
+    naming the tridegree and both numbers.  The da = 0 blocks are the very
+    `Block`s of `sign_component` of the coinvariants, built once for both.
     """
 
     def build() -> QuotientSpace:
         dr = coinvariants(n, allow_large=allow_large, cache_dir=cache_dir)
+        sign = sign_component(dr)
         blocks: Dict[TriDegree, Block] = {}
         for deg in sorted(dr.blocks):
-            base = dr.blocks[deg]
-            for da, dim in enumerate(_hook_multiplicities(base)):
+            if deg in sign.blocks:
+                blocks[deg] = sign.blocks[deg]
+            for da, dim in enumerate(_hook_multiplicities(dr.blocks[deg])[1:], 1):
                 if dim:
-                    blk = _checked(_build_hook_block(n, base, da), dim)
+                    blk = _checked(_build_hook_block(n, dr.blocks[deg], da), dim)
                     blocks[blk.deg] = blk
         return QuotientSpace(n, "hook", blocks)
 
@@ -1027,15 +1029,12 @@ class _IdealTower:
         self.mJ: Dict[TriDegree, RrefAccumulator] = {}
 
     def _shift_candidates(self, deg: TriDegree) -> List[Vec]:
+        """The x_i- and y_i-shifts of the J rows one degree down."""
         n = self.n
         out: List[Vec] = []
         _, index = ambient_basis(n, deg)
-        for (src, var) in (
-            (TriDegree(deg.dx - 1, deg.dy, deg.da), "x"),
-            (TriDegree(deg.dx, deg.dy - 1, deg.da), "y"),
-        ):
-            if src.dx < 0 or src.dy < 0:
-                continue
+        for src, var in ((TriDegree(deg.dx - 1, deg.dy, deg.da), "xe"),
+                         (TriDegree(deg.dx, deg.dy - 1, deg.da), "ye")):
             acc = self.J.get(src)
             if not acc or not acc.rank:
                 continue
@@ -1045,15 +1044,8 @@ class _IdealTower:
                     shifted: Vec = {}
                     for c, v in row.items():
                         m = smonos[c]
-                        if var == "x":
-                            xe = list(m.xe)
-                            xe[i] += 1
-                            t = Monomial(tuple(xe), m.ye, m.odd)
-                        else:
-                            ye = list(m.ye)
-                            ye[i] += 1
-                            t = Monomial(m.xe, tuple(ye), m.odd)
-                        shifted[index[t]] = v
+                        e = getattr(m, var)
+                        shifted[index[m._replace(**{var: e[:i] + (e[i] + 1,) + e[i + 1:]})]] = v
                     out.append(shifted)
         return out
 

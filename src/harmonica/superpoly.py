@@ -583,11 +583,6 @@ def compositions(total: int, parts: int):
             yield (first,) + rest
 
 
-def monomials_bidegree(n: int, dx: int, dy: int) -> list:
-    """Even monomials of the bidegree, in the canonical column order."""
-    return monomials_tridegree(n, TriDegree(dx, dy, 0))
-
-
 def subsets_of_size(n: int, k: int) -> list:
     from itertools import combinations
 

@@ -229,6 +229,12 @@ def _operator_span(n: int, seeds: List[Polynomial], operators) -> Dict[TriDegree
     return spans
 
 
+def _preserved(spec: OperatorSpec, space) -> Optional[str]:
+    """None when `check_preserves` passes, else its witness."""
+    ok, witness = check_preserves(spec, space)
+    return None if ok else f"witness {render(witness)}"
+
+
 def suite_operator_theorem(n: int, allow_large=False, cache_dir=None) -> List[CheckResult]:
     out: List[CheckResult] = []
     dh = harmonics(n, allow_large=allow_large, cache_dir=cache_dir)
@@ -260,12 +266,11 @@ def suite_operator_theorem(n: int, allow_large=False, cache_dir=None) -> List[Ch
     for k in range(1, min(n, 3)):
         for spec in (OperatorSpec.E(n, k), OperatorSpec.F(n, k)):
             for name, ideal in (("J", J), ("mJ", mJ)):
-                _check(out, f"{spec.label()} preserves {name}",
-                       lambda spec=spec, ideal=ideal: (lambda ok_w: None if ok_w[0] else f"witness {render(ok_w[1])}")(check_preserves(spec, ideal)))
+                _check(out, f"{spec.label()} preserves {name}", partial(_preserved, spec, ideal))
     dr = coinvariants(n, allow_large=allow_large, cache_dir=cache_dir)
     for k in range(1, n):
         _check(out, f"F{k} well defined on the coinvariant quotient",
-               lambda k=k: (lambda ok_w: None if ok_w[0] else f"witness {render(ok_w[1])}")(check_preserves(OperatorSpec.F(n, k), dr)))
+               partial(_preserved, OperatorSpec.F(n, k), dr))
     return out
 
 

@@ -13,18 +13,31 @@ the same term tuples, in the same order, and `test_operators.py` holds
 pair; `test_superpoly.py` holds `superpoly.apply_op`, which works in ints
 over the operator's compiled terms, to the same terms, the same values and
 the same insertion order.
+
+`_invariant_ideal_class_zero`, `_power_sum`, `_omega0` and
+`_structural_certificate` are the structural well-definedness certificate as
+it was when it decided ideal membership by reducing each image in the
+coinvariant block of its bidegree; `check_preserves` below runs it as
+`operators.check_preserves` runs the certificate on a quotient.
+`test_certificate.py` holds the certificate, which now reads membership off
+the image alone, to the same verdicts and the same witnesses.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Optional
 
+from harmonica import operators
+from harmonica.operators import _FIRST_ORDER_KINDS, OperatorSpec, _is_equivariant
+from harmonica.spaces import QuotientSpace, _even_block, _power_sum_generators
 from harmonica.superpoly import (
     DiffOperator,
     Monomial,
     OpTerm,
     Polynomial,
     monomial_mul,
+    transpose_adjacent,
     unit_monomial,
 )
 
@@ -255,3 +268,75 @@ def shift(spec):
         return (k, 0, 1)
     a, b = spec.params
     return (a - 1, b - 1, 0)
+
+
+def _invariant_ideal_class_zero(n: int, p: Polynomial) -> Optional[Polynomial]:
+    """None if every homogeneous part of p lies in the invariant ideal,
+    otherwise the first offending component."""
+    for deg, comp in p.homogeneous_components().items():
+        if deg.da:
+            return comp
+        block = _even_block(n, deg.dx, deg.dy)
+        if block.class_coords(comp):
+            return comp
+    return None
+
+
+def _power_sum(n: int, a: int, b: int) -> Polynomial:
+    terms = {}
+    for i in range(n):
+        xe = tuple(a if j == i else 0 for j in range(n))
+        ye = tuple(b if j == i else 0 for j in range(n))
+        terms[Monomial(xe, ye, ())] = Fraction(1)
+    return Polynomial(n, terms)
+
+
+def _omega0(n: int) -> Polynomial:
+    terms = {Monomial((0,) * n, (0,) * n, (i,)): Fraction(1) for i in range(n)}
+    return Polynomial(n, terms)
+
+
+def _structural_certificate(spec: OperatorSpec, space: QuotientSpace) -> Optional[Polynomial]:
+    """None on success, witness polynomial on failure, raises on inapplicable."""
+    n = spec.n
+    kind_parts = space.kind
+    D = spec.diff_operator()
+    if spec.kind == "wedge":
+        # Multiplication operators preserve everything iff the multiplier is
+        # S_n-invariant (it then commutes with the sign projector and keeps
+        # both the ideal part and the odd Euler relations); the adjacent
+        # transpositions generate S_n, so they are the ones checked.
+        mult = apply_op(D, Polynomial.one(n))
+        for i in range(n - 1):
+            for m, c in mult.terms.items():
+                image, sign = transpose_adjacent(m, i)
+                if mult.terms.get(image) != sign * c:
+                    return mult
+        return None
+    if spec.kind not in _FIRST_ORDER_KINDS:
+        raise NotImplementedError("no structural certificate for this operator kind")
+    if not _is_equivariant(spec):
+        raise NotImplementedError("operator is not syntactically equivariant")
+    # Leibniz: preservation of the invariant ideal reduces to the generators.
+    for (a, b) in _power_sum_generators(n):
+        bad = _invariant_ideal_class_zero(n, apply_op(D, _power_sum(n, a, b)))
+        if bad is not None:
+            return bad
+    # Odd operators must respect the wedge relations of the odd Euler element.
+    if "hook" in kind_parts and spec.kind == "d":
+        g = apply_op(D, _omega0(n))
+        if not g.is_zero():
+            bad = _invariant_ideal_class_zero(n, g)
+            if bad is not None:
+                return bad
+    return None
+
+
+def check_preserves(spec: OperatorSpec, space: QuotientSpace):
+    """(passed, witness) of the certificate above, or of the row-by-row
+    check where it does not apply."""
+    try:
+        witness = _structural_certificate(spec, space)
+    except NotImplementedError:
+        witness = operators._exhaustive_certificate(spec, space)
+    return (witness is None), witness

@@ -1,8 +1,10 @@
 import json
+from fractions import Fraction
 
 import pytest
 
 from harmonica import cache, spaces
+from harmonica.cli import main
 from harmonica.spaces import (
     clear_registry,
     coinvariants,
@@ -116,6 +118,7 @@ BLOCK_CORRUPTIONS = {
     "nf key duplicated": lambda b: b["nf"].append(b["nf"][0]),
     "no reps": _empty_reps,
     "nf uses a non-rep column": _nf_on_pivot,
+    "nf column listed twice": lambda b: b["nf"][_nonempty_nf(b)][1].append([b["nf"][_nonempty_nf(b)][1][0][0], "7"]),
 }
 
 
@@ -160,8 +163,8 @@ class TestLoadChecks:
         assert cache.load_quotient(tmp_path, "hook", 3) is None
         self._assert_rebuilt(tmp_path, "hook", built)
 
-    @pytest.mark.parametrize("vec", [[], [[0, "0"]], [[-1, "1"]], [[10 ** 6, "1"]]],
-                             ids=["empty", "zero", "negative column", "column past the basis"])
+    @pytest.mark.parametrize("vec", [[], [[0, "0"]], [[-1, "1"]], [[10 ** 6, "1"]], [[0, "1"], [1, "1"], [1, "2"]]],
+                             ids=["empty", "zero", "negative column", "column past the basis", "column listed twice"])
     def test_bad_subspace_vector_is_rebuilt(self, tmp_path, vec):
         clear_registry()
         built = harmonics(3, cache_dir=tmp_path)
@@ -173,4 +176,27 @@ class TestLoadChecks:
         clear_registry()
         rebuilt = harmonics(3, cache_dir=tmp_path)
         assert rebuilt is not built and rebuilt.pieces == built.pieces
+        assert cache.load_subspace(tmp_path, "dh", 3) is not None
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda basis: basis.append(basis[0]),
+        lambda basis: basis.__setitem__(0, [[j, str(2 * Fraction(s))] for j, s in basis[0]]),
+        lambda basis: basis.reverse(),
+    ], ids=["vector repeated", "vector scaled by 2", "two vectors swapped"])
+    def test_subspace_basis_not_in_reduced_echelon_form_is_rebuilt(self, tmp_path, corrupt, capsys):
+        # The vectors stay nonzero and in range; only the echelon form breaks.
+        argv = ["compute", "--n", "3", "--space", "dh", "--cache-dir", str(tmp_path)]
+        clear_registry()
+        assert main(argv) == 0
+        cold = capsys.readouterr().out
+        assert "total: 16\n" in cold
+        path = cache.cache_path(tmp_path, "dh", 3)
+        payload = json.loads(path.read_text())
+        basis = next(rec["basis"] for rec in payload["pieces"] if len(rec["basis"]) == 2)
+        corrupt(basis)
+        path.write_text(json.dumps(payload))
+        assert cache.load_subspace(tmp_path, "dh", 3) is None
+        clear_registry()
+        assert main(argv) == 0
+        assert capsys.readouterr().out == cold
         assert cache.load_subspace(tmp_path, "dh", 3) is not None

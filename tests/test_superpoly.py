@@ -15,7 +15,6 @@ from harmonica.superpoly import (
     alt,
     apply_op,
     count_tridegree,
-    monomials_bidegree,
     monomials_tridegree,
     op_E,
     op_F,
@@ -269,8 +268,8 @@ class TestPairing:
     def test_adjunction_proportionality_of_bilinear_forms(self):
         # The two Gram forms on a whole bidegree block differ by one scalar.
         n, k = 3, 2
-        src = monomials_bidegree(n, 1, 2)
-        tgt = monomials_bidegree(n, 3, 1)
+        src = monomials_tridegree(n, TriDegree(1, 2, 0))
+        tgt = monomials_tridegree(n, TriDegree(3, 1, 0))
         lhs = [[pairing(apply_op(op_F(n, k), P.monomial(a)), P.monomial(b)) for b in tgt] for a in src]
         rhs = [[pairing(P.monomial(a), apply_op(op_F_star(n, k), P.monomial(b))) for b in tgt] for a in src]
         scalars = {
@@ -315,7 +314,7 @@ class TestVandermonde:
 class TestEnumerationAndRendering:
     def test_bidegree_count(self):
         # 3 x-monomials times 2 y-monomials... dims are binomials
-        assert len(monomials_bidegree(2, 2, 1)) == 3 * 2
+        assert len(monomials_tridegree(2, TriDegree(2, 1, 0))) == 3 * 2
 
     def test_tridegree_enumeration_matches_block_layout(self):
         # the odd-major layout used by the space builders
