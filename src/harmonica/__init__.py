@@ -32,7 +32,6 @@ from .spaces import (
     sign_component,
     hook_component,
     antisymmetric_ideal,
-    invariant_ideal_piece,
     hilbert,
 )
 from .dyck import DyckPath, enumerate_paths, catalan_number, catalan_qt
@@ -61,7 +60,6 @@ __all__ = [
     "sign_component",
     "hook_component",
     "antisymmetric_ideal",
-    "invariant_ideal_piece",
     "hilbert",
     "DyckPath",
     "enumerate_paths",

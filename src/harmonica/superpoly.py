@@ -595,12 +595,8 @@ def monomials_tridegree(n: int, deg: TriDegree) -> list:
     That order is `Monomial.sort_key`, and the enumeration already yields it:
     odd sets ascending, then x and y compositions lex descending.
     """
-    return [
-        Monomial(xe, ye, odd)
-        for odd in subsets_of_size(n, deg.da)
-        for xe in compositions(deg.dx, n)
-        for ye in compositions(deg.dy, n)
-    ]
+    xes, yes = list(compositions(deg.dx, n)), list(compositions(deg.dy, n))
+    return [Monomial(xe, ye, odd) for odd in subsets_of_size(n, deg.da) for xe in xes for ye in yes]
 
 
 def count_tridegree(n: int, deg: TriDegree) -> int:

@@ -13,12 +13,12 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from math import perm
+from math import comb, perm
 from typing import Callable, Dict, List, Optional
 
 from . import __version__
 from .dyck import catalan_number, catalan_qt, enumerate_paths, hook_per_a, render_qt
-from .linalg import RrefAccumulator, SparseMatrix, _scaled_ints
+from .linalg import RrefAccumulator, SparseMatrix, _scaled_ints, rref
 from .operators import (
     OperatorSpec,
     WellDefinednessError,
@@ -437,6 +437,29 @@ def suite_vanishing(n: int, allow_large=False, cache_dir=None) -> List[CheckResu
     return out
 
 
+def _homology_dims(spec: OperatorSpec, space) -> Dict[TriDegree, int]:
+    """dim ker / im of a square-zero operator at each piece of the space, where nonzero."""
+    rank = {deg: rref(matrix_of(spec, space, deg).matrix)[2] for deg in space.support()}
+    shift = spec.shift()
+    dims = {}
+    for deg in space.support():
+        src = TriDegree(deg.dx - shift[0], deg.dy - shift[1], deg.da - shift[2])
+        h = space.dim(deg) - rank[deg] - rank.get(src, 0)
+        if h:
+            dims[deg] = h
+    return dims
+
+
+def _one_class_homology(spec: OperatorSpec, space, deg: TriDegree) -> Optional[str]:
+    """None when the homology of the operator on the space is one class, at deg."""
+    return _eq(f"H({spec.label()})", _homology_dims(spec, space), {deg: 1})
+
+
+def _first_nonzero(specs, space) -> Optional[str]:
+    """None when every operator vanishes on the space, else the first that does not."""
+    return next((f"{spec.label()} != 0" for spec in specs if not is_zero_on(spec, space)), None)
+
+
 def suite_differentials(n: int, allow_large=False, cache_dir=None) -> List[CheckResult]:
     out: List[CheckResult] = []
     hook = hook_component(n, allow_large=allow_large, cache_dir=cache_dir)
@@ -459,6 +482,10 @@ def suite_differentials(n: int, allow_large=False, cache_dir=None) -> List[Check
         return "the odd-degree-zero contraction unexpectedly descends"
 
     _check(out, "the N=0 contraction is rejected with a witness", d0_rejected)
+    # Reduced sl(1) homology of T(n, n+1) is one class (Rasmussen 2006).
+    bottom = TriDegree(0, comb(n, 2), 0)
+    _check(out, f"H(d1) is one-dimensional, at {bottom}", partial(_one_class_homology, d(1), hook, bottom))
+    _check(out, f"d_N = 0 on the hook for N = {n}, {n + 1}", partial(_first_nonzero, (d(n), d(n + 1)), hook))
     return out
 
 

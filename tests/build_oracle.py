@@ -1,5 +1,6 @@
 """The Fraction-row builds of the coinvariant blocks and harmonic pieces,
-and the all-blocks hook and sign loops, kept only as test oracles.
+and the hook and sign builds over the coinvariant blocks, kept only as test
+oracles.
 
 This is the code `harmonica.spaces` used to build the single-family
 reductions, the even (coinvariant) blocks and the harmonic pieces before
@@ -10,19 +11,40 @@ oracle workspace of its own, so nothing is shared with the builds under
 test.  `test_build_oracle.py` holds the integer-row builds to the same
 presentations.
 
-`hook_blocks` builds every hook block of the coinvariant quotient and
-keeps the nonzero ones, as `harmonica.spaces` did before the S_n characters
-decided which blocks to build; its odd degree 0 blocks are the sign blocks.
+`invariant_ideal_piece` is the naive spanning set of one bidegree piece of
+the invariant ideal, p_{c,d} times every monomial, unreduced.
+
+The hook and sign blocks are the ones `harmonica.spaces` built before it
+built them from n alone, in S_n-orbit coordinates: `_sign_block` is the
+sign part of (odd degree da) tensor one coinvariant block, a mini quotient
+over the block's representative classes.  `hook_blocks` builds every hook
+block of the coinvariant quotient and keeps the nonzero ones; its odd
+degree 0 blocks are the sign blocks.  `hook_multiplicities` is the S_n
+character formula for each block's dimension, and `character_hook_blocks`
+builds only the blocks it calls nonzero, checking each dimension against
+it, as the build did before the orbit coordinates.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from typing import Dict, List
+from functools import lru_cache
+from math import factorial, prod
+from typing import Dict, List, Tuple
 
 from harmonica.linalg import RrefAccumulator, SparseMatrix, Vec, kernel_basis, vec_add_scaled
-from harmonica.spaces import Block, _mixed_generators, _sign_block, _span, coinvariants
-from harmonica.superpoly import TriDegree, compositions
+from harmonica.spaces import (
+    Block,
+    _lifted_block,
+    _mixed_generators,
+    _power_sum_generators,
+    _span,
+    _wedge_omega0,
+    ambient_basis,
+    coinvariants,
+)
+from harmonica.superpoly import Monomial, TriDegree, compositions, subsets_of_size, transpose_adjacent
 
 
 class _Workspace:
@@ -297,6 +319,146 @@ def _build_harmonic_piece(n: int, a: int, b: int) -> List[Vec]:
 
 
 
+def invariant_ideal_piece(n: int, bidegree: Tuple[int, int]) -> SparseMatrix:
+    """Spanning columns of one bidegree piece of the invariant ideal.
+
+    Columns are the products p_{a,b} * monomial over polarized power sums
+    with 1 <= a+b <= n; no reduction is performed.
+    """
+    a, b = bidegree
+    deg = TriDegree(a, b, 0)
+    monos, index = ambient_basis(n, deg)
+    cols: List[Vec] = []
+    for (c, d) in _power_sum_generators(n):
+        if a - c < 0 or b - d < 0:
+            continue
+        for alpha in compositions(a - c, n):
+            for beta in compositions(b - d, n):
+                col: Vec = {}
+                for i in range(n):
+                    xe = list(alpha)
+                    xe[i] += c
+                    ye = list(beta)
+                    ye[i] += d
+                    j = index[Monomial(tuple(xe), tuple(ye), ())]
+                    col[j] = col.get(j, 0) + Fraction(1)
+                cols.append(col)
+    return SparseMatrix.from_columns(cols, len(monos))
+
+
+def _partitions(n: int, largest: int) -> List[Tuple[int, ...]]:
+    """Partitions of n into parts of at most `largest`, parts decreasing."""
+    if n == 0:
+        return [()]
+    return [(k,) + rest for k in range(min(n, largest), 0, -1) for rest in _partitions(n - k, k)]
+
+
+@lru_cache(maxsize=None)
+def _conjugacy_classes(n: int) -> List[Tuple[Tuple[int, ...], int, List[int]]]:
+    """Per cycle type mu of S_n: (word, sgn(mu)*|C_mu|, [e_d(mu) for d < n]).
+
+    The s_i of the word, applied in order, give one permutation of type mu,
+    its cycles running over consecutive indices.  e_d is the character of
+    Lambda^d V on the reflection representation V, read off
+    sum_d e_d t^d = det(1 + t sigma)/(1 + t).
+    """
+    out = []
+    for mu in _partitions(n, n):
+        word, start = [], 0
+        det = [1]  # coefficients of det(1 + t sigma) = prod over cycles of (1 - (-t)^k)
+        for k in mu:
+            word += range(start, start + k - 1)
+            start += k
+            det = [c + (det[j - k] * (-1) ** (k + 1) if j >= k else 0)
+                   for j, c in enumerate(det + [0] * k)]
+        ext = []
+        for c in det[:n]:  # divide by 1 + t
+            ext.append(c - (ext[-1] if ext else 0))
+        z = prod(k ** m * factorial(m) for k, m in Counter(mu).items())
+        out.append((tuple(word), (-1) ** (n - len(mu)) * factorial(n) // z, ext))
+    return out
+
+
+def hook_multiplicities(block: Block) -> List[int]:
+    """dim of the sign part of block (x) Lambda^da V, for da = 0..n-1.
+
+    That is (1/n!) sum over cycle types mu of sgn(mu) |C_mu| chi(mu) e_da(mu),
+    with chi the trace of sigma on the block: the sum over reps of the
+    coefficient at the rep of the class of sigma * rep.  sigma is applied as
+    its word in the s_i through `transpose_adjacent`, Koszul signs included.
+    """
+    n = block.n
+    per_da = [0] * n
+    for word, weight, ext in _conjugacy_classes(n):
+        chi = 0
+        for r in block.reps:
+            mono, sign = block.monomials[r], 1
+            for i in word:
+                mono, e = transpose_adjacent(mono, i)
+                sign *= e
+            col = block.index[mono]
+            chi += sign * (1 if col == r else block.nf.get(col, {}).get(r, 0))
+        for da in range(n):
+            per_da[da] += weight * chi * ext[da]
+    dims = [Fraction(x, factorial(n)) for x in per_da]
+    if any(d.denominator != 1 for d in dims):
+        raise ArithmeticError(f"block at tridegree {tuple(block.deg)}: characters give {dims}")
+    return [int(d) for d in dims]
+
+
+def _sign_block(dr_block: Block, da: int) -> Block:
+    """The sign part of (odd degree da) tensor one quotient block.
+
+    Stages: the block's relations per odd index set, then wedge relations of
+    th_1+..+th_n (on representative classes only; the rest already lies in
+    the ideal relations), then the im(1 + s_i) rows, which span the kernel
+    of the sign projector.  The block is even unless da = 0.
+    """
+    n = dr_block.n
+    a, b, da0 = dr_block.deg
+    thetasets = subsets_of_size(n, da)
+    set_pos = {S: i for i, S in enumerate(thetasets)}
+    # Mini column si * k + pos: the rep of position pos at odd set si.
+    k = dr_block.dim
+    acc = RrefAccumulator()
+    # Wedge relations: omega_0 ^ (rep * theta_set) for each smaller set.
+    if da >= 1:
+        for Sp in subsets_of_size(n, da - 1):
+            wedge = _wedge_omega0(n, Sp)
+            for pos in range(k):
+                acc.insert({set_pos[S] * k + pos: Fraction(sign) for sign, S in wedge})
+
+    # The im(1 + s_i) rows on the surviving classes.  The class of s_i on the
+    # even part is shared by every odd index set.
+    for pos in range(k):
+        mono = dr_block.monomials[dr_block.reps[pos]]
+        for i in range(n - 1):
+            image, sign = transpose_adjacent(mono, i)
+            cls = dr_block.class_of_vec({dr_block.index[image]: Fraction(sign)})
+            for si, S in enumerate(thetasets):
+                image, sign = transpose_adjacent(Monomial(mono.xe, mono.ye, S), i)
+                spos = set_pos[image.odd]
+                row = {spos * k + p2: sign * v for p2, v in cls.items()}
+                vec_add_scaled(row, Fraction(1), {si * k + pos: Fraction(1)})
+                acc.insert(row)
+
+    # The class of each column of the block over rep positions, read off
+    # `nf` once per block and placed at every odd set.
+    d_ab = dr_block.ambient_dim
+    classes = [
+        {dr_block._rep_pos[col]: Fraction(1)} if col in dr_block._rep_pos
+        else {dr_block._rep_pos[j]: v for j, v in dr_block.nf[col].items()}
+        for col in range(d_ab)
+    ]
+
+    def lift(col: int) -> Vec:
+        si, base_col = divmod(col, d_ab)
+        return {si * k + p: v for p, v in classes[base_col].items()}
+
+    mini_cols = [si * d_ab + col for si in range(len(thetasets)) for col in dr_block.reps]
+    return _lifted_block(n, TriDegree(a, b, da0 + da), acc, mini_cols, lift)
+
+
 def hook_blocks(n: int) -> Dict[TriDegree, Block]:
     """Every nonzero hook block, found by building all of them."""
     blocks: Dict[TriDegree, Block] = {}
@@ -304,5 +466,21 @@ def hook_blocks(n: int) -> Dict[TriDegree, Block]:
         for da in range(n):
             blk = _sign_block(base, da)
             if blk.dim:
+                blocks[blk.deg] = blk
+    return blocks
+
+
+def character_hook_blocks(n: int, allow_large: bool = False) -> Dict[TriDegree, Block]:
+    """The hook blocks the characters call nonzero, each checked against its
+    multiplicity; raises ArithmeticError naming a block that differs."""
+    blocks: Dict[TriDegree, Block] = {}
+    dr = coinvariants(n, allow_large=allow_large)
+    for deg in sorted(dr.blocks):
+        for da, dim in enumerate(hook_multiplicities(dr.blocks[deg])):
+            if dim:
+                blk = _sign_block(dr.blocks[deg], da)
+                if blk.dim != dim:
+                    raise ArithmeticError(f"block at tridegree {tuple(blk.deg)} has dimension {blk.dim}, "
+                                          f"its S_n character gives {dim}")
                 blocks[blk.deg] = blk
     return blocks

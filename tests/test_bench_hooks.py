@@ -40,7 +40,9 @@ def test_block_entry_point_and_clear_registry_resolve():
     assert callable(spaces.clear_registry)
 
 
-def test_traced_builds_reach_the_even_block_function():
+def test_traced_hook_build_reaches_the_hook_block_function_only():
+    # The hook is built from n alone: through the wrapped hook and sign block
+    # functions, never through the coinvariant block function.
     for mod in pkgutil.iter_modules(harmonica.__path__):
         importlib.import_module(f"harmonica.{mod.name}")
     spaces.clear_registry()
@@ -53,9 +55,26 @@ def test_traced_builds_reach_the_even_block_function():
         spaces.clear_registry()
     metrics = tracing.layer_metrics(rec)
     assert missing == []
+    assert metrics["spaces.even_block.calls"] == 0
+    assert metrics["spaces.hook_block.calls"] > 0
+    assert metrics["spaces.sign_block.calls"] > 0
+    assert metrics["operators.check_preserves.calls"] == 1
+
+
+def test_traced_coinvariant_build_reaches_the_even_block_function():
+    for mod in pkgutil.iter_modules(harmonica.__path__):
+        importlib.import_module(f"harmonica.{mod.name}")
+    spaces.clear_registry()
+    rec = tracing.Recorder()
+    try:
+        with tracing.wrapped(rec) as missing:
+            spaces.coinvariants(3)
+    finally:
+        spaces.clear_registry()
+    metrics = tracing.layer_metrics(rec)
+    assert missing == []
     assert metrics["spaces.even_block.calls"] > 0
     assert metrics["spaces.even_block.calls"] == metrics["spaces.even_block.distinct"]
-    assert metrics["operators.check_preserves.calls"] == 1
 
 
 def test_traced_suites_reach_the_sl2_layer():

@@ -1,8 +1,10 @@
 """Differential tests: the integer-row block and harmonic builds against the
-Fraction-row ones.
+Fraction-row ones, and the orbit-coordinate hook and sign blocks against
+the builds over the coinvariant blocks.
 
 `build_oracle` holds the code `harmonica.spaces` used before: single-family
-normal forms, candidate rows and kernel combinations as `Fraction` dicts.
+normal forms, candidate rows and kernel combinations as `Fraction` dicts,
+and the sign part of each coinvariant block tensor an odd degree.
 The relation and harmonic subspaces are the same, so the canonical
 presentations must agree exactly, and every value handed out must still be
 a `Fraction` (the cache writer and the benchmark digests print them).
@@ -65,8 +67,10 @@ def fresh_registry():
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_the_characters_skip_no_hook_or_sign_block(n, fresh_registry):
-    # The hook and sign builds skip the blocks their S_n characters call zero;
-    # building every block must find no other nonzero one.
+    # The orbit build, from n alone, against building every hook block over
+    # the coinvariant blocks: the same nonzero blocks, reps and normal forms.
+    # The S_n character of each coinvariant block gives each dimension, so
+    # it calls no built block zero and finds no block the scan missed.
     ref = old.hook_blocks(n)
     hook = spaces.hook_component(n)
     sign = spaces.sign_component(spaces.coinvariants(n))
@@ -74,22 +78,18 @@ def test_the_characters_skip_no_hook_or_sign_block(n, fresh_registry):
     assert sorted(sign.blocks) == sorted(d for d in ref if d.da == 0)
     for blk in list(hook.blocks.values()) + list(sign.blocks.values()):
         _assert_same_block(blk, ref[blk.deg])
+    for (a, b, _), base in spaces.coinvariants(n).blocks.items():
+        assert old.hook_multiplicities(base) == [hook.dim((a, b, da)) for da in range(n)]
 
 
-@pytest.mark.parametrize("ab,da,built,predicted", [((1, 1), 1, 1, 2), ((0, 0), 0, 0, 1)])
-def test_a_wrong_multiplicity_raises_naming_its_tridegree(ab, da, built, predicted, fresh_registry, monkeypatch):
-    # Negative control: one multiplicity off by one at n = 3.  A nonzero block
-    # is built and found too small; a zero block is built and found empty.
-    true = spaces._hook_multiplicities
-
-    def off_by_one(block):
-        dims = true(block)
-        if tuple(block.deg) == (*ab, 0):
-            dims[da] += 1
-        return dims
-
-    monkeypatch.setattr(spaces, "_hook_multiplicities", off_by_one)
-    message = rf"tridegree \({ab[0]}, {ab[1]}, {da}\) has dimension {built}, its S_n character gives {predicted}"
+@pytest.mark.parametrize("da,top,built,count", [(0, 2, 1, 5), (1, 1, 2, 5), (2, -1, 0, 1)])
+def test_a_bound_one_too_low_raises_naming_its_odd_degree(da, top, built, count, fresh_registry, monkeypatch):
+    # Negative control at n = 3: the scan of one odd degree stops a total
+    # degree short, and the blocks it finds fall short of the Schroder count.
+    true = spaces._hook_top_degree
+    monkeypatch.setattr(spaces, "_hook_top_degree", lambda n, d: true(n, d) - (d == da))
+    message = (rf"odd degree {da}: the blocks up to total degree {top} have dimension {built}, "
+               rf"the Schroder count is {count}")
     with pytest.raises(ArithmeticError, match=message):
         spaces.hook_component(3)
     if da == 0:

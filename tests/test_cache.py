@@ -47,6 +47,33 @@ class TestRoundTrip:
         for deg in first.blocks:
             assert second.blocks[deg].nf == first.blocks[deg].nf
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_the_sign_part_of_drn_first_still_saves_the_hook(self, tmp_path, n):
+        # `sign_component(drn)` builds the hook's odd degree 0 blocks in the
+        # workspace; the hook built after it must still be saved, byte for
+        # byte as when it is built alone.
+        clear_registry()
+        hook_component(n, cache_dir=tmp_path / "alone")
+        clear_registry()
+        sign = spaces.sign_component(coinvariants(n))
+        hook = hook_component(n, cache_dir=tmp_path / "after")
+        clear_registry()
+        assert all(hook.blocks[deg] is blk for deg, blk in sign.blocks.items())
+        alone, after = (cache.cache_path(tmp_path / d, "hook", n) for d in ("alone", "after"))
+        assert after.read_bytes() == alone.read_bytes()
+
+    def test_the_sign_part_of_a_cached_drn_reads_none_of_its_blocks(self, tmp_path, monkeypatch):
+        clear_registry()
+        built = spaces.sign_component(coinvariants(3, cache_dir=tmp_path)).blocks
+        clear_registry()
+        dr = coinvariants(3, cache_dir=tmp_path)
+        monkeypatch.setattr(dr, "blocks", {})
+        sign = spaces.sign_component(dr).blocks
+        assert spaces._workspace(3).even_blocks == {}
+        assert sorted(sign) == sorted(built)
+        assert all((sign[d].reps, sign[d].nf) == (b.reps, b.nf) for d, b in built.items())
+        clear_registry()
+
     def test_harmonics_build_their_blocks_past_a_cached_drn(self, tmp_path):
         # A cache-loaded drn is never read by `harmonics`: it builds the
         # coinvariant blocks it reads in the workspace.

@@ -104,16 +104,19 @@ def test_cache_loaded_spaces_are_certified_without_a_coinvariant_block(tmp_path,
 
 
 def test_each_sign_block_is_built_once(fresh, monkeypatch):
+    # The dims suite reads the sign part of drn and the hook; the blocks of
+    # odd degree 0 are built once, for both.
     built = Counter()
-    real = spaces._sign_block
+    real = spaces._orbit_block
 
-    def counted(dr_block, da):
-        built[(dr_block.deg, da)] += 1
-        return real(dr_block, da)
+    def counted(n, deg):
+        built[deg] += 1
+        return real(n, deg)
 
-    monkeypatch.setattr(spaces, "_sign_block", counted)
+    monkeypatch.setattr(spaces, "_orbit_block", counted)
     assert all(r.passed for r in run_suite(4, "dims"))
     assert built and max(built.values()) == 1
+    assert any(deg.da == 0 for deg in built)
     dr, hook = coinvariants(4), hook_component(4)
     sign = sign_component(dr)
     assert sign.blocks

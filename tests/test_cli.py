@@ -263,7 +263,7 @@ class TestAllowLargeReachesEveryLayer:
         def refuse(*args, **kwargs):
             raise AssertionError("an n = 5 block build started")
 
-        for name in ("_build_even_block", "_build_hook_block", "_build_harmonic_piece"):
+        for name in ("_build_even_block", "_build_hook_block", "_sign_quotient_block", "_build_harmonic_piece"):
             monkeypatch.setattr(spaces, name, refuse)
 
     def test_sl2_layer_runs_on_the_seeded_space(self):

@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 
 import operator_oracle
-from harmonica import operators
+from harmonica import operators, verify
 from harmonica.linalg import SparseMatrix
 from harmonica.operators import (
     OperatorMatrix,
@@ -228,6 +228,42 @@ class TestBrackets:
         br = bracket(OperatorSpec.F(3, 1), OperatorSpec.F(3, 2), hook)
         assert all(om.is_zero() for om in br.values())
 
+    def test_pieces_bracketing_into_a_zero_piece_are_skipped(self, monkeypatch):
+        hook = hook_component(3)
+        v = OperatorSpec.hamiltonian
+        u, w = v(3, 2, 1), v(3, 1, 2)
+        computed = []
+        real = operators._bracket_piece
+
+        def recorded(u, v, space, deg):
+            computed.append(deg)
+            return real(u, v, space, deg)
+
+        monkeypatch.setattr(operators, "_bracket_piece", recorded)
+        assert bracket_mismatch(u, w, hook, -3, v(3, 2, 2)) is None
+        live = [deg for deg in hook.support() if not hook.is_zero_at(u.target_degree(w.target_degree(deg)))]
+        assert computed == live and len(live) < len(hook.support())
+
+    def test_a_wrong_structure_constant_still_names_its_first_piece(self):
+        # Negative control: [v(2,0), v(0,2)] = 4 v(1,1), asked as 5 v(1,1).
+        hook = hook_component(3)
+        v = OperatorSpec.hamiltonian
+        u, w, target = v(3, 2, 0), v(3, 0, 2), v(3, 1, 1)
+        first = next(deg for deg, om in bracket(u, w, hook).items()
+                     if om.matrix != matrix_of(target, hook, deg).matrix.scaled(5))
+        assert bracket_mismatch(u, w, hook, 5, target) == first
+
+    def test_d0_inside_a_bracket_still_fails_with_its_witness(self, monkeypatch):
+        # Negative control: d_0 does not descend to the hook (d_0 omega_0 = 3).
+        # Its certificate is read up front, even where every piece is skipped.
+        hook = hook_component(3)
+        for skip_all in (False, True):
+            if skip_all:
+                monkeypatch.setattr(hook, "is_zero_at", lambda deg: True)
+            with pytest.raises(WellDefinednessError) as exc:
+                bracket_mismatch(OperatorSpec.F(3, 1), OperatorSpec.d(3, 0), hook)
+            assert exc.value.witness == Polynomial.one(3).scale(Fraction(3))
+
 
 class TestGradedBracket:
     def test_odd_pair_is_the_anticommutator_and_even_odd_the_commutator(self):
@@ -250,6 +286,30 @@ class TestDifferentials:
         hook = hook_component(3)
         assert bracket_mismatch(OperatorSpec.F(3, 1), OperatorSpec.d(3, 1), hook) is None
         assert bracket_mismatch(OperatorSpec.F(3, 2), OperatorSpec.d(3, 2), hook) is None
+
+    @pytest.mark.parametrize("n,totals", [(2, [1, 3]), (3, [1, 5, 11]), (4, [1, 9, 23, 45])])
+    def test_homology_of_each_differential(self, n, totals):
+        # dim H(d_N) for N = 1..n: H(d_1) is one class, at (0, C(n,2), 0), and
+        # d_n = 0 leaves the whole hook.
+        hook = hook_component(n)
+        dims = [verify._homology_dims(OperatorSpec.d(n, N), hook) for N in range(1, n + 1)]
+        assert [sum(h.values()) for h in dims] == totals and totals[-1] == hook.total_dim()
+        assert dims[0] == {TriDegree(0, n * (n - 1) // 2, 0): 1}
+
+    def test_a_differential_with_more_homology_fails_the_one_class_check(self):
+        # Negative control: H(d_2) at n = 3 has five classes.
+        hook = hook_component(3)
+        bottom = TriDegree(0, 3, 0)
+        assert verify._one_class_homology(OperatorSpec.d(3, 1), hook, bottom) is None
+        witness = verify._one_class_homology(OperatorSpec.d(3, 2), hook, bottom)
+        assert witness.startswith("H(d2): got ") and witness.endswith(f"expected {{{bottom!r}: 1}}")
+
+    def test_a_nonzero_differential_fails_the_vanishing_check(self):
+        # Negative control: d_{n-1} is nonzero on the hook, d_n and d_{n+1} vanish.
+        hook = hook_component(3)
+        d = OperatorSpec.d
+        assert verify._first_nonzero((d(3, 3), d(3, 4)), hook) is None
+        assert verify._first_nonzero((d(3, 2), d(3, 3)), hook) == "d2 != 0"
 
     def test_anticommutation(self):
         hook = hook_component(3)

@@ -19,7 +19,7 @@ from harmonica.spaces import (
     poly_to_vec,
     sign_component,
 )
-from harmonica.superpoly import Monomial, Polynomial, alt
+from harmonica.superpoly import Monomial, Polynomial, TriDegree, alt
 
 
 def _assert_same_blocks(new_blocks, old_blocks):
@@ -37,23 +37,34 @@ def test_drn_sign_matches_the_oracle(n):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_sign_of_the_hook_quotient_matches_the_oracle(n):
-    # Blocks with odd monomials: the Koszul signs enter the rows.
+    # Blocks with odd monomials: the Koszul signs enter the oracle's rows.
+    # The hook is sign-isotypic, so its sign part keeps its very blocks.
     hook = hook_component(n)
-    _assert_same_blocks(sign_component(hook).blocks, old._build_sign_component(hook).blocks)
+    sign = sign_component(hook)
+    _assert_same_blocks(sign.blocks, old._build_sign_component(hook).blocks)
+    assert all(sign.blocks[deg] is blk for deg, blk in hook.blocks.items())
+
+
+def test_no_sign_part_is_built_for_another_quotient():
+    with pytest.raises(ValueError, match="no sign component is built for a drn-sign quotient"):
+        sign_component(sign_component(coinvariants(2)))
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_hook_matches_the_oracle(n):
     dr = coinvariants(n)
     _assert_same_blocks(hook_component(n).blocks, old.hook_blocks(n, dr))
-    # Every block `_build_hook_block` returns, with the zero-dimensional ones that
-    # `hook_component` drops.
+    # Every tridegree over a coinvariant block: `_build_hook_block` returns
+    # None exactly where the oracle's block is zero-dimensional.
     zero = 0
-    for deg, base in dr.blocks.items():
+    for (a, b, _), base in dr.blocks.items():
         for da in range(n):
-            blk, ref = _build_hook_block(n, base, da), old._build_hook_block(n, base, da)
-            assert (blk.deg, blk.reps, blk.nf) == (ref.deg, ref.reps, ref.nf), (deg, da)
-            zero += not blk.dim
+            blk, ref = _build_hook_block(n, TriDegree(a, b, da)), old._build_hook_block(n, base, da)
+            if blk is None:
+                assert not ref.dim, (a, b, da)
+                zero += 1
+            else:
+                assert (blk.deg, blk.reps, blk.nf) == (ref.deg, ref.reps, ref.nf), (a, b, da)
     assert zero
 
 

@@ -3,6 +3,7 @@ from itertools import permutations
 
 import pytest
 
+from build_oracle import invariant_ideal_piece
 from harmonica import spaces, verify
 from harmonica.linalg import RrefAccumulator, rref
 from harmonica.spaces import (
@@ -19,7 +20,6 @@ from harmonica.spaces import (
     hilbert,
     hook_component,
     ideal_quotient_series,
-    invariant_ideal_piece,
     poly_to_vec,
     sign_component,
     vec_to_poly,

@@ -8,10 +8,12 @@ import importlib
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
+import build_oracle
 from harmonica import spaces, verify
 from harmonica.dyck import hook_per_a
 
@@ -71,24 +73,43 @@ def test_n5_operator_theorem_suite_passes():
     assert len(checks) == 14 and res.returncode == 0
 
 
-def test_n5_hook_blocks_match_the_schroder_counts():
-    # The character-first build keeps the 122 nonzero blocks of the 330
-    # (about 33 s and 0.5 GB peak RSS after coinvariants(5), which takes
-    # about 40 s; building every block took 70 s and 1.66 GB).  The odd
-    # degrees total the Schroder-path counts H_d, 197 in all.
+def test_n5_hook_blocks_match_the_character_first_build():
+    # The orbit build from n alone (about 6 s) against the build over the
+    # coinvariant blocks that builds only the blocks the S_n characters call
+    # nonzero (about 40 s for coinvariants(5), then 33 s, 0.6 GB peak RSS):
+    # all 122 nonzero blocks, reps and normal forms.  The odd degrees total
+    # the Schroder-path counts H_d, 197 in all.
     spaces.clear_registry()
     try:
         hook = spaces.hook_component(5, allow_large=True)
+        ref = build_oracle.character_hook_blocks(5, allow_large=True)
     finally:
         spaces.clear_registry()
     assert len(hook.blocks) == 122 and hook.total_dim() == 197
     assert hook.hilbert().per_a() == hook_per_a(5)
+    assert sorted(hook.blocks) == sorted(ref)
+    for deg, blk in ref.items():
+        assert (hook.blocks[deg].reps, hook.blocks[deg].nf) == (blk.reps, blk.nf), deg
+
+
+def test_n5_hook_compute_in_a_fresh_process():
+    # `compute --n 5 --space hook` builds no coinvariant block: about 6 s and
+    # 0.2 GB peak RSS on a 2-core machine, against 82 s and 0.5 GB when it
+    # built coinvariants(5) first.
+    start = time.perf_counter()
+    res = subprocess.run(
+        [sys.executable, "-m", "harmonica.cli", "compute", "--n", "5", "--space", "hook", "--allow-large"],
+        capture_output=True, text=True,
+    )
+    wall = time.perf_counter() - start
+    assert res.returncode == 0
+    assert res.stdout.splitlines()[2:] == ["total: 197", "per-a: 42,84,56,14,1"]
+    assert wall <= 25, f"{wall:.1f} s"
 
 
 def test_n5_hook_satisfies_lefschetz_and_the_bracket_identities():
-    # One in-process hook build (about 75 s, 0.5 GB peak RSS, the
-    # coinvariants included) serves all three suites, which then take a few
-    # seconds together.
+    # One in-process hook build (about 6 s, 0.2 GB peak RSS) serves all
+    # three suites, which then take a few seconds together.
     spaces.clear_registry()
     try:
         spaces.hook_component(5, allow_large=True)
@@ -97,4 +118,4 @@ def test_n5_hook_satisfies_lefschetz_and_the_bracket_identities():
     finally:
         spaces.clear_registry()
     assert [(r.name, r.witness) for r in results if not r.passed] == []
-    assert len(results) == 2 + 170 + 27
+    assert len(results) == 2 + 170 + 29
