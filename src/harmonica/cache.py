@@ -5,7 +5,9 @@ identifier) followed by the per-degree data in exact rational text encoding.
 Files are keyed by those parameters; anything stale or malformed is ignored,
 never migrated.  Loaded data is checked for the shape a build produces
 (see `_valid_block` and `_valid_basis`), so a file that parses but holds
-inconsistent data is ignored as well and the space is rebuilt.  Writes go
+inconsistent data is ignored as well and the space is rebuilt.  A value must
+be `str(Fraction)` of a nonzero rational, the text a save writes ("-3/2", not
+"0", "2/4", "+1", " 1", "0.5" or "1/0"), checked once per text and file.  Writes go
 through a temporary file and an atomic rename, so readers never observe
 partial files (single-writer discipline).
 """
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -58,8 +61,24 @@ def _vec_out(vec: dict) -> list:
     return [[int(j), str(Fraction(v))] for j, v in sorted(vec.items())]
 
 
-def _vec_in(items) -> dict:
-    vec = {int(j): Fraction(s) for j, s in items}
+# `str(Fraction)` of a nonzero rational, but for lowest terms; only this reaches `Fraction`.
+_VALUE_TEXT = re.compile(r"-?[1-9][0-9]*(/[1-9][0-9]*)?")
+
+
+class _Values(dict):
+    """Value text -> Fraction for one file; each distinct text is parsed and
+    checked once, on its first use."""
+
+    def __missing__(self, text):
+        value = Fraction(text) if isinstance(text, str) and _VALUE_TEXT.fullmatch(text) else None
+        if value is None or str(value) != text:
+            raise ValueError(f"value {text!r} is not the text a save writes")
+        self[text] = value
+        return value
+
+
+def _vec_in(items, values: _Values) -> dict:
+    vec = {int(j): values[s] for j, s in items}
     if len(vec) != len(items):
         raise ValueError("a column is listed twice")
     return vec
@@ -78,12 +97,11 @@ def _valid_block(block: Block) -> bool:
 
 def _valid_basis(vecs: list, dim: int) -> bool:
     """The vectors are the reduced row-echelon basis every build saves, as
-    `GradedSubspace.coords` needs: nonzero entries on ambient columns only,
-    leading columns strictly increasing, each leading entry 1 and every other
-    vector zero at that column."""
+    `GradedSubspace.coords` needs: entries (nonzero, by `_Values`) on ambient
+    columns only, leading columns strictly increasing, each leading entry 1
+    and every other vector zero at that column."""
     leads = [min(v, default=-1) for v in vecs]
-    return (all(lead >= 0 and v[lead] == 1 and max(v) < dim and 0 not in v.values()
-                for lead, v in zip(leads, vecs))
+    return (all(lead >= 0 and v[lead] == 1 and max(v) < dim for lead, v in zip(leads, vecs))
             and all(a < b for a, b in zip(leads, leads[1:]))
             and all(j == lead or j not in v for j in leads for lead, v in zip(leads, vecs)))
 
@@ -123,10 +141,11 @@ def load_quotient(cache_dir, kind: str, n: int) -> Optional[QuotientSpace]:
     if payload is None:
         return None
     try:
-        blocks = {}
+        blocks, values, zero = {}, _Values(), {}
         for rec in payload["blocks"]:
             deg = TriDegree(*rec["deg"])
-            nf = {int(piv): _vec_in(vec) for piv, vec in rec["nf"]}
+            # Zero normal forms share one dict, as in a build (634,423 of 839,371 in the n = 5 hook).
+            nf = {int(piv): zero if vec == [] else _vec_in(vec, values) for piv, vec in rec["nf"]}
             block = Block(n, deg, [int(r) for r in rec["reps"]], nf)
             if deg in blocks or len(nf) != len(rec["nf"]) or not _valid_block(block):
                 return None
@@ -152,10 +171,10 @@ def load_subspace(cache_dir, kind: str, n: int) -> Optional[GradedSubspace]:
     if payload is None:
         return None
     try:
-        pieces = {}
+        pieces, values = {}, _Values()
         for rec in payload["pieces"]:
             deg = TriDegree(*rec["deg"])
-            vecs = [_vec_in(v) for v in rec["basis"]]
+            vecs = [_vec_in(v, values) for v in rec["basis"]]
             if deg in pieces or not _valid_basis(vecs, count_tridegree(n, deg)):
                 return None
             pieces[deg] = vecs

@@ -188,19 +188,18 @@ class HilbertSeries:
 
 
 class Block:
-    """One tridegree piece of a quotient: ambient basis, relations, reps.
+    """One tridegree piece of a quotient: relations, reps, ambient basis on demand.
 
     `nf` maps each pivot column to the normal form of its monomial as a
     vector over representative columns; together the rows (pivot - nf) are
     the unique RREF of the relation subspace.
     """
 
-    __slots__ = ("deg", "n", "monomials", "index", "reps", "nf", "_rep_pos")
+    __slots__ = ("deg", "n", "reps", "nf", "_rep_pos")
 
     def __init__(self, n: int, deg: TriDegree, reps: List[int], nf: Dict[int, Vec]):
         self.n = n
         self.deg = deg
-        self.monomials, self.index = ambient_basis(n, deg)
         self.reps = list(reps)
         self.nf = nf
         self._rep_pos = {c: k for k, c in enumerate(self.reps)}
@@ -211,7 +210,10 @@ class Block:
 
     @property
     def ambient_dim(self) -> int:
-        return len(self.monomials)
+        return count_tridegree(self.n, self.deg)
+
+    monomials = property(lambda self: ambient_basis(self.n, self.deg)[0])
+    index = property(lambda self: ambient_basis(self.n, self.deg)[1])  # monomial -> column
 
     def normal_form(self, vec: Vec) -> Vec:
         """Reduce an ambient coordinate vector to representative columns."""

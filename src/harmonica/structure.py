@@ -25,7 +25,6 @@ built, by `hook_component`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from typing import Dict, List, NamedTuple, Optional, Tuple
@@ -372,8 +371,7 @@ def cogeneration_search(space: QuotientSpace, f, deg=None) -> Certificate:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GradingDictionary:
+class GradingDictionary(NamedTuple):
     """Affine identification (dx, dy, da) -> (Q, A, T)."""
 
     q1: Fraction
@@ -395,10 +393,10 @@ class GradingDictionary:
 
     @classmethod
     def from_mapping(cls, data: dict) -> "GradingDictionary":
-        return cls(**{f.name: Fraction(data[f.name]) for f in fields(cls)})
+        return cls(*(Fraction(data[name]) for name in cls._fields))
 
     def to_mapping(self) -> dict:
-        return {f.name: str(getattr(self, f.name)) for f in fields(self)}
+        return {name: str(v) for name, v in zip(self._fields, self)}
 
     def map(self, deg) -> Tuple[int, int, int]:
         deg = TriDegree(*deg)

@@ -10,11 +10,10 @@ across runs.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from math import comb, perm
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional
 
 from . import __version__
 from .dyck import catalan_number, catalan_qt, enumerate_paths, hook_per_a, render_qt
@@ -61,8 +60,7 @@ from .superpoly import (
 )
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     witness: Optional[str] = None

@@ -6,6 +6,7 @@ import pytest
 from harmonica import cache, spaces
 from harmonica.cli import main
 from harmonica.spaces import (
+    ambient_basis,
     clear_registry,
     coinvariants,
     harmonics,
@@ -87,6 +88,40 @@ class TestRoundTrip:
         assert spaces._workspace(3).even_blocks
 
 
+class TestAmbientBasis:
+    """A block reads the lru-cached ambient basis only when it is asked for."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_built_and_loaded_blocks_read_the_ambient_basis(self, tmp_path, n):
+        clear_registry()
+        models = [coinvariants(n, cache_dir=tmp_path), hook_component(n, cache_dir=tmp_path)]
+        clear_registry()
+        models += [cache.load_quotient(tmp_path, kind, n) for kind in ("drn", "hook")]
+        for space in models:
+            for deg, block in space.blocks.items():
+                monos, index = ambient_basis(n, deg)
+                assert block.ambient_dim == len(monos)
+                assert block.monomials is monos and block.index is index
+        clear_registry()
+
+    def test_warm_compute_lists_no_monomials(self, tmp_path, monkeypatch, capsys):
+        argv = ["compute", "--n", "4", "--space", "hook", "--cache-dir", str(tmp_path)]
+        clear_registry()
+        assert main(argv) == 0
+        cold = capsys.readouterr().out
+
+        def refuse(n, deg):
+            raise AssertionError(f"the monomials of {deg} were listed")
+
+        clear_registry()
+        monkeypatch.setattr(spaces, "monomials_tridegree", refuse)
+        try:
+            assert main(argv) == 0
+        finally:
+            clear_registry()
+        assert capsys.readouterr().out == cold
+
+
 class TestStaleness:
     def test_version_mismatch_ignored(self, tmp_path):
         dr = coinvariants(2)
@@ -135,6 +170,18 @@ def _nf_on_pivot(b):
     b["nf"][i][1][0][0] = b["nf"][i][0]
 
 
+def _value_text(text):
+    """Replace the first value of a nonzero normal form with `text`."""
+    def corrupt(b):
+        b["nf"][_nonempty_nf(b)][1][0][1] = text
+    return corrupt
+
+
+# Value texts that are not `str(Fraction)` of a nonzero rational, the text a
+# save writes; "1/0" and Infinity used to raise out of the load.
+BAD_VALUE_TEXTS = ["1/0", "0", "0.5", "2/4", "+1", " 1", float("inf")]
+
+
 # One corruption per rule of the quotient check, each on one block record.
 BLOCK_CORRUPTIONS = {
     "reps unsorted": lambda b: b["reps"].reverse(),
@@ -146,6 +193,7 @@ BLOCK_CORRUPTIONS = {
     "no reps": _empty_reps,
     "nf uses a non-rep column": _nf_on_pivot,
     "nf column listed twice": lambda b: b["nf"][_nonempty_nf(b)][1].append([b["nf"][_nonempty_nf(b)][1][0][0], "7"]),
+    **{f"nf value {text!r}": _value_text(text) for text in BAD_VALUE_TEXTS},
 }
 
 
@@ -190,8 +238,10 @@ class TestLoadChecks:
         assert cache.load_quotient(tmp_path, "hook", 3) is None
         self._assert_rebuilt(tmp_path, "hook", built)
 
-    @pytest.mark.parametrize("vec", [[], [[0, "0"]], [[-1, "1"]], [[10 ** 6, "1"]], [[0, "1"], [1, "1"], [1, "2"]]],
-                             ids=["empty", "zero", "negative column", "column past the basis", "column listed twice"])
+    @pytest.mark.parametrize("vec", [[], [[0, "0"]], [[-1, "1"]], [[10 ** 6, "1"]], [[0, "1"], [1, "1"], [1, "2"]]]
+                             + [[[0, text]] for text in BAD_VALUE_TEXTS if text != "0"],
+                             ids=["empty", "zero", "negative column", "column past the basis", "column listed twice"]
+                             + [f"value {text!r}" for text in BAD_VALUE_TEXTS if text != "0"])
     def test_bad_subspace_vector_is_rebuilt(self, tmp_path, vec):
         clear_registry()
         built = harmonics(3, cache_dir=tmp_path)

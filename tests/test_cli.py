@@ -122,8 +122,12 @@ class TestExitCodes:
         assert "resource refusal" in capsys.readouterr().err
 
     def test_unknown_suite_is_usage_error(self):
+        from harmonica.verify import SUITES
+
         res = run("verify", "--n", "3", "--suite", "nonsense")
         assert res.returncode == 2
+        assert res.stderr.splitlines()[-1] == (
+            f"harmonica: error: unknown suite 'nonsense'; choose from {', '.join(SUITES)} or 'all'")
 
     def test_unknown_space_is_usage_error(self):
         res = run("compute", "--n", "3", "--space", "nonsense")
@@ -148,6 +152,40 @@ class TestExitCodes:
     def test_bad_jobs_value(self):
         res = run("compute", "--n", "2", "--space", "drn", "--jobs", "0")
         assert res.returncode == 2
+
+
+# Runs `cli.main(argv)` in a fresh interpreter and prints, as its last line,
+# the names of the modules it left loaded.
+LOADED_MODULES = """
+import json, sys
+from harmonica.cli import main
+main(sys.argv[1:])
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+def loaded_modules(*argv) -> set:
+    res = subprocess.run([sys.executable, "-c", LOADED_MODULES, *argv],
+                         capture_output=True, text=True, check=True)
+    return set(json.loads(res.stdout.splitlines()[-1]))
+
+
+class TestStartup:
+    """Each command imports only the modules it runs."""
+
+    @pytest.mark.parametrize("space", ["hook", "dh", "drn-sign"])
+    def test_compute_loads_no_verify_structure_or_operators(self, tmp_path, space):
+        argv = ("compute", "--n", "3", "--space", space, "--cache-dir", str(tmp_path))
+        cold = loaded_modules(*argv)
+        assert list(tmp_path.iterdir())
+        warm = loaded_modules(*argv)
+        unused = {"harmonica.verify", "harmonica.structure", "harmonica.operators", "dataclasses"}
+        assert "harmonica.spaces" in cold and not (cold | warm) & unused
+
+    def test_export_loads_no_verify(self, tmp_path):
+        for _ in range(2):  # cold, then warm
+            loaded = loaded_modules("export", "--n", "3", "--cache-dir", str(tmp_path))
+            assert "harmonica.structure" in loaded and "harmonica.verify" not in loaded
 
 
 class TestVerify:
