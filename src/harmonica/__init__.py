@@ -9,60 +9,3 @@ the q,t-Catalan series.
 """
 
 __version__ = "0.1.0"
-
-from .linalg import SparseMatrix, RrefAccumulator, rref, kernel_basis, membership
-from .superpoly import (
-    TriDegree,
-    Monomial,
-    Polynomial,
-    DiffOperator,
-    act,
-    alt,
-    sym,
-    apply_op,
-    pairing,
-    vandermonde,
-)
-from .spaces import (
-    GradedSubspace,
-    QuotientSpace,
-    HilbertSeries,
-    coinvariants,
-    harmonics,
-    sign_component,
-    hook_component,
-    antisymmetric_ideal,
-    hilbert,
-)
-from .dyck import DyckPath, enumerate_paths, catalan_number, catalan_qt
-
-__all__ = [
-    "SparseMatrix",
-    "RrefAccumulator",
-    "rref",
-    "kernel_basis",
-    "membership",
-    "TriDegree",
-    "Monomial",
-    "Polynomial",
-    "DiffOperator",
-    "act",
-    "alt",
-    "sym",
-    "apply_op",
-    "pairing",
-    "vandermonde",
-    "GradedSubspace",
-    "QuotientSpace",
-    "HilbertSeries",
-    "coinvariants",
-    "harmonics",
-    "sign_component",
-    "hook_component",
-    "antisymmetric_ideal",
-    "hilbert",
-    "DyckPath",
-    "enumerate_paths",
-    "catalan_number",
-    "catalan_qt",
-]

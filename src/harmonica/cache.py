@@ -4,8 +4,9 @@ Each file carries a versioned header (format version, n, monomial order
 identifier) followed by the per-degree data in exact rational text encoding.
 Files are keyed by those parameters; anything stale or malformed is ignored,
 never migrated.  Loaded data is checked for the shape a build produces
-(see `_valid_block` and `_valid_basis`), so a file that parses but holds
-inconsistent data is ignored as well and the space is rebuilt.  A value must
+(see `_valid_block` and `_valid_basis`) and for the dimensions every build
+has (`_complete`), so a file that parses but holds inconsistent or
+incomplete data is ignored as well and the space is rebuilt.  A value must
 be `str(Fraction)` of a nonzero rational, the text a save writes ("-3/2", not
 "0", "2/4", "+1", " 1", "0.5" or "1/0"), checked once per text and file.  Writes go
 through a temporary file and an atomic rename, so readers never observe
@@ -22,6 +23,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
+from .dyck import hook_per_a
 from .spaces import Block, GradedSubspace, QuotientSpace
 from .superpoly import MONOMIAL_ORDER_ID, TriDegree, count_tridegree
 
@@ -86,11 +88,13 @@ def _vec_in(items, values: _Values) -> dict:
 
 def _valid_block(block: Block) -> bool:
     """Reps are nonempty, strictly increasing and, with the nf keys, exactly
-    the ambient columns; every nf vector lives on rep columns."""
-    reps = block.reps
+    the ambient columns; every nf vector lives on rep columns.  The columns
+    are counted before they are listed, so a degree far past any basis
+    lists none."""
+    reps, dim = block.reps, block.ambient_dim
     if not reps or any(a >= b for a, b in zip(reps, reps[1:])):
         return False
-    if sorted(reps + list(block.nf)) != list(range(block.ambient_dim)):
+    if len(reps) + len(block.nf) != dim or sorted(reps + list(block.nf)) != list(range(dim)):
         return False
     return all(j in block._rep_pos for vec in block.nf.values() for j in vec)
 
@@ -104,6 +108,15 @@ def _valid_basis(vecs: list, dim: int) -> bool:
     return (all(lead >= 0 and v[lead] == 1 and max(v) < dim for lead, v in zip(leads, vecs))
             and all(a < b for a, b in zip(leads, leads[1:]))
             and all(j == lead or j not in v for j in leads for lead, v in zip(leads, vecs)))
+
+
+def _complete(space) -> bool:
+    """Whether the space has the dimensions every build has: the Schroder
+    count at each odd degree for the hook (`hook_per_a`), (n+1)^(n-1) in all
+    for drn and dh.  A file that drops or adds a block or piece fails."""
+    if space.kind == "hook":
+        return space.hilbert().per_a() == hook_per_a(space.n)
+    return space.total_dim() == (space.n + 1) ** (space.n - 1)
 
 
 def save_quotient(cache_dir, space: QuotientSpace) -> Path:
@@ -150,7 +163,8 @@ def load_quotient(cache_dir, kind: str, n: int) -> Optional[QuotientSpace]:
             if deg in blocks or len(nf) != len(rec["nf"]) or not _valid_block(block):
                 return None
             blocks[deg] = block
-        return QuotientSpace(n, kind, blocks)
+        space = QuotientSpace(n, kind, blocks)
+        return space if _complete(space) else None
     except (KeyError, TypeError, ValueError):
         return None
 
@@ -178,6 +192,7 @@ def load_subspace(cache_dir, kind: str, n: int) -> Optional[GradedSubspace]:
             if deg in pieces or not _valid_basis(vecs, count_tridegree(n, deg)):
                 return None
             pieces[deg] = vecs
-        return GradedSubspace(n, kind, pieces)
+        space = GradedSubspace(n, kind, pieces)
+        return space if _complete(space) else None
     except (KeyError, TypeError, ValueError):
         return None

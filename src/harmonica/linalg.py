@@ -91,19 +91,6 @@ class SparseMatrix:
                 data[(i, j)] = v
         return cls(rows, len(col_vecs), data)
 
-    @classmethod
-    def from_dense(cls, entries) -> "SparseMatrix":
-        entries = [list(row) for row in entries]
-        rows = len(entries)
-        cols = len(entries[0]) if entries else 0
-        data = {}
-        for i, row in enumerate(entries):
-            if len(row) != cols:
-                raise ValueError("ragged rows")
-            for j, v in enumerate(row):
-                data[(i, j)] = v
-        return cls(rows, cols, data)
-
     def entry(self, r: int, c: int) -> Fraction:
         return self.data.get((r, c), Fraction(0))
 
@@ -118,14 +105,6 @@ class SparseMatrix:
         for (r, c), v in self.data.items():
             cols[c][r] = v
         return cols
-
-    def column(self, c: int) -> Vec:
-        return {r: v for (r, j), v in self.data.items() if j == c}
-
-    def transpose(self) -> "SparseMatrix":
-        return SparseMatrix(
-            self.cols, self.rows, {(c, r): v for (r, c), v in self.data.items()}
-        )
 
     def mul_vec(self, vec: Vec) -> Vec:
         """Matrix times sparse column vector."""
@@ -176,12 +155,6 @@ class SparseMatrix:
 
     def nnz(self) -> int:
         return len(self.data)
-
-    def to_dense(self) -> list:
-        out = [[Fraction(0)] * self.cols for _ in range(self.rows)]
-        for (r, c), v in self.data.items():
-            out[r][c] = v
-        return out
 
     def __eq__(self, other) -> bool:
         return (
@@ -385,9 +358,6 @@ class RrefAccumulator:
                 vec[p] = -x * (scale // rows[p][p])
             out[f] = vec
         return out
-
-    def contains(self, vec: Vec) -> bool:
-        return not self._eliminate(_scaled_ints(vec)[0], None)[0]
 
     def _rref(self) -> dict:
         if self._view is None:

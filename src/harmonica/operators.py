@@ -22,7 +22,7 @@ computed where the space knows every class is zero.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from .linalg import SparseMatrix
 from .spaces import (
@@ -79,20 +79,8 @@ class OperatorSpec(NamedTuple):
         return cls("E", n, (k,))
 
     @classmethod
-    def F_star(cls, n, k):
-        return cls("Fstar", n, (k,))
-
-    @classmethod
-    def E_star(cls, n, k):
-        return cls("Estar", n, (k,))
-
-    @classmethod
     def d(cls, n, N):
         return cls("d", n, (N,))
-
-    @classmethod
-    def wedge(cls, n, N):
-        return cls("wedge", n, (N,))
 
     @classmethod
     def hamiltonian(cls, n, a, b):
@@ -325,11 +313,6 @@ def _matrix(spec: OperatorSpec, space, deg: TriDegree) -> OperatorMatrix:
     return OperatorMatrix(deg, tdeg, SparseMatrix(space.dim(tdeg), len(basis), data))
 
 
-def operator_matrices(spec: OperatorSpec, space) -> Dict[TriDegree, OperatorMatrix]:
-    """Matrices on every stored piece of the space."""
-    return {deg: matrix_of(spec, space, deg) for deg in space.support()}
-
-
 def is_zero_on(spec: OperatorSpec, space) -> bool:
     """Whether the operator vanishes on every piece; stops at the first nonzero one."""
     return all(matrix_of(spec, space, deg).is_zero() for deg in space.support())
@@ -344,11 +327,6 @@ def _bracket_piece(u: OperatorSpec, v: OperatorSpec, space, deg: TriDegree) -> O
     if uv.target != vu.target:
         raise ValueError("bracket of operators with different total shifts")
     return OperatorMatrix(deg, uv.target, uv.matrix.add(vu.matrix.scaled(sign)))
-
-
-def bracket(u: OperatorSpec, v: OperatorSpec, space) -> Dict[TriDegree, OperatorMatrix]:
-    """Matrices of the graded commutator [u, v] on each stored piece."""
-    return {deg: _bracket_piece(u, v, space, deg) for deg in space.support()}
 
 
 def bracket_mismatch(u: OperatorSpec, v: OperatorSpec, space, coeff=0,

@@ -16,12 +16,17 @@ coordinates:
 * each harmonic piece is the orthogonal complement of its coinvariant
   block's relations under the differentiation pairing.
 
-A coinvariant block is assembled by a mini-quotient lift (`_lifted_block`):
-its relations are row-reduced in the coordinates of a small "mini"
-quotient, whose non-pivot columns become the block's representatives, and
-every other ambient column is lifted into mini coordinates by the tensor
-product of its single-family normal forms, reduced there and mapped back.
+A coinvariant block's relations are row-reduced in the coordinates of a
+small "mini" quotient, the product of the single-family quotients, whose
+non-pivot columns become the block's representatives; every other ambient
+column is lifted into mini coordinates by the tensor product of its
+single-family normal forms, reduced there and mapped back.
 
+The single-family normal forms are integral.  Under the column order the
+power sum ideal of one family has the monic, integral lex Groebner basis
+{h_k(z_k, .., z_n)} (complete homogeneous symmetric polynomials; Cox,
+Little and O'Shea, *Ideals, Varieties, and Algorithms*), so every RREF row
+of a single-family degree has pivot entry 1, and `_SingleFamily` checks it.
 In the single-family reductions, the coinvariant blocks and the harmonic
 pieces, rows reach the kernel as integers: normal forms, tensor products,
 candidate rows and the scaled harmonic rows are int dicts, and `Fraction`s
@@ -50,7 +55,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm
+from math import comb
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .dyck import hook_per_a
@@ -225,10 +230,6 @@ class Block:
                 vec_add_scaled(out, c, self.nf[j])
         return {j: v for j, v in out.items() if v != 0}
 
-    def class_coords(self, p: Polynomial) -> Vec:
-        """Class of a polynomial, as {rep position: coefficient}."""
-        return self.class_of_vec(poly_to_vec(p, self.deg))
-
     def class_of_vec(self, vec: Vec) -> Vec:
         reduced = self.normal_form(vec)
         return {self._rep_pos[j]: v for j, v in reduced.items()}
@@ -285,7 +286,7 @@ class QuotientSpace(_Memoised):
     def coords(self, deg, p: Polynomial) -> Vec:
         """Class of p over the rep positions of the piece at deg; {} off the support."""
         block = self.block(deg)
-        return block.class_coords(p) if block else {}
+        return block.class_of_vec(poly_to_vec(p, block.deg)) if block else {}
 
     def is_zero_at(self, deg) -> bool:
         """Whether every class at deg is zero: no block, or an empty one."""
@@ -364,16 +365,6 @@ class GradedSubspace(_Memoised):
     def contains_vec(self, deg, vec: Vec) -> bool:
         return not self._echelon(TriDegree(*deg))[0].reduce(vec)
 
-    def contains(self, p: Polynomial) -> bool:
-        for deg, comp in p.homogeneous_components().items():
-            try:
-                vec = poly_to_vec(comp, deg)
-            except ValueError:
-                return False
-            if not self.contains_vec(deg, vec):
-                return False
-        return True
-
     def __repr__(self):
         return f"GradedSubspace({self.kind}, n={self.n}, dim={self.total_dim()})"
 
@@ -390,8 +381,8 @@ class _SingleDegree:
         self.monos = monos  # exponent tuples, canonical (descending-lex) order
         self.index = index
         self.reps = reps  # non-pivot columns
-        self.nf = nf  # pivot column -> (int vec over rep columns, den): vec/den
-        self.rows = rows  # pivot column -> int relation row, pivot entry den
+        self.nf = nf  # pivot column -> int vec over rep columns
+        self.rows = rows  # pivot column -> int RREF relation row, pivot entry 1
 
 
 class _SingleFamily:
@@ -402,9 +393,6 @@ class _SingleFamily:
         self.degrees: Dict[int, _SingleDegree] = {}
         self._build(0)
 
-    def _monos(self, d: int):
-        return list(compositions(d, self.n))
-
     def ensure(self, d: int):
         for k in range(len(self.degrees), d + 1):
             self._build(k)
@@ -413,18 +401,17 @@ class _SingleFamily:
         self.ensure(d)
         return self.degrees[d]
 
-    def nf(self, exps: tuple):
-        """Normal form of a monomial as (int vec over the rep columns of its
-        degree, den): the normal form is vec/den."""
-        d = sum(exps)
-        sd = self.deg(d)
+    def nf(self, exps: tuple) -> Vec:
+        """Normal form of a monomial, as an int vec over the rep columns of its degree."""
+        sd = self.deg(sum(exps))
         j = sd.index[exps]
-        if j in sd.nf:
-            return sd.nf[j]
-        return {j: 1}, 1
+        return sd.nf[j] if j in sd.nf else {j: 1}
 
     def _build(self, d: int):
-        monos = self._monos(d)
+        """Degree d's RREF, from the shifts of degree d-1's rows and the power
+        sum p_d; raises ArithmeticError, naming d, unless every pivot entry
+        is 1 (the Groebner basis of the module docstring says it is)."""
+        monos = list(compositions(d, self.n))
         index = {m: i for i, m in enumerate(monos)}
         acc = RrefAccumulator()
         if d >= 1:
@@ -448,9 +435,12 @@ class _SingleFamily:
                     vec[index[tuple(exps)]] = 1
                 acc.insert(vec)
         rows = dict(acc.int_rows())
+        for piv, row in rows.items():
+            if row[piv] != 1:
+                raise ArithmeticError(f"single-family degree {d}: the RREF row of column {piv} "
+                                      f"has pivot entry {row[piv]}, not 1")
         reps = [j for j in range(len(monos)) if j not in rows]
-        nf = {piv: ({c: -x for c, x in row.items() if c != piv}, row[piv])
-              for piv, row in rows.items()}
+        nf = {piv: {c: -x for c, x in row.items() if c != piv} for piv, row in rows.items()}
         self.degrees[d] = _SingleDegree(monos, index, reps, nf, rows)
 
 
@@ -523,14 +513,18 @@ def _build_even_block(n: int, a: int, b: int) -> Block:
 
     The rows are reduced in the small product quotient R_x (x) R_y: its
     columns ("mini" columns) are the pairs of single-family rep columns,
-    pair (ia, ib) at (position of ia) * len(B.reps) + (position of ib).
+    pair (ia, ib) at (position of ia) * len(B.reps) + (position of ib), and
+    mini column k stands for ambient column mini_cols[k] (increasing).
     The image of the mixed ideal there is an R_x (x) R_y-module, so it is
     spanned by p_{c,d} * x^alpha y^beta with x^alpha and y^beta single-family
-    reps of degrees a-c and b-d.  Every row is built in ints from the
-    single-family normal forms (vec, den), each product scaled by
-    lcm(den)/den; den is 1 in practice.  The candidate rows are inserted
-    sparsest first, by (nnz, leading column), until the rank is full: the
-    RREF does not depend on the order, but back-reduction fills in less.
+    reps of degrees a-c and b-d.  Every row is a sum of tensor products of
+    single-family normal forms, which are int vecs (pivot entry 1, by the
+    Groebner basis of the module docstring), so the rows are ints with no
+    denominator to clear.  The candidate rows are inserted sparsest first,
+    by (nnz, leading column), until the rank is full: the RREF does not
+    depend on the order, but back-reduction fills in less.  The non-pivot
+    mini columns are the representatives; every other ambient column is
+    lifted into mini coordinates, reduced, and mapped back.
     """
     fam = _workspace(n).family
     A = fam.deg(a)
@@ -542,15 +536,13 @@ def _build_even_block(n: int, a: int, b: int) -> Block:
     mini_cols = [ia * nb + ib for ia in A.reps for ib in B.reps]  # mini -> full column
     acc = RrefAccumulator()
 
-    def on_reps(exps: tuple, pos: dict):
-        vec, den = fam.nf(exps)
-        return {pos[j]: c for j, c in vec.items()}, den
+    def on_reps(exps: tuple, pos: dict) -> dict:
+        return {pos[j]: c for j, c in fam.nf(exps).items()}
 
-    def add_tensor(out: dict, scale: int, xvec: dict, yvec: dict) -> None:
-        """out += scale * (xvec tensor yvec), dropping zeros."""
+    def add_tensor(out: dict, xvec: dict, yvec: dict) -> None:
+        """out += xvec tensor yvec, dropping zeros."""
         get = out.get
         for ka, ca in xvec.items():
-            ca *= scale
             for kb, cb in yvec.items():
                 k = ka + kb
                 s = get(k, 0) + ca * cb
@@ -579,11 +571,9 @@ def _build_even_block(n: int, a: int, b: int) -> Block:
         ynfs = shifted_nfs(b - d, d, ypos)
         for xs in shifted_nfs(a - c, c, xpos):
             for ys in ynfs:
-                dens = [xd * yd for (_, xd), (_, yd) in zip(xs, ys)]
-                top = lcm(*dens)
                 row: dict = {}
-                for (xvec, _), (yvec, _), den in zip(xs, ys, dens):
-                    add_tensor(row, top // den, xvec, yvec)
+                for xvec, yvec in zip(xs, ys):
+                    add_tensor(row, xvec, yvec)
                 if row:
                     candidates.append(row)
     candidates.sort(key=lambda row: (len(row), min(row)))
@@ -595,37 +585,20 @@ def _build_even_block(n: int, a: int, b: int) -> Block:
 
     xnfs = [on_reps(alpha, xpos) for alpha in A.monos]
     ynfs = [on_reps(beta, ypos) for beta in B.monos]
-
-    def lift(col: int) -> Vec:
-        (xvec, xd), (yvec, yd) = xnfs[col // nb], ynfs[col % nb]
-        mini: dict = {}
-        add_tensor(mini, 1, xvec, yvec)
-        return mini if xd * yd == 1 else {k: Fraction(v, xd * yd) for k, v in mini.items()}
-
-    return _lifted_block(n, TriDegree(a, b, 0), acc, mini_cols, lift)
-
-
-def _lifted_block(n: int, deg: TriDegree, acc: RrefAccumulator, mini_cols: List[int],
-                  lift: Callable[[int], Vec]) -> Block:
-    """The quotient block whose relations, written in the coordinates of a
-    small ("mini") quotient, span `acc`.
-
-    Mini column k stands for ambient column mini_cols[k] (increasing); the
-    non-pivot ones are the representatives.  Every other ambient column is
-    lifted into mini coordinates by `lift`, reduced, and mapped back.
-    """
     pivots = set(acc.pivots())
     reps = [col for k, col in enumerate(mini_cols) if k not in pivots]
     rep_set = set(reps)
     nf: Dict[int, Vec] = {}
-    for col in range(count_tridegree(n, deg)):
+    for col in range(len(A.monos) * nb):
         if col in rep_set:
             continue
         if not reps:  # zero-dimensional piece: everything reduces to 0
             nf[col] = {}
             continue
-        nf[col] = {mini_cols[k]: v for k, v in acc.reduce(lift(col)).items()}
-    return Block(n, deg, reps, nf)
+        lifted: dict = {}
+        add_tensor(lifted, xnfs[col // nb], ynfs[col % nb])
+        nf[col] = {mini_cols[k]: v for k, v in acc.reduce(lifted).items()}
+    return Block(n, TriDegree(a, b, 0), reps, nf)
 
 
 def _scan_bidegrees(n: int, build, dim=len) -> dict:
@@ -1108,11 +1081,6 @@ def ideal_quotient_series(n: int, reduced: bool, max_total: Optional[int] = None
         if d:
             dims[deg] = d
     return HilbertSeries(dims)
-
-
-def hilbert(space) -> HilbertSeries:
-    """Exact per-tridegree dimensions of any space built by this module."""
-    return space.hilbert()
 
 
 def clear_registry():

@@ -32,7 +32,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 from .linalg import SparseMatrix, Vec, kernel_basis, span_solver, vec_add_scaled
 from .operators import OperatorMatrix, OperatorSpec, compose, matrix_json, matrix_of
 from .spaces import QuotientSpace
-from .superpoly import Polynomial, TriDegree, render, vandermonde
+from .superpoly import TriDegree, render, vandermonde
 
 
 class CogenerationFailure(Exception):
@@ -129,12 +129,6 @@ class SL2Model:
                     out.append(SL2String(da, total, j, tuple(vecs)))
         for deg in sorted(pieces):
             self.space.memoised(("frame", deg), lambda: StringFrame(deg, out, self.space.dim(deg)))
-        return out
-
-    def weight_decomposition(self) -> Dict[Tuple[int, int], List[SL2String]]:
-        out: Dict[Tuple[int, int], List[SL2String]] = {}
-        for st in self.strings():
-            out.setdefault((st.da, st.total), []).append(st)
         return out
 
     # -- involution and lowering operator -----------------------------------
@@ -306,35 +300,26 @@ class Certificate(NamedTuple):
         return "*".join(parts) if parts else "1"
 
 
-def cogeneration_search(space: QuotientSpace, f, deg=None) -> Certificate:
-    """Find a word in F_1..F_{n-1} and d_1..d_{n-1} carrying f onto the top
-    antisymmetric class, with nonzero scalar.
+def cogeneration_search(space: QuotientSpace, f, deg) -> Certificate:
+    """Find a word in F_1..F_{n-1} and d_1..d_{n-1} carrying the class f, a
+    coordinate vector over the representative basis of the piece at deg,
+    onto the top antisymmetric class, with nonzero scalar.
 
-    `f` is a Polynomial (its class is taken in the hook component) or a
-    coordinate vector over the representative basis when `deg` is given.
     The degree shift forces the number of F factors, the number of d factors
     and their total weight, so the search space is finite and exhaustively
     enumerated; exhaustion without a hit raises CogenerationFailure.
     """
     n = space.n
-    if isinstance(f, Polynomial):
-        fdeg = f.tridegree()
-        if fdeg is None:
-            raise ValueError("class representative must be homogeneous")
-        vec = space.coords(fdeg, f)
-    else:
-        if deg is None:
-            raise ValueError("pass deg together with a coordinate vector")
-        fdeg = TriDegree(*deg)
-        vec = {i: Fraction(v) for i, v in dict(f).items() if v}
-        outside = sorted(i for i in vec if not 0 <= i < space.dim(fdeg))
-        if outside:
-            raise ValueError(f"positions {outside} lie outside the piece at {fdeg} of dimension {space.dim(fdeg)}")
+    fdeg = TriDegree(*deg)
+    vec = {i: Fraction(v) for i, v in dict(f).items() if v}
+    outside = sorted(i for i in vec if not 0 <= i < space.dim(fdeg))
+    if outside:
+        raise ValueError(f"positions {outside} lie outside the piece at {fdeg} of dimension {space.dim(fdeg)}")
     if not vec:
         raise ValueError("zero class has no cogeneration certificate")
 
     top = TriDegree(n * (n - 1) // 2, 0, 0)
-    delta_class = space.coords(top, vandermonde("x", n))
+    delta_class = space.memoised(("top class",), lambda: space.coords(top, vandermonde("x", n)))
     ((target_pos, target_val),) = delta_class.items()
 
     need_dx = top.dx - fdeg.dx

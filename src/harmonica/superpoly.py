@@ -6,8 +6,8 @@ product picks up the usual Koszul sign.  S_n acts by permuting the x, y and
 odd variables simultaneously.  First-order super differential operators are
 kept as formal sums of (coefficient, multiplication word, derivation word)
 terms with derivations to the right of multiplications.  Every operator
-family (F_k, E_k and their adjoints, d_N, d_N^*, the wedge with omega_N, the
-Hamiltonian vector fields and the power-sum derivatives) is a sum over i of
+family (F_k, E_k and their adjoints, d_N, d_N^*, the wedge with omega_N and
+the Hamiltonian vector fields) is a sum over i of
 one diagonal term c x_i^a y_i^b th_i^e (d/dx_i)^p (d/dy_i)^q (d/dth_i)^f,
 two for the vector fields, and is built by `_diagonal_sum`.
 
@@ -282,15 +282,6 @@ def alt(p: Polynomial) -> Polynomial:
     return out.scale(Fraction(1, factorial(n)))
 
 
-def sym(p: Polynomial) -> Polynomial:
-    """Symmetrization (1/n!) sum s(p); an idempotent projector."""
-    n = p.n
-    out = Polynomial.zero(n)
-    for sigma in permutations(range(n)):
-        out = out + act(sigma, p)
-    return out.scale(Fraction(1, factorial(n)))
-
-
 # -- differential operators -------------------------------------------------
 
 
@@ -508,17 +499,6 @@ def op_hamiltonian(n: int, a: int, b: int) -> DiffOperator:
 
 def op_partial_x(n: int, i: int) -> DiffOperator:
     return DiffOperator(n, [OpTerm(Fraction(1), unit_monomial(n), _unit_exp(n, i), (0,) * n, ())])
-
-
-def op_partial_y(n: int, i: int) -> DiffOperator:
-    return DiffOperator(n, [OpTerm(Fraction(1), unit_monomial(n), (0,) * n, _unit_exp(n, i), ())])
-
-
-def op_power_sum_deriv(n: int, a: int, b: int) -> DiffOperator:
-    """p_{a,b} with every variable replaced by its derivative."""
-    if a + b < 1:
-        raise ValueError("need a + b >= 1")
-    return _diagonal_sum(n, _diagonal(dx=a, dy=b))
 
 
 # -- pairing ----------------------------------------------------------------

@@ -334,8 +334,7 @@ def suite_lefschetz(n: int, allow_large=False, cache_dir=None) -> List[CheckResu
     _check(out, "power pairing of opposite weights is bijective", lambda: m.lefschetz_check()[1])
 
     def strings_partition() -> Optional[str]:
-        wd = m.weight_decomposition()
-        total = sum(len(st.vectors) for sts in wd.values() for st in sts)
+        total = sum(len(st.vectors) for st in m.strings())
         if total != hook.total_dim():
             return f"strings cover {total} of {hook.total_dim()}"
         return None

@@ -36,7 +36,6 @@ from typing import Dict, List, Tuple
 from harmonica.linalg import RrefAccumulator, SparseMatrix, Vec, kernel_basis, vec_add_scaled
 from harmonica.spaces import (
     Block,
-    _lifted_block,
     _mixed_generators,
     _power_sum_generators,
     _span,
@@ -455,8 +454,14 @@ def _sign_block(dr_block: Block, da: int) -> Block:
         si, base_col = divmod(col, d_ab)
         return {si * k + p: v for p, v in classes[base_col].items()}
 
+    # The non-pivot mini columns are the reps; every other column is lifted, reduced and mapped back.
     mini_cols = [si * d_ab + col for si in range(len(thetasets)) for col in dr_block.reps]
-    return _lifted_block(n, TriDegree(a, b, da0 + da), acc, mini_cols, lift)
+    pivots = set(acc.pivots())
+    reps = [col for k, col in enumerate(mini_cols) if k not in pivots]
+    rep_set = set(reps)
+    nf = {col: {mini_cols[k]: v for k, v in acc.reduce(lift(col)).items()} if reps else {}
+          for col in range(len(thetasets) * d_ab) if col not in rep_set}
+    return Block(n, TriDegree(a, b, da0 + da), reps, nf)
 
 
 def hook_blocks(n: int) -> Dict[TriDegree, Block]:

@@ -141,8 +141,8 @@ def membership(v: Vec, span: SparseMatrix):
         if not 0 <= i < span.rows:
             raise ValueError(f"vector index {i} incompatible with {span.rows} rows")
     acc = RrefAccumulator(track=True)
-    for j in range(span.cols):
-        acc.insert(span.column(j), tag=j)
+    for j, col in enumerate(span.column_list()):
+        acc.insert(col, tag=j)
     residual, combo = acc.reduce_with_coeffs(dict(v))
     if residual:
         return None

@@ -30,7 +30,7 @@ from typing import Optional
 
 from harmonica import operators
 from harmonica.operators import _FIRST_ORDER_KINDS, OperatorSpec, _is_equivariant
-from harmonica.spaces import QuotientSpace, _even_block, _power_sum_generators
+from harmonica.spaces import QuotientSpace, _even_block, _power_sum_generators, poly_to_vec
 from harmonica.superpoly import (
     DiffOperator,
     Monomial,
@@ -277,7 +277,7 @@ def _invariant_ideal_class_zero(n: int, p: Polynomial) -> Optional[Polynomial]:
         if deg.da:
             return comp
         block = _even_block(n, deg.dx, deg.dy)
-        if block.class_coords(comp):
+        if block.class_of_vec(poly_to_vec(comp, deg)):
             return comp
     return None
 

@@ -6,6 +6,8 @@ applied as an average over all n! permutations, with one normal form per
 permutation, and the sign component of a graded subspace as the span of
 `alt` of each basis vector.  The bodies are unchanged; `test_sign_oracle.py`
 holds the transposition-based builds to the same presentations.
+
+`sym` is the symmetrizing projector, the same n!-sum with every sign +1.
 """
 
 from __future__ import annotations
@@ -32,6 +34,15 @@ from harmonica.superpoly import (
     perm_sign,
     subsets_of_size,
 )
+
+
+def sym(p: Polynomial) -> Polynomial:
+    """Symmetrization (1/n!) sum s(p); an idempotent projector."""
+    n = p.n
+    out = Polynomial.zero(n)
+    for sigma in permutations(range(n)):
+        out = out + act(sigma, p)
+    return out.scale(Fraction(1, factorial(n)))
 
 
 def _alt_class_vec(block: Block, mono: Monomial) -> Vec:

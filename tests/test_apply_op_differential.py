@@ -31,8 +31,6 @@ FAMILIES = {
     "op_wedge_omega": lambda n: st.tuples(st.integers(0, 3)),
     "op_hamiltonian": lambda n: st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(lambda ab: sum(ab)),
     "op_partial_x": lambda n: st.tuples(st.integers(0, n - 1)),
-    "op_partial_y": lambda n: st.tuples(st.integers(0, n - 1)),
-    "op_power_sum_deriv": lambda n: st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(lambda ab: sum(ab)),
 }
 
 coefficients = st.fractions(min_value=-4, max_value=4, max_denominator=7).filter(bool)

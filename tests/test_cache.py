@@ -193,6 +193,8 @@ BLOCK_CORRUPTIONS = {
     "no reps": _empty_reps,
     "nf uses a non-rep column": _nf_on_pivot,
     "nf column listed twice": lambda b: b["nf"][_nonempty_nf(b)][1].append([b["nf"][_nonempty_nf(b)][1][0][0], "7"]),
+    # Rejected by counting its columns, before any is listed.
+    "degree far past any basis": lambda b: b["deg"].__setitem__(0, 10 ** 30),
     **{f"nf value {text!r}": _value_text(text) for text in BAD_VALUE_TEXTS},
 }
 
@@ -231,6 +233,23 @@ class TestLoadChecks:
         assert cache.load_quotient(tmp_path, kind, 3) is None
         self._assert_rebuilt(tmp_path, kind, built)
 
+    @pytest.mark.parametrize("kind", sorted(SPACE_FNS))
+    @pytest.mark.parametrize("change", ["block dropped", "block added"])
+    def test_file_with_other_dimensions_is_rebuilt(self, tmp_path, kind, change):
+        # Every block is well formed, but the dimensions are not those of a
+        # build: a block is dropped, or a copy of an odd-degree-0 block is
+        # added at odd degree n, which has as many columns and is no build's.
+        built, path, payload = self._saved(tmp_path, kind)
+        if change == "block dropped":
+            del payload["blocks"][0]
+        else:
+            rec = dict(next(b for b in payload["blocks"] if b["deg"][2] == 0))
+            rec["deg"] = rec["deg"][:2] + [3]
+            payload["blocks"].append(rec)
+        path.write_text(json.dumps(payload))
+        assert cache.load_quotient(tmp_path, kind, 3) is None
+        self._assert_rebuilt(tmp_path, kind, built)
+
     def test_duplicated_degree_is_rebuilt(self, tmp_path):
         built, path, payload = self._saved(tmp_path, "hook")
         payload["blocks"].append(payload["blocks"][0])
@@ -248,6 +267,19 @@ class TestLoadChecks:
         path = cache.cache_path(tmp_path, "dh", 3)
         payload = json.loads(path.read_text())
         payload["pieces"][-1]["basis"][0] = vec
+        path.write_text(json.dumps(payload))
+        assert cache.load_subspace(tmp_path, "dh", 3) is None
+        clear_registry()
+        rebuilt = harmonics(3, cache_dir=tmp_path)
+        assert rebuilt is not built and rebuilt.pieces == built.pieces
+        assert cache.load_subspace(tmp_path, "dh", 3) is not None
+
+    def test_dropped_subspace_piece_is_rebuilt(self, tmp_path):
+        clear_registry()
+        built = harmonics(3, cache_dir=tmp_path)
+        path = cache.cache_path(tmp_path, "dh", 3)
+        payload = json.loads(path.read_text())
+        del payload["pieces"][0]
         path.write_text(json.dumps(payload))
         assert cache.load_subspace(tmp_path, "dh", 3) is None
         clear_registry()

@@ -30,7 +30,7 @@ def _specs(n):
     out += [OperatorSpec.E(n, k) for k in range(1, n + 2)]
     out += [OperatorSpec.d(n, N) for N in range(n + 1)]
     out += [OperatorSpec.hamiltonian(n, a, s - a) for s in range(1, 7) for a in range(s + 1)]
-    out += [OperatorSpec.wedge(n, N) for N in range(n + 1)]
+    out += [OperatorSpec("wedge", n, (N,)) for N in range(n + 1)]
     return out
 
 

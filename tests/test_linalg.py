@@ -8,7 +8,12 @@ from harmonica.linalg import RrefAccumulator, SparseMatrix, kernel_basis, member
 
 
 def dense(rows):
-    return SparseMatrix.from_dense(rows)
+    return SparseMatrix.from_rows([dict(enumerate(row)) for row in rows], len(rows[0]) if rows else 0)
+
+
+def cells(m: SparseMatrix) -> list:
+    """The entries of m as a list of rows."""
+    return [[m.entry(r, c) for c in range(m.cols)] for r in range(m.rows)]
 
 
 def det_minor(entries):
@@ -29,13 +34,13 @@ def det_minor(entries):
 
 
 def rank_by_minors(m: SparseMatrix) -> int:
-    cells = m.to_dense()
+    entries = cells(m)
     best = 0
     for k in range(1, min(m.rows, m.cols) + 1):
         found = False
         for rows in combinations(range(m.rows), k):
             for cols in combinations(range(m.cols), k):
-                sub = [[cells[r][c] for c in cols] for r in rows]
+                sub = [[entries[r][c] for c in cols] for r in rows]
                 if det_minor(sub) != 0:
                     found = True
                     break
@@ -52,7 +57,7 @@ def test_rref_proportional_rows():
     red, pivots, rank = rref(dense([[1, 2], [2, 4]]))
     assert rank == 1
     assert pivots == [0]
-    assert red.to_dense() == [[Fraction(1), Fraction(2)]]
+    assert cells(red) == [[Fraction(1), Fraction(2)]]
 
 
 def test_rref_identity_fixed_point():
@@ -65,7 +70,7 @@ def test_rref_identity_fixed_point():
 def test_rref_already_echelon_up_to_reduction():
     red, pivots, rank = rref(dense([[1, 1, 0], [0, 1, 1]]))
     assert rank == 2 and pivots == [0, 1]
-    assert red.to_dense() == [
+    assert cells(red) == [
         [Fraction(1), Fraction(0), Fraction(-1)],
         [Fraction(0), Fraction(1), Fraction(1)],
     ]
@@ -192,8 +197,9 @@ def test_membership_reconstructs_exactly():
 def test_matmul_and_transpose():
     a = dense([[1, 2], [0, 1]])
     b = dense([[1, 0], [3, 1]])
-    assert a.matmul(b).to_dense() == [[Fraction(7), Fraction(2)], [Fraction(3), Fraction(1)]]
-    assert a.transpose().to_dense() == [[Fraction(1), Fraction(0)], [Fraction(2), Fraction(1)]]
+    assert cells(a.matmul(b)) == [[Fraction(7), Fraction(2)], [Fraction(3), Fraction(1)]]
+    transpose = SparseMatrix.from_columns(a.row_list(), a.cols)  # the rows of a as columns
+    assert cells(transpose) == [[Fraction(1), Fraction(0)], [Fraction(2), Fraction(1)]]
 
 
 def _state(acc):

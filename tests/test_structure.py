@@ -124,21 +124,29 @@ class TestLefschetz:
         assert not ok and witness == "dependent string vectors in block (1,0,0)"
 
 
+def weight_decomposition(m):
+    """The strings of an sl2 model, grouped by (odd degree, total degree) slice."""
+    out = {}
+    for st in m.strings():
+        out.setdefault((st.da, st.total), []).append(st)
+    return out
+
+
 class TestWeightDecomposition:
     def test_n3_even_slices(self):
-        wd = model(hook_component(3)).weight_decomposition()
+        wd = weight_decomposition(model(hook_component(3)))
         assert sorted(st.j for st in wd[(0, 3)]) == [3]
         assert sorted(st.j for st in wd[(0, 2)]) == [0]
 
     def test_n2_strings(self):
-        wd = model(hook_component(2)).weight_decomposition()
+        wd = weight_decomposition(model(hook_component(2)))
         assert sorted(st.j for st in wd[(0, 1)]) == [1]
         assert sorted(st.j for st in wd[(1, 0)]) == [0]
 
     def test_strings_partition_dimensions(self):
         for n in (2, 3):
             hook = hook_component(n)
-            wd = model(hook).weight_decomposition()
+            wd = weight_decomposition(model(hook))
             assert sum(len(st.vectors) for sts in wd.values() for st in sts) == hook.total_dim()
 
 
@@ -156,9 +164,9 @@ class TestInvolution:
     def test_swaps_the_antisymmetric_generators(self):
         m = model(hook_component(3))
         src = TriDegree(0, 3, 0)
-        coords = m.space.block(src).class_coords(vandermonde("y", 3))
+        coords = m.space.coords(src, vandermonde("y", 3))
         image = m.phi_block(src).mul_vec(coords)
-        target = m.space.block(TriDegree(3, 0, 0)).class_coords(vandermonde("x", 3))
+        target = m.space.coords(TriDegree(3, 0, 0), vandermonde("x", 3))
         ((p1, v1),) = image.items()
         ((p2, v2),) = target.items()
         assert p1 == p2 and v1 / v2 != 0
@@ -298,7 +306,8 @@ class TestDualScalars:
 
 class TestCogeneration:
     def test_identity_certificate_for_the_top_class(self):
-        cert = cogeneration_search(hook_component(3), vandermonde("x", 3))
+        hook, top = hook_component(3), TriDegree(3, 0, 0)
+        cert = cogeneration_search(hook, hook.coords(top, vandermonde("x", 3)), deg=top)
         assert cert.f_word == () and cert.d_word == () and cert.scalar == 1
         assert cert.render() == "1"
 
@@ -325,6 +334,26 @@ class TestCogeneration:
     def test_zero_class_rejected(self):
         with pytest.raises(ValueError):
             cogeneration_search(hook_component(3), {}, deg=(1, 1, 0))
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_the_suite_builds_the_top_class_once_per_space(self, n, monkeypatch):
+        # Every search reads the top antisymmetric class through the space's
+        # memo: one vandermonde("x", n) per space, however many classes and runs.
+        calls = []
+        real = structure.vandermonde
+
+        def counted(var, n):
+            calls.append((var, n))
+            return real(var, n)
+
+        monkeypatch.setattr(structure, "vandermonde", counted)
+        clear_registry()
+        try:
+            for _ in range(2):
+                assert all(r.passed for r in verify.run_suite(n, "cogeneration"))
+        finally:
+            clear_registry()
+        assert calls == [("x", n)]
 
     @pytest.mark.parametrize("vec, deg", [({7: 1}, (1, 1, 0)), ({0: 1}, (9, 9, 0))])
     def test_positions_outside_the_piece_rejected(self, vec, deg):
@@ -408,7 +437,7 @@ def test_sl2_layer_reads_only_the_space_it_is_given(tmp_path, monkeypatch):
         space = cache.load_quotient(tmp_path, "hook", 3)
         assert export_homology(space) == table
         assert model(space).lefschetz_check() == (True, None)
-        cert = cogeneration_search(space, vandermonde("x", 3))
+        cert = cogeneration_search(space, space.coords((3, 0, 0), vandermonde("x", 3)), deg=(3, 0, 0))
         assert cert.f_word == () and cert.d_word == () and cert.scalar == 1
         assert "hook" not in spaces._workspace(3).spaces
     finally:

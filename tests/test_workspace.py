@@ -53,7 +53,7 @@ def test_repeated_matrix_is_served_from_the_space(fresh, monkeypatch):
     hook, dh = hook_component(3), harmonics(3)
     for spec, space, deg in [(OperatorSpec.F(3, 1), hook, (0, 3, 0)),
                              (OperatorSpec.d(3, 1), hook, (0, 2, 1)),
-                             (OperatorSpec.F_star(3, 1), dh, (1, 1, 0))]:
+                             (OperatorSpec("Fstar", 3, (1,)), dh, (1, 1, 0))]:
         first = matrix_of(spec, space, deg)
         before = applied["calls"]
         assert matrix_of(spec, space, deg) == first
