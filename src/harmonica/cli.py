@@ -1,6 +1,8 @@
 """Command-line front end: build spaces, run verification suites, export.
 
 Exit codes: 0 success, 1 check failure, 2 usage error, 3 resource refusal.
+A build whose closed-form check fails (`ArithmeticError`) is a check
+failure, reported in one stderr line.
 Each command imports only the modules it runs: `compute` and `--version`
 load neither `verify` nor `structure` nor `operators`.
 """
@@ -165,6 +167,9 @@ def main(argv=None) -> int:
     except ResourceCapExceeded as exc:
         print(f"harmonica: resource refusal: {exc}", file=sys.stderr)
         return 3
+    except ArithmeticError as exc:  # a build's closed-form check
+        print(f"harmonica: check failed: {exc}", file=sys.stderr)
+        return 1
     except ValueError as exc:
         parser.error(str(exc))
     return 2

@@ -372,10 +372,11 @@ class RrefAccumulator:
         return SparseMatrix.from_rows(self._rref().values(), cols)
 
 
-def _row_space(m: SparseMatrix) -> RrefAccumulator:
+def _span(vecs) -> RrefAccumulator:
+    """An accumulator holding `vecs`, inserted in order."""
     acc = RrefAccumulator()
-    for row in m.row_list():
-        acc.insert(row)
+    for v in vecs:
+        acc.insert(v)
     return acc
 
 
@@ -385,7 +386,7 @@ def rref(m: SparseMatrix):
     Returns (reduced matrix, pivot column list, rank).  The output is the
     unique RREF of the row space; pivot columns are strictly increasing.
     """
-    acc = _row_space(m)
+    acc = _span(m.row_list())
     return acc.to_matrix(m.cols), acc.pivots(), acc.rank
 
 
@@ -394,7 +395,7 @@ def kernel_basis(m: SparseMatrix) -> list:
 
     One vector per non-pivot column; m.mul_vec(v) == {} for each.
     """
-    kernel = _row_space(m).int_kernel(m.cols)
+    kernel = _span(m.row_list()).int_kernel(m.cols)
     return [_fractions(vec, vec[f]) for f, vec in kernel.items()]
 
 

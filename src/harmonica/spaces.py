@@ -7,9 +7,9 @@ row-echelon form of their relation subspace together with the complementary
 bases.  Construction is staged so that elimination always happens in small
 coordinates:
 
-* the invariant ideal is row-reduced one variable family at a time (the
-  pure-x and pure-y generators give a tensor-product presentation), and only
-  the genuinely mixed generators are reduced in the small product quotient;
+* the pure-x and pure-y generators give a tensor-product presentation, each
+  variable family reduced by division by its Groebner basis, and only the
+  genuinely mixed generators are row-reduced in the small product quotient;
 * the hook and sign blocks are built from n alone, over one coordinate
   per S_n-orbit of monomials with a nonzero alternant: the sign part of the
   superalgebra modulo the invariant ideal and th_1+..+th_n (`_orbit_block`);
@@ -25,30 +25,33 @@ single-family normal forms, reduced there and mapped back.
 The single-family normal forms are integral.  Under the column order the
 power sum ideal of one family has the monic, integral lex Groebner basis
 {h_k(z_k, .., z_n)} (complete homogeneous symmetric polynomials; Cox,
-Little and O'Shea, *Ideals, Varieties, and Algorithms*), so every RREF row
-of a single-family degree has pivot entry 1, and `_SingleFamily` checks it.
-In the single-family reductions, the coinvariant blocks and the harmonic
-pieces, rows reach the kernel as integers: normal forms, tensor products,
-candidate rows and the scaled harmonic rows are int dicts, and `Fraction`s
-appear only in what the accumulator hands back.
+Little and O'Shea, *Ideals, Varieties, and Algorithms*), with leading terms
+z_k^k.  `_SingleFamily` divides by it: the reps are the standard monomials,
+the exponent of each z_k below k, and the leading terms are the pivots of
+the RREF, so division gives the RREF's normal forms, as int vecs, with no
+elimination.  In the coinvariant blocks and the harmonic pieces, rows reach
+the kernel as integers: normal forms, tensor products, candidate rows and
+the scaled harmonic rows are int dicts, and `Fraction`s appear only in what
+the accumulator hands back.
 
 A coinvariant block's candidate rows are the mixed generators p_{c,d}
 times rep (x) rep monomials only (single-family reps of degrees a-c and
 b-d), since the image of the mixed ideal in the product quotient is a
 module over it.  They are all built first and then inserted sparsest
-first, by (nnz, leading column), stopping at full rank; the order leaves
-the RREF unchanged and keeps the fill-in of back-reduction small.
+first, by (nnz, leading column), stopping at full rank
+(`_insert_sparsest_first`, as for the hook blocks); the order leaves the
+RREF unchanged and keeps the fill-in of back-reduction small.
 
 The composite still yields the canonical reduced echelon form over the full
 monomial basis: every stage pivots on the leading surviving column, so the
 assembled rows are exactly the RREF rows of the total relation space.
 
-Total degrees are scanned upward and enumeration stops at the first total
-degree that contributes nothing (hard cap dx+dy <= n(n-1)): the quotient
-is generated in degree 1, so nothing lies above an empty degree.
-Completeness is certified downstream by the closed-form total dimensions.
-The hook scans each odd degree up to its top total degree and checks its
-total against the Schroder-path count as it builds (`_hook_slice`).
+Every scan stops at a closed-form top degree and checks a closed-form
+total, raising ArithmeticError with both totals when they differ: a class
+above the top would make the total fall short.  The coinvariant and
+harmonic scans run to C(n,2) and total (n+1)^(n-1) (Haiman 2002,
+`_scan_bidegrees`); each odd degree of the hook runs to its own top degree
+and totals its Schroder-path count (`_hook_slice`).
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ from math import comb
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .dyck import hook_per_a
-from .linalg import RrefAccumulator, Vec, _scaled_ints, vec_add_scaled
+from .linalg import RrefAccumulator, Vec, _scaled_ints, _span, vec_add_scaled
 from .superpoly import (
     Monomial,
     Polynomial,
@@ -107,11 +110,15 @@ def poly_to_vec(p: Polynomial, deg: TriDegree) -> Vec:
     return vec
 
 
-def _span(vecs) -> RrefAccumulator:
-    """An accumulator holding `vecs`, inserted in order."""
+def _insert_sparsest_first(rows, full: int) -> RrefAccumulator:
+    """An accumulator of the nonzero candidate rows, inserted sparsest first,
+    by (nnz, leading column), until its rank is `full`: the RREF does not
+    depend on the order, but back-reduction fills in less."""
     acc = RrefAccumulator()
-    for v in vecs:
-        acc.insert(v)
+    for row in sorted(filter(None, rows), key=lambda row: (len(row), min(row))):
+        if acc.rank == full:
+            break
+        acc.insert(row)
     return acc
 
 
@@ -375,73 +382,48 @@ class GradedSubspace(_Memoised):
 
 
 class _SingleDegree:
-    __slots__ = ("monos", "index", "reps", "nf", "rows")
+    __slots__ = ("monos", "index", "reps")
 
-    def __init__(self, monos, index, reps, nf, rows):
+    def __init__(self, monos):
         self.monos = monos  # exponent tuples, canonical (descending-lex) order
-        self.index = index
-        self.reps = reps  # non-pivot columns
-        self.nf = nf  # pivot column -> int vec over rep columns
-        self.rows = rows  # pivot column -> int RREF relation row, pivot entry 1
+        self.index = {m: i for i, m in enumerate(monos)}
+        # The standard (Artin) monomials, exps[k] <= k for every k.
+        self.reps = [i for i, m in enumerate(monos) if all(e <= k for k, e in enumerate(m))]
 
 
 class _SingleFamily:
-    """Degreewise reduction of Q[z_1..z_n] modulo its power sum ideal."""
+    """Q[z_1..z_n] modulo its power sum ideal, by division by the Groebner
+    basis {h_k(z_k, .., z_n)} of the module docstring."""
 
     def __init__(self, n: int):
         self.n = n
+        # tails[k] (0-based k): the terms of h_(k+1)(z_k, .., z_(n-1)) other
+        # than z_k^(k+1), as exponents over z_k..z_(n-1).
+        self.tails = [list(compositions(k + 1, n - k))[1:] for k in range(n)]
         self.degrees: Dict[int, _SingleDegree] = {}
-        self._build(0)
-
-    def ensure(self, d: int):
-        for k in range(len(self.degrees), d + 1):
-            self._build(k)
+        self._nf: Dict[tuple, Vec] = {}
 
     def deg(self, d: int) -> _SingleDegree:
-        self.ensure(d)
+        if d not in self.degrees:
+            self.degrees[d] = _SingleDegree(list(compositions(d, self.n)))
         return self.degrees[d]
 
     def nf(self, exps: tuple) -> Vec:
-        """Normal form of a monomial, as an int vec over the rep columns of its degree."""
-        sd = self.deg(sum(exps))
-        j = sd.index[exps]
-        return sd.nf[j] if j in sd.nf else {j: 1}
-
-    def _build(self, d: int):
-        """Degree d's RREF, from the shifts of degree d-1's rows and the power
-        sum p_d; raises ArithmeticError, naming d, unless every pivot entry
-        is 1 (the Groebner basis of the module docstring says it is)."""
-        monos = list(compositions(d, self.n))
-        index = {m: i for i, m in enumerate(monos)}
-        acc = RrefAccumulator()
-        if d >= 1:
-            prev = self.degrees[d - 1]
-            # Shifts of the lower-degree relation rows by each variable.
-            for piv in sorted(prev.rows):
-                row = prev.rows[piv]
-                for i in range(self.n):
-                    shifted: Vec = {}
-                    for c, v in row.items():
-                        exps = list(prev.monos[c])
-                        exps[i] += 1
-                        shifted[index[tuple(exps)]] = v
-                    acc.insert(shifted)
-            # The power sum of this degree, if it is a generator.
-            if 1 <= d <= self.n:
-                vec = {}
-                for i in range(self.n):
-                    exps = [0] * self.n
-                    exps[i] = d
-                    vec[index[tuple(exps)]] = 1
-                acc.insert(vec)
-        rows = dict(acc.int_rows())
-        for piv, row in rows.items():
-            if row[piv] != 1:
-                raise ArithmeticError(f"single-family degree {d}: the RREF row of column {piv} "
-                                      f"has pivot entry {row[piv]}, not 1")
-        reps = [j for j in range(len(monos)) if j not in rows]
-        nf = {piv: {c: -x for c, x in row.items() if c != piv} for piv, row in rows.items()}
-        self.degrees[d] = _SingleDegree(monos, index, reps, nf, rows)
+        """Normal form of a monomial, as an int vec over the rep columns of its
+        degree.  With k the first index where exps[k] > k, z^exps is
+        z^(exps - (k+1)e_k) z_k^(k+1), and z_k^(k+1) is minus its tail."""
+        if exps not in self._nf:
+            k = next((k for k, e in enumerate(exps) if e > k), None)
+            out: Vec = {}
+            if k is None:
+                out[self.deg(sum(exps)).index[exps]] = 1
+            else:
+                lead = exps[:k] + (exps[k] - k - 1,) + exps[k + 1:]  # z^exps / z_k^(k+1)
+                for beta in self.tails[k]:
+                    for j, c in self.nf(lead[:k] + tuple(map(sum, zip(lead[k:], beta)))).items():
+                        out[j] = out.get(j, 0) - c
+            self._nf[exps] = {j: c for j, c in sorted(out.items()) if c}
+        return self._nf[exps]
 
 
 # ---------------------------------------------------------------------------
@@ -518,13 +500,11 @@ def _build_even_block(n: int, a: int, b: int) -> Block:
     The image of the mixed ideal there is an R_x (x) R_y-module, so it is
     spanned by p_{c,d} * x^alpha y^beta with x^alpha and y^beta single-family
     reps of degrees a-c and b-d.  Every row is a sum of tensor products of
-    single-family normal forms, which are int vecs (pivot entry 1, by the
-    Groebner basis of the module docstring), so the rows are ints with no
-    denominator to clear.  The candidate rows are inserted sparsest first,
-    by (nnz, leading column), until the rank is full: the RREF does not
-    depend on the order, but back-reduction fills in less.  The non-pivot
-    mini columns are the representatives; every other ambient column is
-    lifted into mini coordinates, reduced, and mapped back.
+    single-family normal forms, int vecs from division by a monic Groebner
+    basis, so the rows are ints with no denominator to clear.  They are
+    inserted by `_insert_sparsest_first`.  The non-pivot mini columns are
+    the representatives; every other ambient column is lifted into mini
+    coordinates, reduced, and mapped back.
     """
     fam = _workspace(n).family
     A = fam.deg(a)
@@ -534,7 +514,6 @@ def _build_even_block(n: int, a: int, b: int) -> Block:
     xpos = {ia: k * nrb for k, ia in enumerate(A.reps)}
     ypos = {ib: k for k, ib in enumerate(B.reps)}
     mini_cols = [ia * nb + ib for ia in A.reps for ib in B.reps]  # mini -> full column
-    acc = RrefAccumulator()
 
     def on_reps(exps: tuple, pos: dict) -> dict:
         return {pos[j]: c for j, c in fam.nf(exps).items()}
@@ -564,7 +543,7 @@ def _build_even_block(n: int, a: int, b: int) -> Block:
             out.append(per_i)
         return out
 
-    candidates = []
+    rows = []
     for (c, d) in _mixed_generators(n):
         if a - c < 0 or b - d < 0:
             continue
@@ -574,14 +553,8 @@ def _build_even_block(n: int, a: int, b: int) -> Block:
                 row: dict = {}
                 for xvec, yvec in zip(xs, ys):
                     add_tensor(row, xvec, yvec)
-                if row:
-                    candidates.append(row)
-    candidates.sort(key=lambda row: (len(row), min(row)))
-    full = len(mini_cols)
-    for row in candidates:
-        if acc.rank == full:
-            break
-        acc.insert(row)
+                rows.append(row)
+    acc = _insert_sparsest_first(rows, len(mini_cols))
 
     xnfs = [on_reps(alpha, xpos) for alpha in A.monos]
     ynfs = [on_reps(beta, ypos) for beta in B.monos]
@@ -602,26 +575,22 @@ def _build_even_block(n: int, a: int, b: int) -> Block:
 
 
 def _scan_bidegrees(n: int, build, dim=len) -> dict:
-    """Run `build(a, b)` over total degrees upward, stopping after the first
-    empty total degree; the pieces of nonzero `dim`, by degree.
-
-    One empty degree suffices: the coinvariant quotient is generated in
-    degree 1, so degree d+1 is spanned by the products of the x_i, y_i with
-    degree d and vanishes with it.  A harmonic piece has the dimension of
-    the coinvariant block it is read from, so its scan stops at the same
-    degree.  Degree 0 holds the constants, so the first empty degree is the
-    top degree plus one.
-    """
+    """Run `build(a, b)` over total degrees 0..C(n,2), the top degree of the
+    coinvariants; the pieces of nonzero `dim`, by degree.  A piece above the
+    top would make the total fall short of (n+1)^(n-1) (Haiman 2002), as
+    would a wrong one: a total that differs raises ArithmeticError naming
+    both totals.  A harmonic piece has its coinvariant block's dimension."""
+    top, want = comb(n, 2), (n + 1) ** (n - 1)
     pieces = {}
-    for d in range(n * (n - 1) + 1):
-        total = 0
+    for d in range(top + 1):
         for a in range(d, -1, -1):
             piece = build(a, d - a)
             if dim(piece):
                 pieces[TriDegree(a, d - a, 0)] = piece
-                total += dim(piece)
-        if not total:
-            break
+    got = sum(map(dim, pieces.values()))
+    if got != want:
+        raise ArithmeticError(f"the pieces up to total degree {top} have dimension {got}, "
+                              f"(n+1)^(n-1) is {want}")
     return pieces
 
 
@@ -798,11 +767,7 @@ def _orbit_block(n: int, deg: TriDegree) -> Optional[Block]:
     if deg.da:
         rows += [row((sign, Monomial(w.xe, w.ye, S)) for sign, S in _wedge_omega0(n, w.odd))
                  for w in _orbit_reps(n, TriDegree(deg.dx, deg.dy, deg.da - 1))]
-    acc = RrefAccumulator()
-    for row in sorted(filter(None, rows), key=lambda row: (len(row), min(row))):
-        if acc.rank == len(reps):
-            break
-        acc.insert(row)
+    acc = _insert_sparsest_first(rows, len(reps))
     if acc.rank == len(reps):
         return None
 

@@ -9,7 +9,9 @@ candidate row and kernel combination as a dict of `Fraction`s.  The bodies
 are unchanged; each builder reads its family and harmonic kernels from an
 oracle workspace of its own, so nothing is shared with the builds under
 test.  `test_build_oracle.py` holds the integer-row builds to the same
-presentations.
+presentations.  `_SingleFamily` row-reduces the shifts of each degree's
+rows, the build that division by the Groebner basis replaced;
+`test_spaces.py` holds division to its reps and normal forms.
 
 `invariant_ideal_piece` is the naive spanning set of one bidegree piece of
 the invariant ideal, p_{c,d} times every monomial, unreduced.

@@ -129,6 +129,39 @@ class TestExitCodes:
         assert res.stderr.splitlines()[-1] == (
             f"harmonica: error: unknown suite 'nonsense'; choose from {', '.join(SUITES)} or 'all'")
 
+    @pytest.mark.parametrize("fault,command,message", [
+        ("hook", "compute", "odd degree 1: the blocks up to total degree 2 have dimension 5, "
+                            "the Schroder count is 6"),
+        ("hook", "verify", "odd degree 1: the blocks up to total degree 2 have dimension 5, "
+                           "the Schroder count is 6"),
+        ("scan", "compute", "the pieces up to total degree 3 have dimension 15, (n+1)^(n-1) is 16"),
+        ("scan", "verify", "the pieces up to total degree 3 have dimension 15, (n+1)^(n-1) is 16"),
+    ])
+    def test_a_failed_build_check_is_one_line_and_exit_1(self, fault, command, message,
+                                                         monkeypatch, capsys):
+        from harmonica import spaces
+
+        if fault == "hook":
+            monkeypatch.setattr(spaces, "hook_per_a", lambda n: {0: 5, 1: 6, 2: 1})
+        else:  # one rep of the drn block (1, 1) dropped
+            even_block = spaces._even_block
+
+            def losing(n, a, b):
+                blk = even_block(n, a, b)
+                return spaces.Block(n, blk.deg, blk.reps[1:], blk.nf) if (a, b) == (1, 1) else blk
+
+            monkeypatch.setattr(spaces, "_even_block", losing)
+        args = (["compute", "--n", "3", "--space", "hook" if fault == "hook" else "drn"]
+                if command == "compute" else ["verify", "--n", "3", "--suite", "dims"])
+        spaces.clear_registry()
+        try:
+            assert main(args) == 1
+        finally:
+            spaces.clear_registry()
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"harmonica: check failed: {message}\n"
+
     def test_unknown_space_is_usage_error(self):
         res = run("compute", "--n", "3", "--space", "nonsense")
         assert res.returncode == 2

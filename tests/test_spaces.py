@@ -3,6 +3,7 @@ from itertools import permutations
 
 import pytest
 
+import build_oracle
 from build_oracle import invariant_ideal_piece
 from operator_oracle import op_partial_y, op_power_sum_deriv
 from sign_oracle import sym
@@ -32,6 +33,7 @@ from harmonica.superpoly import (
     act,
     alt,
     apply_op,
+    compositions,
     monomial_pair_weight,
     op_E,
     pairing,
@@ -129,7 +131,7 @@ class TestBlockBuild:
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("name,build", [("_build_even_block", coinvariants),
                                             ("_build_harmonic_piece", harmonics)])
-    def test_scan_stops_at_the_first_empty_degree(self, n, name, build, monkeypatch):
+    def test_scan_stops_at_the_top_degree(self, n, name, build, monkeypatch):
         built = []
         original = getattr(spaces, name)
 
@@ -145,14 +147,36 @@ class TestBlockBuild:
             spaces.clear_registry()
         top = n * (n - 1) // 2
         assert max(d.dx + d.dy for d in space.support()) == top
-        # Every bidegree up to the first empty total degree, top + 1, and none past it.
-        assert sorted(built) == [d for d in range(top + 2) for _ in range(d + 1)]
+        # Every bidegree up to the top total degree, and none past it.
+        assert sorted(built) == [d for d in range(top + 1) for _ in range(d + 1)]
+
+    @pytest.mark.parametrize("kind", ["drn", "dh"])
+    def test_a_piece_that_loses_a_dimension_raises_naming_both_totals(self, kind, monkeypatch):
+        # Negative control: one rep, or one harmonic, of bidegree (1, 1) dropped.
+        spaces.clear_registry()
+        if kind == "drn":
+            even_block = spaces._even_block
+
+            def losing(n, a, b):
+                blk = even_block(n, a, b)
+                return spaces.Block(n, blk.deg, blk.reps[1:], blk.nf) if (a, b) == (1, 1) else blk
+
+            monkeypatch.setattr(spaces, "_even_block", losing)
+        else:
+            piece = spaces._build_harmonic_piece
+            monkeypatch.setattr(spaces, "_build_harmonic_piece",
+                                lambda n, a, b: piece(n, a, b)[(a, b) == (1, 1):])
+        try:
+            with pytest.raises(ArithmeticError, match=r"^the pieces up to total degree 3 have "
+                                                      r"dimension 15, \(n\+1\)\^\(n-1\) is 16$"):
+                (coinvariants if kind == "drn" else harmonics)(3)
+        finally:
+            spaces.clear_registry()
 
     def test_block_rows_are_rep_products_inserted_sparsest_first(self, monkeypatch):
         n, a, b = 5, 4, 3
         spaces.clear_registry()
         fam = spaces._workspace(n).family
-        fam.ensure(max(a, b))  # the single-family rows are not the block's
         bound = sum(len(fam.deg(a - c).reps) * len(fam.deg(b - d).reps)
                     for (c, d) in spaces._mixed_generators(n) if c <= a and d <= b)
         inserted = []
@@ -173,30 +197,42 @@ class TestBlockBuild:
 
 
 class TestSingleFamily:
-    """Every single-family RREF row has pivot entry 1 (the monic lex Groebner
-    basis h_k(z_k, .., z_n)), and the build checks it."""
+    """Q[z_1..z_n] modulo its power sums, by division by the monic lex
+    Groebner basis h_k(z_k, .., z_n): the RREF's reps and normal forms,
+    integral, with no elimination."""
 
-    # n = 6 lies past every build (HARD_CAP); its degrees 12..16 alone take
-    # about 50 s of elimination, so it runs with the tier-2 checks.
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, pytest.param(6, marks=pytest.mark.tier2)])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_every_degree_is_integral(self, n):
+        # Against the row-reduced family the build used before division.
+        fam, ref = spaces._SingleFamily(n), build_oracle._SingleFamily(n)
+        for d in range(n * (n - 1) // 2 + 2):
+            assert fam.deg(d).monos == ref.deg(d).monos
+            assert fam.deg(d).reps == ref.deg(d).reps
+            for m in fam.deg(d).monos:
+                assert fam.nf(m) == ref.nf(m)
+                assert all(type(v) is int for v in fam.nf(m).values())
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_reps_count_permutations_and_the_generators_reduce_to_zero(self, n, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a single-family build inserted a row")
+
+        monkeypatch.setattr(RrefAccumulator, "insert", refuse)
         fam = spaces._SingleFamily(n)
-        for sd in map(fam.deg, range(n * (n - 1) // 2 + 2)):
-            assert all(row[piv] == 1 for piv, row in sd.rows.items())
-            assert all(type(v) is int for vec in sd.nf.values() for v in vec.values())
+        top = n * (n - 1) // 2
+        assert [len(fam.deg(d).reps) for d in range(top + 2)] == verify._q_factorial_coeffs(n) + [0]
 
-    def test_a_pivot_entry_other_than_1_raises_naming_the_degree(self, monkeypatch):
-        # Negative control: the first row of each degree doubled.
-        int_rows = RrefAccumulator.int_rows
+        def reduces_to_zero(monomials):
+            total: dict = {}
+            for m in monomials:
+                for j, c in fam.nf(m).items():
+                    total[j] = total.get(j, 0) + c
+            return not any(total.values())
 
-        def doubled(acc):
-            rows = int_rows(acc)
-            return [(p, {c: 2 * v for c, v in row.items()}) for p, row in rows[:1]] + rows[1:]
-
-        fam = spaces._SingleFamily(3)
-        monkeypatch.setattr(RrefAccumulator, "int_rows", doubled)
-        with pytest.raises(ArithmeticError, match="^single-family degree 1: .* pivot entry 2, not 1$"):
-            fam.ensure(1)
+        for k in range(1, n + 1):
+            unit = [tuple(k if i == j else 0 for i in range(n)) for j in range(n)]
+            assert reduces_to_zero(unit)  # p_k
+            assert reduces_to_zero((0,) * (k - 1) + beta for beta in compositions(k, n - k + 1))  # h_k(z_k..z_n)
 
 
 class TestHarmonics:
