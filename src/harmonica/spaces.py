@@ -37,10 +37,12 @@ the accumulator hands back.
 A coinvariant block's candidate rows are the mixed generators p_{c,d}
 times rep (x) rep monomials only (single-family reps of degrees a-c and
 b-d), since the image of the mixed ideal in the product quotient is a
-module over it.  They are all built first and then inserted sparsest
-first, by (nnz, leading column), stopping at full rank
-(`_insert_sparsest_first`, as for the hook blocks); the order leaves the
-RREF unchanged and keeps the fill-in of back-reduction small.
+module over it.  They are all built first and then inserted right to
+left, by (leading column descending, nnz), stopping at full rank
+(`_insert_right_to_left`, as for the hook blocks).  The order leaves the
+RREF unchanged.  A row whose leading column lies left of every stored
+pivot back-reduces nothing, so the stored rows mostly skip the transient
+fill-in of long entries that a sparsest-first order builds up.
 
 The composite still yields the canonical reduced echelon form over the full
 monomial basis: every stage pivots on the leading surviving column, so the
@@ -110,12 +112,13 @@ def poly_to_vec(p: Polynomial, deg: TriDegree) -> Vec:
     return vec
 
 
-def _insert_sparsest_first(rows, full: int) -> RrefAccumulator:
-    """An accumulator of the nonzero candidate rows, inserted sparsest first,
-    by (nnz, leading column), until its rank is `full`: the RREF does not
-    depend on the order, but back-reduction fills in less."""
+def _insert_right_to_left(rows, full: int) -> RrefAccumulator:
+    """An accumulator of the nonzero candidate rows, inserted by (leading
+    column descending, nnz) until its rank is `full`: the RREF does not
+    depend on the order, and a row whose leading column lies left of every
+    stored pivot back-reduces nothing, since no stored row has an entry there."""
     acc = RrefAccumulator()
-    for row in sorted(filter(None, rows), key=lambda row: (len(row), min(row))):
+    for row in sorted(filter(None, rows), key=lambda row: (-min(row), len(row))):
         if acc.rank == full:
             break
         acc.insert(row)
@@ -502,9 +505,9 @@ def _build_even_block(n: int, a: int, b: int) -> Block:
     reps of degrees a-c and b-d.  Every row is a sum of tensor products of
     single-family normal forms, int vecs from division by a monic Groebner
     basis, so the rows are ints with no denominator to clear.  They are
-    inserted by `_insert_sparsest_first`.  The non-pivot mini columns are
-    the representatives; every other ambient column is lifted into mini
-    coordinates, reduced, and mapped back.
+    inserted right to left (`_insert_right_to_left`).  The non-pivot mini
+    columns are the representatives; every other ambient column is lifted
+    into mini coordinates, reduced, and mapped back.
     """
     fam = _workspace(n).family
     A = fam.deg(a)
@@ -554,7 +557,7 @@ def _build_even_block(n: int, a: int, b: int) -> Block:
                 for xvec, yvec in zip(xs, ys):
                     add_tensor(row, xvec, yvec)
                 rows.append(row)
-    acc = _insert_sparsest_first(rows, len(mini_cols))
+    acc = _insert_right_to_left(rows, len(mini_cols))
 
     xnfs = [on_reps(alpha, xpos) for alpha in A.monos]
     ynfs = [on_reps(beta, ypos) for beta in B.monos]
@@ -740,7 +743,7 @@ def _orbit_block(n: int, deg: TriDegree) -> Optional[Block]:
     a monomial's class is its `_orbit` sign times its orbit's coordinate.
     So p_{c,e} times a lower representative w is the sum over i of the
     classes of x_i^c y_i^e w, and omega_0 ^ w the signed sum of those of
-    th_i w: int rows of about n entries, inserted sparsest first.  An
+    th_i w: int rows of about n entries, inserted right to left.  An
     orbit's members precede its representative, so the leftmost-pivot
     echelon form picks the ambient RREF's representatives: those of the
     non-pivot orbits.  A column's normal form is its sign times its orbit's
@@ -767,7 +770,7 @@ def _orbit_block(n: int, deg: TriDegree) -> Optional[Block]:
     if deg.da:
         rows += [row((sign, Monomial(w.xe, w.ye, S)) for sign, S in _wedge_omega0(n, w.odd))
                  for w in _orbit_reps(n, TriDegree(deg.dx, deg.dy, deg.da - 1))]
-    acc = _insert_sparsest_first(rows, len(reps))
+    acc = _insert_right_to_left(rows, len(reps))
     if acc.rank == len(reps):
         return None
 

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import permutations
 
@@ -173,17 +174,17 @@ class TestBlockBuild:
         finally:
             spaces.clear_registry()
 
-    def test_block_rows_are_rep_products_inserted_sparsest_first(self, monkeypatch):
+    def test_block_rows_are_rep_products_inserted_right_to_left(self, monkeypatch):
         n, a, b = 5, 4, 3
         spaces.clear_registry()
         fam = spaces._workspace(n).family
         bound = sum(len(fam.deg(a - c).reps) * len(fam.deg(b - d).reps)
                     for (c, d) in spaces._mixed_generators(n) if c <= a and d <= b)
-        inserted = []
+        keys = []
         insert = spaces.RrefAccumulator.insert
 
         def recording_insert(self, vec, tag=None):
-            inserted.append(vec)
+            keys.append((-min(vec), len(vec)))
             return insert(self, vec, tag)
 
         monkeypatch.setattr(spaces.RrefAccumulator, "insert", recording_insert)
@@ -191,9 +192,42 @@ class TestBlockBuild:
             assert spaces._build_even_block(n, a, b).dim == 34
         finally:
             spaces.clear_registry()
-        assert 0 < len(inserted) <= bound
-        keys = [(len(vec), min(vec)) for vec in inserted]
+        assert 0 < len(keys) <= bound
+        # Leading column descending, then nnz.
         assert keys == sorted(keys)
+
+    @pytest.mark.parametrize("kind", ["drn", "hook"])
+    @pytest.mark.parametrize("order", ["sparsest-first", "random"])
+    def test_blocks_do_not_depend_on_the_insertion_order(self, kind, order, monkeypatch):
+        # The accumulator keeps the canonical RREF, so every block's reps and
+        # normal forms are the same whatever order the candidate rows go in.
+        build = coinvariants if kind == "drn" else hook_component
+        rng = random.Random(2024)
+        reorder = {
+            "sparsest-first": lambda rows: sorted(rows, key=lambda row: (len(row), min(row))),
+            "random": lambda rows: rng.sample(rows, len(rows)),
+        }[order]
+
+        def insert_reordered(rows, full):
+            acc = RrefAccumulator()
+            for row in reorder([row for row in rows if row]):
+                if acc.rank == full:
+                    break
+                acc.insert(row)
+            return acc
+
+        def presentation(n):
+            spaces.clear_registry()
+            try:
+                return {deg: (blk.reps, blk.nf) for deg, blk in build(n).blocks.items()}
+            finally:
+                spaces.clear_registry()
+
+        for n in (2, 3, 4):
+            default = presentation(n)
+            with monkeypatch.context() as patch:
+                patch.setattr(spaces, "_insert_right_to_left", insert_reordered)
+                assert presentation(n) == default
 
 
 class TestSingleFamily:

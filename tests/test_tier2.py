@@ -1,4 +1,6 @@
-"""Opt-in n = 5 checks, deselected by default: run them with `pytest -m tier2`.
+"""n = 5 checks.  All but the first take a minute or more and are opt-in,
+deselected by default: run them with `pytest -m tier2`.  The first holds the
+whole n = 5 coinvariant model to the parking functions in tier 1.
 
 The parking-function enumerator is imported from `perfbench/oracle.py`
 unchanged, as `tests/test_bench_hooks.py` imports the harness files.
@@ -20,12 +22,11 @@ from harmonica.dyck import hook_per_a
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 oracle = importlib.import_module("oracle")
 
-pytestmark = pytest.mark.tier2
-
 
 def test_n5_coinvariants_match_the_parking_series():
     # Hilb(DR_5; q, t) is the (area, dinv) series of parking functions of
-    # size 5 (Haglund-Loehr 2005); its total is (n+1)^(n-1) = 1296.
+    # size 5 (Haglund-Loehr 2005); its total is (n+1)^(n-1) = 1296.  An
+    # oracle with no linear algebra, for about 14 s of coinvariants(5).
     spaces.clear_registry()
     try:
         dr = spaces.coinvariants(5, allow_large=True)
@@ -36,9 +37,10 @@ def test_n5_coinvariants_match_the_parking_series():
     assert series == oracle.parking_series(5)
 
 
+@pytest.mark.tier2
 def test_n5_phi_suite_passes():
     # Every check of the phi suite at n = 5, the dual scalars one included,
-    # in a fresh process as a user runs it (about 100 s, 1.7 GB peak RSS).
+    # in a fresh process as a user runs it (about 5 s, 0.2 GB peak RSS).
     res = subprocess.run(
         [sys.executable, "-m", "harmonica.cli", "verify", "--n", "5", "--suite", "phi", "--allow-large"],
         capture_output=True, text=True,
@@ -48,9 +50,10 @@ def test_n5_phi_suite_passes():
     assert len(checks) == 4 and res.returncode == 0
 
 
+@pytest.mark.tier2
 def test_n5_duality_suite_passes():
     # The duality suite at n = 5, the power-sum kernel check included, in a
-    # fresh process as a user runs it (about 70 s, 0.3 GB peak RSS).
+    # fresh process as a user runs it (about 40 s, 0.2 GB peak RSS).
     res = subprocess.run(
         [sys.executable, "-m", "harmonica.cli", "verify", "--n", "5", "--suite", "duality", "--allow-large"],
         capture_output=True, text=True,
@@ -60,9 +63,10 @@ def test_n5_duality_suite_passes():
     assert len(checks) == 4 and res.returncode == 0
 
 
+@pytest.mark.tier2
 def test_n5_operator_theorem_suite_passes():
     # The operator-theorem suite at n = 5, in a fresh process as a user runs
-    # it (about 75 s, 0.3 GB peak RSS; its slowest check, the operator span
+    # it (about 40 s, 0.25 GB peak RSS; its slowest check, the operator span
     # of the top antisymmetric element, takes about 25 s of it).
     res = subprocess.run(
         [sys.executable, "-m", "harmonica.cli", "verify", "--n", "5", "--suite", "operator-theorem", "--allow-large"],
@@ -73,10 +77,11 @@ def test_n5_operator_theorem_suite_passes():
     assert len(checks) == 14 and res.returncode == 0
 
 
+@pytest.mark.tier2
 def test_n5_hook_blocks_match_the_character_first_build():
     # The orbit build from n alone (about 6 s) against the build over the
     # coinvariant blocks that builds only the blocks the S_n characters call
-    # nonzero (about 40 s for coinvariants(5), then 33 s, 0.6 GB peak RSS):
+    # nonzero (about 14 s for coinvariants(5), about 45 s in all):
     # all 122 nonzero blocks, reps and normal forms.  The odd degrees total
     # the Schroder-path counts H_d, 197 in all.
     spaces.clear_registry()
@@ -92,6 +97,7 @@ def test_n5_hook_blocks_match_the_character_first_build():
         assert (hook.blocks[deg].reps, hook.blocks[deg].nf) == (blk.reps, blk.nf), deg
 
 
+@pytest.mark.tier2
 def test_n5_hook_compute_in_a_fresh_process():
     # `compute --n 5 --space hook` builds no coinvariant block: about 6 s and
     # 0.2 GB peak RSS on a 2-core machine, against 82 s and 0.5 GB when it
@@ -107,6 +113,7 @@ def test_n5_hook_compute_in_a_fresh_process():
     assert wall <= 25, f"{wall:.1f} s"
 
 
+@pytest.mark.tier2
 def test_n5_hook_satisfies_lefschetz_and_the_bracket_identities():
     # One in-process hook build (about 6 s, 0.2 GB peak RSS) serves all
     # three suites, which then take a few seconds together.
