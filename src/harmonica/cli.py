@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 check failure, 2 usage error, 3 resource refusal.
 A build whose closed-form check fails (`ArithmeticError`) is a check
-failure, reported in one stderr line.
+failure: `verify` reports it as a failing check of the suite that built the
+space, and the other commands in one stderr line.
 Each command imports only the modules it runs: `compute` and `--version`
 load neither `verify` nor `structure` nor `operators`.
 """

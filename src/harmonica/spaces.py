@@ -18,9 +18,11 @@ coordinates:
 
 A coinvariant block's relations are row-reduced in the coordinates of a
 small "mini" quotient, the product of the single-family quotients, whose
-non-pivot columns become the block's representatives; every other ambient
-column is lifted into mini coordinates by the tensor product of its
-single-family normal forms, reduced there and mapped back.
+non-pivot columns become the block's representatives.  No other column is
+reduced on its own: its lift into mini coordinates is the tensor product of
+its single-family normal forms, and reduction is linear, so its normal form
+is the same combination of the classes of the mini columns, read once off
+the RREF as ints over one common denominator (`_classes`).
 
 The single-family normal forms are integral.  Under the column order the
 power sum ideal of one family has the monic, integral lex Groebner basis
@@ -30,9 +32,10 @@ z_k^k.  `_SingleFamily` divides by it: the reps are the standard monomials,
 the exponent of each z_k below k, and the leading terms are the pivots of
 the RREF, so division gives the RREF's normal forms, as int vecs, with no
 elimination.  In the coinvariant blocks and the harmonic pieces, rows reach
-the kernel as integers: normal forms, tensor products, candidate rows and
-the scaled harmonic rows are int dicts, and `Fraction`s appear only in what
-the accumulator hands back.
+the kernel as integers: normal forms, tensor products, candidate rows,
+classes and the scaled harmonic rows are int dicts, and `Fraction`s appear
+only in what is handed out: a block's normal forms, divided by the common
+denominator at the end, and the accumulator's echelon rows.
 
 A coinvariant block's candidate rows are the mixed generators p_{c,d}
 times rep (x) rep monomials only (single-family reps of degrees a-c and
@@ -60,11 +63,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .dyck import hook_per_a
-from .linalg import RrefAccumulator, Vec, _scaled_ints, _span, vec_add_scaled
+from .linalg import RrefAccumulator, Vec, _span, _sub_multiple, vec_add_scaled
 from .superpoly import (
     Monomial,
     Polynomial,
@@ -123,6 +126,37 @@ def _insert_right_to_left(rows, full: int) -> RrefAccumulator:
             break
         acc.insert(row)
     return acc
+
+
+def _classes(acc: RrefAccumulator, size: int) -> Tuple[int, List[dict]]:
+    """(L, per column k < size its class modulo the rows, times L), read off
+    the RREF: L is the lcm of the pivot entries, a non-pivot column's class
+    is itself and a pivot column p's is -row_p off the pivot over row_p[p].
+    Each class is an int dict over the non-pivot columns, in column order."""
+    rows = dict(acc.int_rows())
+    L = lcm(*(row[p] for p, row in rows.items()))
+    classes = []
+    for k in range(size):
+        row = rows.get(k)
+        if row is None:
+            classes.append({k: L})
+        else:
+            s = L // row[k]
+            classes.append({f: -x * s for f, x in row.items() if f != k})
+    return L, classes
+
+
+def _fractions_over(den: int):
+    """v -> Fraction(v, den), one shared Fraction per distinct v."""
+    memo: Dict[int, Fraction] = {}
+
+    def frac(v: int) -> Fraction:
+        f = memo.get(v)
+        if f is None:
+            f = memo[v] = Fraction(v, den)
+        return f
+
+    return frac
 
 
 def vec_to_poly(vec: Vec, n: int, deg: TriDegree) -> Polynomial:
@@ -506,8 +540,15 @@ def _build_even_block(n: int, a: int, b: int) -> Block:
     single-family normal forms, int vecs from division by a monic Groebner
     basis, so the rows are ints with no denominator to clear.  They are
     inserted right to left (`_insert_right_to_left`).  The non-pivot mini
-    columns are the representatives; every other ambient column is lifted
-    into mini coordinates, reduced, and mapped back.
+    columns are the representatives.  Ambient column (alpha, beta) lifts to
+    x_alpha (x) y_beta, the tensor product of its single-family normal
+    forms, so by linearity its normal form is the sum over (ka, kb) of
+    x_alpha[ka] y_beta[kb] class[ka + kb], with the classes of the mini
+    columns read off the RREF as ints times L, the lcm of its pivot entries
+    (`_classes`).  The sum is factored per x-monomial, T_alpha[kb] = sum_ka
+    x_alpha[ka] class[ka + kb], then per column, sum_kb y_beta[kb]
+    T_alpha[kb]; only the result is divided by L, one shared `Fraction` per
+    distinct value.
     """
     fam = _workspace(n).family
     A = fam.deg(a)
@@ -559,21 +600,29 @@ def _build_even_block(n: int, a: int, b: int) -> Block:
                 rows.append(row)
     acc = _insert_right_to_left(rows, len(mini_cols))
 
-    xnfs = [on_reps(alpha, xpos) for alpha in A.monos]
-    ynfs = [on_reps(beta, ypos) for beta in B.monos]
+    L, classes = _classes(acc, len(mini_cols))
     pivots = set(acc.pivots())
     reps = [col for k, col in enumerate(mini_cols) if k not in pivots]
     rep_set = set(reps)
+    frac = _fractions_over(L)
+    ynfs = [on_reps(beta, ypos) for beta in B.monos]
     nf: Dict[int, Vec] = {}
-    for col in range(len(A.monos) * nb):
-        if col in rep_set:
-            continue
-        if not reps:  # zero-dimensional piece: everything reduces to 0
-            nf[col] = {}
-            continue
-        lifted: dict = {}
-        add_tensor(lifted, xnfs[col // nb], ynfs[col % nb])
-        nf[col] = {mini_cols[k]: v for k, v in acc.reduce(lifted).items()}
+    for ia, alpha in enumerate(A.monos):
+        xvec = on_reps(alpha, xpos)
+        per_kb = []  # per y position kb: sum over ka of x_alpha[ka] * class[ka + kb]
+        for kb in range(nrb):
+            t: dict = {}
+            for ka, ca in xvec.items():
+                _sub_multiple(t, -ca, classes[ka + kb])
+            per_kb.append(t)
+        for ib, yvec in enumerate(ynfs):
+            col = ia * nb + ib
+            if col in rep_set:
+                continue
+            out: dict = {}
+            for kb, cb in yvec.items():
+                _sub_multiple(out, -cb, per_kb[kb])
+            nf[col] = {mini_cols[k]: frac(out[k]) for k in sorted(out)}
     return Block(n, TriDegree(a, b, 0), reps, nf)
 
 
@@ -629,16 +678,22 @@ def _build_harmonic_piece(n: int, a: int, b: int) -> List[Vec]:
     complement of the coinvariant block's relations under <m, m> = w_m, the
     `monomial_pair_weight` (Macaulay's inverse systems).  Rep r gives h_r:
     1 at r, 0 at the other reps, nf(c)[r] * w_r / w_c at each pivot column c,
-    so h_r pairs to zero with each relation e_c - nf(c).  The h_r go to the
-    kernel as int rows; the closing echelon form makes the basis canonical.
+    so h_r pairs to zero with each relation e_c - nf(c).  Scaling a row
+    leaves its span alone, so h_r goes to the kernel times D W / w_r, with W
+    the lcm of the weights and D that of the normal forms' denominators: an
+    int row, D W / w_r at r and nf(c)[r] D W / w_c at c.  The closing
+    echelon form makes the basis canonical.
     """
     block = _even_block(n, a, b)
     weights = [monomial_pair_weight(m) for m in block.monomials]
-    duals = {r: {r: Fraction(1)} for r in block.reps}
+    W = lcm(*weights)
+    D = lcm(*(v.denominator for nf in block.nf.values() for v in nf.values()))
+    duals = {r: {r: D * (W // weights[r])} for r in block.reps}
     for c, nf in block.nf.items():
+        wc = W // weights[c]
         for r, v in nf.items():
-            duals[r][c] = v * weights[r] / weights[c]
-    return _span(_scaled_ints(h)[0] for h in duals.values()).row_vectors()
+            duals[r][c] = v.numerator * (D // v.denominator) * wc
+    return _span(duals.values()).row_vectors()
 
 
 def harmonics(n: int, allow_large: bool = False, cache_dir=None) -> GradedSubspace:
@@ -747,7 +802,8 @@ def _orbit_block(n: int, deg: TriDegree) -> Optional[Block]:
     orbit's members precede its representative, so the leftmost-pivot
     echelon form picks the ambient RREF's representatives: those of the
     non-pivot orbits.  A column's normal form is its sign times its orbit's
-    reduced class, shared by the columns of that sign; a dead column's is {}.
+    class read off the RREF (`_classes`), shared by the columns of that
+    sign; a dead column's is {}.
     """
     reps = _orbit_reps(n, deg)
     ids = {_orbit(w)[0]: k for k, w in enumerate(reps)}
@@ -776,10 +832,11 @@ def _orbit_block(n: int, deg: TriDegree) -> Optional[Block]:
 
     monos, index = ambient_basis(n, deg)
     cols = [index[w] for w in reps]
-    rows = dict(acc.int_rows())
-    classes = [{cols[f]: Fraction(-x, rows[k][k]) for f, x in rows[k].items() if f != k}
-               if k in rows else {col: Fraction(1)} for k, col in enumerate(cols)]
-    classes = [(v, {j: -x for j, x in v.items()}) for v in classes]  # per orbit, per sign
+    L, classes = _classes(acc, len(reps))
+    frac = _fractions_over(L)
+    classes = [tuple({cols[f]: frac(sign * x) for f, x in v.items()} for sign in (1, -1))
+               for v in classes]  # per orbit, per sign
+    pivots = set(acc.pivots())
     dead: Vec = {}
     nf: Dict[int, Vec] = {}
     for col, m in enumerate(monos):
@@ -788,9 +845,9 @@ def _orbit_block(n: int, deg: TriDegree) -> Optional[Block]:
             nf[col] = dead
             continue
         k = ids[cls[0]]
-        if col != cols[k] or k in rows:
+        if col != cols[k] or k in pivots:
             nf[col] = classes[k][cls[1] < 0]
-    return Block(n, deg, [cols[k] for k in range(len(reps)) if k not in rows], nf)
+    return Block(n, deg, [cols[k] for k in range(len(reps)) if k not in pivots], nf)
 
 
 def _build_hook_block(n: int, deg: TriDegree) -> Optional[Block]:

@@ -118,7 +118,8 @@ def test_sign_builds_never_sum_over_the_group():
 
 @pytest.mark.parametrize("build", ["_build_even_block", "_build_harmonic_piece"])
 def test_block_builds_hand_the_kernel_int_rows(monkeypatch, build):
-    # A Fraction row coming back would cost the time the int rows saved.
+    # A Fraction row coming back would cost the time the int rows saved, and
+    # a per-column reduce the time saved by reading the classes off the RREF.
     inserted = []
     insert = spaces.RrefAccumulator.insert
 
@@ -129,9 +130,13 @@ def test_block_builds_hand_the_kernel_int_rows(monkeypatch, build):
     def no_fraction_adds(*args):
         raise AssertionError("vec_add_scaled called during a block build")
 
+    def no_reductions(*args):
+        raise AssertionError("RrefAccumulator.reduce called during a block build")
+
     spaces.clear_registry()
     monkeypatch.setattr(spaces.RrefAccumulator, "insert", recording_insert)
     monkeypatch.setattr(spaces, "vec_add_scaled", no_fraction_adds)
+    monkeypatch.setattr(spaces.RrefAccumulator, "reduce", no_reductions)
     try:
         getattr(spaces, build)(4, 3, 2)
     finally:

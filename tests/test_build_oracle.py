@@ -42,9 +42,10 @@ def test_an_n5_block_matches_the_oracle():
     _assert_same_block(spaces._build_even_block(5, 4, 2), old._build_even_block(5, 4, 2))
 
 
-@pytest.mark.parametrize("a,b", [(5, 2), (3, 3)])
+@pytest.mark.parametrize("a,b", [(5, 2), (3, 3), (4, 3)])
 def test_more_n5_blocks_match_the_oracle(a, b):
-    # With (4, 2) above, the three blocks of the `drn5-blocks` benchmark workload.
+    # With (4, 2) above, the three blocks of the `drn5-blocks` benchmark
+    # workload; the oracle's per-column reduction takes about 3 s for (4, 3).
     _assert_same_block(spaces._build_even_block(5, a, b), old._build_even_block(5, a, b))
 
 
@@ -56,6 +57,14 @@ def test_harmonic_pieces_match_the_oracle(n):
             got = spaces._build_harmonic_piece(n, a, d - a)
             assert got == old._build_harmonic_piece(n, a, d - a), (a, d - a)
             _assert_fractions(got)
+
+
+def test_an_n5_harmonic_piece_matches_the_oracle():
+    # (3, 2), of dimension 66: its oracle, a derivative-kernel build, takes
+    # about 2 s; those of (4, 2) and (3, 3) take 7 to 12 s.
+    got = spaces._build_harmonic_piece(5, 3, 2)
+    assert got == old._build_harmonic_piece(5, 3, 2)
+    _assert_fractions(got)
 
 
 @pytest.fixture

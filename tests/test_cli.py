@@ -7,6 +7,9 @@ import pytest
 from harmonica.cli import main
 
 BASE = [sys.executable, "-m", "harmonica.cli"]
+# The closed-form failures `TestExitCodes` provokes at n = 3.
+HOOK_FAULT = "odd degree 1: the blocks up to total degree 2 have dimension 5, the Schroder count is 6"
+SCAN_FAULT = "the pieces up to total degree 3 have dimension 15, (n+1)^(n-1) is 16"
 
 
 def run(*args, env=None, check=False):
@@ -129,16 +132,8 @@ class TestExitCodes:
         assert res.stderr.splitlines()[-1] == (
             f"harmonica: error: unknown suite 'nonsense'; choose from {', '.join(SUITES)} or 'all'")
 
-    @pytest.mark.parametrize("fault,command,message", [
-        ("hook", "compute", "odd degree 1: the blocks up to total degree 2 have dimension 5, "
-                            "the Schroder count is 6"),
-        ("hook", "verify", "odd degree 1: the blocks up to total degree 2 have dimension 5, "
-                           "the Schroder count is 6"),
-        ("scan", "compute", "the pieces up to total degree 3 have dimension 15, (n+1)^(n-1) is 16"),
-        ("scan", "verify", "the pieces up to total degree 3 have dimension 15, (n+1)^(n-1) is 16"),
-    ])
-    def test_a_failed_build_check_is_one_line_and_exit_1(self, fault, command, message,
-                                                         monkeypatch, capsys):
+    @staticmethod
+    def _break_build(fault, monkeypatch):
         from harmonica import spaces
 
         if fault == "hook":
@@ -151,16 +146,51 @@ class TestExitCodes:
                 return spaces.Block(n, blk.deg, blk.reps[1:], blk.nf) if (a, b) == (1, 1) else blk
 
             monkeypatch.setattr(spaces, "_even_block", losing)
-        args = (["compute", "--n", "3", "--space", "hook" if fault == "hook" else "drn"]
-                if command == "compute" else ["verify", "--n", "3", "--suite", "dims"])
         spaces.clear_registry()
+
+    @pytest.mark.parametrize("fault,command,message", [
+        ("hook", "compute", HOOK_FAULT),
+        ("scan", "compute", SCAN_FAULT),
+    ])
+    def test_a_failed_build_check_is_one_line_and_exit_1(self, fault, command, message,
+                                                         monkeypatch, capsys):
+        from harmonica import spaces
+
+        self._break_build(fault, monkeypatch)
         try:
-            assert main(args) == 1
+            assert main([command, "--n", "3", "--space", "hook" if fault == "hook" else "drn"]) == 1
         finally:
             spaces.clear_registry()
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err == f"harmonica: check failed: {message}\n"
+
+    @pytest.mark.parametrize("fault,suite,failing,message", [
+        ("hook", "all", ("dims", "cogeneration", "hamiltonian", "lefschetz", "phi", "vanishing",
+                         "differentials", "figure1"), HOOK_FAULT),
+        ("scan", "dims", ("dims",), SCAN_FAULT),
+    ], ids=["hook", "scan"])
+    def test_verify_reports_a_failed_build_check_as_a_failing_check(self, fault, suite, failing, message,
+                                                                   monkeypatch, capsys):
+        # Each suite whose build raises gets one failing check with the
+        # exception as its witness; the other suites still run and pass.
+        from harmonica import spaces
+        from harmonica.verify import SUITES
+
+        self._break_build(fault, monkeypatch)
+        try:
+            assert main(["verify", "--n", "3", "--suite", suite]) == 1
+        finally:
+            spaces.clear_registry()
+        out = capsys.readouterr()
+        assert out.err == ""
+        checks = json.loads(out.out)["checks"]
+        assert [(c["name"], c["witness"]) for c in checks if c["status"] == "fail"] == [
+            (f"the {name} suite builds its spaces", f"ArithmeticError: {message}") for name in failing]
+        if suite == "all":
+            passed = {c["name"] for c in checks if c["status"] == "pass"}
+            assert len(failing) < len(SUITES)
+            assert {"path count matches the closed form", "oracle equals the sign-component series"} <= passed
 
     def test_unknown_space_is_usage_error(self):
         res = run("compute", "--n", "3", "--space", "nonsense")

@@ -26,7 +26,7 @@ oracle = importlib.import_module("oracle")
 def test_n5_coinvariants_match_the_parking_series():
     # Hilb(DR_5; q, t) is the (area, dinv) series of parking functions of
     # size 5 (Haglund-Loehr 2005); its total is (n+1)^(n-1) = 1296.  An
-    # oracle with no linear algebra, for about 14 s of coinvariants(5).
+    # oracle with no linear algebra, for about 5 s of coinvariants(5).
     spaces.clear_registry()
     try:
         dr = spaces.coinvariants(5, allow_large=True)
@@ -53,7 +53,7 @@ def test_n5_phi_suite_passes():
 @pytest.mark.tier2
 def test_n5_duality_suite_passes():
     # The duality suite at n = 5, the power-sum kernel check included, in a
-    # fresh process as a user runs it (about 40 s, 0.2 GB peak RSS).
+    # fresh process as a user runs it (about 25 s, 0.2 GB peak RSS).
     res = subprocess.run(
         [sys.executable, "-m", "harmonica.cli", "verify", "--n", "5", "--suite", "duality", "--allow-large"],
         capture_output=True, text=True,
@@ -66,8 +66,8 @@ def test_n5_duality_suite_passes():
 @pytest.mark.tier2
 def test_n5_operator_theorem_suite_passes():
     # The operator-theorem suite at n = 5, in a fresh process as a user runs
-    # it (about 40 s, 0.25 GB peak RSS; its slowest check, the operator span
-    # of the top antisymmetric element, takes about 25 s of it).
+    # it (about 27 s, 0.25 GB peak RSS; its slowest check, the operator span
+    # of the top antisymmetric element, takes most of it).
     res = subprocess.run(
         [sys.executable, "-m", "harmonica.cli", "verify", "--n", "5", "--suite", "operator-theorem", "--allow-large"],
         capture_output=True, text=True,
@@ -81,7 +81,7 @@ def test_n5_operator_theorem_suite_passes():
 def test_n5_hook_blocks_match_the_character_first_build():
     # The orbit build from n alone (about 6 s) against the build over the
     # coinvariant blocks that builds only the blocks the S_n characters call
-    # nonzero (about 14 s for coinvariants(5), about 45 s in all):
+    # nonzero (about 5 s for coinvariants(5), about 30 s in all):
     # all 122 nonzero blocks, reps and normal forms.  The odd degrees total
     # the Schroder-path counts H_d, 197 in all.
     spaces.clear_registry()
@@ -111,6 +111,22 @@ def test_n5_hook_compute_in_a_fresh_process():
     assert res.returncode == 0
     assert res.stdout.splitlines()[2:] == ["total: 197", "per-a: 42,84,56,14,1"]
     assert wall <= 25, f"{wall:.1f} s"
+
+
+@pytest.mark.tier2
+def test_n5_coinvariant_compute_in_a_fresh_process():
+    # `compute --n 5 --space drn` reads every normal form off its block's
+    # RREF: about 5 s and 0.07 GB peak RSS on a 2-core machine, against
+    # 12 to 15 s when each column was reduced on its own.
+    start = time.perf_counter()
+    res = subprocess.run(
+        [sys.executable, "-m", "harmonica.cli", "compute", "--n", "5", "--space", "drn", "--allow-large"],
+        capture_output=True, text=True,
+    )
+    wall = time.perf_counter() - start
+    assert res.returncode == 0
+    assert res.stdout.splitlines()[2:] == ["total: 1296"]
+    assert wall <= 15, f"{wall:.1f} s"
 
 
 @pytest.mark.tier2
