@@ -5,7 +5,10 @@ A build whose closed-form check fails (`ArithmeticError`) is a check
 failure: `verify` reports it as a failing check of the suite that built the
 space, and the other commands in one stderr line.
 Each command imports only the modules it runs: `compute` and `--version`
-load neither `verify` nor `structure` nor `operators`.
+load neither `verify` nor `structure` nor `operators`, and only `verify
+--suite all` loads `multiprocessing`, to run its suites in forked workers
+over the spaces it built first (`verify.run_suite`).  A worker that dies
+ends the command with `BrokenProcessPool`, exit 1.
 """
 
 from __future__ import annotations

@@ -13,10 +13,11 @@ certificate surfaces the offending element as a witness.
 
 An `OperatorSpec` kind is declared once, in `_KINDS`, with its label prefix
 and its `superpoly` constructor; a spec's tridegree shift is read off its
-operator, which is built once per spec.  Matrices read classes and
-coordinates only through the space (`basis_polys`, `coords`, `is_zero_at`),
-so one loop serves quotients and graded subspaces alike; no image is
-computed where the space knows every class is zero.
+operator, which is built once per spec; the certificate generators are
+built once per n.  Matrices read classes and coordinates only through the
+space (`basis_polys`, `coords`, `is_zero_at`), so one loop serves quotients
+and graded subspaces alike; no image is computed where the space knows
+every class is zero.
 """
 
 from __future__ import annotations
@@ -196,8 +197,10 @@ def _is_equivariant(spec: OperatorSpec) -> bool:
     return True
 
 
+@lru_cache(maxsize=None)
 def _diagonal_poly(n: int, **exps) -> Polynomial:
-    """sum_i x_i^x y_i^y th_i^th: p_{x,y}, or the odd Euler element for th=1."""
+    """sum_i x_i^x y_i^y th_i^th: p_{x,y}, or the odd Euler element for th=1;
+    built once per (n, exponents), as every certificate at n reads them."""
     return apply_op(_diagonal_sum(n, _diagonal(**exps)), Polynomial.one(n))
 
 

@@ -951,15 +951,37 @@ def hook_component(n: int, allow_large: bool = False, cache_dir=None) -> Quotien
 _IDEAL_FLAVORS = ("J", "mJ", "Jbar", "mJbar")
 
 
-def _wedge_omega0_vec(n: int, deg: TriDegree, vec: Vec) -> Vec:
-    """Coordinates of (th_1 + .. + th_n) ^ v one odd degree up."""
+@lru_cache(maxsize=None)
+def _shift_columns(n: int, deg: TriDegree, var: str) -> List[List[int]]:
+    """Per i, for each column m of deg, the column of x_i m (var "xe") or
+    y_i m (var "ye") one degree up."""
+    monos, _ = ambient_basis(n, deg)
+    up = TriDegree(deg.dx + 1, deg.dy, deg.da) if var == "xe" else TriDegree(deg.dx, deg.dy + 1, deg.da)
+    _, index = ambient_basis(n, up)
+
+    def bumped(m: Monomial, i: int) -> Monomial:
+        e = getattr(m, var)
+        return m._replace(**{var: e[:i] + (e[i] + 1,) + e[i + 1:]})
+
+    return [[index[bumped(m, i)] for m in monos] for i in range(n)]
+
+
+@lru_cache(maxsize=None)
+def _wedge_omega0_columns(n: int, deg: TriDegree) -> List[List[Tuple[int, int]]]:
+    """Per column of deg, the (target column, sign) pairs of
+    (th_1 + .. + th_n) ^ it, one odd degree up."""
     monos, _ = ambient_basis(n, deg)
     _, tindex = ambient_basis(n, TriDegree(deg.dx, deg.dy, deg.da + 1))
+    return [[(tindex[Monomial(m.xe, m.ye, S)], sign) for sign, S in _wedge_omega0(n, m.odd)]
+            for m in monos]
+
+
+def _wedge_omega0_vec(n: int, deg: TriDegree, vec: Vec) -> Vec:
+    """Coordinates of (th_1 + .. + th_n) ^ v one odd degree up."""
+    columns = _wedge_omega0_columns(n, deg)
     out: Vec = {}
     for j, c in vec.items():
-        m = monos[j]
-        for sign, S in _wedge_omega0(n, m.odd):
-            kk = tindex[Monomial(m.xe, m.ye, S)]
+        for kk, sign in columns[j]:
             s = out.get(kk, 0) + sign * c
             if s == 0:
                 out.pop(kk, None)
@@ -976,7 +998,9 @@ class _IdealTower:
     the signed orbit sums, so no row already in echelon form is inserted
     again.  The reduced series extends a copy of mJ by the omega_0 rows in
     the same way.  Shifts and omega_0 rows are built from `int_rows()`: a
-    row's scale does not change the span.
+    row's scale does not change the span.  Each is read column by column off
+    a map built once per degree (`_shift_columns`, `_wedge_omega0_columns`),
+    with no monomial built per row.
     """
 
     def __init__(self, n: int):
@@ -989,21 +1013,14 @@ class _IdealTower:
         """The x_i- and y_i-shifts of the J rows one degree down."""
         n = self.n
         out: List[Vec] = []
-        _, index = ambient_basis(n, deg)
         for src, var in ((TriDegree(deg.dx - 1, deg.dy, deg.da), "xe"),
                          (TriDegree(deg.dx, deg.dy - 1, deg.da), "ye")):
             acc = self.J.get(src)
             if not acc or not acc.rank:
                 continue
-            smonos, _ = ambient_basis(n, src)
+            columns = _shift_columns(n, src, var)
             for _, row in acc.int_rows():
-                for i in range(n):
-                    shifted: Vec = {}
-                    for c, v in row.items():
-                        m = smonos[c]
-                        e = getattr(m, var)
-                        shifted[index[m._replace(**{var: e[:i] + (e[i] + 1,) + e[i + 1:]})]] = v
-                    out.append(shifted)
+                out += [{col[c]: v for c, v in row.items()} for col in columns]
         return out
 
     def omega_rows(self, deg: TriDegree) -> List[Vec]:
@@ -1110,7 +1127,11 @@ def ideal_quotient_series(n: int, reduced: bool, max_total: Optional[int] = None
 
 def clear_registry():
     """Drop all workspaces, with every memo kept on their spaces, and the
-    `ambient_basis` cache.  The operator built per `OperatorSpec` in
-    `operators` is kept: it depends on the spec alone."""
+    `ambient_basis` cache with the tower's column maps built from it.  The
+    operator built per `OperatorSpec` in `operators`, and the certificate
+    generators built per n there, are kept: they depend on their arguments
+    alone."""
     _WORKSPACES.clear()
     ambient_basis.cache_clear()
+    _shift_columns.cache_clear()
+    _wedge_omega0_columns.cache_clear()

@@ -9,6 +9,7 @@ across runs.
 
 from __future__ import annotations
 
+import os
 import time
 from fractions import Fraction
 from functools import partial
@@ -557,17 +558,40 @@ SUITES = tuple(_SUITE_FNS)
 _SUITE_DOMAINS = {"figure1": (3,)}
 
 
+def _run_all(n: int, allow_large: bool, cache_dir) -> List[CheckResult]:
+    """Every suite defined at n, run in forked workers over spaces built here.
+
+    The suites share nothing but the `drn`, `hook` and `dh` spaces, so
+    those are built (or loaded) once, before the fork, and every worker
+    inherits them; the memos a suite adds die with its worker.  A build that fails its
+    closed-form check is left to the suites, which build it again and report
+    it.  Results come back in `SUITES` order, so the report does not depend
+    on which worker ran what; a worker that dies raises `BrokenProcessPool`.
+    """
+    names = [name for name in SUITES if n in _SUITE_DOMAINS.get(name, (n,))]
+    for build in (coinvariants, hook_component, harmonics):
+        try:
+            build(n, allow_large=allow_large, cache_dir=cache_dir)
+        except ArithmeticError:
+            pass
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    workers = min(len(names), len(os.sched_getaffinity(0)))
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        futures = [pool.submit(run_suite, n, name, allow_large, cache_dir) for name in names]
+        return [r for future in futures for r in future.result()]
+
+
 def run_suite(n: int, suite: str, allow_large: bool = False, cache_dir=None) -> List[CheckResult]:
-    """Run one suite or "all"; the `drn`, `dh` and `hook` spaces the suites
-    use are loaded from and saved to `cache_dir` when it is given.  A build
-    whose closed-form check fails (`ArithmeticError`) ends its suite with one
-    failing check, the exception its witness; the other suites still run."""
+    """Run one suite in this process, or "all" in forked workers, one per
+    usable CPU (`_run_all`); the report is the same either way.  The `drn`,
+    `dh` and `hook` spaces the suites use are loaded from and saved to
+    `cache_dir` when it is given.  A build whose closed-form check fails
+    (`ArithmeticError`) ends its suite with one failing check, the exception
+    its witness; the other suites still run."""
     if suite == "all":
-        out: List[CheckResult] = []
-        for name in SUITES:
-            if n in _SUITE_DOMAINS.get(name, (n,)):
-                out.extend(run_suite(n, name, allow_large=allow_large, cache_dir=cache_dir))
-        return out
+        return _run_all(n, allow_large, cache_dir)
     if suite not in _SUITE_FNS:
         raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)} or 'all'")
     domain = _SUITE_DOMAINS.get(suite, (n,))

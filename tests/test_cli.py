@@ -212,9 +212,10 @@ class TestExitCodes:
             verify.run_suite(2, "oracle-catalan")
         assert "path count matches the closed form" not in {r.name for r in verify.run_suite(2, "all")}
 
-    def test_bad_jobs_value(self):
-        res = run("compute", "--n", "2", "--space", "drn", "--jobs", "0")
+    def test_parallelism_takes_no_flag(self):
+        res = run("verify", "--n", "2", "--suite", "all", "--jobs", "2")
         assert res.returncode == 2
+        assert "unrecognized arguments: --jobs 2" in res.stderr
 
 
 # Runs `cli.main(argv)` in a fresh interpreter and prints, as its last line,
@@ -225,6 +226,10 @@ from harmonica.cli import main
 main(sys.argv[1:])
 print(json.dumps(sorted(sys.modules)))
 """
+
+
+# What `verify --suite all` imports to run its suites in worker processes.
+POOL_MODULES = {"multiprocessing", "concurrent.futures"}
 
 
 def loaded_modules(*argv) -> set:
@@ -242,13 +247,18 @@ class TestStartup:
         cold = loaded_modules(*argv)
         assert list(tmp_path.iterdir())
         warm = loaded_modules(*argv)
-        unused = {"harmonica.verify", "harmonica.structure", "harmonica.operators", "dataclasses"}
+        unused = {"harmonica.verify", "harmonica.structure", "harmonica.operators", "dataclasses",
+                  *POOL_MODULES}
         assert "harmonica.spaces" in cold and not (cold | warm) & unused
 
     def test_export_loads_no_verify(self, tmp_path):
         for _ in range(2):  # cold, then warm
             loaded = loaded_modules("export", "--n", "3", "--cache-dir", str(tmp_path))
-            assert "harmonica.structure" in loaded and "harmonica.verify" not in loaded
+            assert "harmonica.structure" in loaded and not loaded & {"harmonica.verify", *POOL_MODULES}
+
+    def test_one_suite_loads_no_pool(self):
+        loaded = loaded_modules("verify", "--n", "3", "--suite", "dims")
+        assert "harmonica.verify" in loaded and not loaded & POOL_MODULES
 
 
 class TestVerify:
@@ -309,6 +319,48 @@ class TestVerify:
         run("verify", "--n", "2", "--suite", "lefschetz", "--out", str(out), check=True)
         report = json.loads(out.read_text())
         assert report["overall"] == "pass"
+
+
+# Runs `verify --suite all` at n = 2 with the phi suite's worker dying, then
+# prints how many worker processes are still alive.
+DYING_WORKER = """
+import multiprocessing, os
+from harmonica import verify
+from harmonica.cli import main
+verify._SUITE_FNS["phi"] = lambda *args, **kwargs: os._exit(1)
+try:
+    main(["verify", "--n", "2", "--suite", "all"])
+finally:
+    print(len(multiprocessing.active_children()))
+"""
+
+
+class TestSuitePool:
+    """`--suite all` runs its suites in forked workers."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_all_is_every_suite_in_order(self, n):
+        from harmonica.verify import _SUITE_DOMAINS, SUITES, run_suite
+
+        def checks(results):
+            return [(r.name, r.passed, r.witness) for r in results]
+
+        one_by_one = [c for s in SUITES if n in _SUITE_DOMAINS.get(s, (n,)) for c in checks(run_suite(n, s))]
+        assert checks(run_suite(n, "all")) == one_by_one
+
+    def test_a_dying_worker_fails_the_command(self):
+        res = subprocess.run([sys.executable, "-c", DYING_WORKER], capture_output=True, text=True,
+                             timeout=60)
+        assert res.returncode != 0
+        assert "BrokenProcessPool" in res.stderr
+        assert res.stdout.splitlines()[-1] == "0"
+
+    def test_no_worker_outlives_the_command(self, capsys):
+        import multiprocessing
+
+        assert main(["verify", "--n", "2", "--suite", "all"]) == 0
+        assert json.loads(capsys.readouterr().out)["overall"] == "pass"
+        assert multiprocessing.active_children() == []
 
 
 class TestExport:
