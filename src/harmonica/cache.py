@@ -1,7 +1,13 @@
 """On-disk cache for built spaces: one JSON file per (n, space kind).
 
-Each file carries a versioned header (format version, n, monomial order
-identifier) followed by the per-degree data in exact rational text encoding.
+A file is one JSON object: a versioned header (format version, n, monomial
+order identifier, kind) and a list of records in exact rational text
+encoding, one per block of a quotient ("blocks") or per basis piece of a
+subspace ("pieces").  Saves and loads go one record at a time, so memory
+never holds the file's whole list tree: a save writes each record's text as
+it is built (`_save`), byte for byte what one `json.dumps` of the whole file
+with sorted keys and no spaces would be, and a load turns each record into
+its `Block` or basis as soon as the record is parsed (`_read`).
 Files are keyed by those parameters; anything stale or malformed is ignored,
 never migrated.  Loaded data is checked for the shape a build produces
 (see `_valid_block` and `_valid_basis`) and for the dimensions every build
@@ -21,7 +27,7 @@ import re
 import tempfile
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional
 
 from .dyck import hook_per_a
 from .spaces import Block, GradedSubspace, QuotientSpace
@@ -43,13 +49,25 @@ def _header(kind: str, n: int) -> dict:
     }
 
 
-def _atomic_write(path: Path, payload: dict) -> None:
+def _save(cache_dir, kind: str, n: int, key: str, records: Iterator[dict]) -> Path:
+    """Write the file of (kind, n) with `records` under `key`, one record at
+    a time: the header's text up to its list, each record's text as
+    `records` yields it, then the tail.  The bytes are those of one
+    `json.dumps` of the whole file with sorted keys and no spaces."""
+    # The whole file with an empty list, cut between the list's brackets.
+    empty = json.dumps({**_header(kind, n), key: []}, sort_keys=True, separators=(",", ":"))
+    opening = json.dumps(key) + ":["
+    cut = empty.index(opening) + len(opening)
+    path = cache_path(cache_dir, kind, n)
     path.parent.mkdir(parents=True, exist_ok=True)
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.write(empty[:cut])
+            for i, record in enumerate(records):
+                fh.write("," if i else "")
+                fh.write(json.dumps(record, sort_keys=True, separators=(",", ":")))
+            fh.write(empty[cut:])
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -57,10 +75,15 @@ def _atomic_write(path: Path, payload: dict) -> None:
         except OSError:
             pass
         raise
+    return path
 
 
 def _vec_out(vec: dict) -> list:
-    return [[int(j), str(Fraction(v))] for j, v in sorted(vec.items())]
+    # `str` of an int is `str` of the equal `Fraction`, so no value is re-wrapped.
+    # Pairs are tuples, which json writes as it writes lists: a tuple of atoms
+    # leaves the garbage collector's view at its first pass, so saving the
+    # n = 5 hook (1.1M pairs) runs 2 full collections, not 10.
+    return [(j, str(vec[j])) for j in sorted(vec)]
 
 
 # `str(Fraction)` of a nonzero rational, but for lowest terms; only this reaches `Fraction`.
@@ -119,80 +142,90 @@ def _complete(space) -> bool:
     return space.total_dim() == (space.n + 1) ** (space.n - 1)
 
 
-def save_quotient(cache_dir, space: QuotientSpace) -> Path:
-    payload = _header(space.kind, space.n)
-    payload["blocks"] = [
-        {
-            "deg": list(deg),
-            "reps": list(block.reps),
-            "nf": [[int(piv), _vec_out(vec)] for piv, vec in sorted(block.nf.items())],
-        }
-        for deg, block in sorted(space.blocks.items())
-    ]
-    path = cache_path(cache_dir, space.kind, space.n)
-    _atomic_write(path, payload)
-    return path
+def _read(cache_dir, kind: str, n: int, key: str, fields: tuple, record, space_type):
+    """The space of the (kind, n) file, or None when the file is missing,
+    unreadable or not JSON, its header differs from `_header(kind, n)`, a
+    record under `key` is not one `record` accepts, two records share a
+    degree, or the space is not `_complete`.
 
-
-def _read(cache_dir, kind: str, n: int) -> Optional[dict]:
-    """The parsed file of (kind, n), or None when it is missing, unreadable
-    or its header differs from `_header(kind, n)`."""
+    One `json.loads` reads the file.  Its hook hands every object that has
+    `fields` to `record` as soon as the object is parsed, and keeps the
+    (degree, block or basis) it returns, so a record's lists are dropped
+    once its block or basis exists and the file's list tree never does.
+    An object `record` rejects (returns None or raises) stays the dict it
+    was parsed as, so it rejects the file where a record is read, in the
+    list under `key`, and nowhere else: the files that load are those a
+    whole-file parse followed by the same checks would load, but for a file
+    whose top-level object is itself a valid record."""
     path = cache_path(cache_dir, kind, n)
     if not path.is_file():
         return None
+
+    def hook(pairs):
+        obj = dict(pairs)
+        if all(f in obj for f in fields):
+            try:
+                made = record(obj)
+            except (KeyError, TypeError, ValueError):
+                made = None
+            if made is not None:
+                return made
+        return obj
+
     try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError):
+        payload = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=hook)
+    except (OSError, ValueError):  # unreadable, not UTF-8 or not JSON
         return None
-    if isinstance(payload, dict) and all(payload.get(k) == v for k, v in _header(kind, n).items()):
-        return payload
-    return None
+    if not (isinstance(payload, dict) and all(payload.get(k) == v for k, v in _header(kind, n).items())):
+        return None
+    records = payload.get(key)
+    # A made record is a tuple, which no JSON value is.
+    if not isinstance(records, list) or not all(type(r) is tuple for r in records):
+        return None
+    items = dict(records)
+    if len(items) != len(records):
+        return None
+    try:
+        space = space_type(n, kind, items)
+        return space if _complete(space) else None
+    except (KeyError, TypeError, ValueError):
+        return None
+
+
+def save_quotient(cache_dir, space: QuotientSpace) -> Path:
+    # A zero normal form (634,423 of 839,371 in the n = 5 hook) is written as is.
+    return _save(cache_dir, space.kind, space.n, "blocks", (
+        {"deg": list(deg),
+         "reps": block.reps,
+         "nf": [(piv, _vec_out(vec) if (vec := block.nf[piv]) else ()) for piv in sorted(block.nf)]}
+        for deg, block in sorted(space.blocks.items())))
 
 
 def load_quotient(cache_dir, kind: str, n: int) -> Optional[QuotientSpace]:
-    payload = _read(cache_dir, kind, n)
-    if payload is None:
-        return None
-    try:
-        blocks, values, zero = {}, _Values(), {}
-        for rec in payload["blocks"]:
-            deg = TriDegree(*rec["deg"])
-            # Zero normal forms share one dict, as in a build (634,423 of 839,371 in the n = 5 hook).
-            nf = {int(piv): zero if vec == [] else _vec_in(vec, values) for piv, vec in rec["nf"]}
-            block = Block(n, deg, [int(r) for r in rec["reps"]], nf)
-            if deg in blocks or len(nf) != len(rec["nf"]) or not _valid_block(block):
-                return None
-            blocks[deg] = block
-        space = QuotientSpace(n, kind, blocks)
-        return space if _complete(space) else None
-    except (KeyError, TypeError, ValueError):
-        return None
+    values, zero = _Values(), {}
+
+    def block(rec) -> Optional[tuple]:
+        deg = TriDegree(*rec["deg"])
+        # Zero normal forms share one dict, as in a build (634,423 of 839,371 in the n = 5 hook).
+        nf = {int(piv): zero if vec == [] else _vec_in(vec, values) for piv, vec in rec["nf"]}
+        blk = Block(n, deg, [int(r) for r in rec["reps"]], nf)
+        return (deg, blk) if len(nf) == len(rec["nf"]) and _valid_block(blk) else None
+
+    return _read(cache_dir, kind, n, "blocks", ("deg", "reps", "nf"), block, QuotientSpace)
 
 
 def save_subspace(cache_dir, space: GradedSubspace) -> Path:
-    payload = _header(space.kind, space.n)
-    payload["pieces"] = [
+    return _save(cache_dir, space.kind, space.n, "pieces", (
         {"deg": list(deg), "basis": [_vec_out(v) for v in vecs]}
-        for deg, vecs in sorted(space.pieces.items())
-    ]
-    path = cache_path(cache_dir, space.kind, space.n)
-    _atomic_write(path, payload)
-    return path
+        for deg, vecs in sorted(space.pieces.items())))
 
 
 def load_subspace(cache_dir, kind: str, n: int) -> Optional[GradedSubspace]:
-    payload = _read(cache_dir, kind, n)
-    if payload is None:
-        return None
-    try:
-        pieces, values = {}, _Values()
-        for rec in payload["pieces"]:
-            deg = TriDegree(*rec["deg"])
-            vecs = [_vec_in(v, values) for v in rec["basis"]]
-            if deg in pieces or not _valid_basis(vecs, count_tridegree(n, deg)):
-                return None
-            pieces[deg] = vecs
-        space = GradedSubspace(n, kind, pieces)
-        return space if _complete(space) else None
-    except (KeyError, TypeError, ValueError):
-        return None
+    values = _Values()
+
+    def piece(rec) -> Optional[tuple]:
+        deg = TriDegree(*rec["deg"])
+        vecs = [_vec_in(v, values) for v in rec["basis"]]
+        return (deg, vecs) if _valid_basis(vecs, count_tridegree(n, deg)) else None
+
+    return _read(cache_dir, kind, n, "pieces", ("deg", "basis"), piece, GradedSubspace)

@@ -4,8 +4,9 @@ Exit codes: 0 success, 1 check failure, 2 usage error, 3 resource refusal.
 A build whose closed-form check fails (`ArithmeticError`) is a check
 failure: `verify` reports it as a failing check of the suite that built the
 space, and the other commands in one stderr line.
-Each command imports only the modules it runs: `compute` and `--version`
-load neither `verify` nor `structure` nor `operators`, and only `verify
+Each command imports only the modules it runs: `--version`, `--help` and a
+usage error load no space code (`spaces` is imported once a command runs),
+`compute` loads neither `verify` nor `structure` nor `operators`, and only `verify
 --suite all` loads `multiprocessing`, to run its suites in forked workers
 over the spaces it built first (`verify.run_suite`).  A worker that dies
 ends the command with `BrokenProcessPool`, exit 1.
@@ -21,17 +22,6 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .spaces import (
-    HilbertSeries,
-    ResourceCapExceeded,
-    _check_cap,
-    antisymmetric_ideal,
-    coinvariants,
-    harmonics,
-    hook_component,
-    ideal_quotient_series,
-    sign_component,
-)
 
 
 def _cache_dir(args) -> str | None:
@@ -58,28 +48,29 @@ def _cached(build, args):
     return build(args.n, allow_large=args.allow_large, cache_dir=_cache_dir(args))
 
 
-# compute kind -> what it builds: a space, or for the two ideal quotients
-# only a series, which is reported without a per-a line.
+# compute kind -> what it builds from the `spaces` module `s`: a space, or for
+# the two ideal quotients only a series, which is reported without a per-a line.
 _COMPUTE = {
-    "drn": lambda args: _cached(coinvariants, args),
-    "drn-sign": lambda args: sign_component(_cached(coinvariants, args)),
-    "hook": lambda args: _cached(hook_component, args),
-    "dh": lambda args: _cached(harmonics, args),
-    "dh-sign": lambda args: sign_component(_cached(harmonics, args)),
-    "j": lambda args: antisymmetric_ideal(args.n, "J"),
-    "mj": lambda args: antisymmetric_ideal(args.n, "mJ"),
-    "jbar": lambda args: antisymmetric_ideal(args.n, "Jbar"),
-    "mjbar": lambda args: antisymmetric_ideal(args.n, "mJbar"),
-    "j-quotient": lambda args: ideal_quotient_series(args.n, reduced=False),
-    "jbar-quotient": lambda args: ideal_quotient_series(args.n, reduced=True),
+    "drn": lambda s, args: _cached(s.coinvariants, args),
+    "drn-sign": lambda s, args: s.sign_component(_cached(s.coinvariants, args)),
+    "hook": lambda s, args: _cached(s.hook_component, args),
+    "dh": lambda s, args: _cached(s.harmonics, args),
+    "dh-sign": lambda s, args: s.sign_component(_cached(s.harmonics, args)),
+    "j": lambda s, args: s.antisymmetric_ideal(args.n, "J"),
+    "mj": lambda s, args: s.antisymmetric_ideal(args.n, "mJ"),
+    "jbar": lambda s, args: s.antisymmetric_ideal(args.n, "Jbar"),
+    "mjbar": lambda s, args: s.antisymmetric_ideal(args.n, "mJbar"),
+    "j-quotient": lambda s, args: s.ideal_quotient_series(args.n, reduced=False),
+    "jbar-quotient": lambda s, args: s.ideal_quotient_series(args.n, reduced=True),
 }
 SPACE_KINDS = tuple(_COMPUTE)
 
 
 def cmd_compute(args) -> int:
-    _check_cap(args.n, args.allow_large)  # every kind, before anything is built
-    built = _COMPUTE[args.space](args)
-    is_space = not isinstance(built, HilbertSeries)
+    from . import spaces
+    spaces._check_cap(args.n, args.allow_large)  # every kind, before anything is built
+    built = _COMPUTE[args.space](spaces, args)
+    is_space = not isinstance(built, spaces.HilbertSeries)
     series = built.hilbert() if is_space else built
     lines = [f"space: {args.space} (n={args.n})",
              f"hilbert: {series.render()}",
@@ -102,6 +93,7 @@ def cmd_verify(args) -> int:
 
 def cmd_export(args) -> int:
     import csv
+    from .spaces import hook_component
     from .structure import GradingDictionary, export_homology
     dictionary = None
     if args.dict:
@@ -166,6 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    from .spaces import ResourceCapExceeded
     try:
         return args.fn(args)
     except ResourceCapExceeded as exc:

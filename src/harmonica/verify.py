@@ -39,6 +39,7 @@ from .spaces import (
     ideal_quotient_series,
     poly_to_vec,
     sign_component,
+    vec_to_poly,
 )
 from .structure import (
     GradingDictionary,
@@ -50,6 +51,7 @@ from .structure import (
     model,
 )
 from .superpoly import (
+    Monomial,
     Polynomial,
     TriDegree,
     apply_op,
@@ -149,6 +151,15 @@ def suite_dims(n: int, allow_large=False, cache_dir=None) -> List[CheckResult]:
     return out
 
 
+def _power_sum_images(m: Monomial, c: int, d: int, target: Dict[Monomial, int]) -> list:
+    """(target column, falling-factorial weight) of each term of
+    p_{c,d}(d/dx, d/dy) = sum_i d/dx_i^c d/dy_i^d that does not kill m."""
+    xe, ye = m.xe, m.ye
+    return [(target[Monomial(xe[:i] + (xe[i] - c,) + xe[i + 1:], ye[:i] + (ye[i] - d,) + ye[i + 1:], m.odd)],
+             perm(xe[i], c) * perm(ye[i], d))
+            for i in range(len(xe)) if xe[i] >= c and ye[i] >= d]
+
+
 def suite_duality(n: int, allow_large=False, cache_dir=None) -> List[CheckResult]:
     out: List[CheckResult] = []
     dr = coinvariants(n, allow_large=allow_large, cache_dir=cache_dir)
@@ -190,15 +201,12 @@ def suite_duality(n: int, allow_large=False, cache_dir=None) -> List[CheckResult
         for deg in dh.support():
             monos, _ = ambient_basis(n, deg)
             vecs = [_scaled_ints(vec)[0] for vec in dh.basis(deg)]
+            support = sorted({j for vec in vecs for j in vec})
             for (c, d) in _power_sum_generators(n):
                 if c > deg.dx or d > deg.dy:
                     continue
                 _, target = ambient_basis(n, TriDegree(deg.dx - c, deg.dy - d, 0))
-                # Per column, (target column, falling-factorial weight) of each term of p_{c,d}(d/dx, d/dy).
-                images = [[(target[m._replace(xe=m.xe[:i] + (m.xe[i] - c,) + m.xe[i + 1:],
-                                              ye=m.ye[:i] + (m.ye[i] - d,) + m.ye[i + 1:])],
-                            perm(m.xe[i], c) * perm(m.ye[i], d))
-                           for i in range(n) if m.xe[i] >= c and m.ye[i] >= d] for m in monos]
+                images = {j: _power_sum_images(monos[j], c, d, target) for j in support}
                 for vec in vecs:
                     image: Dict[int, int] = {}
                     for j, v in vec.items():
@@ -213,18 +221,45 @@ def suite_duality(n: int, allow_large=False, cache_dir=None) -> List[CheckResult
 
 
 def _operator_span(n: int, seeds: List[Polynomial], operators) -> Dict[TriDegree, RrefAccumulator]:
-    spans: Dict[TriDegree, RrefAccumulator] = {}
-    queue = list(seeds)
-    while queue:
-        p = queue.pop()
+    """The span of the seeds under the operators, as an RREF per tridegree.
+
+    The operators must be homogeneous, commute and each lower dx, as
+    F*_k = sum y_i d/dx_i^k and d/dx_i do.  The span is closed in Janet
+    order: tridegrees are taken by descending dx, so each receives all of
+    its candidates first; within a tridegree candidates go in by class, the
+    index of the operator that made them (seeds have class 0), and an
+    independent element of class c is shifted only by operators c, c+1, ...
+    By induction on dx, operator j maps the span of the class <= k elements
+    of a tridegree into the span of the class <= max(j, k) elements of its
+    target, so each product of operators is applied once, in one order, and
+    each RREF is that of the closure under every operator.  A candidate is
+    held as (class, source tridegree, source element) and made only when its
+    tridegree is reached; an independent element is held as its column
+    vector in ints, a scale of itself, until its last candidate is made.
+    """
+    # The tridegree shift of each operator, read off its first term.
+    shifts = [(sum(t.mult.xe) - sum(t.dx), sum(t.mult.ye) - sum(t.dy), len(t.mult.odd) - len(t.odd_ann))
+              for t in (D.ops[0] for D in operators)]
+    pending: Dict[TriDegree, list] = {}  # tridegree -> [(class, source tridegree or None, vector)]
+    for p in seeds:
         deg = p.tridegree()
-        acc = spans.setdefault(deg, RrefAccumulator())
-        if acc.insert(poly_to_vec(p, deg)) is None:
-            continue
-        for D in operators:
-            image = apply_op(D, p)
-            if not image.is_zero():
-                queue.append(image)
+        pending.setdefault(deg, []).append((0, None, poly_to_vec(p, deg)))
+    spans: Dict[TriDegree, RrefAccumulator] = {}
+    while pending:
+        deg = max(pending)
+        acc = RrefAccumulator()
+        for k, src, vec in sorted(pending.pop(deg), key=lambda cand: cand[0]):
+            if src is not None:  # operator k applied to an element of src
+                vec = poly_to_vec(apply_op(operators[k], vec_to_poly(vec, n, src)), deg)
+            if not vec or acc.insert(vec) is None:
+                continue
+            ints = _scaled_ints(vec)[0]
+            for j in range(k, len(operators)):
+                target = TriDegree(*(a + b for a, b in zip(deg, shifts[j])))
+                if min(target) >= 0:
+                    pending.setdefault(target, []).append((j, deg, ints))
+        if acc.rank:
+            spans[deg] = acc
     return spans
 
 

@@ -21,6 +21,11 @@ coinvariant block of its bidegree; `check_preserves` below runs it as
 `operators.check_preserves` runs the certificate on a quotient.
 `test_certificate.py` holds the certificate, which now reads membership off
 the image alone, to the same verdicts and the same witnesses.
+
+`operator_span` is the operator-theorem suite's span as it was before it was
+closed in Janet order; `test_operators.py` (n = 2..4) and `test_tier2.py`
+(n = 5) hold `verify._operator_span` to the same RREF at every tridegree,
+for both `span_families`.
 """
 
 from __future__ import annotations
@@ -28,7 +33,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from harmonica import operators
+from harmonica import operators, superpoly
+from harmonica.linalg import RrefAccumulator
 from harmonica.operators import _FIRST_ORDER_KINDS, OperatorSpec, _is_equivariant
 from harmonica.spaces import QuotientSpace, _even_block, _power_sum_generators, poly_to_vec
 from harmonica.superpoly import (
@@ -340,3 +346,28 @@ def check_preserves(spec: OperatorSpec, space: QuotientSpace):
     except NotImplementedError:
         witness = operators._exhaustive_certificate(spec, space)
     return (witness is None), witness
+
+
+def operator_span(n: int, seeds, ops):
+    """`verify._operator_span` as it was before Janet order: depth first
+    from the seeds, every operator applied to every independent element."""
+    spans = {}
+    queue = list(seeds)
+    while queue:
+        p = queue.pop()
+        deg = p.tridegree()
+        acc = spans.setdefault(deg, RrefAccumulator())
+        if acc.insert(poly_to_vec(p, deg)) is None:
+            continue
+        for D in ops:
+            image = superpoly.apply_op(D, p)
+            if not image.is_zero():
+                queue.append(image)
+    return spans
+
+
+def span_families(n: int) -> dict:
+    """The operators the operator-theorem suite closes the top antisymmetric
+    element under: F*_k and d/dx_i ("full"), and F*_k alone ("sign")."""
+    stars = [superpoly.op_F_star(n, k) for k in range(1, n)]
+    return {"full": stars + [superpoly.op_partial_x(n, i) for i in range(n)], "sign": stars}

@@ -1,8 +1,10 @@
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+import cache_oracle
 from harmonica import cache, spaces
 from harmonica.cli import main
 from harmonica.spaces import (
@@ -12,6 +14,7 @@ from harmonica.spaces import (
     harmonics,
     hook_component,
 )
+from harmonica.superpoly import count_tridegree
 
 
 def fresh(n=2):
@@ -88,6 +91,94 @@ class TestRoundTrip:
         assert spaces._workspace(3).even_blocks
 
 
+BUILDS = {"drn": coinvariants, "hook": hook_component, "dh": harmonics}
+
+
+def _save(tmp_path, space):
+    save = cache.save_subspace if space.kind == "dh" else cache.save_quotient
+    return save(tmp_path, space)
+
+
+def _load(tmp_path, kind, n):
+    load = cache.load_subspace if kind == "dh" else cache.load_quotient
+    return load(tmp_path, kind, n)
+
+
+def _same(a, b) -> bool:
+    if a.kind == "dh":
+        return a.pieces == b.pieces
+    return a.blocks.keys() == b.blocks.keys() and all(
+        (blk.reps, blk.nf) == (b.blocks[deg].reps, b.blocks[deg].nf) for deg, blk in a.blocks.items())
+
+
+class TestStreaming:
+    """Saves write, and loads read, one record at a time."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("kind", sorted(BUILDS))
+    def test_a_save_writes_the_bytes_of_the_one_shot_serializer(self, tmp_path, kind, n):
+        clear_registry()
+        space = BUILDS[kind](n)
+        assert _save(tmp_path, space).read_text(encoding="utf-8") == cache_oracle.dumps(space)
+        assert _same(_load(tmp_path, kind, n), space)
+
+    def test_a_save_peaks_at_most_at_half_the_one_shot_serializer(self, tmp_path):
+        clear_registry()
+        hook = hook_component(4)
+        # The largest block holds about 9% of the file's columns.
+        columns = [count_tridegree(4, deg) for deg in hook.blocks]
+        assert max(columns) < 0.1 * sum(columns)
+        peaks = []
+        tracemalloc.start()
+        try:
+            for save in (lambda: cache.save_quotient(tmp_path, hook),
+                         lambda: (tmp_path / "one-shot.json").write_text(cache_oracle.dumps(hook))):
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                save()
+                peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        finally:
+            tracemalloc.stop()
+        streamed, one_shot = peaks
+        assert streamed <= one_shot / 2, peaks
+        assert (tmp_path / "one-shot.json").read_bytes() == cache.cache_path(tmp_path, "hook", 4).read_bytes()
+
+    @pytest.mark.parametrize("kind", sorted(BUILDS))
+    def test_a_file_dumped_again_with_default_separators_loads(self, tmp_path, kind):
+        clear_registry()
+        built = BUILDS[kind](3)
+        path = _save(tmp_path, built)
+        path.write_text(json.dumps(json.loads(path.read_text())))
+        assert b", " in path.read_bytes()
+        assert _same(_load(tmp_path, kind, 3), built)
+
+    @pytest.mark.parametrize("kind", sorted(BUILDS))
+    def test_extra_keys_are_ignored_as_before(self, tmp_path, kind):
+        # In the header and in a record; a record-shaped object under an
+        # extra key is never read, even when it would not load.
+        clear_registry()
+        built = BUILDS[kind](3)
+        path = _save(tmp_path, built)
+        payload = json.loads(path.read_text())
+        records = payload["pieces" if kind == "dh" else "blocks"]
+        stray = json.loads(json.dumps(records[0]))
+        stray["deg"] = "not a degree"
+        records[-1]["extra"] = [1, {"x": 2}]
+        payload["extra"] = {"record": stray}
+        path.write_text(json.dumps(payload))
+        assert _same(_load(tmp_path, kind, 3), built)
+
+    @pytest.mark.parametrize("key", ["format", "kind", "n", "order"])
+    @pytest.mark.parametrize("kind", sorted(BUILDS))
+    def test_a_record_in_place_of_a_header_value_is_rejected(self, tmp_path, kind, key):
+        clear_registry()
+        path = _save(tmp_path, BUILDS[kind](3))
+        payload = json.loads(path.read_text())
+        payload[key] = payload["pieces" if kind == "dh" else "blocks"][0]
+        path.write_text(json.dumps(payload))
+        assert _load(tmp_path, kind, 3) is None
+
+
 class TestAmbientBasis:
     """A block reads the lru-cached ambient basis only when it is asked for."""
 
@@ -145,6 +236,11 @@ class TestStaleness:
         path.write_text("{not valid json")
         assert cache.load_quotient(tmp_path, "drn", 2) is None
 
+    def test_file_that_is_not_utf8_ignored(self, tmp_path):
+        path = cache.save_quotient(tmp_path, coinvariants(2))
+        path.write_bytes(path.read_bytes().replace(b'"drn"', b'"\xff"'))
+        assert cache.load_quotient(tmp_path, "drn", 2) is None
+
     def test_missing_file(self, tmp_path):
         assert cache.load_quotient(tmp_path, "drn", 4) is None
 
@@ -199,7 +295,7 @@ BLOCK_CORRUPTIONS = {
 }
 
 
-SPACE_FNS = {"drn": coinvariants, "hook": hook_component}
+SPACE_FNS = {kind: BUILDS[kind] for kind in ("drn", "hook")}  # the quotient kinds
 
 
 class TestLoadChecks:

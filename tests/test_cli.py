@@ -219,11 +219,14 @@ class TestExitCodes:
 
 
 # Runs `cli.main(argv)` in a fresh interpreter and prints, as its last line,
-# the names of the modules it left loaded.
+# the names of the modules it left loaded, also when argparse exits.
 LOADED_MODULES = """
 import json, sys
 from harmonica.cli import main
-main(sys.argv[1:])
+try:
+    main(sys.argv[1:])
+except SystemExit:
+    pass
 print(json.dumps(sorted(sys.modules)))
 """
 
@@ -255,6 +258,14 @@ class TestStartup:
         for _ in range(2):  # cold, then warm
             loaded = loaded_modules("export", "--n", "3", "--cache-dir", str(tmp_path))
             assert "harmonica.structure" in loaded and not loaded & {"harmonica.verify", *POOL_MODULES}
+
+    @pytest.mark.parametrize("argv", [("--version",), ("--help",), ("compute", "--help"),
+                                      ("compute", "--n", "2", "--space", "nope"), ("verify", "--n", "2")],
+                             ids=["version", "help", "compute help", "bad space", "missing suite"])
+    def test_version_help_and_usage_errors_load_no_space_code(self, argv):
+        loaded = loaded_modules(*argv)
+        assert "harmonica.cli" in loaded and not {m for m in loaded if m.startswith("harmonica.")} - {
+            "harmonica", "harmonica.cli"}
 
     def test_one_suite_loads_no_pool(self):
         loaded = loaded_modules("verify", "--n", "3", "--suite", "dims")

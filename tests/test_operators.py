@@ -36,6 +36,7 @@ from harmonica.superpoly import (
     apply_op,
     op_partial_x,
     render,
+    vandermonde,
 )
 
 
@@ -364,3 +365,18 @@ class TestPlumbing:
         assert OperatorSpec("Estar", 3, (2,)).label() == "E*2"
         assert OperatorSpec.hamiltonian(3, 2, 0).label() == "v(2,0)"
         assert OperatorSpec("wedge", 3, (1,)).label() == "w1"
+
+
+class TestOperatorSpan:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("family", ["full", "sign"])
+    def test_janet_order_gives_the_rref_of_every_product(self, n, family):
+        # Janet order applies each product of the commuting operators once;
+        # the depth-first closure applies every operator to every independent
+        # element.  Both reach the same RREF at every tridegree.
+        ops = operator_oracle.span_families(n)[family]
+        seeds = [vandermonde("x", n)]
+        janet = verify._operator_span(n, seeds, ops)
+        every = operator_oracle.operator_span(n, seeds, ops)
+        assert sorted(janet) == sorted(every)
+        assert all(janet[deg].row_vectors() == every[deg].row_vectors() for deg in every)

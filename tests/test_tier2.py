@@ -1,5 +1,5 @@
-"""n = 5 checks.  All but the first take a minute or more and are opt-in,
-deselected by default: run them with `pytest -m tier2`.  The first holds the
+"""n = 5 checks.  All but the first take from seconds to a minute or more
+and are opt-in, deselected by default: run them with `pytest -m tier2`.  The first holds the
 whole n = 5 coinvariant model to the parking functions in tier 1.
 
 The parking-function enumerator is imported from `perfbench/oracle.py`
@@ -16,8 +16,11 @@ from pathlib import Path
 import pytest
 
 import build_oracle
+import cache_oracle
+import operator_oracle
 from harmonica import spaces, verify
 from harmonica.dyck import hook_per_a
+from harmonica.superpoly import vandermonde
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 oracle = importlib.import_module("oracle")
@@ -142,3 +145,48 @@ def test_n5_hook_satisfies_lefschetz_and_the_bracket_identities():
         spaces.clear_registry()
     assert [(r.name, r.witness) for r in results if not r.passed] == []
     assert len(results) == 2 + 170 + 29
+
+
+@pytest.mark.tier2
+@pytest.mark.parametrize("family", ["full", "sign"])
+def test_n5_operator_span_in_janet_order_matches_the_depth_first_closure(family):
+    # The full family takes about 5 s in Janet order and 14 to 19 s depth
+    # first; the sign family about 1 s each.
+    ops = operator_oracle.span_families(5)[family]
+    seeds = [vandermonde("x", 5)]
+    janet = verify._operator_span(5, seeds, ops)
+    every = operator_oracle.operator_span(5, seeds, ops)
+    assert sorted(janet) == sorted(every)
+    assert all(janet[deg].row_vectors() == every[deg].row_vectors() for deg in every)
+
+
+@pytest.mark.tier2
+def test_n5_every_suite_passes_in_a_fresh_process():
+    # Every check at n = 5, the suites in forked workers: about 30 s and
+    # 0.4 GB in the largest process on a 2-core machine.
+    res = subprocess.run(
+        [sys.executable, "-m", "harmonica.cli", "verify", "--n", "5", "--suite", "all", "--allow-large"],
+        capture_output=True, text=True,
+    )
+    checks = json.loads(res.stdout)["checks"]
+    assert [c["witness"] for c in checks if c["status"] != "pass"] == []
+    assert len(checks) == 267 and res.returncode == 0
+
+
+@pytest.mark.tier2
+@pytest.mark.parametrize("kind", ["hook", "drn", "dh"])
+def test_n5_cold_and_warm_compute_agree_and_save_the_one_shot_bytes(tmp_path, kind):
+    # A cold compute saves the space, a warm one loads it, each in a fresh
+    # process; the file holds the bytes the one-shot serializer writes for
+    # the space built here.
+    argv = [sys.executable, "-m", "harmonica.cli", "compute", "--n", "5", "--space", kind,
+            "--allow-large", "--cache-dir", str(tmp_path)]
+    cold, warm = (subprocess.run(argv, capture_output=True, text=True, check=True) for _ in range(2))
+    assert warm.stdout == cold.stdout and warm.stderr == cold.stderr == ""
+    build = {"hook": spaces.hook_component, "drn": spaces.coinvariants, "dh": spaces.harmonics}[kind]
+    spaces.clear_registry()
+    try:
+        expected = cache_oracle.dumps(build(5, allow_large=True))
+    finally:
+        spaces.clear_registry()
+    assert (tmp_path / f"{kind}-n5.json").read_text(encoding="utf-8") == expected
