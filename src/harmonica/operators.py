@@ -7,17 +7,17 @@ by Leibniz, each generator's image (the polarized power sums p_{c,d}, and
 for odd operators on the hook the odd Euler element) must lie in the
 invariant ideal.  The p_{c,d} generate the diagonal invariants (Weyl), so
 that is read off the image alone, with no quotient block: each homogeneous
-component must be even, of positive degree and fixed by every s_i.  For
-anything else the relation rows are checked one by one.  A failed
-certificate surfaces the offending element as a witness.
+component must be even, of positive degree and fixed by every s_i;
+anything else raises `NotImplementedError`.  A failed certificate surfaces
+the offending element as a witness.
 
 An `OperatorSpec` kind is declared once, in `_KINDS`, with its label prefix
 and its `superpoly` constructor; a spec's tridegree shift is read off its
-operator, which is built once per spec; the certificate generators are
-built once per n.  Matrices read classes and coordinates only through the
-space (`basis_polys`, `coords`, `is_zero_at`), so one loop serves quotients
-and graded subspaces alike; no image is computed where the space knows
-every class is zero.
+operator by `tridegree_shift`, and the operator is built once per spec; the
+certificate generators are built once per n.  Matrices read classes and
+coordinates only through the space (`basis_polys`, `coords`, `is_zero_at`),
+so one loop serves quotients and graded subspaces alike; no image is
+computed where the space knows every class is zero.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .spaces import (
     GradedSubspace,
     QuotientSpace,
     _power_sum_generators,
-    vec_to_poly,
 )
 from .superpoly import (
     DiffOperator,
@@ -45,11 +44,10 @@ from .superpoly import (
     op_F,
     op_F_star,
     op_d,
-    op_d_star,
     op_hamiltonian,
-    op_wedge_omega,
     render,
     transpose_adjacent,
+    tridegree_shift,
 )
 
 
@@ -111,23 +109,15 @@ _KINDS = {
     "Fstar": ("F*", op_F_star),
     "Estar": ("E*", op_E_star),
     "d": ("d", op_d),
-    "dstar": ("d*", op_d_star),
-    "wedge": ("w", op_wedge_omega),
     "ham": ("v", op_hamiltonian),
 }
 
 
 @lru_cache(maxsize=None)
 def _operator(spec: OperatorSpec) -> Tuple[DiffOperator, Tuple[int, int, int]]:
-    """The spec's operator, built once per spec, and its tridegree shift.
-
-    The shift is read off the first term, as the multiplier's tridegree
-    minus the derivative orders; every term of a family has the same shift.
-    """
+    """The spec's operator, built once per spec, and its tridegree shift."""
     op = _KINDS[spec.kind][1](spec.n, *spec.params)
-    term = op.ops[0]
-    mult = term.mult.tridegree()
-    return op, (mult.dx - sum(term.dx), mult.dy - sum(term.dy), mult.da - len(term.odd_ann))
+    return op, tridegree_shift(op)
 
 
 class OperatorMatrix(NamedTuple):
@@ -206,17 +196,12 @@ def _diagonal_poly(n: int, **exps) -> Polynomial:
 
 def _structural_certificate(spec: OperatorSpec, space: QuotientSpace) -> Optional[Polynomial]:
     """None on success, witness polynomial on failure, raises on inapplicable."""
-    n = spec.n
-    D = spec.diff_operator()
-    if spec.kind == "wedge":
-        # A multiplier fixed by S_n commutes with the sign projector and
-        # keeps the ideal part and the odd Euler relations.
-        mult = apply_op(D, Polynomial.one(n))
-        return None if _is_invariant(mult) else mult
     if spec.kind not in _FIRST_ORDER_KINDS:
-        raise NotImplementedError("no structural certificate for this operator kind")
+        raise NotImplementedError(f"no structural certificate for operator kind {spec.kind!r}")
     if not _is_equivariant(spec):
         raise NotImplementedError("operator is not syntactically equivariant")
+    n = spec.n
+    D = spec.diff_operator()
     # Leibniz: preservation of the invariant ideal reduces to the generators.
     generators = [_diagonal_poly(n, x=a, y=b) for (a, b) in _power_sum_generators(n)]
     # Odd operators must respect the wedge relations of the odd Euler element.
@@ -229,29 +214,17 @@ def _structural_certificate(spec: OperatorSpec, space: QuotientSpace) -> Optiona
     return None
 
 
-def _exhaustive_certificate(spec: OperatorSpec, space: QuotientSpace) -> Optional[Polynomial]:
-    """Row-by-row check of the relation subspace; None on success."""
-    D = spec.diff_operator()
-    for deg in sorted(space.blocks):
-        tdeg = spec.target_degree(deg)
-        for _, row in space.blocks[deg].relation_rows():
-            poly = vec_to_poly(row, spec.n, deg)
-            if space.coords(tdeg, apply_op(D, poly)):
-                return poly
-    return None
-
-
 def check_preserves(spec: OperatorSpec, space):
     """Certify that the operator preserves the relations (quotient input) or
     the subspace itself (graded-subspace input).
 
-    Returns (True, None) on pass, or (False, witness polynomial).
+    Returns (True, None) on pass, or (False, witness polynomial).  On a
+    quotient the certificate is the structural one, so an operator kind it
+    does not cover (F*_k, E*_k) or an operator that is not syntactically
+    equivariant raises `NotImplementedError`.
     """
     if isinstance(space, QuotientSpace):
-        try:
-            witness = _structural_certificate(spec, space)
-        except NotImplementedError:
-            witness = _exhaustive_certificate(spec, space)
+        witness = _structural_certificate(spec, space)
         return (witness is None), witness
     if isinstance(space, GradedSubspace):
         cap = space.degree_cap

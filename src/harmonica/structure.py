@@ -291,14 +291,6 @@ class Certificate(NamedTuple):
     d_word: Tuple[int, ...]  # decreasing tuple of d indices applied
     scalar: Fraction
 
-    def render(self) -> str:
-        parts = [f"d{N}" for N in self.d_word]
-        ks = sorted(set(self.f_word), reverse=True)
-        for k in ks:
-            e = self.f_word.count(k)
-            parts.append(f"F{k}" + (f"^{e}" if e > 1 else ""))
-        return "*".join(parts) if parts else "1"
-
 
 def cogeneration_search(space: QuotientSpace, f, deg) -> Certificate:
     """Find a word in F_1..F_{n-1} and d_1..d_{n-1} carrying the class f, a

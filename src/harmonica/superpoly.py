@@ -6,10 +6,9 @@ product picks up the usual Koszul sign.  S_n acts by permuting the x, y and
 odd variables simultaneously.  First-order super differential operators are
 kept as formal sums of (coefficient, multiplication word, derivation word)
 terms with derivations to the right of multiplications.  Every operator
-family (F_k, E_k and their adjoints, d_N, d_N^*, the wedge with omega_N and
-the Hamiltonian vector fields) is a sum over i of
-one diagonal term c x_i^a y_i^b th_i^e (d/dx_i)^p (d/dy_i)^q (d/dth_i)^f,
-two for the vector fields, and is built by `_diagonal_sum`.
+family (F_k, E_k and their adjoints, d_N and the Hamiltonian vector fields)
+is a sum over i of one diagonal term c x_i^a y_i^b (d/dx_i)^p (d/dy_i)^q
+(d/dth_i)^f, two for the vector fields, and is built by `_diagonal_sum`.
 
 An operator compiles its terms once, when it is built: each coefficient
 becomes an integer over the lcm of the term denominators, and only the
@@ -176,9 +175,6 @@ class Polynomial:
             return Polynomial(self.n)
         return Polynomial(self.n, {m: a * c for m, c in self.terms.items()})
 
-    def __rmul__(self, a):
-        return self.scale(a)
-
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
             return self.scale(other)
@@ -331,17 +327,6 @@ class DiffOperator:
             for c, t in zip(coeffs, self.ops)
         )
 
-    def __add__(self, other: "DiffOperator") -> "DiffOperator":
-        if self.n != other.n:
-            raise ValueError("mixed variable counts")
-        return DiffOperator(self.n, self.ops + other.ops)
-
-    def scale(self, a) -> "DiffOperator":
-        a = Fraction(a)
-        return DiffOperator(
-            self.n, [OpTerm(a * t.coeff, t.mult, t.dx, t.dy, t.odd_ann) for t in self.ops]
-        )
-
     def __repr__(self):
         return f"DiffOperator(n={self.n}, {len(self.ops)} terms)"
 
@@ -468,20 +453,6 @@ def op_d(n: int, N: int) -> DiffOperator:
     return _diagonal_sum(n, _diagonal(x=N, dth=1))
 
 
-def op_d_star(n: int, N: int) -> DiffOperator:
-    """d_N^* = sum_i th_i (d/dx_i)^N; odd, shifts tridegree by (-N, 0, +1)."""
-    if N < 0:
-        raise ValueError("N must be >= 0")
-    return _diagonal_sum(n, _diagonal(th=1, dx=N))
-
-
-def op_wedge_omega(n: int, N: int) -> DiffOperator:
-    """Left wedge with sum_i x_i^N th_i; shifts tridegree by (+N, 0, +1)."""
-    if N < 0:
-        raise ValueError("N must be >= 0")
-    return _diagonal_sum(n, _diagonal(x=N, th=1))
-
-
 def op_hamiltonian(n: int, a: int, b: int) -> DiffOperator:
     """Vector field of x^a y^b: sum_i (a x^(a-1) y^b d/dy - b x^a y^(b-1) d/dx).
 
@@ -499,6 +470,13 @@ def op_hamiltonian(n: int, a: int, b: int) -> DiffOperator:
 
 def op_partial_x(n: int, i: int) -> DiffOperator:
     return DiffOperator(n, [OpTerm(Fraction(1), unit_monomial(n), _unit_exp(n, i), (0,) * n, ())])
+
+
+def tridegree_shift(op: DiffOperator) -> tuple:
+    """The (dx, dy, da) an operator adds to a tridegree: its first term's
+    multiplier degree minus derivative orders, the same for every term."""
+    t = op.ops[0]
+    return (sum(t.mult.xe) - sum(t.dx), sum(t.mult.ye) - sum(t.dy), len(t.mult.odd) - len(t.odd_ann))
 
 
 # -- pairing ----------------------------------------------------------------

@@ -59,6 +59,7 @@ from .superpoly import (
     op_F_star,
     op_partial_x,
     render,
+    tridegree_shift,
     vandermonde,
 )
 
@@ -237,9 +238,7 @@ def _operator_span(n: int, seeds: List[Polynomial], operators) -> Dict[TriDegree
     tridegree is reached; an independent element is held as its column
     vector in ints, a scale of itself, until its last candidate is made.
     """
-    # The tridegree shift of each operator, read off its first term.
-    shifts = [(sum(t.mult.xe) - sum(t.dx), sum(t.mult.ye) - sum(t.dy), len(t.mult.odd) - len(t.odd_ann))
-              for t in (D.ops[0] for D in operators)]
+    shifts = [tridegree_shift(D) for D in operators]
     pending: Dict[TriDegree, list] = {}  # tridegree -> [(class, source tridegree or None, vector)]
     for p in seeds:
         deg = p.tridegree()

@@ -7,7 +7,8 @@ Each family was written out as its own list of `OpTerm`s, one per variable
 index (two for the Hamiltonian vector fields).  The bodies are unchanged;
 `test_superpoly.py` holds the constructors built through `_diagonal_sum` to
 the same term tuples, in the same order, and `test_operators.py` holds
-`OperatorSpec.shift` and `OperatorSpec.label` to `shift` and `label` below.
+`OperatorSpec.shift`, `superpoly.tridegree_shift` and `OperatorSpec.label`
+to `shift` and `label` below, for every kind of `operators._KINDS`.
 
 `apply_op` below does about five `Fraction` operations per (term, monomial)
 pair; `test_superpoly.py` holds `superpoly.apply_op`, which works in ints
@@ -17,10 +18,18 @@ the same insertion order.
 `_invariant_ideal_class_zero`, `_power_sum`, `_omega0` and
 `_structural_certificate` are the structural well-definedness certificate as
 it was when it decided ideal membership by reducing each image in the
-coinvariant block of its bidegree; `check_preserves` below runs it as
-`operators.check_preserves` runs the certificate on a quotient.
+coinvariant block of its bidegree.  `_exhaustive_certificate` is the
+row-by-row check of the relation subspace that `operators.check_preserves`
+fell back on where no structural certificate applies (F*_k, E*_k); no
+command reached it, and `operators` now raises there.  `check_preserves`
+below runs the two as `operators.check_preserves` did on a quotient.
 `test_certificate.py` holds the certificate, which now reads membership off
-the image alone, to the same verdicts and the same witnesses.
+the image alone, to the same verdicts and the same witnesses, and
+`test_operators.py` holds the row-by-row check to its F*/E* witnesses.
+
+`op_d_star` and `op_wedge_omega` are the only copies of d_N^* and of the
+wedge with omega_N, which no command builds; `test_superpoly.py` and
+`test_apply_op_differential.py` still apply them.
 
 `operator_span` is the operator-theorem suite's span as it was before it was
 closed in Janet order; `test_operators.py` (n = 2..4) and `test_tier2.py`
@@ -33,17 +42,16 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from harmonica import operators, superpoly
+from harmonica import superpoly
 from harmonica.linalg import RrefAccumulator
 from harmonica.operators import _FIRST_ORDER_KINDS, OperatorSpec, _is_equivariant
-from harmonica.spaces import QuotientSpace, _even_block, _power_sum_generators, poly_to_vec
+from harmonica.spaces import QuotientSpace, _even_block, _power_sum_generators, poly_to_vec, vec_to_poly
 from harmonica.superpoly import (
     DiffOperator,
     Monomial,
     OpTerm,
     Polynomial,
     monomial_mul,
-    transpose_adjacent,
     unit_monomial,
 )
 
@@ -251,7 +259,7 @@ def label(spec) -> str:
     """`OperatorSpec.label`, with its own table of names."""
     if spec.kind == "ham":
         return f"v({spec.params[0]},{spec.params[1]})"
-    names = {"F": "F", "E": "E", "Fstar": "F*", "Estar": "E*", "d": "d", "dstar": "d*", "wedge": "w"}
+    names = {"F": "F", "E": "E", "Fstar": "F*", "Estar": "E*", "d": "d"}
     return f"{names[spec.kind]}{spec.params[0]}"
 
 
@@ -268,10 +276,6 @@ def shift(spec):
         return (1, -k, 0)
     if spec.kind == "d":
         return (k, 0, -1)
-    if spec.kind == "dstar":
-        return (-k, 0, 1)
-    if spec.kind == "wedge":
-        return (k, 0, 1)
     a, b = spec.params
     return (a - 1, b - 1, 0)
 
@@ -307,18 +311,6 @@ def _structural_certificate(spec: OperatorSpec, space: QuotientSpace) -> Optiona
     n = spec.n
     kind_parts = space.kind
     D = spec.diff_operator()
-    if spec.kind == "wedge":
-        # Multiplication operators preserve everything iff the multiplier is
-        # S_n-invariant (it then commutes with the sign projector and keeps
-        # both the ideal part and the odd Euler relations); the adjacent
-        # transpositions generate S_n, so they are the ones checked.
-        mult = apply_op(D, Polynomial.one(n))
-        for i in range(n - 1):
-            for m, c in mult.terms.items():
-                image, sign = transpose_adjacent(m, i)
-                if mult.terms.get(image) != sign * c:
-                    return mult
-        return None
     if spec.kind not in _FIRST_ORDER_KINDS:
         raise NotImplementedError("no structural certificate for this operator kind")
     if not _is_equivariant(spec):
@@ -338,13 +330,25 @@ def _structural_certificate(spec: OperatorSpec, space: QuotientSpace) -> Optiona
     return None
 
 
+def _exhaustive_certificate(spec: OperatorSpec, space: QuotientSpace) -> Optional[Polynomial]:
+    """Row-by-row check of the relation subspace; None on success."""
+    D = spec.diff_operator()
+    for deg in sorted(space.blocks):
+        tdeg = spec.target_degree(deg)
+        for _, row in space.blocks[deg].relation_rows():
+            poly = vec_to_poly(row, spec.n, deg)
+            if space.coords(tdeg, apply_op(D, poly)):
+                return poly
+    return None
+
+
 def check_preserves(spec: OperatorSpec, space: QuotientSpace):
     """(passed, witness) of the certificate above, or of the row-by-row
     check where it does not apply."""
     try:
         witness = _structural_certificate(spec, space)
     except NotImplementedError:
-        witness = operators._exhaustive_certificate(spec, space)
+        witness = _exhaustive_certificate(spec, space)
     return (witness is None), witness
 
 

@@ -25,12 +25,11 @@ def fresh():
 
 
 def _specs(n):
-    """F_k and E_k for k <= n+1, d_N for N <= n, v(a,b) for 1 <= a+b <= 6 and w_N for N <= n."""
+    """F_k and E_k for k <= n+1, d_N for N <= n and v(a,b) for 1 <= a+b <= 6."""
     out = [OperatorSpec.F(n, k) for k in range(1, n + 2)]
     out += [OperatorSpec.E(n, k) for k in range(1, n + 2)]
     out += [OperatorSpec.d(n, N) for N in range(n + 1)]
     out += [OperatorSpec.hamiltonian(n, a, s - a) for s in range(1, 7) for a in range(s + 1)]
-    out += [OperatorSpec("wedge", n, (N,)) for N in range(n + 1)]
     return out
 
 
