@@ -26,7 +26,8 @@ vector; `kernel_basis` is that division.
 Pivoting is deterministic: an independent vector pivots on the smallest
 column of its residual.  That column is the leading column of the new row,
 and back-reduction only adds later columns to earlier rows, so pivots stay
-leading.  `rref`, `kernel_basis` and `membership` are thin wrappers.
+leading.  `rref`, `kernel_basis`, `span_solver` and `membership` are thin
+wrappers; coordinates in a span are read off one augmented RREF.
 
 A SparseMatrix is immutable after construction and every module-level
 function is pure, so concurrent use on distinct inputs is safe.
@@ -194,16 +195,12 @@ def _sub_multiple(target: dict, c: int, source: dict) -> None:
             del target[j]
 
 
-def _divide_content(vec: dict, expr: Optional[dict], sign: int) -> None:
-    """Divide vec (and expr, sharing the scale) by their content times sign."""
-    g = gcd(*vec.values(), *expr.values()) if expr is not None else gcd(*vec.values())
-    g *= sign
+def _divide_content(vec: dict, sign: int) -> None:
+    """Divide vec by its content times sign."""
+    g = gcd(*vec.values()) * sign
     if g != 1:
         for j in vec:
             vec[j] //= g
-        if expr is not None:
-            for t in expr:
-                expr[t] //= g
 
 
 def _fractions(vec: dict, den: int) -> Vec:
@@ -216,26 +213,20 @@ class RrefAccumulator:
     Each row, keyed by its pivot column, is a dict of ints with content 1
     and a positive pivot entry, zero at every other pivot column.  Dividing
     each row by its pivot entry gives the unique RREF of the span of the
-    inserted vectors.  With track=True every row also carries its
-    expression in the inserted vectors (by tag) as an int dict sharing the
-    row's scale: row == sum expr[t] * (vector inserted with tag t), so the
-    pivot entry is the expression's denominator.
+    inserted vectors.
 
-    A stored row, expression or view is replaced when it changes, never
-    mutated in place, so `copy` shares them.
+    A stored row or view is replaced when it changes, never mutated in
+    place, so `copy` shares them.
     """
 
-    def __init__(self, track: bool = False):
-        self.track = track
+    def __init__(self):
         self._rows: dict = {}  # pivot col -> int row
-        self._exprs: dict = {}  # pivot col -> int combination of inserted tags
         self._view: Optional[dict] = None  # pivot col -> Fraction RREF row
 
     def copy(self) -> "RrefAccumulator":
         """An accumulator of the same span that inserts independently of this one."""
-        out = RrefAccumulator(self.track)
+        out = RrefAccumulator()
         out._rows = dict(self._rows)
-        out._exprs = dict(self._exprs)
         out._view = self._view
         return out
 
@@ -246,34 +237,28 @@ class RrefAccumulator:
     def pivots(self) -> list:
         return sorted(self._rows)
 
-    def _eliminate(self, vec: dict, expr: Optional[dict]):
-        """Reduce an int vector (and its expression) against the rows.
+    def _eliminate(self, vec: dict):
+        """Reduce an int vector against the rows.
 
-        Returns (residual, expression, hit pivots, D) where residual ==
-        D*vec - sum over hit pivots p of (vec[p]*D/row_p[p]) * row_p, and
-        the expression undergoes the same operations.  vec and expr are
-        returned as they are when vec meets no pivot, else left unchanged.
+        Returns (residual, hit pivots, D) where residual == D*vec - sum over
+        hit pivots p of (vec[p]*D/row_p[p]) * row_p.  vec is returned as it
+        is when it meets no pivot, else left unchanged.
         """
         rows = self._rows
         hits = [j for j in vec if j in rows]
         if not hits:
-            return vec, expr, hits, 1
+            return vec, hits, 1
         scale = lcm(*(rows[p][p] for p in hits))
         out = _times(vec, scale)
-        if expr is not None:
-            expr = _times(expr, scale)
         for p in hits:
             row = rows[p]
-            c = vec[p] * scale // row[p]
-            _sub_multiple(out, c, row)
-            if expr is not None:
-                _sub_multiple(expr, c, self._exprs[p])
-        return out, expr, hits, scale
+            _sub_multiple(out, vec[p] * scale // row[p], row)
+        return out, hits, scale
 
     def reduce(self, vec: Vec) -> Vec:
         """Residual of vec modulo the current row space (vec not consumed)."""
         ints, den = _scaled_ints(vec)
-        out, _, _, scale = self._eliminate(ints, None)
+        out, _, scale = self._eliminate(ints)
         return _fractions(out, den * scale)
 
     def reduce_with_coeffs(self, vec: Vec):
@@ -282,55 +267,29 @@ class RrefAccumulator:
         In reduced echelon form that coefficient is vec's entry at the pivot.
         """
         ints, den = _scaled_ints(vec)
-        out, _, hits, scale = self._eliminate(ints, None)
+        out, hits, scale = self._eliminate(ints)
         return _fractions(out, den * scale), {p: Fraction(ints[p], den) for p in hits}
 
-    def solve(self, vec: Vec) -> Optional[Vec]:
-        """{tag: c} with vec == sum c * (vector inserted with tag), or None.
-
-        None means vec is outside the span.  Needs track=True; vectors that
-        were dependent when inserted get no coefficient.
-        """
-        if not self.track:
-            raise ValueError("solve needs an accumulator built with track=True")
-        ints, den = _scaled_ints(vec)
-        out, expr, _, scale = self._eliminate(ints, {})
-        if out:
-            return None
-        return _fractions(expr, -den * scale)
-
-    def insert(self, vec: Vec, tag=None):
+    def insert(self, vec: Vec):
         """Insert a vector; returns its pivot column or None if dependent."""
-        ints, den = _scaled_ints(vec)
-        expr = None
-        if self.track:
-            expr = {tag: den} if tag is not None else {}
-        out, expr, _, _ = self._eliminate(ints, expr)
+        out, _, _ = self._eliminate(_scaled_ints(vec)[0])
         if not out:
             return None
         piv = min(out)
-        _divide_content(out, expr, 1 if out[piv] > 0 else -1)
+        _divide_content(out, 1 if out[piv] > 0 else -1)
         # Back-reduce the other rows against the new pivot.
         lead = out[piv]
-        rows, exprs = self._rows, self._exprs
+        rows = self._rows
         for p, row in rows.items():
             e = row.get(piv)
             if e is None:
                 continue
             h = gcd(lead, e)
-            a, b = lead // h, e // h
-            new = _times(row, a)
-            _sub_multiple(new, b, out)
-            new_expr = None
-            if expr is not None:
-                new_expr = _times(exprs[p], a)
-                _sub_multiple(new_expr, b, expr)
-                exprs[p] = new_expr
-            _divide_content(new, new_expr, 1)
+            new = _times(row, lead // h)
+            _sub_multiple(new, e // h, out)
+            _divide_content(new, 1)
             rows[p] = new
         rows[piv] = out
-        if expr is not None:
-            exprs[piv] = expr
         self._view = None
         return piv
 
@@ -399,16 +358,27 @@ def kernel_basis(m: SparseMatrix) -> list:
     return [_fractions(vec, vec[f]) for f, vec in kernel.items()]
 
 
-def span_solver(span: SparseMatrix) -> RrefAccumulator:
-    """Tracked accumulator of the columns of `span`, tagged by column index.
+def span_solver(span: SparseMatrix):
+    """(rank of the column span, solve) with solve(v) == membership(v, span).
 
-    `span_solver(span).solve(v)` is `membership(v, span)`; build it once to
-    express many vectors in the same span.
+    Column j of the r x k span goes in as the row col_j + e_(r+k-1-j): the
+    tags sit past the rows in reverse order, so a column that depends on
+    earlier ones pivots at its own tag and gets no coefficient.  v is in the
+    span exactly when its residual is zero below r, and its coordinates are
+    minus the residual at the tags.
     """
-    acc = RrefAccumulator(track=True)
+    r, k = span.rows, span.cols
+    acc = RrefAccumulator()
     for j, col in enumerate(span.column_list()):
-        acc.insert(col, tag=j)
-    return acc
+        acc.insert({**col, r + k - 1 - j: 1})
+
+    def solve(v: Vec) -> Optional[Vec]:
+        out = acc.reduce(v)
+        if out and min(out) < r:
+            return None
+        return {r + k - 1 - t: -x for t, x in out.items()}
+
+    return sum(1 for p in acc._rows if p < r), solve
 
 
 def membership(v: Vec, span: SparseMatrix):
@@ -421,4 +391,4 @@ def membership(v: Vec, span: SparseMatrix):
     for i in v:
         if not 0 <= i < span.rows:
             raise ValueError(f"vector index {i} incompatible with {span.rows} rows")
-    return span_solver(span).solve(v)
+    return span_solver(span)[1](v)

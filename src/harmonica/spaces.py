@@ -262,7 +262,6 @@ class Block:
         return count_tridegree(self.n, self.deg)
 
     monomials = property(lambda self: ambient_basis(self.n, self.deg)[0])
-    index = property(lambda self: ambient_basis(self.n, self.deg)[1])  # monomial -> column
 
     def normal_form(self, vec: Vec) -> Vec:
         """Reduce an ambient coordinate vector to representative columns."""

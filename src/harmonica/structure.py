@@ -231,15 +231,12 @@ class StringFrame:
             if (st.da, st.total) == (deg.da, deg.dx + deg.dy) and s2 % 2 == 0 and 0 <= s2 // 2 <= st.j:
                 self.vectors.append(st.vectors[s2 // 2])
                 self.tags.append((idx, s2 // 2))
-        self._solver = span_solver(SparseMatrix.from_columns(self.vectors, dim))
-        if self._solver.rank < len(self.vectors):
+        # coords(vec): {column: c} with vec == sum c * (string vector of that column).
+        rank, self.coords = span_solver(SparseMatrix.from_columns(self.vectors, dim))
+        if rank < len(self.vectors):
             raise LefschetzFailure(f"dependent string vectors in block {deg}")
-        if self._solver.rank < dim:
+        if rank < dim:
             raise LefschetzFailure(f"string vectors do not span block {deg}")
-
-    def coords(self, vec: Vec) -> Vec:
-        """{column: c} with vec == sum c * (string vector of that column)."""
-        return self._solver.solve(vec)
 
 
 def model(space: QuotientSpace) -> SL2Model:
@@ -394,11 +391,11 @@ def fit_dictionary(points: List[Tuple[Tuple[int, int, int], Tuple[int, int, int]
     """
 
     def solve(rows: List[Tuple[Fraction, ...]], rhs: List[Fraction], cols: int) -> List[Fraction]:
-        solver = span_solver(SparseMatrix.from_rows([dict(enumerate(r)) for r in rows], cols))
-        sol = solver.solve({i: Fraction(v) for i, v in enumerate(rhs)})
+        rank, coords = span_solver(SparseMatrix.from_rows([dict(enumerate(r)) for r in rows], cols))
+        sol = coords({i: Fraction(v) for i, v in enumerate(rhs)})
         if sol is None:
             raise ValueError("inconsistent grading data: no exact affine fit")
-        if solver.rank < cols:
+        if rank < cols:
             raise ValueError("underdetermined grading data")
         return [sol.get(j, Fraction(0)) for j in range(cols)]
 

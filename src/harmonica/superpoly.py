@@ -491,19 +491,16 @@ def monomial_pair_weight(m: Monomial) -> int:
     return w
 
 
-def pairing(f: Polynomial, g: Polynomial, extended: bool = False) -> Fraction:
+def pairing(f: Polynomial, g: Polynomial) -> Fraction:
     """<f, g> = f with variables replaced by derivatives, applied to g, at 0.
 
-    Defined on the even part; the monomial basis is orthogonal with weight
-    prod(e!) over all exponents.  With extended=True the odd generators are
-    declared orthonormal (th_i paired with its annihilator), which is used
-    only for duality checks on hook-type components.
+    Defined on the even part, where the monomial basis is orthogonal with
+    weight prod(e!) over all exponents; odd input raises ValueError.
     """
     f._check(g)
-    if not extended:
-        for m in list(f.terms) + list(g.terms):
-            if m.odd:
-                raise ValueError("pairing defined on odd-degree-zero input; pass extended=True")
+    for m in list(f.terms) + list(g.terms):
+        if m.odd:
+            raise ValueError("pairing defined on odd-degree-zero input")
     total = Fraction(0)
     for m, c in f.terms.items():
         d = g.terms.get(m)

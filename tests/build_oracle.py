@@ -389,6 +389,7 @@ def hook_multiplicities(block: Block) -> List[int]:
     its word in the s_i through `transpose_adjacent`, Koszul signs included.
     """
     n = block.n
+    index = ambient_basis(n, block.deg)[1]
     per_da = [0] * n
     for word, weight, ext in _conjugacy_classes(n):
         chi = 0
@@ -397,7 +398,7 @@ def hook_multiplicities(block: Block) -> List[int]:
             for i in word:
                 mono, e = transpose_adjacent(mono, i)
                 sign *= e
-            col = block.index[mono]
+            col = index[mono]
             chi += sign * (1 if col == r else block.nf.get(col, {}).get(r, 0))
         for da in range(n):
             per_da[da] += weight * chi * ext[da]
@@ -431,11 +432,12 @@ def _sign_block(dr_block: Block, da: int) -> Block:
 
     # The im(1 + s_i) rows on the surviving classes.  The class of s_i on the
     # even part is shared by every odd index set.
+    index = ambient_basis(n, dr_block.deg)[1]
     for pos in range(k):
         mono = dr_block.monomials[dr_block.reps[pos]]
         for i in range(n - 1):
             image, sign = transpose_adjacent(mono, i)
-            cls = dr_block.class_of_vec({dr_block.index[image]: Fraction(sign)})
+            cls = dr_block.class_of_vec({index[image]: Fraction(sign)})
             for si, S in enumerate(thetasets):
                 image, sign = transpose_adjacent(Monomial(mono.xe, mono.ye, S), i)
                 spos = set_pos[image.odd]

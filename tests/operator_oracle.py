@@ -29,7 +29,10 @@ the image alone, to the same verdicts and the same witnesses, and
 
 `op_d_star` and `op_wedge_omega` are the only copies of d_N^* and of the
 wedge with omega_N, which no command builds; `test_superpoly.py` and
-`test_apply_op_differential.py` still apply them.
+`test_apply_op_differential.py` still apply them.  `extended_pairing` is
+`superpoly.pairing` as it was with `extended=True`, on odd input too; no
+command pairs odd polynomials, and `test_superpoly.py` holds d_N and d_N^*
+adjoint under it.
 
 `operator_span` is the operator-theorem suite's span as it was before it was
 closed in Janet order; `test_operators.py` (n = 2..4) and `test_tier2.py`
@@ -140,6 +143,18 @@ def op_d_star(n: int, N: int) -> DiffOperator:
             for i in range(n)
         ],
     )
+
+
+def extended_pairing(f: Polynomial, g: Polynomial) -> Fraction:
+    """`superpoly.pairing` with the odd generators declared orthonormal
+    (th_i paired with its annihilator)."""
+    f._check(g)
+    total = Fraction(0)
+    for m, c in f.terms.items():
+        d = g.terms.get(m)
+        if d:
+            total += c * d * superpoly.monomial_pair_weight(m)
+    return total
 
 
 def op_wedge_omega(n: int, N: int) -> DiffOperator:

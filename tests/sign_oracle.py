@@ -22,6 +22,7 @@ from harmonica.spaces import (
     Block,
     GradedSubspace,
     QuotientSpace,
+    ambient_basis,
     poly_to_vec,
     vec_to_poly,
 )
@@ -48,12 +49,13 @@ def sym(p: Polynomial) -> Polynomial:
 def _alt_class_vec(block: Block, mono: Monomial) -> Vec:
     """Class (over rep positions) of the sign-projection of a monomial."""
     n = block.n
+    index = ambient_basis(n, block.deg)[1]
     out: Vec = {}
     for sigma in permutations(range(n)):
         image = act(sigma, Polynomial.monomial(mono))
         ((m, c),) = image.terms.items()
         sgn = perm_sign(sigma)
-        vec = block.class_of_vec({block.index[m]: c})
+        vec = block.class_of_vec({index[m]: c})
         vec_add_scaled(out, Fraction(sgn, factorial(n)), vec)
     return {k: v for k, v in out.items() if v != 0}
 
@@ -138,6 +140,7 @@ def _build_hook_block(n: int, dr_block: Block, da: int) -> Block:
 
     # Sign projector rows on the surviving classes.
     fact = factorial(n)
+    index = ambient_basis(n, dr_block.deg)[1]
     for si, S in enumerate(thetasets):
         for pos in range(k):
             mono = dr_block.monomials[dr_block.reps[pos]]
@@ -147,7 +150,7 @@ def _build_hook_block(n: int, dr_block: Block, da: int) -> Block:
                 image = act(sigma, Polynomial.monomial(full_mono))
                 ((m, c),) = image.terms.items()
                 even = Monomial(m.xe, m.ye, ())
-                vec = dr_block.class_of_vec({dr_block.index[even]: c})
+                vec = dr_block.class_of_vec({index[even]: c})
                 spos = set_pos[m.odd]
                 for p2, v in vec.items():
                     kk = mini_index[(spos, p2)]

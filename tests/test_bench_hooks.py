@@ -123,9 +123,9 @@ def test_block_builds_hand_the_kernel_int_rows(monkeypatch, build):
     inserted = []
     insert = spaces.RrefAccumulator.insert
 
-    def recording_insert(self, vec, tag=None):
+    def recording_insert(self, vec):
         inserted.append(vec)
-        return insert(self, vec, tag)
+        return insert(self, vec)
 
     def no_fraction_adds(*args):
         raise AssertionError("vec_add_scaled called during a block build")

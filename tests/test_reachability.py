@@ -40,7 +40,6 @@ ALLOWLIST = {
     "superpoly.pairing": HARNESS,
     "linalg.membership": HARNESS,
     "spaces.clear_registry": "the reset that `perfbench/workloads.py` and the tests call between builds",
-    "spaces.Block.index": "a block's column index, read by `tests/sign_oracle.py` and `tests/build_oracle.py`",
     "superpoly.Polynomial.zero": CONSTRUCTOR + "; called by `alt`",
     "superpoly.Polynomial.scale": CONSTRUCTOR + "; called by `alt`",
     "superpoly.Polynomial.odd_var": CONSTRUCTOR,

@@ -1,10 +1,11 @@
 """The benchmark's reference outputs, checked byte for byte in tier 1.
 
 `perfbench/reference.json` holds the stdout of `compute --n 4` for the hook
-and harmonic spaces, the sha256 of `export --n 4`, and the digests of three
-n = 5 coinvariant blocks; `perfbench/workloads.py` says how a block is
-digested.  Both files are read here, not changed.  Each run starts from an
-empty registry, as a fresh process would.
+and harmonic spaces, the sha256 of `export --n 4`, the digests of three
+n = 5 coinvariant blocks, and the checks `verify --suite all` must pass at
+n = 2, 3, 4; `perfbench/workloads.py` says how a block is digested.  Both
+files are read here, not changed.  Each run starts from an empty registry,
+as a fresh process would.
 """
 
 import importlib
@@ -51,3 +52,12 @@ def test_export_n4_matches_the_reference(capsys):
 def test_n5_block_matches_the_reference(a, b):
     blk = getattr(spaces, workloads.BLOCK_BUILDER)(5, a, b)
     assert workloads.block_digest(blk.reps, blk.nf) == REFERENCE["blocks"][f"{a},{b}"]
+
+
+@pytest.mark.parametrize("n", sorted(REFERENCE["verify"]))
+def test_verify_all_passes_every_reference_check(n, capsys):
+    report = json.loads(_stdout(["verify", "--n", n, "--suite", "all"], capsys))
+    status = {c["name"]: c["status"] for c in report["checks"]}
+    assert report["overall"] == "pass"
+    assert {name: status.get(name, "missing") for name in REFERENCE["verify"][n]} == \
+        dict.fromkeys(REFERENCE["verify"][n], "pass")

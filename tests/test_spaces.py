@@ -183,9 +183,9 @@ class TestBlockBuild:
         keys = []
         insert = spaces.RrefAccumulator.insert
 
-        def recording_insert(self, vec, tag=None):
+        def recording_insert(self, vec):
             keys.append((-min(vec), len(vec)))
-            return insert(self, vec, tag)
+            return insert(self, vec)
 
         monkeypatch.setattr(spaces.RrefAccumulator, "insert", recording_insert)
         try:
