@@ -49,19 +49,16 @@ def _cached(build, args):
 
 
 # compute kind -> what it builds from the `spaces` module `s`: a space, or for
-# the two ideal quotients only a series, which is reported without a per-a line.
+# the six ideal kinds a series of tower ranks (`spaces.ideal_series`).  The
+# two ideal quotients are reported without a per-a line.
 _COMPUTE = {
     "drn": lambda s, args: _cached(s.coinvariants, args),
     "drn-sign": lambda s, args: s.sign_component(_cached(s.coinvariants, args)),
     "hook": lambda s, args: _cached(s.hook_component, args),
     "dh": lambda s, args: _cached(s.harmonics, args),
     "dh-sign": lambda s, args: s.sign_component(_cached(s.harmonics, args)),
-    "j": lambda s, args: s.antisymmetric_ideal(args.n, "J"),
-    "mj": lambda s, args: s.antisymmetric_ideal(args.n, "mJ"),
-    "jbar": lambda s, args: s.antisymmetric_ideal(args.n, "Jbar"),
-    "mjbar": lambda s, args: s.antisymmetric_ideal(args.n, "mJbar"),
-    "j-quotient": lambda s, args: s.ideal_quotient_series(args.n, reduced=False),
-    "jbar-quotient": lambda s, args: s.ideal_quotient_series(args.n, reduced=True),
+    **dict.fromkeys(("j", "mj", "jbar", "mjbar", "j-quotient", "jbar-quotient"),
+                    lambda s, args: s.ideal_series(args.n, args.space)),
 }
 SPACE_KINDS = tuple(_COMPUTE)
 
@@ -70,13 +67,12 @@ def cmd_compute(args) -> int:
     from . import spaces
     spaces._check_cap(args.n, args.allow_large)  # every kind, before anything is built
     built = _COMPUTE[args.space](spaces, args)
-    is_space = not isinstance(built, spaces.HilbertSeries)
-    series = built.hilbert() if is_space else built
+    series = built if isinstance(built, spaces.HilbertSeries) else built.hilbert()
     lines = [f"space: {args.space} (n={args.n})",
              f"hilbert: {series.render()}",
              f"total: {series.total()}"]
     per_a = series.per_a()
-    if is_space and (len(per_a) > 1 or (per_a and 0 not in per_a)):
+    if args.space not in ("j-quotient", "jbar-quotient") and (len(per_a) > 1 or (per_a and 0 not in per_a)):
         lines.append("per-a: " + ",".join(str(per_a.get(a, 0)) for a in range(max(per_a) + 1)))
     _emit("\n".join(lines) + "\n", args.out)
     return 0

@@ -331,9 +331,9 @@ class RrefAccumulator:
         return SparseMatrix.from_rows(self._rref().values(), cols)
 
 
-def _span(vecs) -> RrefAccumulator:
-    """An accumulator holding `vecs`, inserted in order."""
-    acc = RrefAccumulator()
+def _span(vecs, acc: Optional[RrefAccumulator] = None) -> RrefAccumulator:
+    """`acc`, a new accumulator by default, with `vecs` inserted in order."""
+    acc = RrefAccumulator() if acc is None else acc
     for v in vecs:
         acc.insert(v)
     return acc

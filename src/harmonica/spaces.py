@@ -947,9 +947,6 @@ def hook_component(n: int, allow_large: bool = False, cache_dir=None) -> Quotien
 # Ideals generated by antisymmetric elements
 # ---------------------------------------------------------------------------
 
-_IDEAL_FLAVORS = ("J", "mJ", "Jbar", "mJbar")
-
-
 @lru_cache(maxsize=None)
 def _shift_columns(n: int, deg: TriDegree, var: str) -> List[List[int]]:
     """Per i, for each column m of deg, the column of x_i m (var "xe") or
@@ -995,8 +992,8 @@ class _IdealTower:
     Copy, then extend: mJ at a degree is the span of the x_i- and y_i-shifts
     of the J rows one degree down, and J there is a copy of mJ extended by
     the signed orbit sums, so no row already in echelon form is inserted
-    again.  The reduced series extends a copy of mJ by the omega_0 rows in
-    the same way.  Shifts and omega_0 rows are built from `int_rows()`: a
+    again.  `ideal_series` extends a copy of mJ by the omega_0 rows in the
+    same way.  Shifts and omega_0 rows are built from `int_rows()`: a
     row's scale does not change the span.  Each is read column by column off
     a map built once per degree (`_shift_columns`, `_wedge_omega0_columns`),
     with no monomial built per row.
@@ -1044,9 +1041,7 @@ class _IdealTower:
                 for da in range(n + 1):
                     deg = TriDegree(dx, dy, da)
                     self.mJ[deg] = _span(self._shift_candidates(deg))
-                    self.J[deg] = self.mJ[deg].copy()
-                    for vec in _signed_orbit_sums(n, deg):
-                        self.J[deg].insert(vec)
+                    self.J[deg] = _span(_signed_orbit_sums(n, deg), self.mJ[deg].copy())
             self.max_total = total
 
 
@@ -1065,63 +1060,58 @@ def default_ideal_degree_cap(n: int) -> int:
 
 
 def antisymmetric_ideal(n: int, flavor: str, max_total: Optional[int] = None) -> GradedSubspace:
-    """Per-degree bases for the ideal generated by antisymmetric elements.
-
-    Flavors: "J" (the ideal), "mJ" (its product with the maximal ideal),
-    "Jbar" (a complement of omega_0 ^ J inside J, realizing the reduced
-    ideal degreewise), "mJbar" (the image of mJ in that reduction, realized
-    as a complement of omega_0 ^ J inside mJ + omega_0 ^ J).
+    """Per-degree echelon bases of "J", the ideal generated by antisymmetric
+    elements, or of "mJ", its product with the maximal ideal, up to total
+    degree max_total: the vectors the operator-theorem suite's preservation
+    checks read.  Dimensions come from `ideal_series`.
     """
-    if flavor not in _IDEAL_FLAVORS:
-        raise ValueError(f"flavor must be one of {_IDEAL_FLAVORS}")
+    if flavor not in ("J", "mJ"):
+        raise ValueError('flavor must be "J" or "mJ"')
     if n < 2:
         raise ValueError("n >= 2 required")
     if max_total is None:
         max_total = default_ideal_degree_cap(n)
     tower = _ideal_tower(n, max_total)
-    pieces: Dict[TriDegree, List[Vec]] = {}
-    if flavor in ("J", "mJ"):
-        accs = tower.J if flavor == "J" else tower.mJ
-        for deg in tower.degrees(max_total):
-            if accs[deg].rank:
-                pieces[deg] = accs[deg].row_vectors()
-        return GradedSubspace(n, flavor, pieces, degree_cap=max_total)
-    for deg in tower.degrees(max_total):
-        acc = _span(tower.omega_rows(deg))
-        vecs: List[Vec] = []
-        source = tower.J[deg] if flavor == "Jbar" else tower.mJ[deg]
-        for row in source.row_vectors():
-            residual = acc.reduce(row)
-            if residual:
-                acc.insert(row)
-                vecs.append(residual)
-        if vecs:
-            pieces[deg] = _span(vecs).row_vectors()
+    accs = tower.J if flavor == "J" else tower.mJ
+    pieces = {deg: accs[deg].row_vectors() for deg in tower.degrees(max_total)}
     return GradedSubspace(n, flavor, pieces, degree_cap=max_total)
 
 
-def ideal_quotient_series(n: int, reduced: bool, max_total: Optional[int] = None) -> HilbertSeries:
-    """Graded dimensions of J/mJ (reduced=False) or of the omega_0-reduced
-    quotient Jbar/mJbar (reduced=True)."""
-    if max_total is None:
-        max_total = default_ideal_degree_cap(n)
+_IDEAL_KINDS = ("j", "mj", "jbar", "mjbar", "j-quotient", "jbar-quotient")
+
+
+def ideal_series(n: int, kind: str) -> HilbertSeries:
+    """Graded dimensions of one ideal `compute` kind up to the default
+    degree cap, each a difference of ranks in the tower.  With
+    W = rank(omega_0 ^ J) and V = rank(mJ + omega_0 ^ J) at a degree:
+    "j" is J, "mj" is mJ, "jbar" (J reduced by omega_0) is J - W, since
+    omega_0 is invariant and commutes with the x, y shifts, so
+    omega_0 ^ J lies in J; "mjbar" (the image of mJ there) is V - W,
+    "j-quotient" (J/mJ) is J - mJ at odd degree 0, and "jbar-quotient"
+    (Jbar/mJbar) is J - V.
+    """
+    if kind not in _IDEAL_KINDS:
+        raise ValueError(f"kind must be one of {_IDEAL_KINDS}")
+    max_total = default_ideal_degree_cap(n)
     tower = _ideal_tower(n, max_total)
     dims: Dict[TriDegree, int] = {}
     for deg in tower.degrees(max_total):
-        accj = tower.J[deg]
-        if not reduced:
-            if deg.da == 0:
-                d = accj.rank - tower.mJ[deg].rank
-                if d:
-                    dims[deg] = d
+        J, mJ = tower.J[deg].rank, tower.mJ[deg].rank
+        if kind in ("j", "mj", "j-quotient"):
+            dims[deg] = {"j": J, "mj": mJ, "j-quotient": J - mJ if deg.da == 0 else 0}[kind]
             continue
-        acc = tower.mJ[deg].copy()
-        for row in tower.omega_rows(deg):
-            acc.insert(row)
-        d = accj.rank - acc.rank
-        if d:
-            dims[deg] = d
+        rows = tower.omega_rows(deg)
+        W = _span(rows).rank if kind != "jbar-quotient" else 0
+        V = _span(rows, tower.mJ[deg].copy()).rank if kind != "jbar" else 0
+        dims[deg] = {"jbar": J - W, "mjbar": V - W, "jbar-quotient": J - V}[kind]
     return HilbertSeries(dims)
+
+
+def ideal_quotient_series(n: int, reduced: bool) -> HilbertSeries:
+    """Graded dimensions of J/mJ (reduced=False) or of the omega_0-reduced
+    quotient Jbar/mJbar (reduced=True): `ideal_series` of "j-quotient" or
+    "jbar-quotient"."""
+    return ideal_series(n, "jbar-quotient" if reduced else "j-quotient")
 
 
 def clear_registry():

@@ -99,6 +99,77 @@ def test_compute_n2_stdout(kind, capsys):
     assert capsys.readouterr().out == f"space: {kind} (n=2)\n" + COMPUTE_N2[kind]
 
 
+# `compute --n 3` stdout of the six ideal kinds, recorded while `j`, `mj`,
+# `jbar` and `mjbar` still counted the rows of built subspaces, before every
+# ideal dimension became a difference of tower ranks.
+COMPUTE_N3 = {
+    "j": "hilbert: 6*q^5 + 19*q^4*t + 3*q^4 + 28*q^3*t^2 + 10*q^3*t + q^3 + 28*q^2*t^3"
+         " + 13*q^2*t^2 + 4*q^2*t + 19*q*t^4 + 10*q*t^3 + 4*q*t^2 + q*t + 6*t^5"
+         " + 3*t^4 + t^3 + 31*a*q^5 + 80*a*q^4*t + 19*a*q^4 + 113*a*q^3*t^2"
+         " + 47*a*q^3*t + 10*a*q^3 + 113*a*q^2*t^3 + 59*a*q^2*t^2 + 23*a*q^2*t"
+         " + 4*a*q^2 + 80*a*q*t^4 + 47*a*q*t^3 + 23*a*q*t^2 + 8*a*q*t + a*q + 31*a*t^5"
+         " + 19*a*t^4 + 10*a*t^3 + 4*a*t^2 + a*t + 46*a^2*q^5 + 106*a^2*q^4*t"
+         " + 31*a^2*q^4 + 145*a^2*q^3*t^2 + 67*a^2*q^3*t + 19*a^2*q^3"
+         " + 145*a^2*q^2*t^3 + 82*a^2*q^2*t^2 + 37*a^2*q^2*t + 10*a^2*q^2"
+         " + 106*a^2*q*t^4 + 67*a^2*q*t^3 + 37*a^2*q*t^2 + 16*a^2*q*t + 4*a^2*q"
+         " + 46*a^2*t^5 + 31*a^2*t^4 + 19*a^2*t^3 + 10*a^2*t^2 + 4*a^2*t + a^2"
+         " + 21*a^3*q^5 + 45*a^3*q^4*t + 15*a^3*q^4 + 60*a^3*q^3*t^2 + 30*a^3*q^3*t"
+         " + 10*a^3*q^3 + 60*a^3*q^2*t^3 + 36*a^3*q^2*t^2 + 18*a^3*q^2*t + 6*a^3*q^2"
+         " + 45*a^3*q*t^4 + 30*a^3*q*t^3 + 18*a^3*q*t^2 + 9*a^3*q*t + 3*a^3*q"
+         " + 21*a^3*t^5 + 15*a^3*t^4 + 10*a^3*t^3 + 6*a^3*t^2 + 3*a^3*t"
+         " + a^3\ntotal: 2370\nper-a: 156,723,1029,462\n",
+    "mj": "hilbert: 6*q^5 + 19*q^4*t + 3*q^4 + 28*q^3*t^2 + 10*q^3*t + 28*q^2*t^3"
+          " + 13*q^2*t^2 + 3*q^2*t + 19*q*t^4 + 10*q*t^3 + 3*q*t^2 + 6*t^5 + 3*t^4"
+          " + 31*a*q^5 + 80*a*q^4*t + 19*a*q^4 + 113*a*q^3*t^2 + 47*a*q^3*t + 9*a*q^3"
+          " + 113*a*q^2*t^3 + 59*a*q^2*t^2 + 22*a*q^2*t + 3*a*q^2 + 80*a*q*t^4"
+          " + 47*a*q*t^3 + 22*a*q*t^2 + 6*a*q*t + 31*a*t^5 + 19*a*t^4 + 9*a*t^3"
+          " + 3*a*t^2 + 46*a^2*q^5 + 106*a^2*q^4*t + 31*a^2*q^4 + 145*a^2*q^3*t^2"
+          " + 67*a^2*q^3*t + 19*a^2*q^3 + 145*a^2*q^2*t^3 + 82*a^2*q^2*t^2"
+          " + 37*a^2*q^2*t + 9*a^2*q^2 + 106*a^2*q*t^4 + 67*a^2*q*t^3 + 37*a^2*q*t^2"
+          " + 15*a^2*q*t + 3*a^2*q + 46*a^2*t^5 + 31*a^2*t^4 + 19*a^2*t^3 + 9*a^2*t^2"
+          " + 3*a^2*t + 21*a^3*q^5 + 45*a^3*q^4*t + 15*a^3*q^4 + 60*a^3*q^3*t^2"
+          " + 30*a^3*q^3*t + 10*a^3*q^3 + 60*a^3*q^2*t^3 + 36*a^3*q^2*t^2"
+          " + 18*a^3*q^2*t + 6*a^3*q^2 + 45*a^3*q*t^4 + 30*a^3*q*t^3 + 18*a^3*q*t^2"
+          " + 9*a^3*q*t + 3*a^3*q + 21*a^3*t^5 + 15*a^3*t^4 + 10*a^3*t^3 + 6*a^3*t^2"
+          " + 3*a^3*t\ntotal: 2348\nper-a: 151,713,1023,461\n",
+    "jbar": "hilbert: 6*q^5 + 19*q^4*t + 3*q^4 + 28*q^3*t^2 + 10*q^3*t + q^3 + 28*q^2*t^3"
+            " + 13*q^2*t^2 + 4*q^2*t + 19*q*t^4 + 10*q*t^3 + 4*q*t^2 + q*t + 6*t^5"
+            " + 3*t^4 + t^3 + 25*a*q^5 + 61*a*q^4*t + 16*a*q^4 + 85*a*q^3*t^2"
+            " + 37*a*q^3*t + 9*a*q^3 + 85*a*q^2*t^3 + 46*a*q^2*t^2 + 19*a*q^2*t + 4*a*q^2"
+            " + 61*a*q*t^4 + 37*a*q*t^3 + 19*a*q*t^2 + 7*a*q*t + a*q + 25*a*t^5"
+            " + 16*a*t^4 + 9*a*t^3 + 4*a*t^2 + a*t + 21*a^2*q^5 + 45*a^2*q^4*t"
+            " + 15*a^2*q^4 + 60*a^2*q^3*t^2 + 30*a^2*q^3*t + 10*a^2*q^3 + 60*a^2*q^2*t^3"
+            " + 36*a^2*q^2*t^2 + 18*a^2*q^2*t + 6*a^2*q^2 + 45*a^2*q*t^4 + 30*a^2*q*t^3"
+            " + 18*a^2*q*t^2 + 9*a^2*q*t + 3*a^2*q + 21*a^2*t^5 + 15*a^2*t^4 + 10*a^2*t^3"
+            " + 6*a^2*t^2 + 3*a^2*t + a^2\ntotal: 1185\nper-a: 156,567,462\n",
+    "mjbar": "hilbert: 6*q^5 + 19*q^4*t + 3*q^4 + 28*q^3*t^2 + 10*q^3*t + 28*q^2*t^3"
+             " + 13*q^2*t^2 + 3*q^2*t + 19*q*t^4 + 10*q*t^3 + 3*q*t^2 + 6*t^5 + 3*t^4"
+             " + 25*a*q^5 + 61*a*q^4*t + 16*a*q^4 + 85*a*q^3*t^2 + 37*a*q^3*t + 9*a*q^3"
+             " + 85*a*q^2*t^3 + 46*a*q^2*t^2 + 19*a*q^2*t + 3*a*q^2 + 61*a*q*t^4"
+             " + 37*a*q*t^3 + 19*a*q*t^2 + 6*a*q*t + 25*a*t^5 + 16*a*t^4 + 9*a*t^3"
+             " + 3*a*t^2 + 21*a^2*q^5 + 45*a^2*q^4*t + 15*a^2*q^4 + 60*a^2*q^3*t^2"
+             " + 30*a^2*q^3*t + 10*a^2*q^3 + 60*a^2*q^2*t^3 + 36*a^2*q^2*t^2"
+             " + 18*a^2*q^2*t + 6*a^2*q^2 + 45*a^2*q*t^4 + 30*a^2*q*t^3 + 18*a^2*q*t^2"
+             " + 9*a^2*q*t + 3*a^2*q + 21*a^2*t^5 + 15*a^2*t^4 + 10*a^2*t^3 + 6*a^2*t^2"
+             " + 3*a^2*t\ntotal: 1174\nper-a: 151,562,461\n",
+    "j-quotient": "hilbert: q^3 + q^2*t + q*t^2 + q*t + t^3\ntotal: 5\n",
+    "jbar-quotient": "hilbert: q^3 + q^2*t + q*t^2 + q*t + t^3 + a*q^2 + a*q*t + a*q + a*t^2 + a*t"
+                     " + a^2\ntotal: 11\n",
+}
+
+
+@pytest.mark.parametrize("kind", COMPUTE_N3)
+def test_compute_n3_ideal_stdout(kind, capsys):
+    from harmonica.spaces import clear_registry
+
+    clear_registry()
+    try:
+        assert main(["compute", "--n", "3", "--space", kind]) == 0
+    finally:
+        clear_registry()
+    assert capsys.readouterr().out == f"space: {kind} (n=3)\n" + COMPUTE_N3[kind]
+
+
 class TestExitCodes:
     def test_cap_refusal_is_exit_3(self):
         res = run("compute", "--n", "5", "--space", "drn")

@@ -414,6 +414,22 @@ class TestAntisymmetricIdeals:
         for n in (2, 3):
             assert ideal_quotient_series(n, reduced=True) == hook_component(n).hilbert()
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_omega_wedge_j_lies_in_j(self, n):
+        # `ideal_series` reads jbar as rank J - rank(omega_0 ^ J), which holds
+        # only if omega_0 ^ J lies in J at every degree the tower builds.
+        cap = default_ideal_degree_cap(n)
+        antisymmetric_ideal(n, "J")
+        tower = spaces._workspace(n).tower
+        for deg in tower.degrees(cap):
+            J = tower.J[deg]
+            assert _span(tower.omega_rows(deg), J.copy()).rank == J.rank, deg
+
+    @pytest.mark.parametrize("flavor", ["Jbar", "mJbar"])
+    def test_only_j_and_mj_have_bases(self, flavor):
+        with pytest.raises(ValueError):
+            antisymmetric_ideal(2, flavor)
+
     def test_mj_inside_j(self):
         J = antisymmetric_ideal(2, "J")
         mJ = antisymmetric_ideal(2, "mJ")

@@ -97,6 +97,36 @@ def test_n4_ideal_quotients_have_the_sign_and_the_hook_series():
         spaces.clear_registry()
 
 
+# Runs argv and reports the child's peak RSS (kB) by os.wait4 as the last
+# stderr line.  A forked child's ru_maxrss includes the RSS of the process it
+# was forked from, so the measured command must be the child of this small
+# launcher, not of the test process.
+_RSS_LAUNCHER = """
+import os, subprocess, sys
+child = subprocess.Popen(sys.argv[1:], stdout=subprocess.PIPE)
+out = child.stdout.read()
+_, status, usage = os.wait4(child.pid, 0)
+sys.stdout.buffer.write(out)
+print(usage.ru_maxrss, file=sys.stderr)
+sys.exit(os.waitstatus_to_exitcode(status))
+"""
+
+
+@pytest.mark.tier2
+def test_n4_j_compute_in_a_fresh_process():
+    # `compute --n 4 --space j` reads J's ranks off the tower: about 45 s and
+    # 0.43 GB peak RSS on a 2-core machine, against about 60 s and 1.29 GB
+    # when it turned J's 98,530 RREF rows into Fractions to count them.
+    res = subprocess.run(
+        [sys.executable, "-c", _RSS_LAUNCHER,
+         sys.executable, "-m", "harmonica.cli", "compute", "--n", "4", "--space", "j"],
+        capture_output=True, text=True,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[2:] == ["total: 98530", "per-a: 1871,13868,34524,35397,12870"]
+    peak_mb = int(res.stderr.splitlines()[-1]) / 1024
+    assert peak_mb <= 700, f"{peak_mb:.0f} MB"
+
 @pytest.mark.tier2
 def test_n5_hook_blocks_match_the_character_first_build():
     # The orbit build from n alone (about 6 s) against the build over the

@@ -12,7 +12,7 @@ from harmonica.spaces import (
     coinvariants,
     harmonics,
     hook_component,
-    ideal_quotient_series,
+    ideal_series,
 )
 
 
@@ -72,9 +72,8 @@ def test_failed_certificate_raises_on_every_call(fresh):
 
 
 def test_lower_cap_is_served_from_the_built_tower(fresh, monkeypatch):
-    flavors = ("J", "mJ", "Jbar", "mJbar")
-    low = {f: antisymmetric_ideal(3, f, max_total=3) for f in flavors}
-    series = {r: ideal_quotient_series(3, reduced=r, max_total=3) for r in (False, True)}
+    low = {f: antisymmetric_ideal(3, f, max_total=3) for f in ("J", "mJ")}
+    series = {kind: ideal_series(3, kind) for kind in spaces._IDEAL_KINDS}
     clear_registry()
     assert antisymmetric_ideal(3, "J").degree_cap == 5
     tower = spaces._WORKSPACES[3].tower
@@ -84,11 +83,11 @@ def test_lower_cap_is_served_from_the_built_tower(fresh, monkeypatch):
         raise AssertionError("the tower was extended")
 
     monkeypatch.setattr(spaces._IdealTower, "_build", refuse)
-    for f in flavors:
+    for f in ("J", "mJ"):
         served = antisymmetric_ideal(3, f, max_total=3)
         assert served.pieces == low[f].pieces and served.degree_cap == 3
-    for r in (False, True):
-        assert ideal_quotient_series(3, reduced=r, max_total=3) == series[r]
+    for kind in spaces._IDEAL_KINDS:
+        assert ideal_series(3, kind) == series[kind]
     assert list(tower.J) == degrees
 
 
