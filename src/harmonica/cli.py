@@ -53,7 +53,7 @@ def _cached(build, args):
 # two ideal quotients are reported without a per-a line.
 _COMPUTE = {
     "drn": lambda s, args: _cached(s.coinvariants, args),
-    "drn-sign": lambda s, args: s.sign_component(_cached(s.coinvariants, args)),
+    "drn-sign": lambda s, args: s.drn_sign(args.n),
     "hook": lambda s, args: _cached(s.hook_component, args),
     "dh": lambda s, args: _cached(s.harmonics, args),
     "dh-sign": lambda s, args: s.sign_component(_cached(s.harmonics, args)),

@@ -36,8 +36,7 @@ from .superpoly import (
     Monomial,
     Polynomial,
     TriDegree,
-    _diagonal,
-    _diagonal_sum,
+    _unit_exp,
     apply_op,
     op_E,
     op_E_star,
@@ -169,7 +168,7 @@ def _transpose_term(term, i: int):
     mult, _ = transpose_adjacent(mult, i)
     deriv, _ = transpose_adjacent(Monomial(dx, dy, odd_ann), i)
     # Koszul signs are dropped: equivariance checks are restricted to terms
-    # with at most one odd factor in total.
+    # with at most one odd annihilator, and multipliers are even.
     return (coeff, mult, deriv.xe, deriv.ye, deriv.odd)
 
 
@@ -177,9 +176,8 @@ def _is_equivariant(spec: OperatorSpec) -> bool:
     """Syntactic check: the term list is stable under index relabeling (by
     the adjacent transpositions, which generate S_n)."""
     ops = spec.diff_operator().ops
-    for term in ops:
-        if len(term.mult.odd) + len(term.odd_ann) > 1:
-            return False
+    if any(len(term.odd_ann) > 1 for term in ops):
+        return False
     base = sorted(ops)
     for i in range(spec.n - 1):
         if sorted(_transpose_term(t, i) for t in ops) != base:
@@ -188,10 +186,10 @@ def _is_equivariant(spec: OperatorSpec) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _diagonal_poly(n: int, **exps) -> Polynomial:
-    """sum_i x_i^x y_i^y th_i^th: p_{x,y}, or the odd Euler element for th=1;
-    built once per (n, exponents), as every certificate at n reads them."""
-    return apply_op(_diagonal_sum(n, _diagonal(**exps)), Polynomial.one(n))
+def _diagonal_poly(n: int, x: int = 0, y: int = 0, th: int = 0) -> Polynomial:
+    """sum_i x_i^x y_i^y th_i^th, not constant: p_{x,y}, or the odd Euler
+    element for th=1; built once per (n, exponents) for every certificate."""
+    return Polynomial(n, {Monomial(_unit_exp(n, i, x), _unit_exp(n, i, y), (i,) * th): 1 for i in range(n)})
 
 
 def _structural_certificate(spec: OperatorSpec, space: QuotientSpace) -> Optional[Polynomial]:

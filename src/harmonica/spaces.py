@@ -41,11 +41,11 @@ A coinvariant block's candidate rows are the mixed generators p_{c,d}
 times rep (x) rep monomials only (single-family reps of degrees a-c and
 b-d), since the image of the mixed ideal in the product quotient is a
 module over it.  They are all built first and then inserted right to
-left, by (leading column descending, nnz), stopping at full rank
-(`_insert_right_to_left`, as for the hook blocks).  The order leaves the
-RREF unchanged.  A row whose leading column lies left of every stored
-pivot back-reduces nothing, so the stored rows mostly skip the transient
-fill-in of long entries that a sparsest-first order builds up.
+left, by (leading column descending, nnz) (`_insert_right_to_left`, as for
+the hook blocks).  The order leaves the RREF unchanged.  A row whose
+leading column lies left of every stored pivot back-reduces nothing, so
+the stored rows mostly skip the transient fill-in of long entries that a
+sparsest-first order builds up.
 
 The composite still yields the canonical reduced echelon form over the full
 monomial basis: every stage pivots on the leading surviving column, so the
@@ -115,17 +115,12 @@ def poly_to_vec(p: Polynomial, deg: TriDegree) -> Vec:
     return vec
 
 
-def _insert_right_to_left(rows, full: int) -> RrefAccumulator:
+def _insert_right_to_left(rows) -> RrefAccumulator:
     """An accumulator of the nonzero candidate rows, inserted by (leading
-    column descending, nnz) until its rank is `full`: the RREF does not
-    depend on the order, and a row whose leading column lies left of every
-    stored pivot back-reduces nothing, since no stored row has an entry there."""
-    acc = RrefAccumulator()
-    for row in sorted(filter(None, rows), key=lambda row: (-min(row), len(row))):
-        if acc.rank == full:
-            break
-        acc.insert(row)
-    return acc
+    column descending, nnz): the RREF does not depend on the order, and a
+    row whose leading column lies left of every stored pivot back-reduces
+    nothing, since no stored row has an entry there."""
+    return _span(sorted(filter(None, rows), key=lambda row: (-min(row), len(row))))
 
 
 def _classes(acc: RrefAccumulator, size: int) -> Tuple[int, List[dict]]:
@@ -477,7 +472,7 @@ class _Workspace:
         # by `coinvariants` and `harmonics`.
         self.even_blocks: Dict[Tuple[int, int], Block] = {}
         # The nonzero hook blocks of each odd degree: read by `hook_component`
-        # and, for odd degree 0, by `sign_component` of the coinvariants.
+        # and, for odd degree 0, by `drn_sign`.
         self.hook_slices: Dict[int, Dict[TriDegree, Block]] = {}
         self.tower = _IdealTower(n)  # extended upward on demand
 
@@ -597,7 +592,7 @@ def _build_even_block(n: int, a: int, b: int) -> Block:
                 for xvec, yvec in zip(xs, ys):
                     add_tensor(row, xvec, yvec)
                 rows.append(row)
-    acc = _insert_right_to_left(rows, len(mini_cols))
+    acc = _insert_right_to_left(rows)
 
     L, classes = _classes(acc, len(mini_cols))
     pivots = set(acc.pivots())
@@ -825,7 +820,7 @@ def _orbit_block(n: int, deg: TriDegree) -> Optional[Block]:
     if deg.da:
         rows += [row((sign, Monomial(w.xe, w.ye, S)) for sign, S in _wedge_omega0(n, w.odd))
                  for w in _orbit_reps(n, TriDegree(deg.dx, deg.dy, deg.da - 1))]
-    acc = _insert_right_to_left(rows, len(reps))
+    acc = _insert_right_to_left(rows)
     if acc.rank == len(reps):
         return None
 
@@ -888,23 +883,27 @@ def _hook_slice(n: int, da: int) -> Dict[TriDegree, Block]:
     return store[da]
 
 
+def drn_sign(n: int) -> QuotientSpace:
+    """The sign part of `drn`, the hook's odd degree 0, built with no coinvariant block."""
+    return QuotientSpace(n, "drn-sign", _hook_slice(n, 0))
+
+
 def sign_component(space):
     """Sign-isotypic part: quotient presentation or alt-image subspace.
 
-    The sign part of `drn` is the hook's odd degree 0 (`_hook_slice`), built
-    from n alone, so the blocks of a cache-loaded `drn` are never read; the
-    hook is its own sign part.  For a GradedSubspace it is the span of the
-    sign projections of the basis vectors, computed orbit by orbit.
+    Of the quotients only `drn` is accepted: its sign part is `drn_sign`,
+    so the blocks of `space` are never read.  For a GradedSubspace it is the
+    span of the sign projections of the basis vectors, computed orbit by
+    orbit.
     """
     return space.memoised(("sign",), lambda: _build_sign_component(space))
 
 
 def _build_sign_component(space):
     if isinstance(space, QuotientSpace):
-        if space.kind not in ("drn", "hook"):
+        if space.kind != "drn":
             raise ValueError(f"no sign component is built for a {space.kind} quotient")
-        blocks = _hook_slice(space.n, 0) if space.kind == "drn" else space.blocks
-        return QuotientSpace(space.n, space.kind + "-sign", blocks)
+        return drn_sign(space.n)
     pieces: Dict[TriDegree, List[Vec]] = {}
     for deg in space.support():
         orbits = _signed_orbit_sums(space.n, deg)
@@ -931,8 +930,8 @@ def hook_component(n: int, allow_large: bool = False, cache_dir=None) -> Quotien
     """Sign part of (reduced odd exterior algebra) tensor the coinvariants,
     the odd degree the third grading, built from n alone (`_hook_slice`),
     so `verify`'s "hook per-a dimensions" holds by construction.  Its odd
-    degree 0 blocks are the very `Block`s of `sign_component` of the
-    coinvariants, built once for both."""
+    degree 0 blocks are the very `Block`s of `drn_sign`, built once for
+    both."""
 
     def build() -> QuotientSpace:
         blocks: Dict[TriDegree, Block] = {}
@@ -1059,18 +1058,16 @@ def default_ideal_degree_cap(n: int) -> int:
     return n * (n - 1) // 2 + 2
 
 
-def antisymmetric_ideal(n: int, flavor: str, max_total: Optional[int] = None) -> GradedSubspace:
+def antisymmetric_ideal(n: int, flavor: str, max_total: int) -> GradedSubspace:
     """Per-degree echelon bases of "J", the ideal generated by antisymmetric
     elements, or of "mJ", its product with the maximal ideal, up to total
-    degree max_total: the vectors the operator-theorem suite's preservation
-    checks read.  Dimensions come from `ideal_series`.
+    degree max_total, which has no default: the vectors the operator-theorem
+    suite's preservation checks read, at its cap.  Ranks: `ideal_series`.
     """
     if flavor not in ("J", "mJ"):
         raise ValueError('flavor must be "J" or "mJ"')
     if n < 2:
         raise ValueError("n >= 2 required")
-    if max_total is None:
-        max_total = default_ideal_degree_cap(n)
     tower = _ideal_tower(n, max_total)
     accs = tower.J if flavor == "J" else tower.mJ
     pieces = {deg: accs[deg].row_vectors() for deg in tower.degrees(max_total)}

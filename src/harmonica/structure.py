@@ -383,11 +383,11 @@ class GradingDictionary(NamedTuple):
         return int(q), int(a), int(t)
 
 
-def fit_dictionary(points: List[Tuple[Tuple[int, int, int], Tuple[int, int, int]]]) -> Tuple[GradingDictionary, Fraction]:
+def fit_dictionary(points: List[Tuple[Tuple[int, int, int], Tuple[int, int, int]]]) -> GradingDictionary:
     """Exact affine fit of a dictionary to (degree, (Q, A, T)) pairs.
 
-    Returns the dictionary and the fit residual (always exactly 0 on
-    success); inconsistent data raises ValueError.
+    Each coordinate is solved exactly, so the dictionary maps every point to
+    its (Q, A, T); inconsistent or underdetermined data raises ValueError.
     """
 
     def solve(rows: List[Tuple[Fraction, ...]], rhs: List[Fraction], cols: int) -> List[Fraction]:
@@ -410,14 +410,7 @@ def fit_dictionary(points: List[Tuple[Tuple[int, int, int], Tuple[int, int, int]
     q1, q2, q0 = solve(qrows, qrhs, 3)
     t1, t2, t0 = solve(trows, trhs, 3)
     a1, a0 = solve(arows, arhs, 2)
-    fitted = GradingDictionary(q1, q2, q0, t1, t2, t0, a1, a0)
-    residual = Fraction(0)
-    for (deg, (Q, A, T)) in points:
-        mq, ma, mt = fitted.map(deg)
-        residual += abs(mq - Q) + abs(ma - A) + abs(mt - T)
-    if residual:
-        raise ValueError("nonzero fit residual")
-    return fitted, residual
+    return GradingDictionary(q1, q2, q0, t1, t2, t0, a1, a0)
 
 
 def export_homology(space: QuotientSpace, dictionary: Optional[GradingDictionary] = None) -> dict:

@@ -4,8 +4,8 @@ Monomials carry two exponent vectors and a strictly increasing tuple of odd
 (exterior) indices; the product of odd generators anticommutes, so every
 product picks up the usual Koszul sign.  S_n acts by permuting the x, y and
 odd variables simultaneously.  First-order super differential operators are
-kept as formal sums of (coefficient, multiplication word, derivation word)
-terms with derivations to the right of multiplications.  Every operator
+kept as formal sums of (coefficient, even multiplication word, derivation
+word) terms with derivations to the right of multiplications.  Every operator
 family (F_k, E_k and their adjoints, d_N and the Hamiltonian vector fields)
 is a sum over i of one diagonal term c x_i^a y_i^b (d/dx_i)^p (d/dy_i)^q
 (d/dth_i)^f, two for the vector fields, and is built by `_diagonal_sum`.
@@ -283,7 +283,7 @@ def alt(p: Polynomial) -> Polynomial:
 
 class OpTerm(NamedTuple):
     coeff: Fraction
-    mult: Monomial  # multiplied in from the left
+    mult: Monomial  # multiplied in from the left; even
     dx: tuple  # orders of d/dx_i
     dy: tuple  # orders of d/dy_i
     odd_ann: tuple  # odd annihilators, increasing; the last one acts first
@@ -297,8 +297,7 @@ class _CompiledTerm(NamedTuple):
     coeff: int  # the term's coefficient times its operator's `den`
     deriv: tuple  # (i, k) for each nonzero derivative order k, d/dx then d/dy
     odd_ann: tuple  # odd annihilators in the order they act
-    mult_even: tuple  # (i, e) for each nonzero even exponent of the multiplier
-    mult_odd: tuple  # the multiplier's odd indices
+    mult: tuple  # (i, e) for each nonzero exponent of the multiplier
 
 
 def _nonzero(exps: tuple) -> tuple:
@@ -309,9 +308,10 @@ class DiffOperator:
     """Formal sum of first-order-style super differential operator terms.
 
     Each term is canonical with all derivations to the right of the
-    multiplication word, i.e. a term acts as f -> coeff * mult * (deriv f).
-    The terms are compiled once, here, into `compiled`: every coefficient
-    becomes an integer over `den`, the lcm of the term denominators.
+    multiplication word, i.e. a term acts as f -> coeff * mult * (deriv f),
+    with mult even (an odd index raises ValueError).  The terms are compiled
+    once, here, into `compiled`: every coefficient becomes an integer over
+    `den`, the lcm of the term denominators.
     """
 
     __slots__ = ("n", "ops", "den", "compiled")
@@ -319,11 +319,13 @@ class DiffOperator:
     def __init__(self, n: int, ops: Iterable[OpTerm]):
         self.n = n
         self.ops = tuple(op for op in ops if op.coeff != 0)
+        if any(t.mult.odd for t in self.ops):
+            raise ValueError("an operator term's multiplier must be even")
         coeffs = [Fraction(t.coeff) for t in self.ops]
         self.den = lcm(*(c.denominator for c in coeffs))
         self.compiled = tuple(
             _CompiledTerm(c.numerator * (self.den // c.denominator), _nonzero(t.dx + t.dy),
-                          t.odd_ann[::-1], _nonzero(t.mult.xe + t.mult.ye), t.mult.odd)
+                          t.odd_ann[::-1], _nonzero(t.mult.xe + t.mult.ye))
             for c, t in zip(coeffs, self.ops)
         )
 
@@ -332,7 +334,8 @@ class DiffOperator:
 
 
 def apply_op(op: DiffOperator, p: Polynomial) -> Polynomial:
-    """Apply a differential operator; Q-linear in p.
+    """Apply a differential operator; Q-linear in p.  Multipliers are even,
+    so only the odd annihilators give Koszul signs.
 
     p is written once over the lcm of its denominators, and the images are
     summed in ints, term by term of the operator and monomial by monomial
@@ -346,11 +349,11 @@ def apply_op(op: DiffOperator, p: Polynomial) -> Polynomial:
     ints = [(m.xe + m.ye, m.odd, c.numerator * (den // c.denominator)) for m, c in p.terms.items()]
     acc: dict = {}
     get = acc.get
-    for coeff, deriv, odd_ann, mult_even, mult_odd in op.compiled:
+    for coeff, deriv, odd_ann, mult in op.compiled:
         for even, odd, u in ints:
             # c stays nonzero unless the term kills the monomial: 0 marks a dead image.
             c = coeff * u
-            if deriv or mult_even:
+            if deriv or mult:
                 even = list(even)
                 for i, k in deriv:
                     e = even[i]
@@ -359,7 +362,7 @@ def apply_op(op: DiffOperator, p: Polynomial) -> Polynomial:
                         break
                     c *= perm(e, k)
                     even[i] = e - k
-                for i, e in mult_even:
+                for i, e in mult:
                     even[i] += e
                 even = tuple(even)
             if c and odd_ann:
@@ -373,16 +376,6 @@ def apply_op(op: DiffOperator, p: Polynomial) -> Polynomial:
                         c = -c
                     del odd[pos]
                 odd = tuple(odd)
-            if c and mult_odd:
-                # Koszul sign of the multiplier's odd factors moved into place.
-                for s in mult_odd:
-                    if s in odd:
-                        c = 0
-                        break
-                    for t in odd:
-                        if s > t:
-                            c = -c
-                odd = tuple(sorted(mult_odd + odd))
             if not c:
                 continue
             out = Monomial(even[:n], even[n:], odd)
@@ -399,10 +392,10 @@ def _unit_exp(n: int, i: int, k: int = 1) -> tuple:
     return tuple(k if j == i else 0 for j in range(n))
 
 
-def _diagonal(c=1, x=0, y=0, th=0, dx=0, dy=0, dth=0) -> tuple:
-    """The term c x_i^x y_i^y th_i^th (d/dx_i)^dx (d/dy_i)^dy (d/dth_i)^dth,
-    i left open, as `_diagonal_sum` takes it."""
-    return (c, x, y, th, dx, dy, dth)
+def _diagonal(c=1, x=0, y=0, dx=0, dy=0, dth=0) -> tuple:
+    """The term c x_i^x y_i^y (d/dx_i)^dx (d/dy_i)^dy (d/dth_i)^dth, i left
+    open, as `_diagonal_sum` takes it."""
+    return (c, x, y, dx, dy, dth)
 
 
 def _diagonal_sum(n: int, *terms: tuple) -> DiffOperator:
@@ -410,10 +403,10 @@ def _diagonal_sum(n: int, *terms: tuple) -> DiffOperator:
     return DiffOperator(
         n,
         [
-            OpTerm(Fraction(c), Monomial(_unit_exp(n, i, x), _unit_exp(n, i, y), (i,) * th),
+            OpTerm(Fraction(c), Monomial(_unit_exp(n, i, x), _unit_exp(n, i, y), ()),
                    _unit_exp(n, i, dx), _unit_exp(n, i, dy), (i,) * dth)
             for i in range(n)
-            for (c, x, y, th, dx, dy, dth) in terms
+            for (c, x, y, dx, dy, dth) in terms
         ],
     )
 
@@ -476,7 +469,7 @@ def tridegree_shift(op: DiffOperator) -> tuple:
     """The (dx, dy, da) an operator adds to a tridegree: its first term's
     multiplier degree minus derivative orders, the same for every term."""
     t = op.ops[0]
-    return (sum(t.mult.xe) - sum(t.dx), sum(t.mult.ye) - sum(t.dy), len(t.mult.odd) - len(t.odd_ann))
+    return (sum(t.mult.xe) - sum(t.dx), sum(t.mult.ye) - sum(t.dy), -len(t.odd_ann))
 
 
 # -- pairing ----------------------------------------------------------------

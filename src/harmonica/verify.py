@@ -30,10 +30,12 @@ from .operators import (
 )
 from .spaces import (
     GradedSubspace,
+    _check_cap,
     _power_sum_generators,
     ambient_basis,
     antisymmetric_ideal,
     coinvariants,
+    drn_sign,
     harmonics,
     hook_component,
     ideal_quotient_series,
@@ -176,8 +178,6 @@ def suite_duality(n: int, allow_large=False, cache_dir=None) -> List[CheckResult
         budget = 400  # pairings per degree; exhaustive for small n
         for deg in sorted(dr.blocks):
             block = dr.blocks[deg]
-            if not dh.basis(deg):
-                continue
             # `pairing` on column vectors scaled to ints (a positive scale keeps
             # zero zero), each harmonic carrying the pair weight of its columns.
             weight = [monomial_pair_weight(m) for m in ambient_basis(n, deg)[0]]
@@ -530,7 +530,7 @@ def suite_oracle_catalan(n: int, allow_large=False, cache_dir=None) -> List[Chec
            lambda: _eq("series", {(b, a): v for (a, b), v in series.items()}, series))
     _check(out, "oracle specializes to the path count",
            lambda: _eq("total", sum(series.values()), catalan_number(n)))
-    sgn = sign_component(coinvariants(n, allow_large=allow_large, cache_dir=cache_dir))
+    sgn = drn_sign(n)
     _check(out, "oracle equals the sign-component series",
            lambda: _eq("series", render_qt(series), sgn.hilbert().render()))
     return out
@@ -563,10 +563,7 @@ def suite_figure1(n: int, allow_large=False, cache_dir=None) -> List[CheckResult
         for g in table["generators"]:
             by_point[(g["Q"], g["A"], g["T"])] = tuple(g["degree"])
         pts = [(by_point[p], p) for p in FIGURE1_POINTS]
-        fitted, residual = fit_dictionary(pts)
-        if residual != 0:
-            return f"residual {residual}"
-        if fitted != GradingDictionary.default_for(3):
+        if fit_dictionary(pts) != dic:
             return "fitted dictionary differs from the default"
         return None
 
@@ -623,14 +620,16 @@ def run_suite(n: int, suite: str, allow_large: bool = False, cache_dir=None) -> 
     `dh` and `hook` spaces the suites use are loaded from and saved to
     `cache_dir` when it is given.  A build whose closed-form check fails
     (`ArithmeticError`) ends its suite with one failing check, the exception
-    its witness; the other suites still run."""
-    if suite == "all":
-        return _run_all(n, allow_large, cache_dir)
-    if suite not in _SUITE_FNS:
+    its witness; the other suites still run.  An n past the cap raises
+    `ResourceCapExceeded` before any suite work."""
+    if suite != "all" and suite not in _SUITE_FNS:
         raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)} or 'all'")
     domain = _SUITE_DOMAINS.get(suite, (n,))
     if n not in domain:
         raise ValueError(f"the {suite} suite is defined for n = {', '.join(map(str, domain))}")
+    _check_cap(n, allow_large)
+    if suite == "all":
+        return _run_all(n, allow_large, cache_dir)
     try:
         return _SUITE_FNS[suite](n, allow_large=allow_large, cache_dir=cache_dir)
     except ArithmeticError as exc:

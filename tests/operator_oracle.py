@@ -28,8 +28,10 @@ the image alone, to the same verdicts and the same witnesses, and
 `test_operators.py` holds the row-by-row check to its F*/E* witnesses.
 
 `op_d_star` and `op_wedge_omega` are the only copies of d_N^* and of the
-wedge with omega_N, which no command builds; `test_superpoly.py` and
-`test_apply_op_differential.py` still apply them.  `extended_pairing` is
+wedge with omega_N, which no command builds.  Their multipliers are odd,
+which a library `DiffOperator` refuses, so they return an `OddOperator`,
+which only `apply_op` below reads; `test_superpoly.py` still applies them.
+`extended_pairing` is
 `superpoly.pairing` as it was with `extended=True`, on odd input too; no
 command pairs odd polynomials, and `test_superpoly.py` holds d_N and d_N^*
 adjoint under it.
@@ -43,7 +45,7 @@ for both `span_families`.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from harmonica import superpoly
 from harmonica.linalg import RrefAccumulator
@@ -132,11 +134,18 @@ def op_d(n: int, N: int) -> DiffOperator:
     )
 
 
-def op_d_star(n: int, N: int) -> DiffOperator:
+class OddOperator(NamedTuple):
+    """An operator with odd multipliers, as `apply_op` below reads it."""
+
+    n: int
+    ops: list
+
+
+def op_d_star(n: int, N: int) -> OddOperator:
     """d_N^* = sum_i th_i (d/dx_i)^N; odd, shifts tridegree by (-N, 0, +1)."""
     if N < 0:
         raise ValueError("N must be >= 0")
-    return DiffOperator(
+    return OddOperator(
         n,
         [
             OpTerm(Fraction(1), Monomial(_zero_exp(n), _zero_exp(n), (i,)), _unit_exp(n, i, N), _zero_exp(n), ())
@@ -157,11 +166,11 @@ def extended_pairing(f: Polynomial, g: Polynomial) -> Fraction:
     return total
 
 
-def op_wedge_omega(n: int, N: int) -> DiffOperator:
+def op_wedge_omega(n: int, N: int) -> OddOperator:
     """Left wedge with sum_i x_i^N th_i; shifts tridegree by (+N, 0, +1)."""
     if N < 0:
         raise ValueError("N must be >= 0")
-    return DiffOperator(
+    return OddOperator(
         n,
         [
             OpTerm(Fraction(1), Monomial(_unit_exp(n, i, N), _zero_exp(n), (i,)), _zero_exp(n), _zero_exp(n), ())

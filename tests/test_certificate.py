@@ -81,6 +81,24 @@ def test_a_non_invariant_image_fails_even_when_called_equivariant(mult_xs, fresh
         assert operator_oracle.check_preserves(spec, hook_component(3)) == (True, None)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_certificate_generators_are_the_multiplication_operators_applied_to_one(n):
+    # The generators were built as the multiplication by sum_i x_i^a y_i^b th_i^th
+    # applied to 1; the odd Euler element (th = 1) needs an odd multiplier,
+    # which only the oracle's operators still carry.
+    def unit(i, k):
+        return tuple(k if j == i else 0 for j in range(n))
+
+    exps = [dict(x=a, y=b) for a, b in spaces._power_sum_generators(n)] + [dict(th=1)]
+    for e in exps:
+        x, y, th = e.get("x", 0), e.get("y", 0), e.get("th", 0)
+        mult = operator_oracle.OddOperator(n, [
+            OpTerm(Fraction(1), Monomial(unit(i, x), unit(i, y), (i,) * th), unit(i, 0), unit(i, 0), ())
+            for i in range(n)])
+        want = operator_oracle.apply_op(mult, Polynomial.one(n))
+        assert list(operators._diagonal_poly(n, **e).terms.items()) == list(want.terms.items())
+
+
 def test_cache_loaded_spaces_are_certified_without_a_coinvariant_block(tmp_path, fresh, monkeypatch, capsys):
     assert main(["export", "--n", "3", "--cache-dir", str(tmp_path)]) == 0
     cold = capsys.readouterr().out

@@ -46,6 +46,22 @@ class TestCompute:
         second = run("compute", "--n", "2", "--space", "drn", "--cache-dir", str(tmp_path), check=True)
         assert first.stdout == second.stdout
 
+    def test_drn_sign_builds_no_coinvariant_block(self, tmp_path, monkeypatch, capsys):
+        from harmonica import spaces
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a coinvariant block was built")
+
+        spaces.clear_registry()
+        monkeypatch.setattr(spaces, "_build_even_block", refuse)
+        try:
+            assert main(["compute", "--n", "3", "--space", "drn-sign", "--cache-dir", str(tmp_path)]) == 0
+        finally:
+            spaces.clear_registry()
+        assert capsys.readouterr().out == (
+            "space: drn-sign (n=3)\nhilbert: q^3 + q^2*t + q*t^2 + q*t + t^3\ntotal: 5\n")
+        assert not list(tmp_path.iterdir())
+
     def test_env_cache_dir(self, tmp_path):
         import os
 
@@ -195,6 +211,27 @@ class TestExitCodes:
         assert main(["compute", "--n", str(n), "--space", space]) == 3
         assert "resource refusal" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("suite", ["oracle-catalan", "all"])
+    @pytest.mark.parametrize("n,flags", [(5, []), (6, ["--allow-large"]), (12, []), (13, [])])
+    def test_verify_refuses_an_n_past_the_cap_before_any_suite_work(self, suite, n, flags,
+                                                                    monkeypatch, capsys):
+        # As `compute` does; the oracle suite used to enumerate paths first, and
+        # at n = 13 its enumeration cap turned the refusal into a usage error.
+        from harmonica import verify
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("suite work started")
+
+        monkeypatch.setattr(verify, "_run_all", refuse)
+        monkeypatch.setattr(verify, "_SUITE_FNS", dict.fromkeys(verify._SUITE_FNS, refuse))
+        assert main(["verify", "--n", str(n), "--suite", suite, *flags]) == 3
+        assert "resource refusal" in capsys.readouterr().err
+
+    def test_a_usage_error_comes_before_the_cap(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "--n", "13", "--suite", "nonsense"])
+        assert info.value.code == 2 and "unknown suite 'nonsense'" in capsys.readouterr().err
+
     def test_unknown_suite_is_usage_error(self):
         from harmonica.verify import SUITES
 
@@ -319,7 +356,8 @@ class TestStartup:
     def test_compute_loads_no_verify_structure_or_operators(self, tmp_path, space):
         argv = ("compute", "--n", "3", "--space", space, "--cache-dir", str(tmp_path))
         cold = loaded_modules(*argv)
-        assert list(tmp_path.iterdir())
+        # The sign part of drn is built from n alone, with no drn to cache.
+        assert bool(list(tmp_path.iterdir())) == (space != "drn-sign")
         warm = loaded_modules(*argv)
         unused = {"harmonica.verify", "harmonica.structure", "harmonica.operators", "dataclasses",
                   *POOL_MODULES}

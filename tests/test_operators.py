@@ -117,7 +117,7 @@ class TestMatrixOf:
 
 class TestCheckPreserves:
     def test_e2_preserves_j_n2(self):
-        ok, witness = check_preserves(OperatorSpec.E(2, 2), antisymmetric_ideal(2, "J"))
+        ok, witness = check_preserves(OperatorSpec.E(2, 2), antisymmetric_ideal(2, "J", max_total=3))
         assert ok and witness is None
 
     def test_f1_preserves_mj_n3(self):
@@ -164,7 +164,7 @@ class TestCheckPreserves:
             assert not results[0].passed and results[0].witness.startswith("NotImplementedError: ")
         # A kind `_KINDS` does not declare (the wedge with omega_N is no longer
         # one) raises before its operator is read, whatever that operator is.
-        mult = Monomial((0, 0, 1), (0, 0, 0), (2,))
+        mult = Monomial((0, 0, 1), (0, 0, 0), ())
         op = DiffOperator(3, [OpTerm(Fraction(1), mult, (0, 0, 0), (0, 0, 0), ())])
         monkeypatch.setattr(OperatorSpec, "diff_operator", lambda self: op)
         with pytest.raises(NotImplementedError):

@@ -35,19 +35,11 @@ def test_drn_sign_matches_the_oracle(n):
     _assert_same_blocks(sign_component(dr).blocks, old._build_sign_component(dr).blocks)
 
 
-@pytest.mark.parametrize("n", [2, 3])
-def test_sign_of_the_hook_quotient_matches_the_oracle(n):
-    # Blocks with odd monomials: the Koszul signs enter the oracle's rows.
-    # The hook is sign-isotypic, so its sign part keeps its very blocks.
-    hook = hook_component(n)
-    sign = sign_component(hook)
-    _assert_same_blocks(sign.blocks, old._build_sign_component(hook).blocks)
-    assert all(sign.blocks[deg] is blk for deg, blk in hook.blocks.items())
-
-
 def test_no_sign_part_is_built_for_another_quotient():
-    with pytest.raises(ValueError, match="no sign component is built for a drn-sign quotient"):
-        sign_component(sign_component(coinvariants(2)))
+    # Only drn has a sign part; the hook is sign-isotypic already.
+    for space in (sign_component(coinvariants(2)), hook_component(2)):
+        with pytest.raises(ValueError, match=f"no sign component is built for a {space.kind} quotient"):
+            sign_component(space)
 
 
 @pytest.mark.parametrize("n", [2, 3])

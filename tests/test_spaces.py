@@ -208,13 +208,8 @@ class TestBlockBuild:
             "random": lambda rows: rng.sample(rows, len(rows)),
         }[order]
 
-        def insert_reordered(rows, full):
-            acc = RrefAccumulator()
-            for row in reorder([row for row in rows if row]):
-                if acc.rank == full:
-                    break
-                acc.insert(row)
-            return acc
+        def insert_reordered(rows):
+            return _span(reorder([row for row in rows if row]))
 
         def presentation(n):
             spaces.clear_registry()
@@ -401,7 +396,7 @@ class TestSignAndHook:
 
 class TestAntisymmetricIdeals:
     def test_lowest_antisymmetric_piece(self):
-        J = antisymmetric_ideal(2, "J")
+        J = antisymmetric_ideal(2, "J", max_total=1)
         polys = J.basis_polys(TriDegree(1, 0, 0))
         assert len(polys) == 1 and render(polys[0]) == "x1 - x2"
 
@@ -419,7 +414,7 @@ class TestAntisymmetricIdeals:
         # `ideal_series` reads jbar as rank J - rank(omega_0 ^ J), which holds
         # only if omega_0 ^ J lies in J at every degree the tower builds.
         cap = default_ideal_degree_cap(n)
-        antisymmetric_ideal(n, "J")
+        antisymmetric_ideal(n, "J", max_total=cap)
         tower = spaces._workspace(n).tower
         for deg in tower.degrees(cap):
             J = tower.J[deg]
@@ -428,11 +423,15 @@ class TestAntisymmetricIdeals:
     @pytest.mark.parametrize("flavor", ["Jbar", "mJbar"])
     def test_only_j_and_mj_have_bases(self, flavor):
         with pytest.raises(ValueError):
-            antisymmetric_ideal(2, flavor)
+            antisymmetric_ideal(2, flavor, max_total=3)
+
+    def test_the_degree_cap_is_required(self):
+        with pytest.raises(TypeError):
+            antisymmetric_ideal(2, "J")
 
     def test_mj_inside_j(self):
-        J = antisymmetric_ideal(2, "J")
-        mJ = antisymmetric_ideal(2, "mJ")
+        J = antisymmetric_ideal(2, "J", max_total=3)
+        mJ = antisymmetric_ideal(2, "mJ", max_total=3)
         for deg in mJ.support():
             for vec in mJ.basis(deg):
                 assert J.contains_vec(deg, vec)
@@ -475,7 +474,7 @@ class TestAntisymmetricIdeals:
     def test_naive_span_agrees(self):
         # J piece = span of m1 * alt(m2) over all splittings of the bidegree.
         n = 2
-        J = antisymmetric_ideal(n, "J")
+        J = antisymmetric_ideal(n, "J", max_total=2)
         deg = TriDegree(1, 1, 0)
         acc = RrefAccumulator()
         for dx1 in range(2):

@@ -169,8 +169,15 @@ class TestApply:
             assert lhs == P.x(n, i, k) * p
 
     def test_wedge_operator_is_left_multiplication(self):
-        w1 = apply_op(old.op_wedge_omega(2, 1), P.one(2))
+        w1 = old.apply_op(old.op_wedge_omega(2, 1), P.one(2))
         assert w1 == P.x(2, 0) * P.odd_var(2, 0) + P.x(2, 1) * P.odd_var(2, 1)
+
+    def test_an_odd_multiplier_is_refused(self):
+        # Every operator of the paper multiplies by even variables only.
+        for ops in (old.op_wedge_omega(2, 1).ops, old.op_d_star(3, 0).ops,
+                    [superpoly.OpTerm(Fraction(1), Monomial((1, 0), (0, 0), (1,)), (0, 0), (0, 0), (0,))]):
+            with pytest.raises(ValueError, match="multiplier must be even"):
+                superpoly.DiffOperator(len(ops[0].dx), ops)
 
     def test_family_members_are_scaled_vector_fields(self):
         # F_k = v(k+1, 0) / (k+1) and E_k = -v(0, k+1) / (k+1)
@@ -285,7 +292,7 @@ class TestPairing:
             g = rand_poly(rng, 2, odd=True)
             N = rng.randint(0, 2)
             lhs = old.extended_pairing(apply_op(op_d(2, N), f), g)
-            rhs = old.extended_pairing(f, apply_op(old.op_d_star(2, N), g))
+            rhs = old.extended_pairing(f, old.apply_op(old.op_d_star(2, N), g))
             assert lhs == rhs
 
 

@@ -75,7 +75,7 @@ def test_lower_cap_is_served_from_the_built_tower(fresh, monkeypatch):
     low = {f: antisymmetric_ideal(3, f, max_total=3) for f in ("J", "mJ")}
     series = {kind: ideal_series(3, kind) for kind in spaces._IDEAL_KINDS}
     clear_registry()
-    assert antisymmetric_ideal(3, "J").degree_cap == 5
+    assert antisymmetric_ideal(3, "J", max_total=5).degree_cap == 5
     tower = spaces._WORKSPACES[3].tower
     degrees = list(tower.J)
 
@@ -95,7 +95,7 @@ def test_clear_registry_leaves_nothing_behind(fresh):
     hook = hook_component(2)
     dr = coinvariants(2)
     sl2 = structure.model(hook)
-    antisymmetric_ideal(2, "J")
+    antisymmetric_ideal(2, "J", max_total=3)
     matrix_of(OperatorSpec.F(2, 1), hook, (0, 1, 0))
     clear_registry()
     assert spaces._WORKSPACES == {}
