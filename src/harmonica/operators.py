@@ -14,22 +14,26 @@ the offending element as a witness.
 An `OperatorSpec` kind is declared once, in `_KINDS`, with its label prefix
 and its `superpoly` constructor; a spec's tridegree shift is read off its
 operator by `tridegree_shift`, and the operator is built once per spec; the
-certificate generators are built once per n.  Matrices read classes and
-coordinates only through the space (`basis_polys`, `coords`, `is_zero_at`),
-so one loop serves quotients and graded subspaces alike; no image is
-computed where the space knows every class is zero.
+certificate generators are built once per n.  Matrices act on int column
+vectors (`spaces.column_map`) and read the space only through `basis`,
+`coords` of an image vector and `is_zero_at`, so one loop serves quotients
+and graded subspaces alike; no column map is built where the source piece
+has no basis or the space knows the target piece is zero.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Optional, Tuple
 
-from .linalg import SparseMatrix
+from .linalg import SparseMatrix, _scaled_ints
 from .spaces import (
     GradedSubspace,
     QuotientSpace,
     _power_sum_generators,
+    ambient_basis,
+    column_map,
 )
 from .superpoly import (
     DiffOperator,
@@ -271,19 +275,23 @@ def matrix_of(spec: OperatorSpec, space, deg) -> OperatorMatrix:
 
 def _matrix(spec: OperatorSpec, space, deg: TriDegree) -> OperatorMatrix:
     tdeg = spec.target_degree(deg)
-    D = spec.diff_operator()
-    basis = space.basis_polys(deg)
+    basis = space.basis(deg)
     data = {}
-    for j, poly in enumerate(() if space.is_zero_at(tdeg) else basis):
-        coords = space.coords(tdeg, apply_op(D, poly))
-        if coords is None:
-            raise WellDefinednessError(
-                f"{spec.label()} image of a {space.kind} basis vector at {deg} "
-                f"is not in the piece at {tdeg}",
-                poly,
-            )
-        for row, val in coords.items():
-            data[(row, j)] = val
+    if basis and not space.is_zero_at(tdeg):
+        D = spec.diff_operator()
+        image = column_map(D, deg)
+        for j, vec in enumerate(basis):
+            ints, scale = _scaled_ints(vec)
+            coords = space.coords(tdeg, image(ints))
+            if coords is None:
+                monos = ambient_basis(space.n, deg)[0]
+                raise WellDefinednessError(
+                    f"{spec.label()} image of a {space.kind} basis vector at {deg} "
+                    f"is not in the piece at {tdeg}",
+                    Polynomial(space.n, {monos[c]: v for c, v in vec.items()}),
+                )
+            for row, val in coords.items():
+                data[(row, j)] = Fraction(val, D.den * scale)
     return OperatorMatrix(deg, tdeg, SparseMatrix(space.dim(tdeg), len(basis), data))
 
 

@@ -69,13 +69,16 @@ from typing import Callable, Dict, List, Optional, Tuple
 from .dyck import hook_per_a
 from .linalg import RrefAccumulator, Vec, _span, _sub_multiple, vec_add_scaled
 from .superpoly import (
+    DiffOperator,
     Monomial,
     Polynomial,
     TriDegree,
     compositions,
     count_tridegree,
+    monomial_image,
     monomial_pair_weight,
     monomials_tridegree,
+    tridegree_shift,
 )
 
 DEFAULT_CAP = 4
@@ -154,9 +157,30 @@ def _fractions_over(den: int):
     return frac
 
 
-def vec_to_poly(vec: Vec, n: int, deg: TriDegree) -> Polynomial:
-    monos, _ = ambient_basis(n, deg)
-    return Polynomial(n, {monos[j]: c for j, c in vec.items()})
+def column_map(op: DiffOperator, deg: TriDegree) -> Callable[[dict], dict]:
+    """v -> op.den * op(v) on int column vectors, from the piece at deg to
+    the one op maps it to.  A column's image, its `monomial_image` summed
+    per target column, is built when a vector first meets the column, in a
+    table that lives as long as the map: one map per matrix or per span."""
+    monos, _ = ambient_basis(op.n, deg)
+    _, index = ambient_basis(op.n, TriDegree(*(a + b for a, b in zip(deg, tridegree_shift(op)))))
+    table: Dict[int, dict] = {}
+
+    def apply(vec: dict) -> dict:
+        out: dict = {}
+        get = out.get
+        for j, v in vec.items():
+            col = table.get(j)
+            if col is None:
+                col = table[j] = {}
+                for _, m, c in monomial_image(op, monos[j]):
+                    t = index[m]
+                    col[t] = col.get(t, 0) + c
+            for t, c in col.items():
+                out[t] = get(t, 0) + c * v
+        return {t: s for t, s in out.items() if s}
+
+    return apply
 
 
 # ---------------------------------------------------------------------------
@@ -316,15 +340,16 @@ class QuotientSpace(_Memoised):
     def support(self) -> List[TriDegree]:
         return sorted(d for d, b in self.blocks.items() if b.dim)
 
-    def basis_polys(self, deg) -> List[Polynomial]:
-        """The representative monomials of the piece at deg."""
+    def basis(self, deg) -> List[Vec]:
+        """The representative monomials of the piece at deg, as ambient int vectors."""
         block = self.block(deg)
-        return [block.rep_poly(pos) for pos in range(block.dim)] if block else []
+        return [{col: 1} for col in block.reps] if block else []
 
-    def coords(self, deg, p: Polynomial) -> Vec:
-        """Class of p over the rep positions of the piece at deg; {} off the support."""
+    def coords(self, deg, vec: Vec) -> Vec:
+        """Class of an ambient vector over the rep positions of the piece at
+        deg; {} off the support."""
         block = self.block(deg)
-        return block.class_of_vec(poly_to_vec(p, block.deg)) if block else {}
+        return block.class_of_vec(vec) if block else {}
 
     def is_zero_at(self, deg) -> bool:
         """Whether every class at deg is zero: no block, or an empty one."""
@@ -358,10 +383,6 @@ class GradedSubspace(_Memoised):
     def basis(self, deg) -> List[Vec]:
         return self.pieces.get(TriDegree(*deg), [])
 
-    def basis_polys(self, deg) -> List[Polynomial]:
-        deg = TriDegree(*deg)
-        return [vec_to_poly(v, self.n, deg) for v in self.basis(deg)]
-
     def dim(self, deg) -> int:
         return len(self.basis(deg))
 
@@ -383,25 +404,22 @@ class GradedSubspace(_Memoised):
 
         return self.memoised(("echelon", deg), build)
 
-    def coords(self, deg, p: Polynomial) -> Optional[Vec]:
-        """Coordinates of p over the echelon basis of the piece at deg, or
-        None when p lies outside the piece."""
-        if p.is_zero():
+    def coords(self, deg, vec: Vec) -> Optional[Vec]:
+        """Coordinates of an ambient vector over the echelon basis of the
+        piece at deg, or None when it lies outside the piece."""
+        if not vec:
             return {}
-        deg = TriDegree(*deg)
-        acc, position = self._echelon(deg)
-        residual, combo = acc.reduce_with_coeffs(poly_to_vec(p, deg))
+        acc, position = self._echelon(TriDegree(*deg))
+        residual, combo = acc.reduce_with_coeffs(vec)
         if residual:
             return None
         return {position[piv]: c for piv, c in combo.items()}
 
     def is_zero_at(self, deg) -> bool:
-        """Never: an image outside the subspace is nonzero there, and it is the
-        witness that the operator does not preserve the subspace."""
-        return False
-
-    def contains_vec(self, deg, vec: Vec) -> bool:
-        return not self._echelon(TriDegree(*deg))[0].reduce(vec)
+        """Only below degree 0, where the ambient piece is zero: elsewhere an
+        image outside the subspace is nonzero, and it is the witness that
+        the operator does not preserve the subspace."""
+        return min(deg) < 0
 
     def __repr__(self):
         return f"GradedSubspace({self.kind}, n={self.n}, dim={self.total_dim()})"

@@ -31,7 +31,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .linalg import SparseMatrix, Vec, kernel_basis, span_solver, vec_add_scaled
 from .operators import OperatorMatrix, OperatorSpec, compose, matrix_json, matrix_of
-from .spaces import QuotientSpace
+from .spaces import QuotientSpace, poly_to_vec
 from .superpoly import TriDegree, render, vandermonde
 
 
@@ -308,7 +308,7 @@ def cogeneration_search(space: QuotientSpace, f, deg) -> Certificate:
         raise ValueError("zero class has no cogeneration certificate")
 
     top = TriDegree(n * (n - 1) // 2, 0, 0)
-    delta_class = space.memoised(("top class",), lambda: space.coords(top, vandermonde("x", n)))
+    delta_class = space.memoised(("top class",), lambda: space.coords(top, poly_to_vec(vandermonde("x", n), top)))
     ((target_pos, target_val),) = delta_class.items()
 
     need_dx = top.dx - fdeg.dx
@@ -428,14 +428,14 @@ def export_homology(space: QuotientSpace, dictionary: Optional[GradingDictionary
             raise ValueError(f"dictionary is not injective on the support at {qat}")
         mapped[qat] = deg
         Q, A, T = qat
-        for p in space.basis_polys(deg):
+        for pos in range(space.dim(deg)):
             generators.append(
                 {
                     "Q": Q,
                     "A": A,
                     "T": T,
                     "degree": list(deg),
-                    "basis": render(p),
+                    "basis": render(space.blocks[deg].rep_poly(pos)),
                 }
             )
     generators.sort(key=lambda g: (g["A"], g["Q"], g["T"], g["degree"], g["basis"]))

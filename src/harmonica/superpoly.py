@@ -12,10 +12,12 @@ is a sum over i of one diagonal term c x_i^a y_i^b (d/dx_i)^p (d/dy_i)^q
 
 An operator compiles its terms once, when it is built: each coefficient
 becomes an integer over the lcm of the term denominators, and only the
-nonzero derivative orders and multiplier exponents are kept.  `apply_op`
-writes its input over one common denominator, sums the images in Python
-ints and builds one `Fraction` per term of the result; the result equals,
-term for term and in insertion order, the one-`Fraction`-at-a-time sum.
+nonzero derivative orders and multiplier exponents are kept.
+`monomial_image`, the one place an operator acts, gives a monomial's image
+term by term in ints; `spaces.column_map` applies it to int column vectors
+and `apply_op` to a `Polynomial`, in ints over one common denominator,
+equal term for term and in insertion order to the one-`Fraction`-at-a-time
+sum.
 
 The fixed monomial order is: odd index tuples compared lexicographically,
 then exponent vectors (x_1,..,x_n,y_1,..,y_n) compared lexicographically
@@ -190,9 +192,6 @@ class Polynomial:
     def __hash__(self):
         return hash((self.n, tuple(sorted(self.terms.items(), key=lambda t: t[0].sort_key()))))
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def _check(self, other: "Polynomial"):
         if self.n != other.n:
             raise ValueError(f"mixed variable counts {self.n} and {other.n}")
@@ -290,7 +289,7 @@ class OpTerm(NamedTuple):
 
 
 class _CompiledTerm(NamedTuple):
-    """An `OpTerm` as `apply_op` reads it: sparse, with an integer coefficient.
+    """An `OpTerm` as `monomial_image` reads it: sparse, with an integer coefficient.
 
     Even exponents are indexed as in xe + ye: x_i at i, y_i at n + i."""
 
@@ -333,9 +332,45 @@ class DiffOperator:
         return f"DiffOperator(n={self.n}, {len(self.ops)} terms)"
 
 
+def monomial_image(op: DiffOperator, m: Monomial) -> list:
+    """(t, monomial, c) for each compiled term t of op that does not kill m,
+    in term order: the term's image of m is c / op.den times the monomial,
+    c an int.  Multipliers are even, so only the odd annihilators give
+    Koszul signs."""
+    n = op.n
+    exps = m.xe + m.ye
+    out = []
+    for t, (c, deriv, odd_ann, mult) in enumerate(op.compiled):
+        for i, k in deriv:
+            if exps[i] < k:
+                break  # the derivative kills m
+        else:
+            even = list(exps)
+            for i, k in deriv:
+                c *= perm(even[i], k)
+                even[i] -= k
+            for i, e in mult:
+                even[i] += e
+            odd = m.odd
+            if odd_ann:
+                odd = list(odd)
+                for s in odd_ann:
+                    if s not in odd:
+                        c = 0
+                        break
+                    pos = odd.index(s)
+                    if pos & 1:
+                        c = -c
+                    del odd[pos]
+                odd = tuple(odd)
+            if c:
+                out.append((t, Monomial(tuple(even[:n]), tuple(even[n:]), odd), c))
+    return out
+
+
 def apply_op(op: DiffOperator, p: Polynomial) -> Polynomial:
-    """Apply a differential operator; Q-linear in p.  Multipliers are even,
-    so only the odd annihilators give Koszul signs.
+    """Apply a differential operator; Q-linear in p: `monomial_image` on a
+    `Polynomial`.
 
     p is written once over the lcm of its denominators, and the images are
     summed in ints, term by term of the operator and monomial by monomial
@@ -346,44 +381,19 @@ def apply_op(op: DiffOperator, p: Polynomial) -> Polynomial:
     if op.n != n:
         raise ValueError("mixed variable counts")
     den = lcm(*(c.denominator for c in p.terms.values()))
-    ints = [(m.xe + m.ye, m.odd, c.numerator * (den // c.denominator)) for m, c in p.terms.items()]
+    images = []
+    for m, v in p.terms.items():
+        u = v.numerator * (den // v.denominator)
+        images += [(t, out, c * u) for t, out, c in monomial_image(op, m)]
+    images.sort(key=lambda image: image[0])  # stable: within a term, p's monomials keep their order
     acc: dict = {}
     get = acc.get
-    for coeff, deriv, odd_ann, mult in op.compiled:
-        for even, odd, u in ints:
-            # c stays nonzero unless the term kills the monomial: 0 marks a dead image.
-            c = coeff * u
-            if deriv or mult:
-                even = list(even)
-                for i, k in deriv:
-                    e = even[i]
-                    if e < k:
-                        c = 0
-                        break
-                    c *= perm(e, k)
-                    even[i] = e - k
-                for i, e in mult:
-                    even[i] += e
-                even = tuple(even)
-            if c and odd_ann:
-                odd = list(odd)
-                for t in odd_ann:
-                    if t not in odd:
-                        c = 0
-                        break
-                    pos = odd.index(t)
-                    if pos & 1:
-                        c = -c
-                    del odd[pos]
-                odd = tuple(odd)
-            if not c:
-                continue
-            out = Monomial(even[:n], even[n:], odd)
-            total = get(out, 0) + c
-            if total:
-                acc[out] = total
-            else:
-                del acc[out]
+    for _, out, c in images:
+        total = get(out, 0) + c
+        if total:
+            acc[out] = total
+        else:
+            del acc[out]
     den *= op.den
     return Polynomial._from_clean(n, {m: Fraction(v, den) for m, v in acc.items()})
 

@@ -13,7 +13,7 @@ import os
 import time
 from fractions import Fraction
 from functools import partial
-from math import comb, perm
+from math import comb
 from typing import Callable, Dict, List, NamedTuple, Optional
 
 from . import __version__
@@ -35,13 +35,13 @@ from .spaces import (
     ambient_basis,
     antisymmetric_ideal,
     coinvariants,
+    column_map,
     drn_sign,
     harmonics,
     hook_component,
     ideal_quotient_series,
     poly_to_vec,
     sign_component,
-    vec_to_poly,
 )
 from .structure import (
     GradingDictionary,
@@ -53,10 +53,10 @@ from .structure import (
     model,
 )
 from .superpoly import (
-    Monomial,
     Polynomial,
     TriDegree,
-    apply_op,
+    _diagonal,
+    _diagonal_sum,
     monomial_pair_weight,
     op_F_star,
     op_partial_x,
@@ -154,15 +154,6 @@ def suite_dims(n: int, allow_large=False, cache_dir=None) -> List[CheckResult]:
     return out
 
 
-def _power_sum_images(m: Monomial, c: int, d: int, target: Dict[Monomial, int]) -> list:
-    """(target column, falling-factorial weight) of each term of
-    p_{c,d}(d/dx, d/dy) = sum_i d/dx_i^c d/dy_i^d that does not kill m."""
-    xe, ye = m.xe, m.ye
-    return [(target[Monomial(xe[:i] + (xe[i] - c,) + xe[i + 1:], ye[:i] + (ye[i] - d,) + ye[i + 1:], m.odd)],
-             perm(xe[i], c) * perm(ye[i], d))
-            for i in range(len(xe)) if xe[i] >= c and ye[i] >= d]
-
-
 def suite_duality(n: int, allow_large=False, cache_dir=None) -> List[CheckResult]:
     out: List[CheckResult] = []
     dr = coinvariants(n, allow_large=allow_large, cache_dir=cache_dir)
@@ -199,29 +190,23 @@ def suite_duality(n: int, allow_large=False, cache_dir=None) -> List[CheckResult
     _check(out, "relations pair to zero against harmonics", orthogonality)
 
     def killed_by_power_sums() -> Optional[str]:
+        # p_{c,d}(d/dx, d/dy) = sum_i d/dx_i^c d/dy_i^d
+        ops = {(c, d): _diagonal_sum(n, _diagonal(dx=c, dy=d)) for (c, d) in _power_sum_generators(n)}
         for deg in dh.support():
-            monos, _ = ambient_basis(n, deg)
             vecs = [_scaled_ints(vec)[0] for vec in dh.basis(deg)]
-            support = sorted({j for vec in vecs for j in vec})
-            for (c, d) in _power_sum_generators(n):
+            for (c, d), op in ops.items():
                 if c > deg.dx or d > deg.dy:
                     continue
-                _, target = ambient_basis(n, TriDegree(deg.dx - c, deg.dy - d, 0))
-                images = {j: _power_sum_images(monos[j], c, d, target) for j in support}
-                for vec in vecs:
-                    image: Dict[int, int] = {}
-                    for j, v in vec.items():
-                        for t, w in images[j]:
-                            image[t] = image.get(t, 0) + w * v
-                    if any(image.values()):
-                        return f"p_{{{c},{d}}}(d/dx, d/dy) is nonzero on a harmonic at {deg}"
+                image = column_map(op, deg)
+                if any(image(vec) for vec in vecs):
+                    return f"p_{{{c},{d}}}(d/dx, d/dy) is nonzero on a harmonic at {deg}"
         return None
 
     _check(out, "every harmonic is killed by every p_{c,d}(d/dx, d/dy), 1 <= c+d <= n", killed_by_power_sums)
     return out
 
 
-def _operator_span(n: int, seeds: List[Polynomial], operators) -> Dict[TriDegree, RrefAccumulator]:
+def _operator_span(seeds: List[Polynomial], operators) -> Dict[TriDegree, RrefAccumulator]:
     """The span of the seeds under the operators, as an RREF per tridegree.
 
     The operators must be homogeneous, commute and each lower dx, as
@@ -235,28 +220,32 @@ def _operator_span(n: int, seeds: List[Polynomial], operators) -> Dict[TriDegree
     target, so each product of operators is applied once, in one order, and
     each RREF is that of the closure under every operator.  A candidate is
     held as (class, source tridegree, source element) and made only when its
-    tridegree is reached; an independent element is held as its column
-    vector in ints, a scale of itself, until its last candidate is made.
+    tridegree is reached.  Every element is an int column vector, a scale of
+    itself: the seeds are written as such once, and a candidate is made by
+    the `column_map` of its operator and source tridegree, one map per pair,
+    kept while the candidates of that pair's target tridegree are made.
     """
     shifts = [tridegree_shift(D) for D in operators]
     pending: Dict[TriDegree, list] = {}  # tridegree -> [(class, source tridegree or None, vector)]
     for p in seeds:
         deg = p.tridegree()
-        pending.setdefault(deg, []).append((0, None, poly_to_vec(p, deg)))
+        pending.setdefault(deg, []).append((0, None, _scaled_ints(poly_to_vec(p, deg))[0]))
     spans: Dict[TriDegree, RrefAccumulator] = {}
     while pending:
         deg = max(pending)
         acc = RrefAccumulator()
+        maps = {}  # (class, source tridegree) -> column map into deg
         for k, src, vec in sorted(pending.pop(deg), key=lambda cand: cand[0]):
             if src is not None:  # operator k applied to an element of src
-                vec = poly_to_vec(apply_op(operators[k], vec_to_poly(vec, n, src)), deg)
+                if (k, src) not in maps:
+                    maps[(k, src)] = column_map(operators[k], src)
+                vec = maps[(k, src)](vec)
             if not vec or acc.insert(vec) is None:
                 continue
-            ints = _scaled_ints(vec)[0]
             for j in range(k, len(operators)):
                 target = TriDegree(*(a + b for a, b in zip(deg, shifts[j])))
                 if min(target) >= 0:
-                    pending.setdefault(target, []).append((j, deg, ints))
+                    pending.setdefault(target, []).append((j, deg, vec))
         if acc.rank:
             spans[deg] = acc
     return spans
@@ -276,14 +265,14 @@ def suite_operator_theorem(n: int, allow_large=False, cache_dir=None) -> List[Ch
     sign_ops = [op_F_star(n, k) for k in range(1, n)]
 
     def span_equals(space: GradedSubspace, operators, label: str) -> Optional[str]:
-        spans = _operator_span(n, [delta], operators)
+        spans = _operator_span([delta], operators)
         dims = {deg: acc.rank for deg, acc in spans.items() if acc.rank}
         expect = {deg: space.dim(deg) for deg in space.support()}
         if dims != expect:
             return f"{label}: span dims {sorted(dims.items())} != {sorted(expect.items())}"
         for deg, acc in spans.items():
             for row in acc.row_vectors():
-                if not space.contains_vec(deg, row):
+                if space.coords(deg, row) is None:
                     return f"{label}: span vector escapes the space at {deg}"
         return None
 
@@ -327,7 +316,7 @@ def suite_cogeneration(n: int, allow_large=False, cache_dir=None) -> List[CheckR
         deg = TriDegree(0, n * (n - 1) // 2, 0)
         for k in range(1, n + 1):
             om = matrix_of(OperatorSpec.E(n, k), hook, deg)
-            if om.matrix.mul_vec(hook.coords(deg, dy)):
+            if om.matrix.mul_vec(hook.coords(deg, poly_to_vec(dy, deg))):
                 return f"E{k} does not kill the lowest-weight class"
         return None
 
@@ -345,7 +334,8 @@ def suite_hamiltonian(n: int, allow_large=False, cache_dir=None) -> List[CheckRe
     out: List[CheckResult] = []
     hook = hook_component(n, allow_large=allow_large, cache_dir=cache_dir)
     F, E, v = partial(OperatorSpec.F, n), partial(OperatorSpec.E, n), partial(OperatorSpec.hamiltonian, n)
-    fields = [(a, b) for a in range(5) for b in range(5) if 2 <= a + b <= 4]
+    top = max(4, n)  # v(a, b) is nonzero on the hook for 2 <= a + b <= n
+    fields = [(a, b) for a in range(top + 1) for b in range(top + 1) if 2 <= a + b <= top]
     for (a, b) in fields:
         for (a2, b2) in fields:
             _check(out, f"[v({a},{b}), v({a2},{b2})] matches the structure constant",
@@ -397,8 +387,8 @@ def suite_phi(n: int, allow_large=False, cache_dir=None) -> List[CheckResult]:
     def delta_swap() -> Optional[str]:
         src = TriDegree(0, n * (n - 1) // 2, 0)
         tgt = TriDegree(n * (n - 1) // 2, 0, 0)
-        image = m.phi_block(src).mul_vec(m.space.coords(src, vandermonde("y", n)))
-        target = m.space.coords(tgt, vandermonde("x", n))
+        image = m.phi_block(src).mul_vec(m.space.coords(src, poly_to_vec(vandermonde("y", n), src)))
+        target = m.space.coords(tgt, poly_to_vec(vandermonde("x", n), tgt))
         if not image:
             return "image vanishes"
         ((p1, v1),) = image.items()

@@ -36,6 +36,11 @@ which only `apply_op` below reads; `test_superpoly.py` still applies them.
 command pairs odd polynomials, and `test_superpoly.py` holds d_N and d_N^*
 adjoint under it.
 
+`vec_to_poly` writes an ambient column vector as a `Polynomial`, which no
+command needs: operators act on the vectors themselves.  `matrix` is
+`operators._matrix` as it was when every basis vector went through
+`apply_op` as a `Polynomial`; `test_operators.py` holds `matrix_of` to it.
+
 `operator_span` is the operator-theorem suite's span as it was before it was
 closed in Janet order; `test_operators.py` (n = 2..4) and `test_tier2.py`
 (n = 5) hold `verify._operator_span` to the same RREF at every tridegree,
@@ -48,17 +53,24 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from harmonica import superpoly
-from harmonica.linalg import RrefAccumulator
-from harmonica.operators import _FIRST_ORDER_KINDS, OperatorSpec, _is_equivariant
-from harmonica.spaces import QuotientSpace, _even_block, _power_sum_generators, poly_to_vec, vec_to_poly
+from harmonica.linalg import RrefAccumulator, SparseMatrix
+from harmonica.operators import _FIRST_ORDER_KINDS, OperatorSpec, WellDefinednessError, _is_equivariant
+from harmonica.spaces import QuotientSpace, _even_block, _power_sum_generators, ambient_basis, poly_to_vec
 from harmonica.superpoly import (
     DiffOperator,
     Monomial,
     OpTerm,
     Polynomial,
+    TriDegree,
     monomial_mul,
     unit_monomial,
 )
+
+
+def vec_to_poly(vec: dict, n: int, deg: TriDegree) -> Polynomial:
+    """The polynomial of an ambient column vector at deg."""
+    monos, _ = ambient_basis(n, deg)
+    return Polynomial(n, {monos[j]: c for j, c in vec.items()})
 
 
 def _unit_exp(n: int, i: int, k: int = 1) -> tuple:
@@ -347,7 +359,7 @@ def _structural_certificate(spec: OperatorSpec, space: QuotientSpace) -> Optiona
     # Odd operators must respect the wedge relations of the odd Euler element.
     if "hook" in kind_parts and spec.kind == "d":
         g = apply_op(D, _omega0(n))
-        if not g.is_zero():
+        if g.terms:
             bad = _invariant_ideal_class_zero(n, g)
             if bad is not None:
                 return bad
@@ -361,7 +373,8 @@ def _exhaustive_certificate(spec: OperatorSpec, space: QuotientSpace) -> Optiona
         tdeg = spec.target_degree(deg)
         for _, row in space.blocks[deg].relation_rows():
             poly = vec_to_poly(row, spec.n, deg)
-            if space.coords(tdeg, apply_op(D, poly)):
+            image = apply_op(D, poly)
+            if image.terms and space.coords(tdeg, poly_to_vec(image, tdeg)):
                 return poly
     return None
 
@@ -374,6 +387,24 @@ def check_preserves(spec: OperatorSpec, space: QuotientSpace):
     except NotImplementedError:
         witness = _exhaustive_certificate(spec, space)
     return (witness is None), witness
+
+
+def matrix(spec: OperatorSpec, space, deg: TriDegree) -> SparseMatrix:
+    """The matrix of the operator from the piece at deg, each basis vector
+    (a rep monomial, or an echelon vector) applied as a polynomial; raises
+    `WellDefinednessError` with the basis polynomial whose image leaves a
+    subspace."""
+    tdeg = spec.target_degree(deg)
+    polys = [vec_to_poly(vec, space.n, deg) for vec in space.basis(deg)]
+    data = {}
+    for j, p in enumerate(polys):
+        image = apply_op(spec.diff_operator(), p)
+        coords = space.coords(tdeg, poly_to_vec(image, tdeg)) if image.terms else {}
+        if coords is None:
+            raise WellDefinednessError("image outside the subspace", p)
+        for row, val in coords.items():
+            data[(row, j)] = val
+    return SparseMatrix(space.dim(tdeg), len(polys), data)
 
 
 def operator_span(n: int, seeds, ops):
@@ -389,7 +420,7 @@ def operator_span(n: int, seeds, ops):
             continue
         for D in ops:
             image = superpoly.apply_op(D, p)
-            if not image.is_zero():
+            if image.terms:
                 queue.append(image)
     return spans
 

@@ -24,7 +24,6 @@ from harmonica.spaces import (
     QuotientSpace,
     ambient_basis,
     poly_to_vec,
-    vec_to_poly,
 )
 from harmonica.superpoly import (
     Monomial,
@@ -35,6 +34,8 @@ from harmonica.superpoly import (
     perm_sign,
     subsets_of_size,
 )
+
+from operator_oracle import vec_to_poly
 
 
 def sym(p: Polynomial) -> Polynomial:

@@ -6,6 +6,12 @@ operator's compiled terms.  On random polynomials with rational
 coefficients and odd parts, for every operator family, rescaled and summed,
 both must return the same terms, with the same values, in the same order.
 Every multiplier is even, as `DiffOperator` requires.
+
+`spaces.column_map`, the path every operator matrix takes, is held to the
+same oracle on random int column vectors at random tridegrees, for every
+family, rescaled: it must return the oracle's image times the operator's
+`den`, in ints.  The families drawn are those of `FAMILIES` and the
+power-sum derivatives p_{a,b}(d/dx, d/dy) of the oracle.
 """
 
 from fractions import Fraction
@@ -13,13 +19,23 @@ from fractions import Fraction
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 import operator_oracle as old  # noqa: E402
 from harmonica import superpoly  # noqa: E402
 from harmonica.operators import _KINDS  # noqa: E402
-from harmonica.superpoly import DiffOperator, Monomial, OpTerm, Polynomial, apply_op  # noqa: E402
+from harmonica.spaces import column_map, poly_to_vec  # noqa: E402
+from harmonica.superpoly import (  # noqa: E402
+    DiffOperator,
+    Monomial,
+    OpTerm,
+    Polynomial,
+    TriDegree,
+    apply_op,
+    count_tridegree,
+    tridegree_shift,
+)
 
 # Each `superpoly` constructor with a strategy for its parameters, given n.
 FAMILIES = {
@@ -30,6 +46,10 @@ FAMILIES = {
     "op_d": lambda n: st.tuples(st.integers(0, 3)),
     "op_hamiltonian": lambda n: st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(lambda ab: sum(ab)),
     "op_partial_x": lambda n: st.tuples(st.integers(0, n - 1)),
+}
+# Oracle constructors drawn with the families: p_{a,b}(d/dx, d/dy).
+EXTRA = {
+    old.op_power_sum_deriv: lambda n: st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(lambda ab: sum(ab)),
 }
 
 coefficients = st.fractions(min_value=-4, max_value=4, max_denominator=7).filter(bool)
@@ -58,8 +78,9 @@ def polynomials(n):
 
 @st.composite
 def families(draw, n):
-    name = draw(st.sampled_from(sorted(FAMILIES)))
-    return getattr(superpoly, name)(n, *draw(FAMILIES[name](n)))
+    ctors = [(getattr(superpoly, name), FAMILIES[name]) for name in sorted(FAMILIES)] + list(EXTRA.items())
+    ctor, params = draw(st.sampled_from(ctors))
+    return ctor(n, *draw(params(n)))
 
 
 def scaled(op, a):
@@ -108,3 +129,28 @@ def test_every_operator_kind_is_drawn():
     assert {ctor.__name__ for _, ctor in _KINDS.values()} <= set(FAMILIES)
     public = {name for name in vars(superpoly) if name.startswith("op_")}
     assert set(FAMILIES) == public
+
+
+@st.composite
+def column_cases(draw):
+    """A family member, maybe rescaled, a tridegree whose image tridegree has
+    no negative entry, and an int vector there."""
+    n = draw(st.integers(2, 4))
+    op = draw(families(n))
+    if draw(st.booleans()):
+        op = scaled(op, draw(scales))
+    deg = TriDegree(draw(st.integers(0, 4)), draw(st.integers(0, 4)), draw(st.integers(0, n)))
+    assume(min(a + b for a, b in zip(deg, tridegree_shift(op))) >= 0)
+    columns = st.integers(0, count_tridegree(n, deg) - 1)
+    return op, deg, draw(st.dictionaries(columns, st.integers(-9, 9).filter(bool), max_size=6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(column_cases())
+def test_column_map_is_the_oracle_image_times_den(case):
+    op, deg, vec = case
+    tdeg = TriDegree(*(a + b for a, b in zip(deg, tridegree_shift(op))))
+    got = column_map(op, deg)(vec)
+    image = old.apply_op(op, old.vec_to_poly(vec, op.n, deg)).scale(op.den)
+    assert got == poly_to_vec(image, tdeg)
+    assert all(type(v) is int and v for v in got.values())

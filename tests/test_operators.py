@@ -21,8 +21,10 @@ from harmonica.operators import (
 from harmonica.spaces import (
     GradedSubspace,
     QuotientSpace,
+    ambient_basis,
     antisymmetric_ideal,
     coinvariants,
+    harmonics,
     hook_component,
     poly_to_vec,
     sign_component,
@@ -90,15 +92,30 @@ class TestMatrixOf:
         operators._certified(spec, fresh)  # the certificate applies the operator; the matrix must not
         deg = next(d for d in fresh.support() if spec.target_degree(d) not in fresh.blocks)
         tdeg, D = spec.target_degree(deg), spec.diff_operator()
-        applied = []
-        real = operators.apply_op
-        monkeypatch.setattr(operators, "apply_op", lambda op, p: applied.append(p) or real(op, p))
+        built = []
+        real = operators.column_map
+        monkeypatch.setattr(operators, "column_map", lambda op, d: built.append(d) or real(op, d))
         om = matrix_of(spec, fresh, deg)
-        assert applied == []
+        assert built == []
         # The matrix of the loop without the skip: every image has the empty class.
-        assert all(fresh.coords(tdeg, operator_oracle.apply_op(D, p)) == {} for p in fresh.basis_polys(deg))
+        block = fresh.blocks[deg]
+        assert all(fresh.coords(tdeg, poly_to_vec(operator_oracle.apply_op(D, block.rep_poly(pos)), tdeg)) == {}
+                   for pos in range(block.dim))
         assert om == OperatorMatrix(deg, tdeg, SparseMatrix(0, fresh.dim(deg), {}))
         assert fresh.dim(deg) > 0
+
+    def test_no_ambient_basis_is_read_where_nothing_is_applied(self):
+        # An empty source piece, and a piece whose target has no classes:
+        # no column map is built, so no ambient basis is read.
+        spec = OperatorSpec.F(3, 1)
+        fresh = QuotientSpace(3, "hook", hook_component(3).blocks)  # no matrices memoised yet
+        operators._certified(spec, fresh)
+        into_zero = next(d for d in fresh.support() if spec.target_degree(d) not in fresh.blocks)
+        assert fresh.dim(into_zero) > 0 and TriDegree(4, 4, 0) not in fresh.blocks
+        before = ambient_basis.cache_info()
+        for deg in (TriDegree(4, 4, 0), into_zero):
+            assert matrix_of(spec, fresh, deg).is_zero()
+        assert ambient_basis.cache_info() == before
 
     def test_subspace_target_off_its_support_still_yields_the_witness(self):
         # E1 x1 = y1 lands where W has no piece; W answers that it is not zero there.
@@ -186,8 +203,9 @@ class TestCheckPreserves:
         ok, witness = operator_oracle.check_preserves(f2, space)
         assert not ok and render(witness) == witness_f2
         deg = witness.tridegree()
-        assert space.coords(deg, witness) == {}
-        assert space.coords(f2.target_degree(deg), apply_op(f2.diff_operator(), witness))
+        tdeg = f2.target_degree(deg)
+        assert space.coords(deg, poly_to_vec(witness, deg)) == {}
+        assert space.coords(tdeg, poly_to_vec(apply_op(f2.diff_operator(), witness), tdeg))
 
     def test_matrix_of_raises_on_ill_defined_operator(self):
         hook = hook_component(2)
@@ -371,6 +389,35 @@ class TestPlumbing:
         assert OperatorSpec.hamiltonian(3, 2, 0).label() == "v(2,0)"
 
 
+class TestMatricesAgainstTheOracle:
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("kind", ["dh", "hook"])
+    def test_every_matrix_is_the_one_built_on_polynomials(self, n, kind):
+        # Each F, E, F*, E*, d and v matrix, or the witness a subspace raises,
+        # equals the one built through the oracle's apply_op on polynomials.
+        # F* and E* have no certificate on a quotient, so only dh takes them.
+        space = harmonics(n) if kind == "dh" else hook_component(n)
+        kinds = ("F", "E", "d") + (("Fstar", "Estar") if kind == "dh" else ())
+        specs = [OperatorSpec(k, n, (j,)) for k in kinds for j in range(1, n + 1)]
+        specs += [OperatorSpec.hamiltonian(n, a, s - a) for s in range(2, n + 1) for a in range(s + 1)]
+        raised = 0
+        for spec in specs:
+            for deg in space.support():
+                try:
+                    got = matrix_of(spec, space, deg).matrix
+                except WellDefinednessError as exc:
+                    got = exc.witness
+                try:
+                    want = operator_oracle.matrix(spec, space, deg)
+                except WellDefinednessError as exc:
+                    want = exc.witness
+                    raised += 1
+                assert got == want, (spec, deg)
+                if isinstance(got, SparseMatrix):
+                    assert all(type(v) is Fraction for v in got.data.values())
+        assert (raised > 0) == (kind == "dh")  # F_k and E_k for k >= 2 leave the harmonics
+
+
 class TestOperatorSpan:
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("family", ["full", "sign"])
@@ -380,7 +427,7 @@ class TestOperatorSpan:
         # element.  Both reach the same RREF at every tridegree.
         ops = operator_oracle.span_families(n)[family]
         seeds = [vandermonde("x", n)]
-        janet = verify._operator_span(n, seeds, ops)
+        janet = verify._operator_span(seeds, ops)
         every = operator_oracle.operator_span(n, seeds, ops)
         assert sorted(janet) == sorted(every)
         assert all(janet[deg].row_vectors() == every[deg].row_vectors() for deg in every)

@@ -5,7 +5,7 @@ import pytest
 from harmonica import cache, spaces, structure, verify
 from harmonica.linalg import SparseMatrix, rref, vec_add_scaled
 from harmonica.operators import OperatorMatrix, OperatorSpec, matrix_of
-from harmonica.spaces import QuotientSpace, clear_registry, hook_component
+from harmonica.spaces import QuotientSpace, clear_registry, hook_component, poly_to_vec
 from harmonica.structure import (
     GradingDictionary,
     LefschetzFailure,
@@ -164,9 +164,10 @@ class TestInvolution:
     def test_swaps_the_antisymmetric_generators(self):
         m = model(hook_component(3))
         src = TriDegree(0, 3, 0)
-        coords = m.space.coords(src, vandermonde("y", 3))
+        coords = m.space.coords(src, poly_to_vec(vandermonde("y", 3), src))
         image = m.phi_block(src).mul_vec(coords)
-        target = m.space.coords(TriDegree(3, 0, 0), vandermonde("x", 3))
+        top = TriDegree(3, 0, 0)
+        target = m.space.coords(top, poly_to_vec(vandermonde("x", 3), top))
         ((p1, v1),) = image.items()
         ((p2, v2),) = target.items()
         assert p1 == p2 and v1 / v2 != 0
@@ -307,7 +308,7 @@ class TestDualScalars:
 class TestCogeneration:
     def test_identity_certificate_for_the_top_class(self):
         hook, top = hook_component(3), TriDegree(3, 0, 0)
-        cert = cogeneration_search(hook, hook.coords(top, vandermonde("x", 3)), deg=top)
+        cert = cogeneration_search(hook, hook.coords(top, poly_to_vec(vandermonde("x", 3), top)), deg=top)
         assert cert.f_word == () and cert.d_word == () and cert.scalar == 1
 
     def test_f2_reaches_from_the_middle_singlet(self):
@@ -436,7 +437,8 @@ def test_sl2_layer_reads_only_the_space_it_is_given(tmp_path, monkeypatch):
         space = cache.load_quotient(tmp_path, "hook", 3)
         assert export_homology(space) == table
         assert model(space).lefschetz_check() == (True, None)
-        cert = cogeneration_search(space, space.coords((3, 0, 0), vandermonde("x", 3)), deg=(3, 0, 0))
+        top = TriDegree(3, 0, 0)
+        cert = cogeneration_search(space, space.coords(top, poly_to_vec(vandermonde("x", 3), top)), deg=top)
         assert cert.f_word == () and cert.d_word == () and cert.scalar == 1
         assert "hook" not in spaces._workspace(3).spaces
     finally:

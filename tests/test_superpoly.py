@@ -51,7 +51,7 @@ class TestProduct:
 
     def test_odd_generator_squares_to_zero(self):
         th1 = P.odd_var(2, 0)
-        assert (th1 * th1).is_zero()
+        assert not (th1 * th1).terms
 
     def test_difference_of_squares(self):
         x1, x2 = P.x(2, 0), P.x(2, 1)
@@ -105,7 +105,7 @@ class TestProjectors:
         assert alt(P.x(2, 0)) == (P.x(2, 0) - P.x(2, 1)).scale(Fraction(1, 2))
 
     def test_alt_kills_symmetric_input(self):
-        assert alt(P.x(2, 0) * P.x(2, 1)).is_zero()
+        assert not alt(P.x(2, 0) * P.x(2, 1)).terms
 
     def test_sym_of_x1(self):
         assert sym(P.x(2, 0)) == (P.x(2, 0) + P.x(2, 1)).scale(Fraction(1, 2))
@@ -117,7 +117,7 @@ class TestProjectors:
                 p = rand_poly(rng, n, odd=True)
                 assert alt(alt(p)) == alt(p)
                 assert sym(sym(p)) == sym(p)
-                assert alt(sym(p)).is_zero()
+                assert not alt(sym(p)).terms
 
     def test_alt_twists_by_sign(self):
         rng = random.Random(29)

@@ -43,13 +43,13 @@ def test_each_even_block_is_built_once(n, fresh, monkeypatch):
 
 def test_repeated_matrix_is_served_from_the_space(fresh, monkeypatch):
     applied = Counter()
-    original = operators.apply_op
+    original = operators.column_map
 
-    def counted(D, p):
+    def counted(D, deg):
         applied["calls"] += 1
-        return original(D, p)
+        return original(D, deg)
 
-    monkeypatch.setattr(operators, "apply_op", counted)
+    monkeypatch.setattr(operators, "column_map", counted)
     hook, dh = hook_component(3), harmonics(3)
     for spec, space, deg in [(OperatorSpec.F(3, 1), hook, (0, 3, 0)),
                              (OperatorSpec.d(3, 1), hook, (0, 2, 1)),
