@@ -2,14 +2,15 @@
 
 Exit codes: 0 success, 1 check failure, 2 usage error, 3 resource refusal.
 A build whose closed-form check fails (`ArithmeticError`) is a check
-failure: `verify` reports it as a failing check of the suite that built the
-space, and the other commands in one stderr line.
-Each command imports only the modules it runs: `--version`, `--help` and a
-usage error load no space code (`spaces` is imported once a command runs),
-`compute` loads neither `verify` nor `structure` nor `operators`, and only `verify
---suite all` loads `multiprocessing`, to run its suites in forked workers
-over the spaces it built first (`verify.run_suite`).  A worker that dies
-ends the command with `BrokenProcessPool`, exit 1.
+failure: `verify` reports it as a failing check of the suite that reads the
+space, and the other commands in one stderr line.  `verify` builds only the
+spaces its suites declare (`verify._SUITE_SPACES`).  Each command imports
+only the modules it runs: `--version`, `--help` and a usage error load no
+space code (`spaces` is imported once a command runs), `compute` loads
+neither `verify` nor `structure` nor `operators`, and only `verify --suite
+all` loads `multiprocessing`, to run its suites in forked workers over those
+spaces, built first (`verify.run_suite`).  A worker that dies ends the
+command with `BrokenProcessPool`, exit 1.
 """
 
 from __future__ import annotations

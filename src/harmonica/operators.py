@@ -6,10 +6,11 @@ built-in first-order equivariant families the certificate is structural:
 by Leibniz, each generator's image (the polarized power sums p_{c,d}, and
 for odd operators on the hook the odd Euler element) must lie in the
 invariant ideal.  The p_{c,d} generate the diagonal invariants (Weyl), so
-that is read off the image alone, with no quotient block: each homogeneous
-component must be even, of positive degree and fixed by every s_i;
-anything else raises `NotImplementedError`.  A failed certificate surfaces
-the offending element as a witness.
+that is read off the image alone: each homogeneous component must be even,
+of positive degree and fixed by every s_i; anything else raises
+`NotImplementedError`.  So `structural_certificate` reads only the quotient's
+kind, and certifies an operator on DR_n without building it.  A failed
+certificate surfaces the offending element as a witness.
 
 An `OperatorSpec` kind is declared once, in `_KINDS`, with its label prefix
 and its `superpoly` constructor; a spec's tridegree shift is read off its
@@ -196,8 +197,8 @@ def _diagonal_poly(n: int, x: int = 0, y: int = 0, th: int = 0) -> Polynomial:
     return Polynomial(n, {Monomial(_unit_exp(n, i, x), _unit_exp(n, i, y), (i,) * th): 1 for i in range(n)})
 
 
-def _structural_certificate(spec: OperatorSpec, space: QuotientSpace) -> Optional[Polynomial]:
-    """None on success, witness polynomial on failure, raises on inapplicable."""
+def structural_certificate(spec: OperatorSpec, kind: str) -> Optional[Polynomial]:
+    """On the quotient of that kind: None on success, witness on failure, raises on inapplicable."""
     if spec.kind not in _FIRST_ORDER_KINDS:
         raise NotImplementedError(f"no structural certificate for operator kind {spec.kind!r}")
     if not _is_equivariant(spec):
@@ -207,7 +208,7 @@ def _structural_certificate(spec: OperatorSpec, space: QuotientSpace) -> Optiona
     # Leibniz: preservation of the invariant ideal reduces to the generators.
     generators = [_diagonal_poly(n, x=a, y=b) for (a, b) in _power_sum_generators(n)]
     # Odd operators must respect the wedge relations of the odd Euler element.
-    if "hook" in space.kind and spec.kind == "d":
+    if "hook" in kind and spec.kind == "d":
         generators.append(_diagonal_poly(n, th=1))
     for g in generators:
         bad = _outside_invariant_ideal(apply_op(D, g))
@@ -226,7 +227,7 @@ def check_preserves(spec: OperatorSpec, space):
     equivariant raises `NotImplementedError`.
     """
     if isinstance(space, QuotientSpace):
-        witness = _structural_certificate(spec, space)
+        witness = structural_certificate(spec, space.kind)
         return (witness is None), witness
     if isinstance(space, GradedSubspace):
         cap = space.degree_cap

@@ -1,10 +1,10 @@
 """Named verification suites over the built spaces, producing Reports.
 
-Each suite runs a fixed, deterministically ordered list of checks and
-returns structured results; the report is machine-readable JSON with an
-overall status that is `pass` exactly when every check passes.  Wall times
-are measured but emitted only on request so that reports stay byte-identical
-across runs.
+Each suite is handed the spaces it declares in `_SUITE_SPACES`, runs a fixed,
+deterministically ordered list of checks and returns structured results; the
+report is machine-readable JSON with an overall status that is `pass` exactly
+when every check passes.  Wall times are measured but emitted only on request
+so that reports stay byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .operators import (
     compose,
     is_zero_on,
     matrix_of,
+    structural_certificate,
 )
 from .spaces import (
     GradedSubspace,
@@ -127,11 +128,9 @@ def _q_factorial_coeffs(n: int) -> List[int]:
     return coeffs
 
 
-def suite_dims(n: int, allow_large=False, cache_dir=None) -> List[CheckResult]:
+def suite_dims(n: int, dr, hook) -> List[CheckResult]:
     out: List[CheckResult] = []
-    dr = coinvariants(n, allow_large=allow_large, cache_dir=cache_dir)
     sgn = sign_component(dr)
-    hook = hook_component(n, allow_large=allow_large, cache_dir=cache_dir)
     _check(out, f"dim DR_{n} = (n+1)^(n-1)", lambda: _eq("total", dr.total_dim(), (n + 1) ** (n - 1)))
     _check(out, f"dim DR_{n}^sgn = catalan", lambda: _eq("total", sgn.total_dim(), catalan_number(n)))
     _check(out, "x-axis slice is the graded permutation count",
@@ -154,10 +153,8 @@ def suite_dims(n: int, allow_large=False, cache_dir=None) -> List[CheckResult]:
     return out
 
 
-def suite_duality(n: int, allow_large=False, cache_dir=None) -> List[CheckResult]:
+def suite_duality(n: int, dr, dh) -> List[CheckResult]:
     out: List[CheckResult] = []
-    dr = coinvariants(n, allow_large=allow_large, cache_dir=cache_dir)
-    dh = harmonics(n, allow_large=allow_large, cache_dir=cache_dir)
     _check(out, "harmonics and coinvariants have identical series",
            lambda: _eq("series", dh.hilbert(), dr.hilbert()))
     dh_sgn = sign_component(dh)
@@ -251,15 +248,12 @@ def _operator_span(seeds: List[Polynomial], operators) -> Dict[TriDegree, RrefAc
     return spans
 
 
-def _preserved(spec: OperatorSpec, space) -> Optional[str]:
-    """None when `check_preserves` passes, else its witness."""
-    ok, witness = check_preserves(spec, space)
-    return None if ok else f"witness {render(witness)}"
+def _rendered(witness: Optional[Polynomial]) -> Optional[str]:
+    return None if witness is None else f"witness {render(witness)}"
 
 
-def suite_operator_theorem(n: int, allow_large=False, cache_dir=None) -> List[CheckResult]:
+def suite_operator_theorem(n: int, dh) -> List[CheckResult]:
     out: List[CheckResult] = []
-    dh = harmonics(n, allow_large=allow_large, cache_dir=cache_dir)
     delta = vandermonde("x", n)
     full_ops = [op_F_star(n, k) for k in range(1, n)] + [op_partial_x(n, i) for i in range(n)]
     sign_ops = [op_F_star(n, k) for k in range(1, n)]
@@ -288,17 +282,17 @@ def suite_operator_theorem(n: int, allow_large=False, cache_dir=None) -> List[Ch
     for k in range(1, min(n, 3)):
         for spec in (OperatorSpec.E(n, k), OperatorSpec.F(n, k)):
             for name, ideal in (("J", J), ("mJ", mJ)):
-                _check(out, f"{spec.label()} preserves {name}", partial(_preserved, spec, ideal))
-    dr = coinvariants(n, allow_large=allow_large, cache_dir=cache_dir)
+                _check(out, f"{spec.label()} preserves {name}",
+                       lambda spec=spec, ideal=ideal: _rendered(check_preserves(spec, ideal)[1]))
+    # The certificate on a quotient reads only its kind, so DR_n is not built.
     for k in range(1, n):
         _check(out, f"F{k} well defined on the coinvariant quotient",
-               partial(_preserved, OperatorSpec.F(n, k), dr))
+               lambda k=k: _rendered(structural_certificate(OperatorSpec.F(n, k), "drn")))
     return out
 
 
-def suite_cogeneration(n: int, allow_large=False, cache_dir=None) -> List[CheckResult]:
+def suite_cogeneration(n: int, hook) -> List[CheckResult]:
     out: List[CheckResult] = []
-    hook = hook_component(n, allow_large=allow_large, cache_dir=cache_dir)
 
     def all_classes() -> Optional[str]:
         for deg in sorted(hook.blocks):
@@ -330,9 +324,8 @@ def _bracket_check(label: str, u: OperatorSpec, v: OperatorSpec, space, coeff=0,
     return None if deg is None else f"{label} at {deg}"
 
 
-def suite_hamiltonian(n: int, allow_large=False, cache_dir=None) -> List[CheckResult]:
+def suite_hamiltonian(n: int, hook) -> List[CheckResult]:
     out: List[CheckResult] = []
-    hook = hook_component(n, allow_large=allow_large, cache_dir=cache_dir)
     F, E, v = partial(OperatorSpec.F, n), partial(OperatorSpec.E, n), partial(OperatorSpec.hamiltonian, n)
     top = max(4, n)  # v(a, b) is nonzero on the hook for 2 <= a + b <= n
     fields = [(a, b) for a in range(top + 1) for b in range(top + 1) if 2 <= a + b <= top]
@@ -349,12 +342,13 @@ def suite_hamiltonian(n: int, allow_large=False, cache_dir=None) -> List[CheckRe
         for m in range(1, n):
             _check(out, f"[F{k}, E{m}] agrees with the vector-field bracket",
                    lambda k=k, m=m: _bracket_check(f"[F{k}, E{m}] != -v({k},{m})", F(k), E(m), hook, -1, v(k, m)))
+    _check(out, f"v(a,b) = 0 on the hook for a + b = {n + 1}",
+           partial(_first_nonzero, [v(a, n + 1 - a) for a in range(n + 2)], hook))
     return out
 
 
-def suite_lefschetz(n: int, allow_large=False, cache_dir=None) -> List[CheckResult]:
+def suite_lefschetz(n: int, hook) -> List[CheckResult]:
     out: List[CheckResult] = []
-    hook = hook_component(n, allow_large=allow_large, cache_dir=cache_dir)
     m = model(hook)
     _check(out, "power pairing of opposite weights is bijective", lambda: m.lefschetz_check()[1])
 
@@ -368,9 +362,9 @@ def suite_lefschetz(n: int, allow_large=False, cache_dir=None) -> List[CheckResu
     return out
 
 
-def suite_phi(n: int, allow_large=False, cache_dir=None) -> List[CheckResult]:
+def suite_phi(n: int, hook) -> List[CheckResult]:
     out: List[CheckResult] = []
-    m = model(hook_component(n, allow_large=allow_large, cache_dir=cache_dir))
+    m = model(hook)
 
     def involution() -> Optional[str]:
         for deg in sorted(m.space.blocks):
@@ -427,10 +421,8 @@ def suite_phi(n: int, allow_large=False, cache_dir=None) -> List[CheckResult]:
     return out
 
 
-def suite_vanishing(n: int, allow_large=False, cache_dir=None) -> List[CheckResult]:
+def suite_vanishing(n: int, hook, dh) -> List[CheckResult]:
     out: List[CheckResult] = []
-    hook = hook_component(n, allow_large=allow_large, cache_dir=cache_dir)
-    dh = harmonics(n, allow_large=allow_large, cache_dir=cache_dir)
     m = model(hook)
     for k in range(1, n + 2):
         expect_zero = k >= n
@@ -482,9 +474,8 @@ def _first_nonzero(specs, space) -> Optional[str]:
     return next((f"{spec.label()} != 0" for spec in specs if not is_zero_on(spec, space)), None)
 
 
-def suite_differentials(n: int, allow_large=False, cache_dir=None) -> List[CheckResult]:
+def suite_differentials(n: int, hook) -> List[CheckResult]:
     out: List[CheckResult] = []
-    hook = hook_component(n, allow_large=allow_large, cache_dir=cache_dir)
     F, d = partial(OperatorSpec.F, n), partial(OperatorSpec.d, n)
     for k in range(1, n):
         for N in range(1, n):
@@ -511,7 +502,7 @@ def suite_differentials(n: int, allow_large=False, cache_dir=None) -> List[Check
     return out
 
 
-def suite_oracle_catalan(n: int, allow_large=False, cache_dir=None) -> List[CheckResult]:
+def suite_oracle_catalan(n: int) -> List[CheckResult]:
     out: List[CheckResult] = []
     _check(out, "path count matches the closed form",
            lambda: _eq("count", len(enumerate_paths(n)), catalan_number(n)))
@@ -526,9 +517,9 @@ def suite_oracle_catalan(n: int, allow_large=False, cache_dir=None) -> List[Chec
     return out
 
 
-def suite_figure1(n: int, allow_large=False, cache_dir=None) -> List[CheckResult]:
+def suite_figure1(n: int, hook) -> List[CheckResult]:
     out: List[CheckResult] = []
-    table = export_homology(hook_component(3, cache_dir=cache_dir))
+    table = export_homology(hook)
     points = sorted((g["Q"], g["A"], g["T"]) for g in table["generators"])
     _check(out, "the eleven generators carry the expected gradings",
            lambda: _eq("points", points, FIGURE1_POINTS))
@@ -577,24 +568,32 @@ _SUITE_FNS = {
 SUITES = tuple(_SUITE_FNS)
 # The n at which a suite is defined, for the suites not defined at every n.
 _SUITE_DOMAINS = {"figure1": (3,)}
+# The spaces each suite reads, passed after n in this order, and their builders in
+# `_run_all`'s order; `drn_sign` and the ideal tower are never cached, so suites build them.
+_SUITE_SPACES = {"dims": ("drn", "hook"), "duality": ("drn", "dh"), "operator-theorem": ("dh",),
+                 "vanishing": ("hook", "dh"), "oracle-catalan": (),
+                 **dict.fromkeys(("cogeneration", "hamiltonian", "lefschetz", "phi", "differentials", "figure1"),
+                                 ("hook",))}
+_BUILDERS = {"drn": coinvariants, "hook": hook_component, "dh": harmonics}
 
 
 def _run_all(n: int, allow_large: bool, cache_dir) -> List[CheckResult]:
     """Every suite defined at n, run in forked workers over spaces built here.
 
-    The suites share nothing but the `drn`, `hook` and `dh` spaces, so
-    those are built (or loaded) once, before the fork, and every worker
-    inherits them; the memos a suite adds die with its worker.  A build that fails its
-    closed-form check is left to the suites, which build it again and report
-    it.  Results come back in `SUITES` order, so the report does not depend
-    on which worker ran what; a worker that dies raises `BrokenProcessPool`.
+    The suites share nothing but the spaces they declare in `_SUITE_SPACES`,
+    so the union of those is built (or loaded) once, before the fork, and
+    every worker inherits it; the memos a suite adds die with its worker.  A
+    build that fails its closed-form check is left to the suites, which build
+    it again and report it.  Results come back in `SUITES` order, so the report
+    does not depend on which worker ran what; a worker that dies raises `BrokenProcessPool`.
     """
     names = [name for name in SUITES if n in _SUITE_DOMAINS.get(name, (n,))]
-    for build in (coinvariants, hook_component, harmonics):
-        try:
-            build(n, allow_large=allow_large, cache_dir=cache_dir)
-        except ArithmeticError:
-            pass
+    for kind, build in _BUILDERS.items():
+        if any(kind in _SUITE_SPACES[name] for name in names):
+            try:
+                build(n, allow_large=allow_large, cache_dir=cache_dir)
+            except ArithmeticError:
+                pass
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
@@ -606,12 +605,12 @@ def _run_all(n: int, allow_large: bool, cache_dir) -> List[CheckResult]:
 
 def run_suite(n: int, suite: str, allow_large: bool = False, cache_dir=None) -> List[CheckResult]:
     """Run one suite in this process, or "all" in forked workers, one per
-    usable CPU (`_run_all`); the report is the same either way.  The `drn`,
-    `dh` and `hook` spaces the suites use are loaded from and saved to
-    `cache_dir` when it is given.  A build whose closed-form check fails
-    (`ArithmeticError`) ends its suite with one failing check, the exception
-    its witness; the other suites still run.  An n past the cap raises
-    `ResourceCapExceeded` before any suite work."""
+    usable CPU (`_run_all`); the report is the same either way.  A suite is
+    given the spaces it declares in `_SUITE_SPACES`, built here and loaded
+    from and saved to `cache_dir` when it is given.  A build whose
+    closed-form check fails (`ArithmeticError`) ends its suite with one
+    failing check, the exception its witness; the other suites still run.
+    An n past the cap raises `ResourceCapExceeded` before any suite work."""
     if suite != "all" and suite not in _SUITE_FNS:
         raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)} or 'all'")
     domain = _SUITE_DOMAINS.get(suite, (n,))
@@ -621,7 +620,8 @@ def run_suite(n: int, suite: str, allow_large: bool = False, cache_dir=None) -> 
     if suite == "all":
         return _run_all(n, allow_large, cache_dir)
     try:
-        return _SUITE_FNS[suite](n, allow_large=allow_large, cache_dir=cache_dir)
+        spaces = [_BUILDERS[s](n, allow_large=allow_large, cache_dir=cache_dir) for s in _SUITE_SPACES[suite]]
+        return _SUITE_FNS[suite](n, *spaces)
     except ArithmeticError as exc:
         return [CheckResult(f"the {suite} suite builds its spaces", False, f"{type(exc).__name__}: {exc}")]
 

@@ -83,19 +83,19 @@ def test_criterion_04_hook_model_dimensions():
 
 def test_criterion_05_figure_reproduction():
     with criterion(5, "n=3 export reproduces all 11 graded points and arrow patterns exactly"):
-        suite_all_pass(verify.suite_figure1(3))
+        suite_all_pass(verify.run_suite(3, "figure1"))
 
 
 def test_criterion_06_operator_generation_theorem():
     with criterion(6, "the top antisymmetric element generates the harmonics (full and sign), n <= 4"):
         for n in (2, 3, 4):
-            suite_all_pass(verify.suite_operator_theorem(n))
+            suite_all_pass(verify.run_suite(n, "operator-theorem"))
 
 
 def test_criterion_07_vanishing_threshold():
     with criterion(7, "operator families vanish on the hook model exactly from k = n on, n <= 4"):
         for n in (2, 3, 4):
-            suite_all_pass(verify.suite_vanishing(n))
+            suite_all_pass(verify.run_suite(n, "vanishing"))
 
 
 def test_criterion_08_cogeneration_certificates():
@@ -106,21 +106,21 @@ def test_criterion_08_cogeneration_certificates():
                 for pos in range(hook.blocks[deg].dim):
                     cert = cogeneration_search(hook, {pos: Fraction(1)}, deg=deg)
                     assert cert.scalar != 0
-        suite_all_pass(verify.suite_cogeneration(2))
-        suite_all_pass(verify.suite_cogeneration(3))
+        suite_all_pass(verify.run_suite(2, "cogeneration"))
+        suite_all_pass(verify.run_suite(3, "cogeneration"))
 
 
 def test_criterion_09_lie_algebra_suite():
     with criterion(9, "vector-field bracket identities, commuting family, differential commutation"):
-        suite_all_pass(verify.suite_hamiltonian(3))
-        suite_all_pass(verify.suite_differentials(3))
+        suite_all_pass(verify.run_suite(3, "hamiltonian"))
+        suite_all_pass(verify.run_suite(3, "differentials"))
 
 
 def test_criterion_10_structure_suite():
     with criterion(10, "bijective weight pairing, involution squares to one, generators swap, n <= 4"):
         for n in (2, 3, 4):
-            suite_all_pass(verify.suite_lefschetz(n))
-            suite_all_pass(verify.suite_phi(n))
+            suite_all_pass(verify.run_suite(n, "lefschetz"))
+            suite_all_pass(verify.run_suite(n, "phi"))
 
 
 def test_criterion_11_ideal_suite():

@@ -427,6 +427,69 @@ class TestVerify:
             spaces.clear_registry()
         assert warm == cold
 
+    def test_operator_theorem_builds_no_coinvariant_block(self, tmp_path, monkeypatch, capsys):
+        # F_k is certified on DR_n by the quotient's kind alone, so with only
+        # the harmonics cached the suite builds and saves no coinvariants.
+        from harmonica import spaces
+
+        argv = ["verify", "--n", "3", "--suite", "operator-theorem"]
+        spaces.clear_registry()
+        try:
+            assert main(["compute", "--n", "3", "--space", "dh", "--cache-dir", str(tmp_path)]) == 0
+            capsys.readouterr()
+            spaces.clear_registry()
+            assert main(argv) == 0
+            cold = capsys.readouterr().out
+
+            def refuse(*args, **kwargs):
+                raise AssertionError("a coinvariant block was built")
+
+            spaces.clear_registry()
+            monkeypatch.setattr(spaces, "_build_even_block", refuse)
+            assert main([*argv, "--cache-dir", str(tmp_path)]) == 0
+            warm = capsys.readouterr().out
+        finally:
+            spaces.clear_registry()
+        assert warm == cold
+        assert [p.name for p in tmp_path.iterdir()] == ["dh-n3.json"]
+
+    def test_the_space_table_is_the_only_builder_list(self, monkeypatch, capsys):
+        # No suite calls a builder, nested functions included; each is handed
+        # the spaces `_SUITE_SPACES` declares for it.
+        import types
+
+        from harmonica import spaces, verify
+
+        def names(code):
+            yield from code.co_names
+            for const in code.co_consts:
+                if isinstance(const, types.CodeType):
+                    yield from names(const)
+
+        suites = {name: fn for name, fn in vars(verify).items() if name.startswith("suite_")}
+        assert sorted(suites.values(), key=id) == sorted(verify._SUITE_FNS.values(), key=id)
+        for name, fn in suites.items():
+            assert not {"coinvariants", "harmonics", "hook_component"} & set(names(fn.__code__)), name
+        assert set(verify._SUITE_SPACES) == set(verify._SUITE_FNS)
+        # `--suite all` builds the union of the declared spaces once each, in
+        # `_BUILDERS` order, before its workers fork.
+        calls = []
+
+        def recorded(kind, build):
+            def wrapper(*args, **kwargs):
+                calls.append(kind)
+                return build(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(verify, "_BUILDERS", {k: recorded(k, b) for k, b in verify._BUILDERS.items()})
+        spaces.clear_registry()
+        try:
+            assert main(["verify", "--n", "3", "--suite", "all"]) == 0
+        finally:
+            spaces.clear_registry()
+        capsys.readouterr()
+        assert calls == ["drn", "hook", "dh"]
+
     def test_timings_flag_changes_bytes_only_in_wall_fields(self):
         plain = json.loads(run("verify", "--n", "2", "--suite", "dims", check=True).stdout)
         timed = json.loads(run("verify", "--n", "2", "--suite", "dims", "--timings", check=True).stdout)

@@ -298,7 +298,7 @@ class TestHarmonics:
         name = "every harmonic is killed by every p_{c,d}(d/dx, d/dy), 1 <= c+d <= n"
         spaces.clear_registry()
         try:
-            assert all(r.passed for r in verify.suite_duality(n))
+            assert all(r.passed for r in verify.run_suite(n, "duality"))
             dh = harmonics(n)
             pieces = dict(dh.pieces)
             if fault == "added monomial":
@@ -314,7 +314,7 @@ class TestHarmonics:
                 pieces[deg] = spaces._build_harmonic_piece(n, deg.dx, deg.dy)
                 assert len(pieces[deg]) == block.dim + 1
             spaces._workspace(n).spaces["dh"] = GradedSubspace(n, "dh", pieces)
-            results = {r.name: r for r in verify.suite_duality(n)}
+            results = {r.name: r for r in verify.run_suite(n, "duality")}
         finally:
             spaces.clear_registry()
         assert not results[name].passed
@@ -327,7 +327,7 @@ class TestHarmonics:
         monos, _ = ambient_basis(n, deg)
         spaces.clear_registry()
         try:
-            assert all(r.passed for r in verify.suite_duality(n))
+            assert all(r.passed for r in verify.run_suite(n, "duality"))
             dh = harmonics(n)
             pieces = dict(dh.pieces)
             if fault == "ambient monomial":
@@ -337,7 +337,7 @@ class TestHarmonics:
                 pieces[deg] = [{j: v / monomial_pair_weight(monos[j]) for j, v in vec.items()}
                                for vec in pieces[deg]]
             spaces._workspace(n).spaces["dh"] = GradedSubspace(n, "dh", pieces)
-            results = {r.name: r for r in verify.suite_duality(n)}
+            results = {r.name: r for r in verify.run_suite(n, "duality")}
         finally:
             spaces.clear_registry()
         assert not results[name].passed

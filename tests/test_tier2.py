@@ -191,7 +191,7 @@ def test_n5_hook_satisfies_lefschetz_and_the_bracket_identities():
     finally:
         spaces.clear_registry()
     assert [(r.name, r.witness) for r in results if not r.passed] == []
-    assert len(results) == 2 + 350 + 29
+    assert len(results) == 2 + 351 + 29
 
 
 @pytest.mark.tier2
@@ -217,7 +217,7 @@ def test_n5_every_suite_passes_in_a_fresh_process():
     )
     checks = json.loads(res.stdout)["checks"]
     assert [c["witness"] for c in checks if c["status"] != "pass"] == []
-    assert len(checks) == 447 and res.returncode == 0
+    assert len(checks) == 448 and res.returncode == 0
 
 
 @pytest.mark.tier2
