@@ -66,7 +66,8 @@ SPACE_KINDS = tuple(_COMPUTE)
 
 def cmd_compute(args) -> int:
     from . import spaces
-    spaces._check_cap(args.n, args.allow_large)  # every kind, before anything is built
+    # Every kind, before anything is built; jbar and mjbar have a lower default cap.
+    spaces._check_cap(args.n, args.allow_large, spaces.KIND_CAPS.get(args.space, spaces.DEFAULT_CAP))
     built = _COMPUTE[args.space](spaces, args)
     series = built if isinstance(built, spaces.HilbertSeries) else built.hilbert()
     lines = [f"space: {args.space} (n={args.n})",

@@ -14,8 +14,9 @@ certificate surfaces the offending element as a witness.
 
 An `OperatorSpec` kind is declared once, in `_KINDS`, with its label prefix
 and its `superpoly` constructor; a spec's tridegree shift is read off its
-operator by `tridegree_shift`, and the operator is built once per spec; the
-certificate generators are built once per n.  Matrices act on int column
+operator by `tridegree_shift`.  The operator with its shift, and each
+certificate generator, are built once per workspace of n (`spaces._per_n`).
+Matrices act on int column
 vectors (`spaces.column_map`) and read the space only through `basis`,
 `coords` of an image vector and `is_zero_at`, so one loop serves quotients
 and graded subspaces alike; no column map is built where the source piece
@@ -25,13 +26,13 @@ has no basis or the space knows the target piece is zero.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from typing import NamedTuple, Optional, Tuple
 
 from .linalg import SparseMatrix, _scaled_ints
 from .spaces import (
     GradedSubspace,
     QuotientSpace,
+    _per_n,
     _power_sum_generators,
     ambient_basis,
     column_map,
@@ -117,11 +118,14 @@ _KINDS = {
 }
 
 
-@lru_cache(maxsize=None)
 def _operator(spec: OperatorSpec) -> Tuple[DiffOperator, Tuple[int, int, int]]:
-    """The spec's operator, built once per spec, and its tridegree shift."""
-    op = _KINDS[spec.kind][1](spec.n, *spec.params)
-    return op, tridegree_shift(op)
+    """The spec's operator, built once per workspace, and its tridegree shift."""
+
+    def build():
+        op = _KINDS[spec.kind][1](spec.n, *spec.params)
+        return op, tridegree_shift(op)
+
+    return _per_n(spec.n, ("operator", spec), build)
 
 
 class OperatorMatrix(NamedTuple):
@@ -190,11 +194,11 @@ def _is_equivariant(spec: OperatorSpec) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
 def _diagonal_poly(n: int, x: int = 0, y: int = 0, th: int = 0) -> Polynomial:
     """sum_i x_i^x y_i^y th_i^th, not constant: p_{x,y}, or the odd Euler
-    element for th=1; built once per (n, exponents) for every certificate."""
-    return Polynomial(n, {Monomial(_unit_exp(n, i, x), _unit_exp(n, i, y), (i,) * th): 1 for i in range(n)})
+    element for th=1; built once per workspace for every certificate."""
+    return _per_n(n, ("generator", x, y, th), lambda: Polynomial(
+        n, {Monomial(_unit_exp(n, i, x), _unit_exp(n, i, y), (i,) * th): 1 for i in range(n)}))
 
 
 def structural_certificate(spec: OperatorSpec, kind: str) -> Optional[Polynomial]:

@@ -53,16 +53,16 @@ assembled rows are exactly the RREF rows of the total relation space.
 
 Every scan stops at a closed-form top degree and checks a closed-form
 total, raising ArithmeticError with both totals when they differ: a class
-above the top would make the total fall short.  The coinvariant and
-harmonic scans run to C(n,2) and total (n+1)^(n-1) (Haiman 2002,
-`_scan_bidegrees`); each odd degree of the hook runs to its own top degree
-and totals its Schroder-path count (`_hook_slice`).
+above the top would make the total fall short (`_closed_form_scan`).  The
+coinvariant and harmonic scans run to C(n,2) and total (n+1)^(n-1) (Haiman
+2002, `_scan_bidegrees`); each odd degree of the hook runs to its own top
+degree and totals its Schroder-path count (`_hook_slice`).
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, lcm
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -83,28 +83,35 @@ from .superpoly import (
 
 DEFAULT_CAP = 4
 HARD_CAP = 5
+# `compute` kinds with a lower default cap: jbar and mjbar need
+# rank(omega_0 ^ J), about 476 s together at n = 4.
+KIND_CAPS = {"jbar": 3, "mjbar": 3}
 
 
 class ResourceCapExceeded(Exception):
     """Raised when a space build beyond the configured cap is requested."""
 
 
-def _check_cap(n: int, allow_large: bool):
+def _check_cap(n: int, allow_large: bool, cap: int = DEFAULT_CAP):
     if n < 2:
         raise ValueError("spaces are defined for n >= 2")
     if n > HARD_CAP:
         raise ResourceCapExceeded(f"n={n} is out of scope (hard limit n <= {HARD_CAP})")
-    if n > DEFAULT_CAP and not allow_large:
+    if n > cap and not allow_large:
         raise ResourceCapExceeded(
-            f"n={n} exceeds the default cap {DEFAULT_CAP}; pass allow_large (--allow-large) to proceed"
+            f"n={n} exceeds the default cap {cap}; pass allow_large (--allow-large) to proceed"
         )
 
 
-@lru_cache(maxsize=None)
 def ambient_basis(n: int, deg: TriDegree):
-    """Canonically ordered monomial basis of one tridegree piece."""
-    monos = monomials_tridegree(n, deg)
-    return monos, {m: i for i, m in enumerate(monos)}
+    """Canonically ordered monomial basis of one tridegree piece, and the
+    column of each monomial; built once per workspace."""
+
+    def build():
+        monos = monomials_tridegree(n, deg)
+        return monos, {m: i for i, m in enumerate(monos)}
+
+    return _per_n(n, ("basis", deg), build)
 
 
 def poly_to_vec(p: Polynomial, deg: TriDegree) -> Vec:
@@ -308,8 +315,9 @@ class Block:
 
 
 class _Memoised:
-    """One memo dict for what is derived from a space: sign component, echelon
-    accumulators, operator certificates and matrices, the hook's sl2 model."""
+    """One memo dict: n's workspace (`_per_n`), or what is derived from a
+    space: sign component, echelon accumulators, operator certificates and
+    matrices, the hook's sl2 model."""
 
     def __init__(self):
         self._memo: Dict[tuple, object] = {}
@@ -480,36 +488,28 @@ class _SingleFamily:
 # ---------------------------------------------------------------------------
 
 
-class _Workspace:
-    """Everything this process has built for one n."""
-
-    def __init__(self, n: int):
-        self.spaces: Dict[str, object] = {}  # "drn", "dh", "hook": built or cache-loaded
-        self.family = _SingleFamily(n)
-        # Every coinvariant block built, zero-dimensional ones included: read
-        # by `coinvariants` and `harmonics`.
-        self.even_blocks: Dict[Tuple[int, int], Block] = {}
-        # The nonzero hook blocks of each odd degree: read by `hook_component`
-        # and, for odd degree 0, by `drn_sign`.
-        self.hook_slices: Dict[int, Dict[TriDegree, Block]] = {}
-        self.tower = _IdealTower(n)  # extended upward on demand
+# n's workspace: a `_Memoised` of everything this process has built for n,
+# by key: ("space", kind) for drn, dh and hook, built or cache-loaded;
+# ("even", a, b) for every coinvariant block built, zero ones included;
+# ("hook", da) for the nonzero hook blocks of odd degree da; ("family",);
+# ("tower",), extended upward on demand; ("basis", deg), ("shift", deg, var)
+# and ("wedge", deg); in `operators`, ("operator", spec) and ("generator",
+# x, y, th).  What is derived from one space is kept in that space's memo.
+_WORKSPACES: Dict[int, _Memoised] = defaultdict(_Memoised)
 
 
-_WORKSPACES: Dict[int, _Workspace] = {}
-
-
-def _workspace(n: int) -> _Workspace:
-    if n not in _WORKSPACES:
-        _WORKSPACES[n] = _Workspace(n)
-    return _WORKSPACES[n]
+def _per_n(n: int, key: tuple, build: Callable[[], object]):
+    """`build()` run once per (n, key), kept in n's workspace; a build that
+    raises stores nothing."""
+    return _WORKSPACES[n].memoised(key, build)
 
 
 def _memoised_space(n: int, kind: str, allow_large: bool, cache_dir, build):
     """The workspace's `kind` space: checks the cap, then serves it from the
     workspace, else from the cache, else from `build()` (saving it)."""
     _check_cap(n, allow_large)
-    spaces = _workspace(n).spaces
-    if kind not in spaces:
+
+    def load_or_build():
         from . import cache
 
         load, save = ((cache.load_subspace, cache.save_subspace) if kind == "dh"
@@ -519,8 +519,9 @@ def _memoised_space(n: int, kind: str, allow_large: bool, cache_dir, build):
             space = build()
             if cache_dir is not None:
                 save(cache_dir, space)
-        spaces[kind] = space
-    return spaces[kind]
+        return space
+
+    return _per_n(n, ("space", kind), load_or_build)
 
 
 def _power_sum_generators(n: int) -> List[Tuple[int, int]]:
@@ -562,7 +563,7 @@ def _build_even_block(n: int, a: int, b: int) -> Block:
     T_alpha[kb]; only the result is divided by L, one shared `Fraction` per
     distinct value.
     """
-    fam = _workspace(n).family
+    fam = _per_n(n, ("family",), lambda: _SingleFamily(n))
     A = fam.deg(a)
     B = fam.deg(b)
     nb = len(B.monos)
@@ -638,32 +639,34 @@ def _build_even_block(n: int, a: int, b: int) -> Block:
     return Block(n, TriDegree(a, b, 0), reps, nf)
 
 
-def _scan_bidegrees(n: int, build, dim=len) -> dict:
-    """Run `build(a, b)` over total degrees 0..C(n,2), the top degree of the
-    coinvariants; the pieces of nonzero `dim`, by degree.  A piece above the
-    top would make the total fall short of (n+1)^(n-1) (Haiman 2002), as
-    would a wrong one: a total that differs raises ArithmeticError naming
-    both totals.  A harmonic piece has its coinvariant block's dimension."""
-    top, want = comb(n, 2), (n + 1) ** (n - 1)
+def _closed_form_scan(da: int, top: int, want: int, fault: str, build, dim) -> dict:
+    """Run `build(a, b)` over total degrees 0..top; the pieces of nonzero
+    `dim` (None has none), by degree (a, b, da).  A piece above the top would
+    make the total fall short of its closed form `want`, as would a wrong
+    one: a total that differs raises ArithmeticError(`fault`.format(...))."""
     pieces = {}
     for d in range(top + 1):
         for a in range(d, -1, -1):
             piece = build(a, d - a)
-            if dim(piece):
-                pieces[TriDegree(a, d - a, 0)] = piece
+            if piece is not None and dim(piece):
+                pieces[TriDegree(a, d - a, da)] = piece
     got = sum(map(dim, pieces.values()))
     if got != want:
-        raise ArithmeticError(f"the pieces up to total degree {top} have dimension {got}, "
-                              f"(n+1)^(n-1) is {want}")
+        raise ArithmeticError(fault.format(da=da, top=top, got=got, want=want))
     return pieces
+
+
+def _scan_bidegrees(n: int, build, dim=len) -> dict:
+    """The coinvariants' scan, to C(n,2), totalling (n+1)^(n-1) (Haiman
+    2002); a harmonic piece has its coinvariant block's dimension."""
+    return _closed_form_scan(0, comb(n, 2), (n + 1) ** (n - 1),
+                             "the pieces up to total degree {top} have dimension {got}, "
+                             "(n+1)^(n-1) is {want}", build, dim)
 
 
 def _even_block(n: int, a: int, b: int) -> Block:
     """The coinvariant block of bidegree (a, b), built once per workspace."""
-    blocks = _workspace(n).even_blocks
-    if (a, b) not in blocks:
-        blocks[(a, b)] = _build_even_block(n, a, b)
-    return blocks[(a, b)]
+    return _per_n(n, ("even", a, b), lambda: _build_even_block(n, a, b))
 
 
 def coinvariants(n: int, allow_large: bool = False, cache_dir=None) -> QuotientSpace:
@@ -878,27 +881,21 @@ def _hook_top_degree(n: int, da: int) -> int:
 
 
 def _hook_slice(n: int, da: int) -> Dict[TriDegree, Block]:
-    """The nonzero hook blocks of odd degree da, built once per workspace,
-    up to total degree `_hook_top_degree`.  A class above it would make the
-    total fall short of H_da, the Schroder-path count (Haglund 2004, with
-    Haiman's nabla e_n theorem): a total that differs raises ArithmeticError
-    naming da and both totals."""
-    store = _workspace(n).hook_slices
-    if da not in store:
-        top = _hook_top_degree(n, da)
-        blocks: Dict[TriDegree, Block] = {}
-        for total in range(top + 1):
-            for a in range(total + 1):
-                blk = (_build_hook_block(n, TriDegree(a, total - a, da)) if da
-                       else _sign_quotient_block(n, a, total - a))
-                if blk is not None:
-                    blocks[blk.deg] = blk
-        got, want = sum(b.dim for b in blocks.values()), hook_per_a(n)[da]
-        if got != want:
-            raise ArithmeticError(f"odd degree {da}: the blocks up to total degree {top} "
-                                  f"have dimension {got}, the Schroder count is {want}")
-        store[da] = dict(sorted(blocks.items()))
-    return store[da]
+    """The nonzero hook blocks of odd degree da, built once per workspace:
+    the closed-form scan to `_hook_top_degree`, totalling H_da, the
+    Schroder-path count (Haglund 2004, with Haiman's nabla e_n theorem)."""
+
+    def build() -> Dict[TriDegree, Block]:
+        blocks = _closed_form_scan(
+            da, _hook_top_degree(n, da), hook_per_a(n)[da],
+            "odd degree {da}: the blocks up to total degree {top} have dimension {got}, "
+            "the Schroder count is {want}",
+            lambda a, b: (_build_hook_block(n, TriDegree(a, b, da)) if da
+                          else _sign_quotient_block(n, a, b)),
+            lambda blk: blk.dim)
+        return dict(sorted(blocks.items()))
+
+    return _per_n(n, ("hook", da), build)
 
 
 def drn_sign(n: int) -> QuotientSpace:
@@ -964,7 +961,6 @@ def hook_component(n: int, allow_large: bool = False, cache_dir=None) -> Quotien
 # Ideals generated by antisymmetric elements
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
 def _shift_columns(n: int, deg: TriDegree, var: str) -> List[List[int]]:
     """Per i, for each column m of deg, the column of x_i m (var "xe") or
     y_i m (var "ye") one degree up."""
@@ -979,7 +975,6 @@ def _shift_columns(n: int, deg: TriDegree, var: str) -> List[List[int]]:
     return [[index[bumped(m, i)] for m in monos] for i in range(n)]
 
 
-@lru_cache(maxsize=None)
 def _wedge_omega0_columns(n: int, deg: TriDegree) -> List[List[Tuple[int, int]]]:
     """Per column of deg, the (target column, sign) pairs of
     (th_1 + .. + th_n) ^ it, one odd degree up."""
@@ -991,7 +986,7 @@ def _wedge_omega0_columns(n: int, deg: TriDegree) -> List[List[Tuple[int, int]]]
 
 def _wedge_omega0_vec(n: int, deg: TriDegree, vec: Vec) -> Vec:
     """Coordinates of (th_1 + .. + th_n) ^ v one odd degree up."""
-    columns = _wedge_omega0_columns(n, deg)
+    columns = _per_n(n, ("wedge", deg), lambda: _wedge_omega0_columns(n, deg))
     out: Vec = {}
     for j, c in vec.items():
         for kk, sign in columns[j]:
@@ -1031,7 +1026,7 @@ class _IdealTower:
             acc = self.J.get(src)
             if not acc or not acc.rank:
                 continue
-            columns = _shift_columns(n, src, var)
+            columns = _per_n(n, ("shift", src, var), lambda: _shift_columns(n, src, var))
             for _, row in acc.int_rows():
                 out += [{col[c]: v for c, v in row.items()} for col in columns]
         return out
@@ -1065,7 +1060,7 @@ class _IdealTower:
 def _ideal_tower(n: int, max_total: int) -> _IdealTower:
     """The workspace's tower, built at least up to total degree max_total;
     callers read only its degrees(max_total)."""
-    tower = _workspace(n).tower
+    tower = _per_n(n, ("tower",), lambda: _IdealTower(n))
     if max_total > tower.max_total:
         tower._build(max_total)
     return tower
@@ -1130,12 +1125,6 @@ def ideal_quotient_series(n: int, reduced: bool) -> HilbertSeries:
 
 
 def clear_registry():
-    """Drop all workspaces, with every memo kept on their spaces, and the
-    `ambient_basis` cache with the tower's column maps built from it.  The
-    operator built per `OperatorSpec` in `operators`, and the certificate
-    generators built per n there, are kept: they depend on their arguments
-    alone."""
+    """Drop every workspace, and with them all that this process has built:
+    a cold start."""
     _WORKSPACES.clear()
-    ambient_basis.cache_clear()
-    _shift_columns.cache_clear()
-    _wedge_omega0_columns.cache_clear()

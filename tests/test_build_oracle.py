@@ -16,6 +16,7 @@ import pytest
 
 import build_oracle as old
 from harmonica import spaces
+from memo import memo
 
 
 def _assert_fractions(vecs):
@@ -32,7 +33,7 @@ def _assert_same_block(new, ref):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_even_blocks_match_the_oracle(n):
     spaces.coinvariants(n)
-    blocks = spaces._workspace(n).even_blocks
+    blocks = {key[1:]: blk for key, blk in memo(n).items() if key[0] == "even"}
     assert blocks
     for (a, b), blk in blocks.items():
         _assert_same_block(blk, old._build_even_block(n, a, b))

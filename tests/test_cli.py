@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from harmonica.cli import main
+from memo import memo
 
 BASE = [sys.executable, "-m", "harmonica.cli"]
 # The closed-form failures `TestExitCodes` provokes at n = 3.
@@ -200,7 +201,8 @@ class TestExitCodes:
         res = run("compute", "--n", "6", "--space", "drn", "--allow-large")
         assert res.returncode == 3
 
-    @pytest.mark.parametrize("n,space", [(6, "j"), (6, "j-quotient"), (5, "jbar-quotient")])
+    @pytest.mark.parametrize("n,space", [(6, "j"), (6, "j-quotient"), (5, "jbar-quotient"),
+                                         (4, "jbar"), (4, "mjbar")])
     def test_ideal_spaces_respect_the_cap(self, n, space, monkeypatch, capsys):
         from harmonica import spaces
 
@@ -209,7 +211,10 @@ class TestExitCodes:
 
         monkeypatch.setattr(spaces._IdealTower, "_build", refuse)
         assert main(["compute", "--n", str(n), "--space", space]) == 3
-        assert "resource refusal" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "resource refusal" in err
+        if n == 4:  # jbar and mjbar need rank(omega_0 ^ J): their default cap is 3
+            assert "n=4 exceeds the default cap 3; pass allow_large (--allow-large) to proceed" in err
 
     @pytest.mark.parametrize("suite", ["oracle-catalan", "all"])
     @pytest.mark.parametrize("n,flags", [(5, []), (6, ["--allow-large"]), (12, []), (13, [])])
@@ -591,10 +596,9 @@ class TestAllowLargeReachesEveryLayer:
     def empty_n5(self, monkeypatch):
         from harmonica import spaces
 
-        workspace = spaces._Workspace(5)
-        workspace.spaces["hook"] = spaces.QuotientSpace(5, "hook", {})
-        workspace.spaces["dh"] = spaces.GradedSubspace(5, "dh", {})
-        monkeypatch.setitem(spaces._WORKSPACES, 5, workspace)
+        monkeypatch.setitem(spaces._WORKSPACES, 5, spaces._Memoised())
+        memo(5)[("space", "hook")] = spaces.QuotientSpace(5, "hook", {})
+        memo(5)[("space", "dh")] = spaces.GradedSubspace(5, "dh", {})
 
         def refuse(*args, **kwargs):
             raise AssertionError("an n = 5 block build started")
@@ -620,7 +624,7 @@ class TestAllowLargeReachesEveryLayer:
         from harmonica import spaces
         from harmonica.spaces import ResourceCapExceeded
 
-        spaces._WORKSPACES[5].spaces["drn"] = spaces.QuotientSpace(5, "drn", {})
+        memo(5)[("space", "drn")] = spaces.QuotientSpace(5, "drn", {})
         assert spaces.hook_component(5, allow_large=True).total_dim() == 0
         assert spaces.coinvariants(5, allow_large=True).total_dim() == 0
         entries = [

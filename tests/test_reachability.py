@@ -1,9 +1,8 @@
 """Every function in `harmonica` is reached by some command, or is on an
 allowlist that says why it stays.
 
-The CLI runs in this process, as from a cold start (registry and every
-`lru_cache` cleared), under a `sys.setprofile` hook that records each code
-object called:
+The CLI runs in this process, as from a cold start (`clear_registry`),
+under a `sys.setprofile` hook that records each code object called:
 - every suite at n = 2 and 3, one at a time, and `verify --n 2 --suite all`;
 - `export` as json and as csv, at n = 2 and 3, and once with `--dict`;
 - `compute` of every kind at n = 2 and 3;
@@ -65,14 +64,14 @@ SRC = str(Path(harmonica.__file__).resolve().parent)
 def _defined_functions():
     """'module.name' or 'module.Class.name' -> code object, for every
     function, method and property getter whose code is in `src/harmonica`,
-    seen through `lru_cache`, classmethod and staticmethod wrappers."""
+    seen through classmethod and staticmethod wrappers."""
     out = {}
     for info in pkgutil.iter_modules(harmonica.__path__):
         mod = importlib.import_module(f"harmonica.{info.name}")
         members = []
         for name, obj in vars(mod).items():
             if not isinstance(obj, type):
-                members.append((f"{info.name}.{name}", getattr(obj, "__wrapped__", obj)))
+                members.append((f"{info.name}.{name}", obj))
             elif obj.__module__ == mod.__name__:
                 members += [(f"{info.name}.{name}.{attr}",
                              m.fget if isinstance(m, property) else getattr(m, "__func__", m))
@@ -82,14 +81,6 @@ def _defined_functions():
             if code is not None and code.co_filename.startswith(SRC) and func.__module__ == mod.__name__:
                 out[name] = code
     return out
-
-
-def _cold_start():
-    spaces.clear_registry()
-    for info in pkgutil.iter_modules(harmonica.__path__):
-        for obj in vars(importlib.import_module(f"harmonica.{info.name}")).values():
-            if callable(getattr(obj, "cache_clear", None)):
-                obj.cache_clear()
 
 
 def _commands(tmp_path):
@@ -108,7 +99,7 @@ def _commands(tmp_path):
     yield ["export", "--n", "3", "--dict", str(dict_path), "--out", out], 0
     cache = str(tmp_path / "cache")
     for _ in ("cold", "warm"):
-        _cold_start()
+        spaces.clear_registry()
         for kind in ("drn", "drn-sign", "dh", "dh-sign", "hook"):
             yield ["compute", "--n", "3", "--space", kind, "--cache-dir", cache, "--out", out], 0
         yield ["export", "--n", "3", "--cache-dir", cache, "--out", out], 0
@@ -123,7 +114,7 @@ def test_every_function_is_reached_or_allowlisted(tmp_path):
         if event == "call":
             called.add(frame.f_code)
 
-    _cold_start()
+    spaces.clear_registry()
     wrong = []
     try:
         for argv, expected in _commands(tmp_path):
@@ -135,7 +126,7 @@ def test_every_function_is_reached_or_allowlisted(tmp_path):
             if code != expected:
                 wrong.append((argv, code))
     finally:
-        _cold_start()
+        spaces.clear_registry()
     assert wrong == []
     unreached = {name for name, code in defined.items() if code not in called}
     assert unreached - set(ALLOWLIST) == set(), "no command reaches these; delete them or allowlist them"

@@ -6,6 +6,7 @@ import pytest
 
 import build_oracle
 from build_oracle import invariant_ideal_piece
+from memo import memo
 from operator_oracle import op_partial_y, op_power_sum_deriv, vec_to_poly
 from sign_oracle import sym
 from harmonica import spaces, verify
@@ -176,7 +177,7 @@ class TestBlockBuild:
     def test_block_rows_are_rep_products_inserted_right_to_left(self, monkeypatch):
         n, a, b = 5, 4, 3
         spaces.clear_registry()
-        fam = spaces._workspace(n).family
+        fam = spaces._SingleFamily(n)
         bound = sum(len(fam.deg(a - c).reps) * len(fam.deg(b - d).reps)
                     for (c, d) in spaces._mixed_generators(n) if c <= a and d <= b)
         keys = []
@@ -313,7 +314,7 @@ class TestHarmonics:
                 monkeypatch.setattr(spaces, "_even_block", lambda n, a, b: faulty)
                 pieces[deg] = spaces._build_harmonic_piece(n, deg.dx, deg.dy)
                 assert len(pieces[deg]) == block.dim + 1
-            spaces._workspace(n).spaces["dh"] = GradedSubspace(n, "dh", pieces)
+            memo(n)[("space", "dh")] = GradedSubspace(n, "dh", pieces)
             results = {r.name: r for r in verify.run_suite(n, "duality")}
         finally:
             spaces.clear_registry()
@@ -336,7 +337,7 @@ class TestHarmonics:
                 # Orthogonal to the relations without the pair weights.
                 pieces[deg] = [{j: v / monomial_pair_weight(monos[j]) for j, v in vec.items()}
                                for vec in pieces[deg]]
-            spaces._workspace(n).spaces["dh"] = GradedSubspace(n, "dh", pieces)
+            memo(n)[("space", "dh")] = GradedSubspace(n, "dh", pieces)
             results = {r.name: r for r in verify.run_suite(n, "duality")}
         finally:
             spaces.clear_registry()
@@ -417,7 +418,7 @@ class TestAntisymmetricIdeals:
         # only if omega_0 ^ J lies in J at every degree the tower builds.
         cap = default_ideal_degree_cap(n)
         antisymmetric_ideal(n, "J", max_total=cap)
-        tower = spaces._workspace(n).tower
+        tower = memo(n)[("tower",)]
         for deg in tower.degrees(cap):
             J = tower.J[deg]
             assert _span(tower.omega_rows(deg), J.copy()).rank == J.rank, deg

@@ -16,6 +16,7 @@ from harmonica.structure import (
     model,
 )
 from harmonica.superpoly import TriDegree, vandermonde
+from memo import memo
 
 FIGURE_POINTS = sorted(
     [
@@ -440,6 +441,6 @@ def test_sl2_layer_reads_only_the_space_it_is_given(tmp_path, monkeypatch):
         top = TriDegree(3, 0, 0)
         cert = cogeneration_search(space, space.coords(top, poly_to_vec(vandermonde("x", 3), top)), deg=top)
         assert cert.f_word == () and cert.d_word == () and cert.scalar == 1
-        assert "hook" not in spaces._workspace(3).spaces
+        assert ("space", "hook") not in memo(3)
     finally:
         clear_registry()

@@ -1,12 +1,16 @@
 """Ownership of memoised state: one workspace per n, one memo per space."""
 
+import importlib
+import pkgutil
 from collections import Counter
 
 import pytest
 
+import harmonica
 from harmonica import operators, spaces, structure
 from harmonica.operators import OperatorSpec, WellDefinednessError, check_preserves, matrix_of
 from harmonica.spaces import (
+    ambient_basis,
     antisymmetric_ideal,
     clear_registry,
     coinvariants,
@@ -14,6 +18,8 @@ from harmonica.spaces import (
     hook_component,
     ideal_series,
 )
+from harmonica.superpoly import TriDegree
+from memo import memo
 
 
 @pytest.fixture
@@ -76,7 +82,7 @@ def test_lower_cap_is_served_from_the_built_tower(fresh, monkeypatch):
     series = {kind: ideal_series(3, kind) for kind in spaces._IDEAL_KINDS}
     clear_registry()
     assert antisymmetric_ideal(3, "J", max_total=5).degree_cap == 5
-    tower = spaces._WORKSPACES[3].tower
+    tower = memo(3)[("tower",)]
     degrees = list(tower.J)
 
     def refuse(self, max_total):
@@ -92,14 +98,29 @@ def test_lower_cap_is_served_from_the_built_tower(fresh, monkeypatch):
 
 
 def test_clear_registry_leaves_nothing_behind(fresh):
+    # A cold start: the compiled operators, certificate generators and
+    # ambient bases go with the spaces, and no module keeps a cache of its
+    # own (an `lru_cache` would have `cache_info`).
     hook = hook_component(2)
     dr = coinvariants(2)
     sl2 = structure.model(hook)
     antisymmetric_ideal(2, "J", max_total=3)
+    ideal_series(2, "jbar")
     matrix_of(OperatorSpec.F(2, 1), hook, (0, 1, 0))
+    op = OperatorSpec.F(2, 1).diff_operator()
+    generator = operators._diagonal_poly(2, x=1)
+    basis = ambient_basis(2, TriDegree(0, 1, 0))[0]
     clear_registry()
     assert spaces._WORKSPACES == {}
-    assert spaces.ambient_basis.cache_info().currsize == 0
+    assert OperatorSpec.F(2, 1).diff_operator() is not op
+    assert operators._diagonal_poly(2, x=1) is not generator
+    assert ambient_basis(2, TriDegree(0, 1, 0))[0] is not basis
     assert hook_component(2) is not hook
     assert coinvariants(2) is not dr
     assert structure.model(hook_component(2)) is not sl2
+    for info in pkgutil.iter_modules(harmonica.__path__):
+        module = importlib.import_module(f"harmonica.{info.name}")
+        objects = list(vars(module).values())
+        objects += [attr for cls in objects if isinstance(cls, type) and cls.__module__ == module.__name__
+                    for attr in vars(cls).values()]
+        assert not [obj for obj in objects if hasattr(obj, "cache_info")], module.__name__
