@@ -30,7 +30,7 @@ from pathlib import Path
 from typing import Iterator, Optional
 
 from .dyck import hook_per_a
-from .spaces import Block, GradedSubspace, QuotientSpace
+from .spaces import Block, CacheWriteError, GradedSubspace, QuotientSpace
 from .superpoly import MONOMIAL_ORDER_ID, TriDegree, count_tridegree
 
 FORMAT_VERSION = 1
@@ -53,28 +53,32 @@ def _save(cache_dir, kind: str, n: int, key: str, records: Iterator[dict]) -> Pa
     """Write the file of (kind, n) with `records` under `key`, one record at
     a time: the header's text up to its list, each record's text as
     `records` yields it, then the tail.  The bytes are those of one
-    `json.dumps` of the whole file with sorted keys and no spaces."""
+    `json.dumps` of the whole file with sorted keys and no spaces.  Any
+    `OSError` of the write raises `CacheWriteError`, naming the file."""
     # The whole file with an empty list, cut between the list's brackets.
     empty = json.dumps({**_header(kind, n), key: []}, sort_keys=True, separators=(",", ":"))
     opening = json.dumps(key) + ":["
     cut = empty.index(opening) + len(opening)
     path = cache_path(cache_dir, kind, n)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=path.name, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(empty[:cut])
-            for i, record in enumerate(records):
-                fh.write("," if i else "")
-                fh.write(json.dumps(record, sort_keys=True, separators=(",", ":")))
-            fh.write(empty[cut:])
-        os.replace(tmp, path)
-    except BaseException:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=path.name, suffix=".tmp")
         try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(empty[:cut])
+                for i, record in enumerate(records):
+                    fh.write("," if i else "")
+                    fh.write(json.dumps(record, sort_keys=True, separators=(",", ":")))
+                fh.write(empty[cut:])
+            os.replace(tmp, path)
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
+    except OSError as exc:
+        raise CacheWriteError(f"cannot write cache {path}: {exc}") from exc
     return path
 
 

@@ -1,9 +1,11 @@
 """Command-line front end: build spaces, run verification suites, export.
 
 Exit codes: 0 success, 1 check failure, 2 usage error, 3 resource refusal.
-A build whose closed-form check fails (`ArithmeticError`) is a check
-failure: `verify` reports it as a failing check of the suite that reads the
-space, and the other commands in one stderr line.  `verify` builds only the
+A cache file that cannot be written (`CacheWriteError`), like an `--out`
+file, ends the command with one stderr line and exit 1.  A build whose
+closed-form check fails (`ArithmeticError`) is a check failure: `verify`
+reports it as a failing check of the suite that reads the space, and the
+other commands in one stderr line.  `verify` builds only the
 spaces its suites declare (`verify._SUITE_SPACES`).  Each command imports
 only the modules it runs: `--version`, `--help` and a usage error load no
 space code (`spaces` is imported once a command runs), `compute` loads
@@ -156,12 +158,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    from .spaces import ResourceCapExceeded
+    from .spaces import CacheWriteError, ResourceCapExceeded
     try:
         return args.fn(args)
     except ResourceCapExceeded as exc:
         print(f"harmonica: resource refusal: {exc}", file=sys.stderr)
         return 3
+    except CacheWriteError as exc:
+        print(f"harmonica: {exc}", file=sys.stderr)
+        return 1
     except ArithmeticError as exc:  # a build's closed-form check
         print(f"harmonica: check failed: {exc}", file=sys.stderr)
         return 1

@@ -1,8 +1,12 @@
 """Exact sparse linear algebra over the rationals.
 
-Matrices are stored as dicts mapping (row, col) to nonzero Fractions.  All
-elimination runs through one fraction-free engine, `RrefAccumulator`, in
-the spirit of Bareiss (1968): rows are dicts of Python ints, each divided by
+A vector (`Vec`) is a dict mapping an index to a nonzero value, and a matrix
+is the list of its columns: column j is the image of basis vector j.  The
+row count is not stored; whoever holds the columns knows the space they
+live in.  `mul_vec` applies such a matrix to a vector.
+
+All elimination runs through one fraction-free engine, `RrefAccumulator`,
+in the spirit of Bareiss (1968): rows are dicts of Python ints, each divided by
 its content and with a positive entry at its pivot, and the rows are kept
 mutually reduced.  The stored rows are therefore the unique reduced row
 echelon form of the span, up to one positive integer scale per row.
@@ -12,7 +16,7 @@ single pass.  Its pivot columns are known before the pass starts, because
 eliminating one pivot never creates an entry at another.  With D the lcm of
 the pivot entries met, the residual is D*vec - sum (vec[p]*D/row[p][p]) *
 row[p].  Fractions appear only at the edges: a returned residual, returned
-coefficients, and the RREF view (`row_vectors`, `to_matrix`), which is built
+coefficients, and the RREF view (`row_vectors`), which is built
 on demand and cached until the next independent insert.
 
 Builders may hand in `int` dicts wherever a vector is expected: an `int`
@@ -27,17 +31,20 @@ Pivoting is deterministic: an independent vector pivots on the smallest
 column of its residual.  That column is the leading column of the new row,
 and back-reduction only adds later columns to earlier rows, so pivots stay
 leading.  `rref`, `kernel_basis`, `span_solver` and `membership` are thin
-wrappers; coordinates in a span are read off one augmented RREF.
+wrappers: `rref` reduces the span of the vectors it is handed (a matrix's
+rows, or its columns where only the rank is read), the other three take a
+matrix as its columns; coordinates in a span are read off one augmented
+RREF.
 
-A SparseMatrix is immutable after construction and every module-level
-function is pure, so concurrent use on distinct inputs is safe.
+Every public function but `vec_add_scaled`, which adds in place, leaves its
+inputs as they were, so concurrent use on distinct inputs is safe.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Optional
+from typing import Optional
 
 
 Vec = dict  # column index -> nonzero Fraction
@@ -55,121 +62,12 @@ def vec_add_scaled(target: Vec, scale: Fraction, source: Vec) -> None:
             target[j] = w
 
 
-class SparseMatrix:
-    """Immutable sparse matrix of exact rationals."""
-
-    __slots__ = ("rows", "cols", "data")
-
-    def __init__(self, rows: int, cols: int, data: Optional[dict] = None):
-        if rows < 0 or cols < 0:
-            raise ValueError("negative matrix dimensions")
-        self.rows = rows
-        self.cols = cols
-        clean = {}
-        for (r, c), v in (data or {}).items():
-            if not (0 <= r < rows and 0 <= c < cols):
-                raise ValueError(f"index ({r},{c}) out of bounds for {rows}x{cols}")
-            f = Fraction(v)
-            if f != 0:
-                clean[(r, c)] = f
-        self.data = clean
-
-    @classmethod
-    def from_rows(cls, row_vecs: Iterable[dict], cols: int) -> "SparseMatrix":
-        row_vecs = list(row_vecs)
-        data = {}
-        for i, row in enumerate(row_vecs):
-            for j, v in row.items():
-                data[(i, j)] = v
-        return cls(len(row_vecs), cols, data)
-
-    @classmethod
-    def from_columns(cls, col_vecs: Iterable[dict], rows: int) -> "SparseMatrix":
-        col_vecs = list(col_vecs)
-        data = {}
-        for j, col in enumerate(col_vecs):
-            for i, v in col.items():
-                data[(i, j)] = v
-        return cls(rows, len(col_vecs), data)
-
-    def entry(self, r: int, c: int) -> Fraction:
-        return self.data.get((r, c), Fraction(0))
-
-    def row_list(self) -> list:
-        rows = [dict() for _ in range(self.rows)]
-        for (r, c), v in self.data.items():
-            rows[r][c] = v
-        return rows
-
-    def column_list(self) -> list:
-        cols = [dict() for _ in range(self.cols)]
-        for (r, c), v in self.data.items():
-            cols[c][r] = v
-        return cols
-
-    def mul_vec(self, vec: Vec) -> Vec:
-        """Matrix times sparse column vector."""
-        out: Vec = {}
-        for (r, c), v in self.data.items():
-            x = vec.get(c)
-            if x:
-                w = out.get(r, 0) + v * x
-                if w == 0:
-                    out.pop(r, None)
-                else:
-                    out[r] = w
-        return out
-
-    def matmul(self, other: "SparseMatrix") -> "SparseMatrix":
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch in matmul")
-        rows_of_other = other.row_list()
-        data: dict = {}
-        for (r, k), v in self.data.items():
-            for c, w in rows_of_other[k].items():
-                key = (r, c)
-                s = data.get(key, 0) + v * w
-                if s == 0:
-                    data.pop(key, None)
-                else:
-                    data[key] = s
-        return SparseMatrix(self.rows, other.cols, data)
-
-    def scaled(self, a) -> "SparseMatrix":
-        a = Fraction(a)
-        return SparseMatrix(self.rows, self.cols, {k: a * v for k, v in self.data.items()})
-
-    def add(self, other: "SparseMatrix") -> "SparseMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("dimension mismatch in add")
-        data = dict(self.data)
-        for k, v in other.data.items():
-            s = data.get(k, 0) + v
-            if s == 0:
-                data.pop(k, None)
-            else:
-                data[k] = s
-        return SparseMatrix(self.rows, self.cols, data)
-
-    def is_zero(self) -> bool:
-        return not self.data
-
-    def nnz(self) -> int:
-        return len(self.data)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SparseMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.data == other.data
-        )
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, tuple(sorted(self.data.items()))))
-
-    def __repr__(self):
-        return f"SparseMatrix({self.rows}x{self.cols}, nnz={len(self.data)})"
+def mul_vec(columns: list, vec: Vec) -> Vec:
+    """The matrix with these columns times vec: sum over c of vec[c] * columns[c]."""
+    out: Vec = {}
+    for c, x in vec.items():
+        vec_add_scaled(out, x, columns[c])
+    return out
 
 
 def _scaled_ints(vec: Vec):
@@ -327,9 +225,6 @@ class RrefAccumulator:
         """RREF rows (pivot coefficient 1), in pivot order."""
         return [dict(row) for row in self._rref().values()]
 
-    def to_matrix(self, cols: int) -> SparseMatrix:
-        return SparseMatrix.from_rows(self._rref().values(), cols)
-
 
 def _span(vecs, acc: Optional[RrefAccumulator] = None) -> RrefAccumulator:
     """`acc`, a new accumulator by default, with `vecs` inserted in order."""
@@ -339,56 +234,64 @@ def _span(vecs, acc: Optional[RrefAccumulator] = None) -> RrefAccumulator:
     return acc
 
 
-def rref(m: SparseMatrix):
-    """Reduced row echelon form.
+def rref(vecs):
+    """Reduced row echelon form of the span of `vecs`.
 
-    Returns (reduced matrix, pivot column list, rank).  The output is the
-    unique RREF of the row space; pivot columns are strictly increasing.
+    Returns (RREF rows, pivot column list, rank).  The rows are the unique
+    RREF of the span, pivot coefficient 1, in pivot order; pivot columns
+    are strictly increasing.  Handed a matrix's columns, the rank is the
+    matrix's rank.
     """
-    acc = _span(m.row_list())
-    return acc.to_matrix(m.cols), acc.pivots(), acc.rank
+    acc = _span(vecs)
+    return acc.row_vectors(), acc.pivots(), acc.rank
 
 
-def kernel_basis(m: SparseMatrix) -> list:
-    """Basis of the right null space, as sparse column vectors.
+def kernel_basis(columns: list) -> list:
+    """Basis of the right null space of the matrix with these columns.
 
-    One vector per non-pivot column; m.mul_vec(v) == {} for each.
+    One vector per non-pivot column of its RREF; mul_vec(columns, v) == {}
+    for each.
     """
-    kernel = _span(m.row_list()).int_kernel(m.cols)
+    rows: dict = {}
+    for c, col in enumerate(columns):
+        for r, x in col.items():
+            rows.setdefault(r, {})[c] = x
+    kernel = _span(rows[r] for r in sorted(rows)).int_kernel(len(columns))
     return [_fractions(vec, vec[f]) for f, vec in kernel.items()]
 
 
-def span_solver(span: SparseMatrix):
-    """(rank of the column span, solve) with solve(v) == membership(v, span).
+def span_solver(columns: list, rows: int):
+    """(rank of the span, solve) with solve(v) == membership(v, columns, rows),
+    for columns that are vectors over 0..rows-1.
 
-    Column j of the r x k span goes in as the row col_j + e_(r+k-1-j): the
+    Column j of the k columns goes in as the row col_j + e_(rows+k-1-j): the
     tags sit past the rows in reverse order, so a column that depends on
     earlier ones pivots at its own tag and gets no coefficient.  v is in the
-    span exactly when its residual is zero below r, and its coordinates are
-    minus the residual at the tags.
+    span exactly when its residual is zero below rows, and its coordinates
+    are minus the residual at the tags.
     """
-    r, k = span.rows, span.cols
+    top = rows + len(columns) - 1
     acc = RrefAccumulator()
-    for j, col in enumerate(span.column_list()):
-        acc.insert({**col, r + k - 1 - j: 1})
+    for j, col in enumerate(columns):
+        acc.insert({**col, top - j: 1})
 
     def solve(v: Vec) -> Optional[Vec]:
         out = acc.reduce(v)
-        if out and min(out) < r:
+        if out and min(out) < rows:
             return None
-        return {r + k - 1 - t: -x for t, x in out.items()}
+        return {top - t: -x for t, x in out.items()}
 
-    return sum(1 for p in acc._rows if p < r), solve
+    return sum(1 for p in acc._rows if p < rows), solve
 
 
-def membership(v: Vec, span: SparseMatrix):
-    """Express v in the column span of `span`.
+def membership(v: Vec, columns: list, rows: int):
+    """Express v in the span of `columns`, vectors over 0..rows-1.
 
-    Returns a coefficient vector c (dict col index -> Fraction) with
-    span @ c == v exactly, or None if v is not in the span.  Not-in-span is
-    a normal outcome, not an error.
+    Returns a coefficient vector c (dict column index -> Fraction) with
+    mul_vec(columns, c) == v exactly, or None if v is not in the span.
+    Not-in-span is a normal outcome, not an error.
     """
     for i in v:
-        if not 0 <= i < span.rows:
-            raise ValueError(f"vector index {i} incompatible with {span.rows} rows")
-    return span_solver(span)[1](v)
+        if not 0 <= i < rows:
+            raise ValueError(f"vector index {i} incompatible with {rows} rows")
+    return span_solver(columns, rows)[1](v)

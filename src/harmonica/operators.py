@@ -20,7 +20,9 @@ Matrices act on int column
 vectors (`spaces.column_map`) and read the space only through `basis`,
 `coords` of an image vector and `is_zero_at`, so one loop serves quotients
 and graded subspaces alike; no column map is built where the source piece
-has no basis or the space knows the target piece is zero.
+has no basis or the space knows the target piece is zero.  A matrix is the
+list of its columns, the images of the source basis (`linalg`); `compose`
+and the graded `bracket` work column by column.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Optional, Tuple
 
-from .linalg import SparseMatrix, _scaled_ints
+from .linalg import _scaled_ints, mul_vec, vec_add_scaled
 from .spaces import (
     GradedSubspace,
     QuotientSpace,
@@ -129,18 +131,34 @@ def _operator(spec: OperatorSpec) -> Tuple[DiffOperator, Tuple[int, int, int]]:
 
 
 class OperatorMatrix(NamedTuple):
+    """A matrix from the piece at source to the piece at target, as its
+    columns: column j is the image of basis vector j, in target coordinates.
+    `matrix_of` hands out shared matrices, so no caller mutates a column."""
+
     source: TriDegree
     target: TriDegree
-    matrix: SparseMatrix
+    columns: list
 
     def is_zero(self) -> bool:
-        return self.matrix.is_zero()
+        return not any(self.columns)
 
 
 def compose(outer: OperatorMatrix, inner: OperatorMatrix) -> OperatorMatrix:
     if inner.target != outer.source:
         raise ValueError(f"cannot compose: {inner.target} != {outer.source}")
-    return OperatorMatrix(inner.source, outer.target, outer.matrix.matmul(inner.matrix))
+    return OperatorMatrix(inner.source, outer.target, [mul_vec(outer.columns, col) for col in inner.columns])
+
+
+def bracket(u_after: OperatorMatrix, v: OperatorMatrix, v_after: OperatorMatrix, u: OperatorMatrix,
+            sign: int) -> OperatorMatrix:
+    """u v + sign v u on one piece, column by column, from the matrices of v
+    and u on the piece and of u after v and v after u."""
+    uv, vu = compose(u_after, v), compose(v_after, u)
+    if uv.target != vu.target:
+        raise ValueError("bracket of operators with different total shifts")
+    for col, other in zip(uv.columns, vu.columns):
+        vec_add_scaled(col, sign, other)
+    return uv
 
 
 # ---------------------------------------------------------------------------
@@ -281,23 +299,24 @@ def matrix_of(spec: OperatorSpec, space, deg) -> OperatorMatrix:
 def _matrix(spec: OperatorSpec, space, deg: TriDegree) -> OperatorMatrix:
     tdeg = spec.target_degree(deg)
     basis = space.basis(deg)
-    data = {}
-    if basis and not space.is_zero_at(tdeg):
-        D = spec.diff_operator()
-        image = column_map(D, deg)
-        for j, vec in enumerate(basis):
-            ints, scale = _scaled_ints(vec)
-            coords = space.coords(tdeg, image(ints))
-            if coords is None:
-                monos = ambient_basis(space.n, deg)[0]
-                raise WellDefinednessError(
-                    f"{spec.label()} image of a {space.kind} basis vector at {deg} "
-                    f"is not in the piece at {tdeg}",
-                    Polynomial(space.n, {monos[c]: v for c, v in vec.items()}),
-                )
-            for row, val in coords.items():
-                data[(row, j)] = Fraction(val, D.den * scale)
-    return OperatorMatrix(deg, tdeg, SparseMatrix(space.dim(tdeg), len(basis), data))
+    if not basis or space.is_zero_at(tdeg):
+        return OperatorMatrix(deg, tdeg, [{} for _ in basis])
+    D = spec.diff_operator()
+    image = column_map(D, deg)
+    columns = []
+    for vec in basis:
+        ints, scale = _scaled_ints(vec)
+        coords = space.coords(tdeg, image(ints))
+        if coords is None:
+            monos = ambient_basis(space.n, deg)[0]
+            raise WellDefinednessError(
+                f"{spec.label()} image of a {space.kind} basis vector at {deg} "
+                f"is not in the piece at {tdeg}",
+                Polynomial(space.n, {monos[c]: v for c, v in vec.items()}),
+            )
+        den = D.den * scale
+        columns.append({row: Fraction(val, den) for row, val in coords.items()})
+    return OperatorMatrix(deg, tdeg, columns)
 
 
 def is_zero_on(spec: OperatorSpec, space) -> bool:
@@ -309,11 +328,8 @@ def _bracket_piece(u: OperatorSpec, v: OperatorSpec, space, deg: TriDegree) -> O
     """The matrix of u v - (-1)^(|u||v|) v u on one piece, where |u| is the
     parity of u's odd-degree shift."""
     sign = 1 if u.shift()[2] % 2 and v.shift()[2] % 2 else -1
-    uv = compose(matrix_of(u, space, v.target_degree(deg)), matrix_of(v, space, deg))
-    vu = compose(matrix_of(v, space, u.target_degree(deg)), matrix_of(u, space, deg))
-    if uv.target != vu.target:
-        raise ValueError("bracket of operators with different total shifts")
-    return OperatorMatrix(deg, uv.target, uv.matrix.add(vu.matrix.scaled(sign)))
+    return bracket(matrix_of(u, space, v.target_degree(deg)), matrix_of(v, space, deg),
+                   matrix_of(v, space, u.target_degree(deg)), matrix_of(u, space, deg), sign)
 
 
 def bracket_mismatch(u: OperatorSpec, v: OperatorSpec, space, coeff=0,
@@ -331,20 +347,23 @@ def bracket_mismatch(u: OperatorSpec, v: OperatorSpec, space, coeff=0,
     for deg in space.support():
         if space.is_zero_at(u.target_degree(v.target_degree(deg))):
             continue
-        om = _bracket_piece(u, v, space, deg)
-        if (om.matrix != matrix_of(w, space, deg).matrix.scaled(coeff)) if coeff else not om.is_zero():
+        got = _bracket_piece(u, v, space, deg).columns
+        if coeff:
+            want = [{r: coeff * x for r, x in col.items()} for col in matrix_of(w, space, deg).columns]
+            if got != want:
+                return deg
+        elif any(got):
             return deg
     return None
 
 
-def matrix_json(om: OperatorMatrix) -> dict:
-    """JSON-ready form with exact entries rendered as 'p/q' strings."""
+def matrix_json(om: OperatorMatrix, space) -> dict:
+    """JSON-ready form with exact entries rendered as 'p/q' strings; the
+    row count is the dimension of the space's target piece."""
     return {
         "source": list(om.source),
         "target": list(om.target),
-        "rows": om.matrix.rows,
-        "cols": om.matrix.cols,
-        "entries": [
-            [r, c, str(v)] for (r, c), v in sorted(om.matrix.data.items())
-        ],
+        "rows": space.dim(om.target),
+        "cols": len(om.columns),
+        "entries": sorted([r, c, str(v)] for c, col in enumerate(om.columns) for r, v in col.items()),
     }

@@ -92,6 +92,10 @@ class ResourceCapExceeded(Exception):
     """Raised when a space build beyond the configured cap is requested."""
 
 
+class CacheWriteError(Exception):
+    """Raised when a built space cannot be written to the on-disk cache."""
+
+
 def _check_cap(n: int, allow_large: bool, cap: int = DEFAULT_CAP):
     if n < 2:
         raise ValueError("spaces are defined for n >= 2")

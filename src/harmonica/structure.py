@@ -29,7 +29,7 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .linalg import SparseMatrix, Vec, kernel_basis, span_solver, vec_add_scaled
+from .linalg import Vec, kernel_basis, mul_vec, span_solver, vec_add_scaled
 from .operators import OperatorMatrix, OperatorSpec, compose, matrix_json, matrix_of
 from .spaces import QuotientSpace, poly_to_vec
 from .superpoly import TriDegree, render, vandermonde
@@ -78,8 +78,7 @@ class SL2Model:
 
     def _power(self, deg: TriDegree, j: int) -> OperatorMatrix:
         if j == 0:
-            dim = self.space.dim(deg)
-            return OperatorMatrix(deg, deg, SparseMatrix(dim, dim, {(i, i): Fraction(1) for i in range(dim)}))
+            return OperatorMatrix(deg, deg, [{i: Fraction(1)} for i in range(self.space.dim(deg))])
         prev = self.power(deg, j - 1)
         return compose(self.step(prev.target), prev)
 
@@ -120,11 +119,11 @@ class SL2Model:
                 src = _slice_degree(da, total, -j)
                 if src is None or self.space.dim(src) == 0:
                     continue
-                for hw in kernel_basis(self.power(src, j + 1).matrix):
+                for hw in kernel_basis(self.power(src, j + 1).columns):
                     vecs, deg = [hw], src
                     for _ in range(j):
                         step = self.step(deg)
-                        vecs.append(step.matrix.mul_vec(vecs[-1]))
+                        vecs.append(mul_vec(step.columns, vecs[-1]))
                         deg = step.target
                     out.append(SL2String(da, total, j, tuple(vecs)))
         for deg in sorted(pieces):
@@ -153,8 +152,8 @@ class SL2Model:
             prod *= t
         return Fraction(prod)
 
-    def phi_block(self, deg) -> SparseMatrix:
-        """Matrix of the involution from the piece at deg to its mirror."""
+    def phi_block(self, deg) -> list:
+        """Columns of the involution from the piece at deg to its mirror."""
         deg = TriDegree(*deg)
         mirror = TriDegree(deg.dy, deg.dx, deg.da)
         return self.space.memoised(("phi", deg), lambda: self._string_map(
@@ -167,25 +166,23 @@ class SL2Model:
         return self.space.memoised(("e1", deg), lambda: OperatorMatrix(deg, target, self._string_map(
             deg, target, lambda j, s: (s - 1, Fraction(s * (j - s + 1))))))
 
-    def _string_map(self, deg: TriDegree, target: TriDegree, partner) -> SparseMatrix:
-        """Matrix from the piece at deg to the piece at target sending the
+    def _string_map(self, deg: TriDegree, target: TriDegree, partner) -> list:
+        """Columns from the piece at deg to the piece at target sending the
         string vector (string, s) of a length-j string to coeff times its
         vector s', where partner(j, s) = (s', coeff); coeff 0 sends it to 0."""
         src, tgt = self.frame(deg), self.frame(target)
         partners = dict(zip(tgt.tags, tgt.vectors))
         strings = self.strings()
-        dim = self.space.dim(deg)
-        data = {}
-        for p in range(dim):
+        columns = []
+        for p in range(self.space.dim(deg)):
             out: Vec = {}
             for c, z in src.coords({p: Fraction(1)}).items():
                 idx, s = src.tags[c]
                 s2, coeff = partner(strings[idx].j, s)
                 if coeff:
                     vec_add_scaled(out, z * coeff, partners[(idx, s2)])
-            for r, v in out.items():
-                data[(r, p)] = v
-        return SparseMatrix(self.space.dim(target), dim, data)
+            columns.append(out)
+        return columns
 
     def string_blocks(self, om: OperatorMatrix) -> Dict[Tuple[int, int], Dict[Tuple[int, int], Fraction]]:
         """The matrix of om from the string frame of its source to that of its
@@ -197,7 +194,7 @@ class SL2Model:
         blocks: Dict[Tuple[int, int], Dict[Tuple[int, int], Fraction]] = {}
         for c, v in enumerate(src.vectors):
             j = strings[src.tags[c][0]].j
-            for r, z in tgt.coords(om.matrix.mul_vec(v)).items():
+            for r, z in tgt.coords(mul_vec(om.columns, v)).items():
                 blocks.setdefault((j, strings[tgt.tags[r][0]].j), {})[(r, c)] = z
         return blocks
 
@@ -210,10 +207,11 @@ class SL2Model:
             target = TriDegree(deg.dx - 1, deg.dy + k, deg.da)
             middle = matrix_of(fk, self.space, TriDegree(deg.dy, deg.dx, deg.da))
             if self.space.dim(target):
-                mat = self.phi_block(middle.target).matmul(middle.matrix).matmul(self.phi_block(deg))
+                outer = self.phi_block(middle.target)
+                columns = [mul_vec(outer, mul_vec(middle.columns, col)) for col in self.phi_block(deg)]
             else:
-                mat = SparseMatrix(0, self.space.dim(deg), {})
-            out[deg] = OperatorMatrix(deg, target, mat)
+                columns = [{} for _ in range(self.space.dim(deg))]
+            out[deg] = OperatorMatrix(deg, target, columns)
         return out
 
 
@@ -232,7 +230,7 @@ class StringFrame:
                 self.vectors.append(st.vectors[s2 // 2])
                 self.tags.append((idx, s2 // 2))
         # coords(vec): {column: c} with vec == sum c * (string vector of that column).
-        rank, self.coords = span_solver(SparseMatrix.from_columns(self.vectors, dim))
+        rank, self.coords = span_solver(self.vectors, dim)
         if rank < len(self.vectors):
             raise LefschetzFailure(f"dependent string vectors in block {deg}")
         if rank < dim:
@@ -326,7 +324,7 @@ def cogeneration_search(space: QuotientSpace, f, deg) -> Certificate:
             cur, cdeg = vec, fdeg
             for spec in word:
                 om = matrix_of(spec, space, cdeg)
-                cur = om.matrix.mul_vec(cur)
+                cur = mul_vec(om.columns, cur)
                 cdeg = om.target
                 if not cur:
                     break
@@ -343,6 +341,10 @@ def cogeneration_search(space: QuotientSpace, f, deg) -> Certificate:
 # ---------------------------------------------------------------------------
 # Grading dictionary and export
 # ---------------------------------------------------------------------------
+
+
+# What a JSON value is, as an error message names it; anything else is a number.
+_JSON_KINDS = {bool: "a boolean", dict: "an object", list: "an array", str: "a string", type(None): "null"}
 
 
 class GradingDictionary(NamedTuple):
@@ -367,7 +369,21 @@ class GradingDictionary(NamedTuple):
 
     @classmethod
     def from_mapping(cls, data: dict) -> "GradingDictionary":
-        return cls(*(Fraction(data[name]) for name in cls._fields))
+        """The dictionary of a JSON object with a number or a numeric string
+        under each field; any other shape raises ValueError."""
+        if not isinstance(data, dict):
+            raise ValueError(f"expected an object of coefficients, got {_JSON_KINDS.get(type(data), 'a number')}")
+        values = []
+        for name in cls._fields:
+            value = data[name]
+            if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+                kind = _JSON_KINDS.get(type(value), "a number")
+                raise ValueError(f"{name} must be a number or a string, got {kind}")
+            try:
+                values.append(Fraction(value))
+            except OverflowError as exc:  # an infinite float
+                raise ValueError(f"{name}: {exc}") from exc
+        return cls(*values)
 
     def to_mapping(self) -> dict:
         return {name: str(v) for name, v in zip(self._fields, self)}
@@ -390,26 +406,23 @@ def fit_dictionary(points: List[Tuple[Tuple[int, int, int], Tuple[int, int, int]
     its (Q, A, T); inconsistent or underdetermined data raises ValueError.
     """
 
-    def solve(rows: List[Tuple[Fraction, ...]], rhs: List[Fraction], cols: int) -> List[Fraction]:
-        rank, coords = span_solver(SparseMatrix.from_rows([dict(enumerate(r)) for r in rows], cols))
-        sol = coords({i: Fraction(v) for i, v in enumerate(rhs)})
+    def solve(columns: List[List[int]], rhs: List[int]) -> List[Fraction]:
+        """x with sum_j x_j columns[j] == rhs, each a list over the points."""
+        rank, coords = span_solver([{i: v for i, v in enumerate(col) if v} for col in columns], len(rhs))
+        sol = coords(dict(enumerate(rhs)))
         if sol is None:
             raise ValueError("inconsistent grading data: no exact affine fit")
-        if rank < cols:
+        if rank < len(columns):
             raise ValueError("underdetermined grading data")
-        return [sol.get(j, Fraction(0)) for j in range(cols)]
+        return [sol.get(j, Fraction(0)) for j in range(len(columns))]
 
-    qrows, qrhs, trows, trhs, arows, arhs = [], [], [], [], [], []
-    for (dx, dy, da), (Q, A, T) in points:
-        qrows.append((Fraction(dx - dy), Fraction(da), Fraction(1)))
-        qrhs.append(Fraction(Q))
-        trows.append((Fraction(dy), Fraction(da), Fraction(1)))
-        trhs.append(Fraction(T))
-        arows.append((Fraction(da), Fraction(1)))
-        arhs.append(Fraction(A))
-    q1, q2, q0 = solve(qrows, qrhs, 3)
-    t1, t2, t0 = solve(trows, trhs, 3)
-    a1, a0 = solve(arows, arhs, 2)
+    weight = [dx - dy for (dx, dy, _), _ in points]
+    dy, da = ([deg[i] for deg, _ in points] for i in (1, 2))
+    Q, A, T = ([qat[i] for _, qat in points] for i in range(3))
+    ones = [1] * len(points)
+    q1, q2, q0 = solve([weight, da, ones], Q)
+    t1, t2, t0 = solve([dy, da, ones], T)
+    a1, a0 = solve([da, ones], A)
     return GradingDictionary(q1, q2, q0, t1, t2, t0, a1, a0)
 
 
@@ -447,7 +460,7 @@ def export_homology(space: QuotientSpace, dictionary: Optional[GradingDictionary
         for deg in sorted(space.blocks):
             om = matrix_of(spec, space, deg)
             if not om.is_zero():
-                mats.append(matrix_json(om))
+                mats.append(matrix_json(om, space))
         ops_out[name] = mats
     return {
         "n": n,

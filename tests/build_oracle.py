@@ -35,7 +35,7 @@ from functools import lru_cache
 from math import factorial, prod
 from typing import Dict, List, Tuple
 
-from harmonica.linalg import RrefAccumulator, SparseMatrix, Vec, kernel_basis, vec_add_scaled
+from harmonica.linalg import RrefAccumulator, Vec, kernel_basis, vec_add_scaled
 from harmonica.spaces import (
     Block,
     _mixed_generators,
@@ -225,6 +225,15 @@ def _build_even_block(n: int, a: int, b: int) -> Block:
     return Block(n, deg, rep_cols, nf)
 
 
+def _kernel(rows: List[Vec], cols: int) -> List[Vec]:
+    """`kernel_basis` of the matrix with these rows over columns 0..cols-1."""
+    columns: List[Vec] = [{} for _ in range(cols)]
+    for i, row in enumerate(rows):
+        for j, v in row.items():
+            columns[j][i] = v
+    return kernel_basis(columns)
+
+
 def _single_harmonics(n: int, d: int) -> List[Vec]:
     """Joint kernel of p_c(d/dz), c = 1..n, on degree-d monomials (one family)."""
     kernels = _workspace(n).single_harmonics
@@ -251,7 +260,7 @@ def _single_harmonics(n: int, d: int) -> List[Vec]:
                     row = block.setdefault(r, {})
                     row[j] = row.get(j, 0) + Fraction(coeff)
         rows.extend(block[r] for r in sorted(block))
-    basis = kernel_basis(SparseMatrix.from_rows(rows, len(monos)))
+    basis = _kernel(rows, len(monos))
     kernels[d] = [dict(sorted(v.items())) for v in basis]
     return kernels[d]
 
@@ -307,8 +316,7 @@ def _build_harmonic_piece(n: int, a: int, b: int) -> List[Vec]:
                             row.pop(j, None)
                         else:
                             row[j] = s
-        matrix = SparseMatrix.from_rows([images[r] for r in sorted(images)], len(basis))
-        combos = kernel_basis(matrix)
+        combos = _kernel([images[r] for r in sorted(images)], len(basis))
         new_basis: List[Vec] = []
         for combo in combos:
             vec: Vec = {}
@@ -320,15 +328,16 @@ def _build_harmonic_piece(n: int, a: int, b: int) -> List[Vec]:
 
 
 
-def invariant_ideal_piece(n: int, bidegree: Tuple[int, int]) -> SparseMatrix:
-    """Spanning columns of one bidegree piece of the invariant ideal.
+def invariant_ideal_piece(n: int, bidegree: Tuple[int, int]) -> List[Vec]:
+    """Spanning columns of one bidegree piece of the invariant ideal, as
+    vectors over its ambient basis.
 
     Columns are the products p_{a,b} * monomial over polarized power sums
     with 1 <= a+b <= n; no reduction is performed.
     """
     a, b = bidegree
     deg = TriDegree(a, b, 0)
-    monos, index = ambient_basis(n, deg)
+    _, index = ambient_basis(n, deg)
     cols: List[Vec] = []
     for (c, d) in _power_sum_generators(n):
         if a - c < 0 or b - d < 0:
@@ -344,7 +353,7 @@ def invariant_ideal_piece(n: int, bidegree: Tuple[int, int]) -> SparseMatrix:
                     j = index[Monomial(tuple(xe), tuple(ye), ())]
                     col[j] = col.get(j, 0) + Fraction(1)
                 cols.append(col)
-    return SparseMatrix.from_columns(cols, len(monos))
+    return cols
 
 
 def _partitions(n: int, largest: int) -> List[Tuple[int, ...]]:

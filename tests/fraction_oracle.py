@@ -5,6 +5,8 @@ fraction-free integer rows: a Bareiss-style `rref` with rational
 back-substitution, and an `RrefAccumulator` that stores every entry as a
 `Fraction`.  The bodies are unchanged; the differential tests in
 `test_linalg_differential.py` hold the integer engine to the same results.
+The matrices are the oracle's own minimal (row, col) container, `Matrix`,
+with dense products, so it shares no matrix code with `harmonica`.
 """
 
 from __future__ import annotations
@@ -12,9 +14,50 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from harmonica.linalg import SparseMatrix
-
 Vec = dict  # column index -> nonzero Fraction
+
+
+class Matrix:
+    """rows x cols exact matrix as {(row, col): nonzero Fraction}."""
+
+    def __init__(self, rows: int, cols: int, data=None):
+        self.rows, self.cols = rows, cols
+        self.data = {k: Fraction(v) for k, v in (data or {}).items() if v}
+
+    @classmethod
+    def from_rows(cls, row_vecs, cols: int) -> "Matrix":
+        row_vecs = list(row_vecs)
+        return cls(len(row_vecs), cols, {(i, j): v for i, row in enumerate(row_vecs) for j, v in row.items()})
+
+    @classmethod
+    def from_columns(cls, col_vecs, rows: int) -> "Matrix":
+        col_vecs = list(col_vecs)
+        return cls(rows, len(col_vecs), {(i, j): v for j, col in enumerate(col_vecs) for i, v in col.items()})
+
+    def entry(self, r: int, c: int) -> Fraction:
+        return self.data.get((r, c), Fraction(0))
+
+    def row_list(self) -> list:
+        return [{c: v for (r, c), v in sorted(self.data.items()) if r == i} for i in range(self.rows)]
+
+    def column_list(self) -> list:
+        return [{r: v for (r, c), v in sorted(self.data.items()) if c == j} for j in range(self.cols)]
+
+    def mul_vec(self, vec: Vec) -> Vec:
+        """Dense product with a column vector over 0..cols-1."""
+        out = {i: sum((self.entry(i, k) * vec.get(k, 0) for k in range(self.cols)), Fraction(0))
+               for i in range(self.rows)}
+        return {i: v for i, v in out.items() if v}
+
+    def matmul(self, other: "Matrix") -> "Matrix":
+        """Dense product, entry by entry."""
+        assert self.cols == other.rows
+        return Matrix(self.rows, other.cols, {
+            (i, j): sum((self.entry(i, k) * other.entry(k, j) for k in range(self.cols)), Fraction(0))
+            for i in range(self.rows) for j in range(other.cols)})
+
+    def __eq__(self, other) -> bool:
+        return (self.rows, self.cols, self.data) == (other.rows, other.cols, other.data)
 
 
 def vec_add_scaled(target: Vec, scale: Fraction, source: Vec) -> None:
@@ -45,7 +88,7 @@ def _integerize(row: Vec) -> dict:
     return ints
 
 
-def rref(m: SparseMatrix):
+def rref(m: Matrix):
     """Reduced row echelon form.
 
     Returns (reduced matrix, pivot column list, rank).  The output is the
@@ -105,11 +148,11 @@ def rref(m: SparseMatrix):
                 row.pop(pivots[len(pivots) - 1 - idx], None)
         reduced.append(row)
     reduced.reverse()
-    out = SparseMatrix.from_rows(reduced, m.cols)
+    out = Matrix.from_rows(reduced, m.cols)
     return out, pivots, len(pivots)
 
 
-def kernel_basis(m: SparseMatrix) -> list:
+def kernel_basis(m: Matrix) -> list:
     """Basis of the right null space, as sparse column vectors.
 
     One vector per non-pivot column; m.mul_vec(v) == {} for each.
@@ -130,7 +173,7 @@ def kernel_basis(m: SparseMatrix) -> list:
     return basis
 
 
-def membership(v: Vec, span: SparseMatrix):
+def membership(v: Vec, span: Matrix):
     """Express v in the column span of `span`.
 
     Returns a coefficient vector c (dict col index -> Fraction) with
@@ -259,6 +302,3 @@ class RrefAccumulator:
             row[piv] = Fraction(1)
             out.append(row)
         return out
-
-    def to_matrix(self, cols: int) -> SparseMatrix:
-        return SparseMatrix.from_rows(self.row_vectors(), cols)

@@ -53,7 +53,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from harmonica import superpoly
-from harmonica.linalg import RrefAccumulator, SparseMatrix
+from harmonica.linalg import RrefAccumulator
 from harmonica.operators import _FIRST_ORDER_KINDS, OperatorSpec, WellDefinednessError, _is_equivariant
 from harmonica.spaces import QuotientSpace, _even_block, _power_sum_generators, ambient_basis, poly_to_vec
 from harmonica.superpoly import (
@@ -389,22 +389,21 @@ def check_preserves(spec: OperatorSpec, space: QuotientSpace):
     return (witness is None), witness
 
 
-def matrix(spec: OperatorSpec, space, deg: TriDegree) -> SparseMatrix:
-    """The matrix of the operator from the piece at deg, each basis vector
-    (a rep monomial, or an echelon vector) applied as a polynomial; raises
-    `WellDefinednessError` with the basis polynomial whose image leaves a
-    subspace."""
+def matrix(spec: OperatorSpec, space, deg: TriDegree) -> list:
+    """The columns of the operator's matrix from the piece at deg, each basis
+    vector (a rep monomial, or an echelon vector) applied as a polynomial;
+    raises `WellDefinednessError` with the basis polynomial whose image
+    leaves a subspace."""
     tdeg = spec.target_degree(deg)
-    polys = [vec_to_poly(vec, space.n, deg) for vec in space.basis(deg)]
-    data = {}
-    for j, p in enumerate(polys):
+    columns = []
+    for vec in space.basis(deg):
+        p = vec_to_poly(vec, space.n, deg)
         image = apply_op(spec.diff_operator(), p)
         coords = space.coords(tdeg, poly_to_vec(image, tdeg)) if image.terms else {}
         if coords is None:
             raise WellDefinednessError("image outside the subspace", p)
-        for row, val in coords.items():
-            data[(row, j)] = val
-    return SparseMatrix(space.dim(tdeg), len(polys), data)
+        columns.append({row: Fraction(val) for row, val in coords.items() if val})
+    return columns
 
 
 def operator_span(n: int, seeds, ops):

@@ -237,6 +237,28 @@ class TestExitCodes:
             main(["verify", "--n", "13", "--suite", "nonsense"])
         assert info.value.code == 2 and "unknown suite 'nonsense'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ("compute", "--n", "2", "--space", "hook"), ("export", "--n", "2"),
+        ("verify", "--n", "2", "--suite", "dims"), ("verify", "--n", "2", "--suite", "all"),
+    ], ids=["compute", "export", "verify dims", "verify all"])
+    @pytest.mark.parametrize("via", ["flag", "env"])
+    def test_a_cache_dir_that_is_a_file_is_one_line(self, tmp_path, argv, via):
+        # The space is built, and its save cannot make the directory: exit 1
+        # with one line naming the cache file, as an --out that cannot be written.
+        blocker = tmp_path / "cache"
+        blocker.write_text("not a directory")
+        if via == "flag":
+            res = run(*argv, "--cache-dir", str(blocker))
+        else:
+            import os
+
+            res = run(*argv, env={**os.environ, "HARMONICA_CACHE": str(blocker)})
+        assert res.returncode == 1 and res.stdout == ""
+        assert "Traceback" not in res.stderr
+        (line,) = res.stderr.splitlines()
+        assert line.startswith(f"harmonica: cannot write cache {blocker}/") and "File exists" in line
+        assert blocker.read_text() == "not a directory"
+
     def test_unknown_suite_is_usage_error(self):
         from harmonica.verify import SUITES
 
@@ -582,6 +604,26 @@ class TestExport:
     def test_missing_dictionary_file(self):
         res = run("export", "--n", "2", "--dict", "/nonexistent/dict.json")
         assert res.returncode != 0
+
+    @pytest.mark.parametrize("value", [
+        [1, 2], None, "q1", 3,
+        {"q1": [1]}, {"q1": {"p": 1}}, {"q1": None}, {"q1": True}, {"q1": "one"}, {"q1": float("inf")},
+    ], ids=["list", "null", "string", "number", "list value", "object value", "null value", "true value",
+            "non-numeric string", "infinite value"])
+    def test_a_dictionary_of_the_wrong_shape_is_one_line(self, tmp_path, value):
+        # A well-formed JSON file whose shape is not an object of numbers or
+        # numeric strings is refused like an unreadable one: exit 1, one line.
+        from harmonica.structure import GradingDictionary
+
+        if isinstance(value, dict):
+            value = {**GradingDictionary.default_for(2).to_mapping(), **value}
+        dict_file = tmp_path / "dict.json"
+        dict_file.write_text(json.dumps(value))
+        res = run("export", "--n", "2", "--dict", str(dict_file))
+        assert res.returncode == 1 and res.stdout == ""
+        assert "Traceback" not in res.stderr
+        (line,) = res.stderr.splitlines()
+        assert line.startswith(f"harmonica: cannot load dictionary {dict_file}: ")
 
 
 class TestAllowLargeReachesEveryLayer:

@@ -6,16 +6,17 @@ from itertools import combinations
 import pytest
 
 import fraction_oracle
-from harmonica.linalg import RrefAccumulator, SparseMatrix, kernel_basis, membership, rref, span_solver
+from harmonica.linalg import RrefAccumulator, kernel_basis, membership, mul_vec, rref, span_solver
 
 
-def dense(rows):
-    return SparseMatrix.from_rows([dict(enumerate(row)) for row in rows], len(rows[0]) if rows else 0)
+def rows_of(entries):
+    """The rows of a dense matrix, as sparse vectors."""
+    return [{c: Fraction(v) for c, v in enumerate(row) if v} for row in entries]
 
 
-def cells(m: SparseMatrix) -> list:
-    """The entries of m as a list of rows."""
-    return [[m.entry(r, c) for c in range(m.cols)] for r in range(m.rows)]
+def columns_of(entries):
+    """The columns of a dense matrix, as sparse vectors: the matrix as harmonica holds it."""
+    return rows_of(zip(*entries))
 
 
 def det_minor(entries):
@@ -35,13 +36,14 @@ def det_minor(entries):
     return total
 
 
-def rank_by_minors(m: SparseMatrix) -> int:
-    entries = cells(m)
+def rank_by_minors(entries) -> int:
+    """The rank of a dense matrix, by its largest nonzero minor."""
+    nrows, ncols = len(entries), len(entries[0]) if entries else 0
     best = 0
-    for k in range(1, min(m.rows, m.cols) + 1):
+    for k in range(1, min(nrows, ncols) + 1):
         found = False
-        for rows in combinations(range(m.rows), k):
-            for cols in combinations(range(m.cols), k):
+        for rows in combinations(range(nrows), k):
+            for cols in combinations(range(ncols), k):
                 sub = [[entries[r][c] for c in cols] for r in rows]
                 if det_minor(sub) != 0:
                     found = True
@@ -56,86 +58,85 @@ def rank_by_minors(m: SparseMatrix) -> int:
 
 
 def test_rref_proportional_rows():
-    red, pivots, rank = rref(dense([[1, 2], [2, 4]]))
+    red, pivots, rank = rref(rows_of([[1, 2], [2, 4]]))
     assert rank == 1
     assert pivots == [0]
-    assert cells(red) == [[Fraction(1), Fraction(2)]]
+    assert red == [{0: Fraction(1), 1: Fraction(2)}]
 
 
 def test_rref_identity_fixed_point():
-    ident = dense([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    ident = rows_of([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     red, pivots, rank = rref(ident)
     assert rank == 3 and pivots == [0, 1, 2]
     assert red == ident
 
 
 def test_rref_already_echelon_up_to_reduction():
-    red, pivots, rank = rref(dense([[1, 1, 0], [0, 1, 1]]))
+    red, pivots, rank = rref(rows_of([[1, 1, 0], [0, 1, 1]]))
     assert rank == 2 and pivots == [0, 1]
-    assert cells(red) == [
-        [Fraction(1), Fraction(0), Fraction(-1)],
-        [Fraction(0), Fraction(1), Fraction(1)],
-    ]
+    assert red == rows_of([[1, 0, -1], [0, 1, 1]])
 
 
 def test_rref_empty_matrix():
-    red, pivots, rank = rref(SparseMatrix(0, 0))
-    assert rank == 0 and pivots == [] and red.rows == 0
+    assert rref([]) == ([], [], 0)
 
 
 def test_kernel_single_row():
-    (vec,) = kernel_basis(dense([[1, 1]]))
+    (vec,) = kernel_basis(columns_of([[1, 1]]))
     assert vec[0] * 1 + vec[1] * 1 == 0 and vec[1] != 0
 
 
 def test_kernel_identity_empty():
-    assert kernel_basis(dense([[1, 0], [0, 1]])) == []
+    assert kernel_basis(columns_of([[1, 0], [0, 1]])) == []
 
 
 def test_kernel_rank_one():
-    m = dense([[1, 2], [2, 4]])
+    m = columns_of([[1, 2], [2, 4]])
     (vec,) = kernel_basis(m)
-    assert m.mul_vec(vec) == {}
+    assert mul_vec(m, vec) == {}
     # proportional to (2, -1)
     assert vec[0] * (-1) == vec[1] * 2
 
 
 def test_membership_basics():
-    span = dense([[1, 0], [0, 1]])
-    assert membership({0: Fraction(1), 1: Fraction(1)}, span) == {0: Fraction(1), 1: Fraction(1)}
-    assert membership({}, span) == {}
-    assert membership({0: Fraction(1)}, dense([[0], [1]])) is None
+    span = columns_of([[1, 0], [0, 1]])
+    assert membership({0: Fraction(1), 1: Fraction(1)}, span, 2) == {0: Fraction(1), 1: Fraction(1)}
+    assert membership({}, span, 2) == {}
+    assert membership({0: Fraction(1)}, columns_of([[0], [1]]), 2) is None
 
 
 def test_membership_incompatible_dimensions():
     with pytest.raises(ValueError):
-        membership({5: Fraction(1)}, dense([[1], [1]]))
+        membership({5: Fraction(1)}, columns_of([[1], [1]]), 2)
 
 
 def random_matrix(rng, rows, cols, density=0.6, mag=3):
-    data = {}
+    """A dense rows x cols matrix of small integer Fractions, as a list of rows."""
+    entries = [[Fraction(0)] * cols for _ in range(rows)]
     for r in range(rows):
         for c in range(cols):
             if rng.random() < density:
                 v = rng.randint(-mag, mag)
                 if v:
-                    data[(r, c)] = Fraction(v)
-    return SparseMatrix(rows, cols, data)
+                    entries[r][c] = Fraction(v)
+    return entries
 
 
 def test_rank_matches_minor_expansion_oracle():
     rng = random.Random(20240915)
     for _ in range(200):
         m = random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
-        _, _, rank = rref(m)
+        _, _, rank = rref(rows_of(m))
         assert rank == rank_by_minors(m)
+        # Handed the columns, rref reads the same rank.
+        assert rref(columns_of(m))[2] == rank
 
 
 def test_rref_idempotent_on_random_matrices():
     rng = random.Random(11)
     for _ in range(50):
         m = random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
-        red, _, _ = rref(m)
+        red, _, _ = rref(rows_of(m))
         again, _, _ = rref(red)
         assert again == red
 
@@ -144,11 +145,12 @@ def test_kernel_vectors_annihilate():
     rng = random.Random(5)
     for _ in range(100):
         m = random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
-        _, _, rank = rref(m)
-        vecs = kernel_basis(m)
-        assert len(vecs) == m.cols - rank
+        _, _, rank = rref(rows_of(m))
+        columns = columns_of(m)
+        vecs = kernel_basis(columns)
+        assert len(vecs) == len(columns) - rank
         for v in vecs:
-            assert m.mul_vec(v) == {}
+            assert mul_vec(columns, v) == {}
 
 
 def test_accumulator_matches_rref():
@@ -159,14 +161,14 @@ def test_accumulator_matches_rref():
             for _ in range(rng.randint(1, 7))
         ]
         rows = [{j: v for j, v in r.items() if v} for r in rows]
-        m = SparseMatrix.from_rows(rows, 6)
-        red, pivots, rank = rref(m)
+        red, pivots, rank = rref(rows)
         acc = RrefAccumulator()
         for r in rows:
             acc.insert(r)
         assert acc.rank == rank
         assert acc.pivots() == pivots
-        assert acc.to_matrix(6) == red
+        assert acc.row_vectors() == red
+        assert red == fraction_oracle.rref(fraction_oracle.Matrix.from_rows(rows, 6))[0].row_list()
 
 
 def test_membership_reconstructs_exactly():
@@ -180,14 +182,13 @@ def test_membership_reconstructs_exactly():
             for _ in range(cols)
         ]
         col_vecs = [{i: v for i, v in c.items() if v} for c in col_vecs]
-        span = SparseMatrix.from_columns(col_vecs, rows)
         weights = {j: Fraction(rng.randint(-2, 2)) for j in range(cols)}
         target = {}
         for j, z in weights.items():
             for i, w in col_vecs[j].items():
                 target[i] = target.get(i, 0) + z * w
         target = {i: w for i, w in target.items() if w}
-        coeffs = membership(target, span)
+        coeffs = membership(target, col_vecs, rows)
         assert coeffs is not None
         rebuilt = {}
         for j, z in coeffs.items():
@@ -201,8 +202,8 @@ def test_span_solver_leaves_dependent_columns_without_a_coefficient():
     # depends on earlier ones pivots at its own tag and gets no coefficient.
     c0, c2 = {0: Fraction(1), 1: Fraction(2)}, {1: Fraction(1), 2: Fraction(-1)}
     c1 = {j: 2 * x for j, x in c0.items()}
-    span = SparseMatrix.from_columns([c0, c1, c2, {}], 3)  # the last column is zero
-    rank, solve = span_solver(span)
+    span = [c0, c1, c2, {}]  # the last column is zero
+    rank, solve = span_solver(span, 3)
     assert rank == 2
     cases = {
         "c1": (c1, {0: Fraction(2)}),
@@ -212,8 +213,8 @@ def test_span_solver_leaves_dependent_columns_without_a_coefficient():
     }
     for name, (vec, expected) in cases.items():
         assert solve(vec) == expected, name
-        assert solve(vec) == fraction_oracle.membership(vec, span), name
-        assert membership(vec, span) == expected, name
+        assert solve(vec) == fraction_oracle.membership(vec, fraction_oracle.Matrix.from_columns(span, 3)), name
+        assert membership(vec, span, 3) == expected, name
 
 
 def test_accumulator_has_one_mode():
@@ -223,12 +224,15 @@ def test_accumulator_has_one_mode():
     assert list(inspect.signature(RrefAccumulator.insert).parameters) == ["self", "vec"]
 
 
-def test_matmul_and_transpose():
-    a = dense([[1, 2], [0, 1]])
-    b = dense([[1, 0], [3, 1]])
-    assert cells(a.matmul(b)) == [[Fraction(7), Fraction(2)], [Fraction(3), Fraction(1)]]
-    transpose = SparseMatrix.from_columns(a.row_list(), a.cols)  # the rows of a as columns
-    assert cells(transpose) == [[Fraction(1), Fraction(0)], [Fraction(2), Fraction(1)]]
+def test_products_of_column_lists():
+    # Column j of a product is the left factor applied to column j of the right one.
+    a = columns_of([[1, 2], [0, 1]])
+    b = columns_of([[1, 0], [3, 1]])
+    assert a == [{0: 1}, {0: 2, 1: 1}]
+    assert [mul_vec(a, col) for col in b] == columns_of([[7, 2], [3, 1]])
+    assert mul_vec(a, {}) == {} and mul_vec(a, {1: Fraction(-1, 2)}) == {0: -1, 1: Fraction(-1, 2)}
+    # Entries that cancel leave no zero behind.
+    assert mul_vec(columns_of([[1, 1], [1, -1]]), {0: 1, 1: 1}) == {0: 2}
 
 
 def _state(acc):

@@ -1,8 +1,10 @@
 """Differential tests: the integer elimination engine against the Fraction one.
 
 `fraction_oracle` holds the Fraction-per-entry engine that `harmonica.linalg`
-used before.  On random int and Fraction matrices, with empty, zero and
-duplicate rows, both engines must agree on every result they report.
+used before, on its own (row, col) matrix container.  On random int and
+Fraction matrices, with empty, zero and duplicate rows, both engines must
+agree on every result they report, and the column-list products of
+`harmonica` must equal the oracle's dense ones.
 """
 
 from fractions import Fraction
@@ -16,7 +18,8 @@ from hypothesis import strategies as st  # noqa: E402
 
 import fraction_oracle as old  # noqa: E402
 from harmonica import linalg as new  # noqa: E402
-from harmonica.linalg import SparseMatrix  # noqa: E402
+from harmonica.operators import OperatorMatrix, compose  # noqa: E402
+from harmonica.superpoly import TriDegree  # noqa: E402
 
 MAX_COLS = 6
 
@@ -46,7 +49,8 @@ def matrices(draw):
 
 
 def as_matrix(rows, cols):
-    return SparseMatrix.from_rows(rows, cols)
+    """The oracle's matrix with these rows."""
+    return old.Matrix.from_rows(rows, cols)
 
 
 def assert_fraction_vec(vec):
@@ -66,7 +70,6 @@ def test_accumulator_agrees(mat, data):
     assert got == a.row_vectors()
     for row in got:
         assert_fraction_vec(row)
-    assert b.to_matrix(cols) == a.to_matrix(cols)
     for _ in range(3):
         probe = data.draw(vectors(cols))
         residual = b.reduce(probe)
@@ -82,31 +85,34 @@ def test_accumulator_agrees(mat, data):
 @settings(max_examples=150, deadline=None)
 @given(matrices())
 def test_rref_and_kernel_agree(mat):
+    rows, _ = mat
     m = as_matrix(*mat)
-    assert new.rref(m) == old.rref(m)
-    got = new.kernel_basis(m)
+    red, pivots, rank = old.rref(m)
+    assert new.rref(rows) == (red.row_list(), pivots, rank)
+    columns = m.column_list()
+    got = new.kernel_basis(columns)
     assert got == old.kernel_basis(m)
     for vec in got:
         assert_fraction_vec(vec)
-        assert m.mul_vec(vec) == {}
+        assert new.mul_vec(columns, vec) == {}
 
 
 @settings(max_examples=150, deadline=None)
 @given(matrices(), st.data())
 def test_membership_agrees(mat, data):
     columns, rows = mat  # the drawn vectors become the span's columns
-    span = SparseMatrix.from_columns(columns, rows)
+    span = old.Matrix.from_columns(columns, rows)
     weights = data.draw(st.lists(entries, min_size=len(columns), max_size=len(columns)))
     inside: dict = {}
     for z, col in zip(weights, columns):
         new.vec_add_scaled(inside, Fraction(z), col)
     for v in (inside, data.draw(vectors(rows))):
-        got = new.membership(v, span)
+        got = new.membership(v, columns, rows)
         assert got == old.membership(v, span)
         if got is not None:
             assert_fraction_vec(got)
-            assert span.mul_vec(got) == {i: x for i, x in v.items() if x}
-    _, solve = new.span_solver(span)
+            assert new.mul_vec(columns, got) == {i: x for i, x in v.items() if x}
+    _, solve = new.span_solver(columns, rows)
     for p in range(rows):
         assert solve({p: Fraction(1)}) == old.membership({p: Fraction(1)}, span)
 
@@ -143,8 +149,8 @@ def test_int_rows_give_what_fraction_rows_give(mat, data):
         residual = a.reduce(probe)
         assert residual == b.reduce(as_fractions(probe))
         assert_fraction_vec(residual)
-    m = as_matrix(rows, cols)
-    assert new.kernel_basis(m) == new.kernel_basis(as_matrix(list(map(as_fractions, rows)), cols))
+    columns = as_matrix(rows, cols).column_list()
+    assert new.kernel_basis(columns) == new.kernel_basis(as_matrix(list(map(as_fractions, rows)), cols).column_list())
 
 
 @settings(max_examples=100, deadline=None)
@@ -161,7 +167,32 @@ def test_int_rows_and_int_kernel_are_the_rref_views_scaled(mat):
         assert all(type(x) is int for x in r.values())
         assert r[p] > 0 and gcd(*r.values()) == 1
     kernel = acc.int_kernel(cols)
-    expected = new.kernel_basis(as_matrix(rows, cols))
+    expected = new.kernel_basis(as_matrix(rows, cols).column_list())
     assert [{j: Fraction(x, v[f]) for j, x in v.items()} for f, v in kernel.items()] == expected
     for f, v in kernel.items():
         assert all(type(x) is int for x in v.values()) and v[f] > 0
+
+
+@st.composite
+def column_lists(draw, rows, cols):
+    """A rows x cols Fraction matrix as harmonica holds it: cols sparse
+    columns over 0..rows-1."""
+    return [as_fractions(draw(vectors(rows))) for _ in range(cols)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4), st.data())
+def test_column_products_agree_with_the_dense_oracle(r, k, c, data):
+    outer, inner = data.draw(column_lists(r, k)), data.draw(column_lists(k, c))
+    dense_outer, dense_inner = old.Matrix.from_columns(outer, r), old.Matrix.from_columns(inner, k)
+    vec = as_fractions(data.draw(vectors(k)))
+    got = new.mul_vec(outer, vec)
+    assert got == dense_outer.mul_vec(vec)
+    assert_fraction_vec(got)
+    # Degrees only label the pieces; compose checks that they chain.
+    a, b, t = TriDegree(0, 0, 0), TriDegree(1, 0, 0), TriDegree(2, 0, 0)
+    product = compose(OperatorMatrix(b, t, outer), OperatorMatrix(a, b, inner))
+    assert product.source == a and product.target == t
+    assert product.columns == dense_outer.matmul(dense_inner).column_list()
+    for col in product.columns:
+        assert_fraction_vec(col)

@@ -6,12 +6,12 @@ import pytest
 import operator_oracle
 from memo import memo
 from harmonica import operators, verify
-from harmonica.linalg import SparseMatrix
 from harmonica.operators import (
     OperatorMatrix,
     OperatorSpec,
     WellDefinednessError,
     _is_equivariant,
+    bracket,
     bracket_mismatch,
     check_preserves,
     compose,
@@ -44,9 +44,23 @@ from harmonica.superpoly import (
 )
 
 
-def bracket(u, v, space):
+def brackets(u, v, space):
     """Matrices of the graded commutator [u, v] on each stored piece."""
     return {deg: operators._bracket_piece(u, v, space, deg) for deg in space.support()}
+
+
+def scaled(columns, a):
+    """a times the matrix with these columns."""
+    return [{r: a * x for r, x in col.items()} for col in columns]
+
+
+def added(columns, others):
+    """The sum of two matrices of the same shape, entry by entry, zeros dropped."""
+    out = []
+    for col, other in zip(columns, others, strict=True):
+        total = {r: col.get(r, 0) + other.get(r, 0) for r in {*col, *other}}
+        out.append({r: x for r, x in total.items() if x})
+    return out
 
 
 class TestMatrixOf:
@@ -54,13 +68,13 @@ class TestMatrixOf:
         s3 = sign_component(coinvariants(3))
         om = matrix_of(OperatorSpec.F(3, 1), s3, (2, 1, 0))
         assert om.target == TriDegree(3, 0, 0)
-        assert (om.matrix.rows, om.matrix.cols) == (1, 1)
+        assert (s3.dim(om.target), len(om.columns)) == (1, 1)
         assert not om.is_zero()
 
     def test_f2_into_the_top_line(self):
         s3 = sign_component(coinvariants(3))
         om = matrix_of(OperatorSpec.F(3, 2), s3, (1, 1, 0))
-        assert (om.matrix.rows, om.matrix.cols) == (1, 1)
+        assert (s3.dim(om.target), len(om.columns)) == (1, 1)
         assert not om.is_zero()
 
     def test_f3_vanishes_on_every_hook_piece(self):
@@ -102,8 +116,8 @@ class TestMatrixOf:
         block = fresh.blocks[deg]
         assert all(fresh.coords(tdeg, poly_to_vec(operator_oracle.apply_op(D, block.rep_poly(pos)), tdeg)) == {}
                    for pos in range(block.dim))
-        assert om == OperatorMatrix(deg, tdeg, SparseMatrix(0, fresh.dim(deg), {}))
-        assert fresh.dim(deg) > 0
+        assert om == OperatorMatrix(deg, tdeg, [{}] * fresh.dim(deg))
+        assert fresh.dim(deg) > 0 and fresh.dim(tdeg) == 0
 
     def test_no_ambient_basis_is_read_where_nothing_is_applied(self):
         # An empty source piece, and a piece whose target has no classes:
@@ -134,7 +148,7 @@ class TestMatrixOf:
     def test_missing_source_piece_gives_empty_matrix(self):
         s2 = sign_component(coinvariants(2))
         om = matrix_of(OperatorSpec.F(2, 1), s2, (5, 5, 0))
-        assert om.matrix.cols == 0 and om.matrix.rows == 0
+        assert om.columns == [] and s2.dim(om.target) == 0
 
 
 class TestCheckPreserves:
@@ -250,14 +264,14 @@ class TestBrackets:
         hook = hook_component(3)
         for k in (1, 2):
             for m in (1, 2):
-                br = bracket(OperatorSpec.F(3, k), OperatorSpec.E(3, m), hook)
+                br = brackets(OperatorSpec.F(3, k), OperatorSpec.E(3, m), hook)
                 for deg, om in br.items():
                     expected = matrix_of(OperatorSpec.hamiltonian(3, k, m), hook, deg)
-                    assert om.matrix == expected.matrix.scaled(-1)
+                    assert om.columns == scaled(expected.columns, -1)
 
     def test_fk_pairwise_commute(self):
         hook = hook_component(3)
-        br = bracket(OperatorSpec.F(3, 1), OperatorSpec.F(3, 2), hook)
+        br = brackets(OperatorSpec.F(3, 1), OperatorSpec.F(3, 2), hook)
         assert all(om.is_zero() for om in br.values())
 
     def test_pieces_bracketing_into_a_zero_piece_are_skipped(self, monkeypatch):
@@ -281,8 +295,8 @@ class TestBrackets:
         hook = hook_component(3)
         v = OperatorSpec.hamiltonian
         u, w, target = v(3, 2, 0), v(3, 0, 2), v(3, 1, 1)
-        first = next(deg for deg, om in bracket(u, w, hook).items()
-                     if om.matrix != matrix_of(target, hook, deg).matrix.scaled(5))
+        first = next(deg for deg, om in brackets(u, w, hook).items()
+                     if om.columns != scaled(matrix_of(target, hook, deg).columns, 5))
         assert bracket_mismatch(u, w, hook, 5, target) == first
 
     def test_d0_inside_a_bracket_still_fails_with_its_witness(self, monkeypatch):
@@ -303,14 +317,34 @@ class TestGradedBracket:
         d1, d2, f1 = OperatorSpec.d(3, 1), OperatorSpec.d(3, 2), OperatorSpec.F(3, 1)
 
         def product(u, v, deg):
-            return compose(matrix_of(u, hook, v.target_degree(deg)), matrix_of(v, hook, deg)).matrix
+            return compose(matrix_of(u, hook, v.target_degree(deg)), matrix_of(v, hook, deg))
 
         for (u, v, sign) in ((d1, d2, 1), (f1, d1, -1)):
-            br = bracket(u, v, hook)
+            br = brackets(u, v, hook)
             assert set(br) == set(hook.support())
             assert any(not product(u, v, deg).is_zero() for deg in br)  # so the sign matters
             for deg, om in br.items():
-                assert om.matrix == product(u, v, deg).add(product(v, u, deg).scaled(sign))
+                assert om.columns == added(product(u, v, deg).columns, scaled(product(v, u, deg).columns, sign))
+
+    def test_bracket_leaves_its_four_matrices_as_they_were(self):
+        # The sum is taken in place on the columns of u v, which compose builds anew.
+        hook = hook_component(3)
+        f1, d1 = OperatorSpec.F(3, 1), OperatorSpec.d(3, 1)
+        for deg in hook.support():
+            four = (matrix_of(f1, hook, d1.target_degree(deg)), matrix_of(d1, hook, deg),
+                    matrix_of(d1, hook, f1.target_degree(deg)), matrix_of(f1, hook, deg))
+            before = [[dict(col) for col in om.columns] for om in four]
+            bracket(*four, -1)
+            assert [om.columns for om in four] == before
+
+    def test_bracket_rejects_different_total_shifts(self):
+        hook = hook_component(3)
+        f1, f2 = OperatorSpec.F(3, 1), OperatorSpec.F(3, 2)
+        deg = TriDegree(0, 3, 0)
+        f1f2 = (matrix_of(f1, hook, f2.target_degree(deg)), matrix_of(f2, hook, deg))
+        f1f1 = (matrix_of(f1, hook, f1.target_degree(deg)), matrix_of(f1, hook, deg))
+        with pytest.raises(ValueError, match="different total shifts"):
+            bracket(*f1f2, *f1f1, -1)
 
 
 class TestDifferentials:
@@ -349,7 +383,7 @@ class TestDifferentials:
         for deg in sorted(hook.blocks):
             a = compose(matrix_of(d1, hook, d2.target_degree(deg)), matrix_of(d2, hook, deg))
             b = compose(matrix_of(d2, hook, d1.target_degree(deg)), matrix_of(d1, hook, deg))
-            assert a.matrix.add(b.matrix).is_zero()
+            assert not any(added(a.columns, b.columns))
 
 
 class TestPlumbing:
@@ -362,11 +396,26 @@ class TestPlumbing:
     def test_matrix_json_rational_entries(self):
         s3 = sign_component(coinvariants(3))
         om = matrix_of(OperatorSpec.F(3, 1), s3, (2, 1, 0))
-        payload = matrix_json(om)
+        payload = matrix_json(om, s3)
         assert payload["rows"] == 1 and payload["cols"] == 1
         assert payload["source"] == [2, 1, 0] and payload["target"] == [3, 0, 0]
         for (r, c, s) in payload["entries"]:
-            Fraction(s)  # parses exactly
+            assert Fraction(s) == om.columns[c][r]  # parses exactly
+
+    def test_matrix_json_lists_entries_by_row_then_column(self):
+        # Two columns, three entries: the entries are sorted by (row, column),
+        # not read column by column, and the row count is the target's dimension.
+        deg, tdeg = TriDegree(0, 0, 0), TriDegree(1, 0, 0)
+
+        class Space:
+            def dim(self, d):
+                return {tdeg: 3}[d]
+
+        om = OperatorMatrix(deg, tdeg, [{2: Fraction(1, 2), 0: Fraction(-1)}, {1: Fraction(3)}])
+        assert matrix_json(om, Space()) == {
+            "source": [0, 0, 0], "target": [1, 0, 0], "rows": 3, "cols": 2,
+            "entries": [[0, 0, "-1"], [1, 1, "3"], [2, 0, "1/2"]],
+        }
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_shift_and_label_match_the_oracle(self, n):
@@ -410,7 +459,7 @@ class TestMatricesAgainstTheOracle:
         for spec in specs:
             for deg in space.support():
                 try:
-                    got = matrix_of(spec, space, deg).matrix
+                    got = matrix_of(spec, space, deg).columns
                 except WellDefinednessError as exc:
                     got = exc.witness
                 try:
@@ -419,8 +468,10 @@ class TestMatricesAgainstTheOracle:
                     want = exc.witness
                     raised += 1
                 assert got == want, (spec, deg)
-                if isinstance(got, SparseMatrix):
-                    assert all(type(v) is Fraction for v in got.data.values())
+                if isinstance(got, list):
+                    assert len(got) == space.dim(deg)
+                    assert all(type(v) is Fraction and v for col in got for v in col.values())
+                    assert all(0 <= r < space.dim(spec.target_degree(deg)) for col in got for r in col)
         assert (raised > 0) == (kind == "dh")  # F_k and E_k for k >= 2 leave the harmonics
 
 

@@ -45,8 +45,6 @@ ALLOWLIST = {
     "dyck.DyckPath.__eq__": DUNDER,
     "dyck.DyckPath.__hash__": DUNDER,
     "dyck.DyckPath.__repr__": DUNDER,
-    "linalg.SparseMatrix.__hash__": DUNDER,
-    "linalg.SparseMatrix.__repr__": DUNDER,
     "spaces.GradedSubspace.__repr__": DUNDER,
     "spaces.HilbertSeries.__getitem__": DUNDER,
     "spaces.HilbertSeries.__hash__": DUNDER,

@@ -46,7 +46,7 @@ from harmonica.superpoly import (
 class TestInvariantIdealPiece:
     def test_n2_bidegree_10(self):
         m = invariant_ideal_piece(2, (1, 0))
-        _, _, rank = rref(m)
+        _, _, rank = rref(m)  # the rank of the span of the columns
         assert rank == 1  # the span of x1 + x2
 
     def test_n2_bidegree_11_full_rank(self):
@@ -74,7 +74,7 @@ class TestInvariantIdealPiece:
                 _, _, rank = rref(m)
                 blk = dr.block((a, b, 0))
                 qdim = blk.dim if blk else 0
-                assert m.rows - rank == qdim
+                assert len(ambient_basis(n, TriDegree(a, b, 0))[0]) - rank == qdim
 
 
 class TestCoinvariants:
@@ -527,12 +527,9 @@ class TestAntisymmetricIdeals:
                 cols.append(col)
             keys = sorted({k for col in cols for k in col})
             key_index = {k: i for i, k in enumerate(keys)}
-            from harmonica.linalg import SparseMatrix, kernel_basis
+            from harmonica.linalg import kernel_basis
 
-            mat = SparseMatrix.from_columns(
-                [{key_index[k]: v for k, v in col.items()} for col in cols], len(keys)
-            )
-            return len(kernel_basis(mat))
+            return len(kernel_basis([{key_index[k]: v for k, v in col.items()} for col in cols]))
 
         kernel_dims = {}
         for deg in J.support():
